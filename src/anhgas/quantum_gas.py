@@ -13,12 +13,13 @@ disagreements surface as FLAGGED rows.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
+
 import numpy as np
-from scipy.optimize import brentq
 
 from . import specfun as sf
-from .oracles import SeriesTruncation, integrate_semi_infinite, sum_until_tail_bound
+from .oracles import SeriesTruncation, integrate_semi_infinite
 from .params import NATURAL_UNITS, OscillatorParams, ThermalState, UnitSystem
 from .reports import ComparisonReport, Status, compare
 
@@ -254,19 +255,25 @@ class DimensionlessCouplings:
         kappa_sq = -a_A / a_B
         y2_root = math.sqrt(kappa_sq)                 # g2 > 0  <=>  y > kappa
         if g1_includes_y:
-            # root of y^5 + 2 a_B y^3 + 6 a_A = 0 (monotone for y > 0)
-            hi = max(1.0, math.sqrt(3.0 * kappa_sq)) * 2.0
-            while 6.0 * a_A + 2.0 * a_B * hi**2 + hi**5 < 0.0:
+            # root of y^4 g1 = 6 a_A + 2 a_B y^2 + y^5, increasing for y > 0:
+            # bisect the bracket down to float resolution
+            def h(y: float) -> float:
+                return 6.0 * a_A + 2.0 * a_B * y * y + y**5
+
+            lo, hi = 0.0, max(1.0, math.sqrt(3.0 * kappa_sq)) * 2.0
+            while h(hi) < 0.0:
                 hi *= 2.0
-            y1_root = brentq(lambda y: 6.0 * a_A + 2.0 * a_B * y * y + y**5,
-                             1e-12, hi, xtol=1e-15, rtol=8.9e-16)
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                if h(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            y1_root = hi
         else:
             y1_root = math.sqrt(3.0 * kappa_sq)
-            # verify the closed form by bracketed root-finding
-            check = brentq(lambda y: 6.0 * a_A + 2.0 * a_B * y * y,
-                           0.5 * y1_root, 2.0 * y1_root, xtol=1e-15, rtol=8.9e-16)
-            if abs(check - y1_root) > 1e-10 * max(1.0, y1_root):
-                raise AssertionError("closed-form cutoff disagrees with root bracketing")
         return cls(a_A, a_B, kappa_sq, max(y1_root, y2_root), g1_includes_y)
 
 
@@ -293,40 +300,65 @@ def _require_window(y: float, d: DimensionlessCouplings):
         )
 
 
+def _in_window(y: float, d: DimensionlessCouplings, y_cut: float) -> bool:
+    # Heaviside of the mode sums: above the cutoff, y_star and both
+    # threshold functions
+    if y <= y_cut or y <= d.y_star or y <= 0.0:
+        return False
+    return not (d.a_A < 0.0 and (d.g1(y) <= 0.0 or d.g2(y) <= 0.0))
+
+
+def _mode_sums(y: float, d: DimensionlessCouplings, rel_tol: float,
+               n_cap: int = 2_000_000) -> tuple[float, float, int, float, float]:
+    """Sums over n >= 0 of f_n e^{-f_n} and of e^{-f_n}, with a rigorous stop.
+
+    Returns (num, den, last n summed, bound on num's dropped tail, bound on
+    den's dropped tail).  In the window f_n = q n^2 + l n with q >= 0 and
+    f_1 > 0, so it is convex and the increments D_n = f_{n+1} - f_n never
+    decrease: f_{n+m} >= f_n + m D_n.  With w_n = e^{-f_n}, r = e^{-D_n}
+    and g = r/(1-r) = 1/expm1(D_n), the tail of sum e^{-f} after n is at
+    most w_n g; once f_{n+1} >= 1 (where x e^{-x} decreases) the tail of
+    sum f e^{-f} is at most w_n (f_n g + D_n g (1 + g)).  Summing stops
+    when both bounds are within rel_tol of their sums.
+    """
+    y2 = y * y
+    y4 = y2 * y2
+    quad = d.a_A / y4 + 2.0 * d.a_B / y2
+    lin = 6.0 * d.a_A / y4 + 2.0 * d.a_B / y2 + y
+    if not (y > 0.0 and quad >= 0.0 and quad + lin > 0.0):
+        raise ValueError(
+            f"y={y} is outside the positivity window: f_n is not convex "
+            "and increasing, so the mode sums have no tail bound"
+        )
+    exp, expm1 = math.exp, math.expm1
+    num = den = 0.0
+    f = 0.0
+    n = 0
+    while n < n_cap:
+        w = exp(-f)
+        den += w
+        num += f * w
+        n += 1
+        f_next = (quad * n + lin) * n
+        step = f_next - f
+        if f_next >= 1.0:
+            g = 1.0 / expm1(step) if step < 700.0 else 0.0
+            tail_den = w * g
+            tail_num = w * g * (f + step * (1.0 + g))
+            if tail_den <= rel_tol * den and tail_num <= rel_tol * num:
+                return num, den, n - 1, tail_num, tail_den
+        f = f_next
+    raise RuntimeError(f"mode sums did not converge within {n_cap} terms at y={y}")
+
+
 def mode_partition_sum(y: float, d: DimensionlessCouplings,
                        rel_tol: float = 1e-10) -> tuple[float, SeriesTruncation]:
     """sum_n exp(-f_n(y)) with zero-point terms deliberately absent."""
     if not (y > 0.0):
         raise ValueError(f"y must be positive, got {y}")
     _require_window(y, d)
-
-    def term(n: int) -> float:
-        f = d.f_n(y, float(n))
-        return math.exp(-f) if f < 745.0 else 0.0
-
-    return sum_until_tail_bound(term, rel_tol=rel_tol)
-
-
-def _mode_sums(y: float, d: DimensionlessCouplings, rel_tol: float = 1e-12,
-               block: int = 64, n_cap: int = 2_000_000) -> tuple[float, float]:
-    """(sum f_n e^{-f_n}, sum e^{-f_n}) by vectorized blocks."""
-    num = 0.0
-    den = 0.0
-    start = 0
-    while start < n_cap:
-        n = np.arange(start, start + block, dtype=float)
-        f = d.f_n(y, n)
-        w = np.exp(-np.clip(f, -745.0, 745.0))
-        w[f >= 745.0] = 0.0
-        b_num = float(np.sum(f * w))
-        b_den = float(np.sum(w))
-        num += b_num
-        den += b_den
-        if start > 0 and abs(b_num) <= rel_tol * max(abs(num), 1e-300) \
-                and b_den <= rel_tol * max(den, 1e-300):
-            return num, den
-        start += block
-    raise RuntimeError(f"mode sums did not converge within {n_cap} terms at y={y}")
+    _, den, n_max, _, tail = _mode_sums(y, d, rel_tol)
+    return den, SeriesTruncation(n_max=n_max, tail_estimate=tail)
 
 
 def mode_mean_occupancy_energy(y: float, d: DimensionlessCouplings,
@@ -335,7 +367,7 @@ def mode_mean_occupancy_energy(y: float, d: DimensionlessCouplings,
     if not (y > 0.0):
         raise ValueError(f"y must be positive, got {y}")
     _require_window(y, d)
-    num, den = _mode_sums(y, d, rel_tol)
+    num, den, _, _, _ = _mode_sums(y, d, rel_tol)
     return num / den
 
 
@@ -346,11 +378,9 @@ def massless_integrand(y: float, d: DimensionlessCouplings, y_cut: float = 0.0,
     Exactly zero at or below both the cutoff and the positivity threshold
     (Heaviside semantics baked into the integrand itself).
     """
-    if y <= y_cut or y <= d.y_star or y <= 0.0:
+    if not _in_window(y, d, y_cut):
         return 0.0
-    if d.a_A < 0.0 and (d.g1(y) <= 0.0 or d.g2(y) <= 0.0):
-        return 0.0
-    num, den = _mode_sums(y, d, rel_tol)
+    num, den, _, _, _ = _mode_sums(y, d, rel_tol)
     return num / den * y * y
 
 
@@ -393,22 +423,23 @@ def energy_density_massless(
     y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
 
-    def run(transform: str, series_tol: float) -> float:
-        lower = max(y_cut, d.y_star)
+    def run(cut: float, transform: str, series_tol: float) -> float:
         res = integrate_semi_infinite(
-            lambda y: massless_integrand(y, d, y_cut, series_tol),
-            lower, rel_tol=rel_tol, transform=transform,
+            lambda y: massless_integrand(y, d, cut, series_tol),
+            max(cut, d.y_star), rel_tol=rel_tol, transform=transform,
         )
         return pref * res.value
 
-    literal = run("rational", 1e-12)
-    oracle = run("exp", 5e-13)
+    literal = run(y_cut, "rational", 1e-12)
+    oracle = run(y_cut, "exp", 5e-13)
     other = "kappa_literal" if cutoff_convention == "y_star" else "y_star"
     other_cut = _resolve_cut(d, other)
-    other_val = pref * integrate_semi_infinite(
-        lambda y: massless_integrand(y, d, other_cut, 1e-12),
-        max(other_cut, d.y_star), rel_tol=rel_tol,
-    ).value
+    # the integrand vanishes at or below max(cut, y_star): equal maxima make
+    # the other convention's integral the literal one
+    if max(other_cut, d.y_star) == max(y_cut, d.y_star):
+        other_val = literal
+    else:
+        other_val = run(other_cut, "rational", 1e-12)
     return compare(
         "energy_density_massless",
         literal,
@@ -522,6 +553,21 @@ def _gamma_tail_integral(power: float, decay: float, y0: float) -> float:
     return sign * math.exp(log_val)
 
 
+# tail integrals of the _triple_sum call running in this context, or None
+_TAIL_MEMO: ContextVar[dict | None] = ContextVar("anhgas_tail_memo", default=None)
+
+
+def _tail_integral(power: float, decay: float, y0: float) -> float:
+    memo = _TAIL_MEMO.get()
+    if memo is None:
+        return _gamma_tail_integral(power, decay, y0)
+    key = (power, decay, y0)
+    val = memo.get(key)
+    if val is None:
+        val = memo[key] = _gamma_tail_integral(power, decay, y0)
+    return val
+
+
 def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
                           y0: float | None = None) -> tuple[float, float]:
     """Corrected series term pair (f_term, g_term) at indices (i, j, n).
@@ -549,7 +595,7 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
         for coeff, power in ((c1, p1), (c2, p2), (c3, p3)):
             if coeff == 0.0:
                 continue
-            total += coeff * _gamma_tail_integral(power, decay, y0)
+            total += coeff * _tail_integral(power, decay, y0)
         return total
 
     return assemble(float(n)), assemble(float(n + 1))
@@ -650,9 +696,9 @@ def series_energy_density(
     literal = pref * value
 
     def replaced(y: float) -> float:
-        if y <= y0 or y <= 0.0:
+        if not _in_window(y, d, y0):
             return 0.0
-        num, _ = _mode_sums(y, d, 1e-12)
+        num = _mode_sums(y, d, 1e-12)[0]
         return num * -math.expm1(-y) * y * y
 
     oracle = pref * integrate_semi_infinite(replaced, y0, rel_tol=rel_tol).value
@@ -692,61 +738,70 @@ def _geometric_tail(last: float, prev: float) -> tuple[float, bool]:
 
 def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
                 y0: float) -> tuple[float, float, bool]:
-    """(value, tail_estimate, box_converged) of the truncated triple sum."""
-    total = 0.0
-    shell_prev = None
-    tail_n = 0.0
-    tail_ij = 0.0
-    box_ok = True
-    expand_i = d.a_A != 0.0
-    expand_j = d.a_B != 0.0
-    for n in range(1, trunc.n_max + 1):
-        shell = 0.0
-        log_afac = math.log(abs(d.a_A) * (n * n + 6.0 * n)) if expand_i else -math.inf
-        log_bfac = math.log(d.a_B * (2.0 * n * n + 2.0 * n)) if expand_j else -math.inf
-        i_layers = [0.0] * (trunc.i_max + 1)
-        j_layers = [0.0] * (trunc.j_max + 1)
-        for i in range(trunc.i_max + 1):
-            if not expand_i and i > 0:
-                break
-            for j in range(trunc.j_max + 1):
-                if not expand_j and j > 0:
+    """(value, tail_estimate, box_converged) of the truncated triple sum.
+
+    A tail integral depends only on (power, decay): the power only on
+    2i + j, and decay n + 1 serves the g-term at n and the f-term at n + 1,
+    so each distinct one is computed once per call.
+    """
+    token = _TAIL_MEMO.set({})
+    try:
+        total = 0.0
+        shell_prev = None
+        tail_n = 0.0
+        tail_ij = 0.0
+        box_ok = True
+        expand_i = d.a_A != 0.0
+        expand_j = d.a_B != 0.0
+        for n in range(1, trunc.n_max + 1):
+            shell = 0.0
+            log_afac = math.log(abs(d.a_A) * (n * n + 6.0 * n)) if expand_i else -math.inf
+            log_bfac = math.log(d.a_B * (2.0 * n * n + 2.0 * n)) if expand_j else -math.inf
+            i_layers = [0.0] * (trunc.i_max + 1)
+            j_layers = [0.0] * (trunc.j_max + 1)
+            for i in range(trunc.i_max + 1):
+                if not expand_i and i > 0:
                     break
-                if i == 0 and j == 0:
-                    c = 1.0
-                else:
-                    log_c = (i * log_afac + j * log_bfac
-                             - math.lgamma(i + 1.0) - math.lgamma(j + 1.0))
-                    if log_c < -700.0:
-                        continue
-                    # (-1)^(i+j) (a_A ...)^i (a_B ...)^j with a_A's own sign
-                    # folded in: for a_A < 0 the i-alternation cancels
-                    sign = (-1.0) ** (i + j) * math.copysign(1.0, d.a_A) ** i
-                    c = sign * math.exp(log_c)
-                f_term, g_term = whittaker_series_term(i, j, n, d, y0=y0)
-                piece = c * (f_term - g_term)
-                shell += piece
-                i_layers[i] += abs(piece)
-                j_layers[j] += abs(piece)
-        total += shell
-        floor = 1e-13 * max(abs(total), 1e-300)   # noise-scale layers are benign
-        if expand_i and trunc.i_max >= 1:
-            t, ok = _geometric_tail(i_layers[-1], i_layers[-2])
-            tail_ij += t
-            box_ok = box_ok and (ok or i_layers[-1] <= floor)
-        elif expand_i:
-            box_ok = False     # i-expansion truncated at its first term
-        if expand_j and trunc.j_max >= 1:
-            t, ok = _geometric_tail(j_layers[-1], j_layers[-2])
-            tail_ij += t
-            box_ok = box_ok and (ok or j_layers[-1] <= floor)
-        elif expand_j:
-            box_ok = False
-        if shell_prev is not None:
-            t, ok = _geometric_tail(shell, shell_prev)
-            if ok or abs(shell) <= floor:
-                tail_n = t if ok else abs(shell)
-            elif n > 4:
+                for j in range(trunc.j_max + 1):
+                    if not expand_j and j > 0:
+                        break
+                    if i == 0 and j == 0:
+                        c = 1.0
+                    else:
+                        log_c = (i * log_afac + j * log_bfac
+                                 - math.lgamma(i + 1.0) - math.lgamma(j + 1.0))
+                        if log_c < -700.0:
+                            continue
+                        # (-1)^(i+j) (a_A ...)^i (a_B ...)^j with a_A's own sign
+                        # folded in: for a_A < 0 the i-alternation cancels
+                        sign = (-1.0) ** (i + j) * math.copysign(1.0, d.a_A) ** i
+                        c = sign * math.exp(log_c)
+                    f_term, g_term = whittaker_series_term(i, j, n, d, y0=y0)
+                    piece = c * (f_term - g_term)
+                    shell += piece
+                    i_layers[i] += abs(piece)
+                    j_layers[j] += abs(piece)
+            total += shell
+            floor = 1e-13 * max(abs(total), 1e-300)   # noise-scale layers are benign
+            if expand_i and trunc.i_max >= 1:
+                t, ok = _geometric_tail(i_layers[-1], i_layers[-2])
+                tail_ij += t
+                box_ok = box_ok and (ok or i_layers[-1] <= floor)
+            elif expand_i:
+                box_ok = False     # i-expansion truncated at its first term
+            if expand_j and trunc.j_max >= 1:
+                t, ok = _geometric_tail(j_layers[-1], j_layers[-2])
+                tail_ij += t
+                box_ok = box_ok and (ok or j_layers[-1] <= floor)
+            elif expand_j:
                 box_ok = False
-        shell_prev = shell
-    return total, tail_n + tail_ij, box_ok
+            if shell_prev is not None:
+                t, ok = _geometric_tail(shell, shell_prev)
+                if ok or abs(shell) <= floor:
+                    tail_n = t if ok else abs(shell)
+                elif n > 4:
+                    box_ok = False
+            shell_prev = shell
+        return total, tail_n + tail_ij, box_ok
+    finally:
+        _TAIL_MEMO.reset(token)

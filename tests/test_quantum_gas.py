@@ -215,6 +215,57 @@ class TestModeSums:
         fd = -(log_zsum(1.0 + h) - log_zsum(1.0 - h)) / (2.0 * h)
         assert got == pytest.approx(fd, rel=1e-7)
 
+    # (a_A, a_B, y): just above y_star, moderate and large y, and the
+    # Planck and pure-quartic cases
+    ENGINE_GRID = [
+        (-1e-3, 1e-2, math.sqrt(0.3) * (1.0 + 1e-9)),
+        (-1e-3, 1e-2, 1.0),
+        (-1e-3, 1e-2, 8.0),
+        (-0.16, 0.4, math.sqrt(1.2) * (1.0 + 1e-9)),
+        (-0.16, 0.4, 3.0),
+        (-0.16, 0.4, 30.0),
+        (0.0, 0.1, 1.0),
+        (0.0, 0.0, 0.05),
+        (0.0, 0.0, 1.0),
+        (0.0, 0.0, 30.0),
+    ]
+
+    @staticmethod
+    def brute_terms(d, y, start=0):
+        fs = [d.f_n(y, float(n)) for n in range(start, 10**4)]
+        return (math.fsum(f * math.exp(-f) for f in fs),
+                math.fsum(math.exp(-f) for f in fs))
+
+    @pytest.mark.parametrize("a_a,a_b,y", ENGINE_GRID)
+    def test_engine_matches_brute_force(self, a_a, a_b, y):
+        d = qg.DimensionlessCouplings.from_values(a_a, a_b)
+        assert y > d.y_star
+        num, den, _, _, _ = qg._mode_sums(y, d, 1e-12)
+        want_num, want_den = self.brute_terms(d, y)
+        assert den == pytest.approx(want_den, rel=1e-11)
+        assert num == pytest.approx(want_num, rel=1e-11)
+
+    @pytest.mark.parametrize("a_a,a_b,y", ENGINE_GRID)
+    def test_engine_tail_bounds_the_remainder(self, a_a, a_b, y):
+        d = qg.DimensionlessCouplings.from_values(a_a, a_b)
+        for rel_tol in (1e-4, 1e-12):
+            _, _, n_last, tail_num, tail_den = qg._mode_sums(y, d, rel_tol)
+            rest_num, rest_den = self.brute_terms(d, y, start=n_last + 1)
+            # the bound is exact for linear f_n, so allow rounding only
+            assert tail_den >= rest_den * (1.0 - 1e-12)
+            assert tail_num >= rest_num * (1.0 - 1e-12)
+        val, tr = qg.mode_partition_sum(y, d)
+        assert isinstance(tr, SeriesTruncation)
+        assert tr.n_max >= 0 and tr.tail_estimate >= 0.0
+        assert tr.tail_estimate >= self.brute_terms(d, y, start=tr.n_max + 1)[1] * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("y", [0.3, 0.5])
+    def test_engine_refuses_outside_the_window(self, y):
+        # y = 0.3: negative n^2 coefficient; y = 0.5: convex but f_1 < 0
+        d = qg.DimensionlessCouplings.from_values(-1.0, 3.0)
+        with pytest.raises(ValueError, match="positivity window"):
+            qg._mode_sums(y, d, 1e-12)
+
 
 class TestMasslessEnergyDensity:
     def test_blackbody_reduction(self):
@@ -357,6 +408,41 @@ class TestSeriesTerms:
         with pytest.raises(ValueError, match="n = 1"):
             qg.whittaker_series_term(0, 0, 0, self.d)
 
+    def test_triple_sum_memo_is_exact_and_saves_calls(self, monkeypatch):
+        from anhgas import specfun as sf
+
+        calls = [0]
+        log_w = sf.log_whittaker_w
+
+        def counting(*args):
+            calls[0] += 1
+            return log_w(*args)
+
+        monkeypatch.setattr(sf, "log_whittaker_w", counting)
+        d, y0 = self.d, self.y0
+        trunc = SeriesTruncation(n_max=6, i_max=2, j_max=2)
+        direct = 0.0
+        for n in range(1, trunc.n_max + 1):
+            log_afac = math.log(abs(d.a_A) * (n * n + 6.0 * n))
+            log_bfac = math.log(d.a_B * (2.0 * n * n + 2.0 * n))
+            shell = 0.0
+            for i in range(trunc.i_max + 1):
+                for j in range(trunc.j_max + 1):
+                    c = 1.0
+                    if i or j:
+                        log_c = (i * log_afac + j * log_bfac
+                                 - math.lgamma(i + 1.0) - math.lgamma(j + 1.0))
+                        c = (-1.0) ** (i + j) * math.copysign(1.0, d.a_A) ** i \
+                            * math.exp(log_c)
+                    f_t, g_t = qg.whittaker_series_term(i, j, n, d, y0=y0)
+                    shell += c * (f_t - g_t)
+            direct += shell
+        direct_calls, calls[0] = calls[0], 0
+        total, _, _ = qg._triple_sum(d, trunc, y0)
+        assert total == direct
+        assert calls[0] < direct_calls / 2
+        assert qg._TAIL_MEMO.get() is None     # the memo lives for one call only
+
 
 class TestSeriesEnergyDensity:
     def test_blackbody_collapse(self):
@@ -416,3 +502,13 @@ class TestSeriesEnergyDensity:
             p, t_of(1.0), U, trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
         assert rep.status is Status.ERROR
         assert "overflow" in rep.options_used
+
+    def test_oracle_stays_above_y_star_with_literal_cutoff(self):
+        # kappa_literal puts y0 = 3 kappa^2 below y_star when kappa^2 < 1/3;
+        # the oracle integrand must still vanish below y_star
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
+        lit = qg.series_energy_density(p, t_of(2.0), U, cutoff_convention="kappa_literal")
+        star = qg.series_energy_density(p, t_of(2.0), U)
+        assert lit.options_used["y0"] < qg.dimensionless_couplings(p, t_of(2.0), U).y_star
+        assert math.isfinite(lit.oracle)
+        assert lit.oracle == pytest.approx(star.oracle, rel=1e-9)
