@@ -34,6 +34,8 @@ __all__ = [
     "g_function_corrected_derivative",
     "position_radial_integral",
     "log_momentum_radial_integral",
+    "sinh2_integral",
+    "sinh2_cosh_integral",
     "vibrational_partition",
     "anharmonic_relativistic_partition",
     "average_energy_classical",
@@ -91,15 +93,20 @@ def harmonic_partition_z1_report(
     )
 
 
+def _unit_radial_gaussian(v: float) -> float:
+    e = -v * v
+    return v * v * math.exp(e) if e > -745.0 else 0.0
+
+
+# int_0^inf v^2 exp(-v^2) dv by quadrature; it does not depend on c, so it
+# runs once, and _radial_gaussian_integral rescales it
+_UNIT_RADIAL_GAUSSIAN = integrate_semi_infinite(_unit_radial_gaussian, 0.0, rel_tol=1e-12)
+
+
 def _radial_gaussian_integral(c: float) -> QuadratureResult:
-    # int_0^inf r^2 exp(-c r^2) dr, quadrature-evaluated on a conditioned scale
+    # int_0^inf r^2 exp(-c r^2) dr = c^(-3/2) int_0^inf v^2 exp(-v^2) dv
     scale = 1.0 / math.sqrt(c)
-
-    def f(v: float) -> float:
-        e = -v * v
-        return v * v * math.exp(e) if e > -745.0 else 0.0
-
-    res = integrate_semi_infinite(f, 0.0, rel_tol=1e-12)
+    res = _UNIT_RADIAL_GAUSSIAN
     return QuadratureResult(
         res.value * scale**3, res.abs_error_estimate * scale**3,
         res.evaluations, res.converged,
@@ -158,15 +165,56 @@ def _log_cosh(x: float) -> float:
     return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))
 
 
+def _log_sinh2_cosh(t: float) -> float:
+    """2 ln sinh t + ln cosh t, bit for bit, from a single exp(-2t).
+
+    The log-weight of the relativistic kinetic integrals
+    int sinh^2 t cosh t exp(-z cosh t) dt.
+    """
+    if t < 1e-8:
+        return 2.0 * _log_sinh(t) + _log_cosh(t)
+    ln2 = math.log(2.0)
+    e = math.exp(-2.0 * t)
+    return 2.0 * (t - ln2 + math.log1p(-e)) + (t - ln2 + math.log1p(e))
+
+
+def sinh2_integral(z: float, rel_tol: float = 1e-11) -> QuadratureResult:
+    """int_0^inf sinh^2 t exp(-z cosh t) dt by quadrature (= K_1(z)/z)."""
+    exp, cosh = math.exp, math.cosh
+
+    def f(s: float) -> float:
+        if s <= 0.0 or s > 350.0:
+            return 0.0
+        e = 2.0 * _log_sinh(s) - z * cosh(s)
+        return exp(e) if e > -745.0 else 0.0
+
+    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+
+
+def sinh2_cosh_integral(z: float, rel_tol: float = 1e-11) -> QuadratureResult:
+    """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt by quadrature
+    (= g_function_corrected(z) / z^3)."""
+    exp, cosh = math.exp, math.cosh
+
+    def f(s: float) -> float:
+        if s <= 0.0 or s > 350.0:
+            return 0.0
+        e = _log_sinh2_cosh(s) - z * cosh(s)
+        return exp(e) if e > -745.0 else 0.0
+
+    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+
+
 def _relativistic_radial_scaled(z: float, rel_tol: float = 1e-11,
                                 transform: str = "rational") -> QuadratureResult:
     # e^z int_0^inf sinh^2 t cosh t exp(-z cosh t) dt, safe for any z > 0
+    exp, cosh = math.exp, math.cosh
 
     def f(t: float) -> float:
         if t <= 0.0 or t > 350.0:
             return 0.0
-        e = 2.0 * _log_sinh(t) + _log_cosh(t) - z * (math.cosh(t) - 1.0)
-        return math.exp(e) if e > -745.0 else 0.0
+        e = _log_sinh2_cosh(t) - z * (cosh(t) - 1.0)
+        return exp(e) if e > -745.0 else 0.0
 
     return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol, transform=transform)
 
@@ -191,11 +239,13 @@ def f_oracle(x: float, rel_tol: float = 1e-12) -> float:
     if x < 0.0:
         raise ValueError(f"f_oracle requires x >= 0, got {x}")
     c = math.sqrt(math.sqrt(1.0 + (4.0 * x) ** 2))  # conditioning scale
+    m4x = -4.0 * x
+    exp = math.exp
 
     def f(w: float) -> float:
         uu = w / c
-        e = -4.0 * x * uu * uu - uu**4
-        return uu * uu * math.exp(e) if e > -745.0 else 0.0
+        e = m4x * uu * uu - uu**4
+        return uu * uu * exp(e) if e > -745.0 else 0.0
 
     res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
     return res.value / c
@@ -220,11 +270,13 @@ def position_radial_integral(p: OscillatorParams, t: ThermalState, u: UnitSystem
     a4 = beta * p.lam
     # characteristic width of the integrand, for transform conditioning
     scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+    neg_a2 = -a2
+    exp = math.exp
 
     def f(v: float) -> float:
         r = v * scale
-        e = -a2 * r * r - a4 * r**4
-        return r * r * math.exp(e) if e > -745.0 else 0.0
+        e = neg_a2 * r * r - a4 * r**4
+        return r * r * exp(e) if e > -745.0 else 0.0
 
     res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
     return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
@@ -403,7 +455,7 @@ def average_energy_metropolis(
     def logw_kin(s: float) -> float:
         if s <= 0.0:
             return -math.inf
-        return 2.0 * _log_sinh(s) + _log_cosh(s) - z * math.cosh(s)
+        return _log_sinh2_cosh(s) - z * math.cosh(s)
 
     kin = metropolis_expectation(
         logw_kin, lambda s: mc2 * math.cosh(s),

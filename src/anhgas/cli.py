@@ -177,16 +177,15 @@ def _classical_point(cfg: RunConfig, temperature: float):
     if p.lam > 0.0:
         x = cg.coupling_x(p, t, u)
         z = cg.relativistic_z(p, t, u)
-        zxi_literal = 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * cg.f_closed_form(x)
+        f_literal = cg.f_closed_form(x)
+        zxi_literal = 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_literal
         zxi_oracle = 4.0 * math.pi * cg.position_radial_integral(p, t, u).value
         add(compare("vibrational_partition", zxi_literal, zxi_oracle, 1e-6,
                     "printed closed form vs radial quadrature", {"T": temperature}))
-        add(compare("f_function", cg.f_closed_form(x), cg.f_oracle(x), 1e-6,
+        add(compare("f_function", f_literal, cg.f_oracle(x), 1e-6,
                     "printed quartic-Gaussian closed form vs defining integral",
                     {"x": x}))
-        g_oracle = integrate_semi_infinite(
-            lambda s: _sinh_cosh_weight(s, z), 0.0, rel_tol=1e-11
-        ).value * z**3
+        g_oracle = cg.sinh2_cosh_integral(z).value * z**3
         add(compare("g_function", cg.g_function(z), g_oracle, 1e-6,
                     "printed Bessel combination vs its defining integral", {"z": z}))
         add(cg.average_energy_classical(p, t, u))
@@ -195,13 +194,6 @@ def _classical_point(cfg: RunConfig, temperature: float):
                      "average_energy_classical"):
             rows.append((temperature, name, None, None, None, "SKIPPED"))
     return rows, reports
-
-
-def _sinh_cosh_weight(s: float, z: float) -> float:
-    if s <= 0.0 or s > 350.0:
-        return 0.0
-    e = 2.0 * cg._log_sinh(s) + cg._log_cosh(s) - z * math.cosh(s)
-    return math.exp(e) if e > -745.0 else 0.0
 
 
 def cmd_classical(cfg: RunConfig, out_dir: Path, threads: int) -> int:
@@ -234,19 +226,20 @@ def _quantum_point(cfg: RunConfig, temperature: float):
                      rep.oracle, rep.rel_dev, rep.status.value))
 
     g1y = bool(opts["g1_includes_y"])
-    for convention in ("y_star", "kappa_literal"):
-        try:
-            rep = qg.energy_density_massless(
-                p, t, u, cutoff_convention=convention, g1_includes_y=g1y,
-                rel_tol=float(opts["rel_tol"]),
-            )
-            add(rep, f"energy_density_massless[{convention}]")
-        except ValueError as exc:
-            rows.append((temperature, f"energy_density_massless[{convention}]",
-                         None, None, None, Status.ERROR.value))
+    names = [f"energy_density_massless[{c}]" for c in ("y_star", "kappa_literal")]
+    try:
+        # both conventions at once, so the integrals they share run once
+        reps = qg.energy_density_massless_conventions(
+            p, t, u, g1_includes_y=g1y, rel_tol=float(opts["rel_tol"]),
+        )
+        for name, rep in zip(names, reps):
+            add(rep, name)
+    except ValueError as exc:
+        # the positivity window does not depend on the convention
+        for name in names:
+            rows.append((temperature, name, None, None, None, Status.ERROR.value))
             reports.append(ComparisonReport(
-                f"energy_density_massless[{convention}]", math.nan, math.nan,
-                math.nan, math.nan, Status.ERROR,
+                name, math.nan, math.nan, math.nan, math.nan, Status.ERROR,
                 f"positivity window failure: {exc}", 0.0, {"T": temperature}))
     try:
         rep = qg.energy_density_massive(
@@ -362,14 +355,12 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
 
     # --- classical --------------------------------------------------------
     for z in (0.5, 1.0, 2.0, 5.0):
-        qv = integrate_semi_infinite(
-            lambda s: _sinh2_weight(s, z), 0.0, rel_tol=1e-11).value
+        qv = cg.sinh2_integral(z).value
         add("classical", f"sinh-squared identity z={z}",
             compare(f"int sinh^2 e^-zcosh, z={z}", qv,
                     sf.bessel_k(1.0, z).value / z, 1e-8,
                     "kinetic radial integral reduces to K_1(z)/z"))
-        qc = integrate_semi_infinite(
-            lambda s: _sinh_cosh_weight(s, z), 0.0, rel_tol=1e-11).value
+        qc = cg.sinh2_cosh_integral(z).value
         add("classical", f"energy-weighted corollary z={z}",
             compare(f"int sinh^2 cosh e^-zcosh, z={z}", qc,
                     cg.g_function_corrected(z) / z**3, 1e-8,
@@ -420,13 +411,6 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
     add("quantum", "series vs quadrature",
         qg.series_energy_density(p_s, t1, u))
     return rows
-
-
-def _sinh2_weight(s: float, z: float) -> float:
-    if s <= 0.0 or s > 350.0:
-        return 0.0
-    e = 2.0 * cg._log_sinh(s) - z * math.cosh(s)
-    return math.exp(e) if e > -745.0 else 0.0
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int,

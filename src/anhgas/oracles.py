@@ -1,10 +1,10 @@
 """Independent ground-truth machinery.
 
 Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
-safeguarded series summation with geometric tail bounds, truncated-basis
-diagonalization, and a seeded Metropolis sampler.  Everything here is the
-oracle side of a two-route check, so it deliberately shares no code with
-the closed-form evaluations it validates.
+truncated-basis diagonalization, and a seeded Metropolis sampler.
+Everything here is the oracle side of a two-route check, so it
+deliberately shares no code with the closed-form evaluations it
+validates.
 """
 
 from __future__ import annotations
@@ -12,19 +12,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureResult",
     "SeriesTruncation",
     "McEstimate",
     "IntegrandError",
-    "SeriesDivergenceError",
     "integrate_finite",
     "integrate_semi_infinite",
-    "sum_until_tail_bound",
     "diagonalize_truncated",
     "diagonalize_converged",
     "metropolis_expectation",
@@ -33,10 +32,6 @@ __all__ = [
 
 class IntegrandError(RuntimeError):
     """The integrand returned NaN; the message carries the location."""
-
-
-class SeriesDivergenceError(RuntimeError):
-    """Series terms failed the monotone-decay policy."""
 
 
 @dataclass(frozen=True)
@@ -87,27 +82,125 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel; returns (K15 value, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    if math.isnan(fc):
-        raise IntegrandError(f"integrand returned NaN at {mid!r}")
-    gauss = _WG[3] * fc
-    kron = _WGK[7] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        if math.isnan(f1) or math.isnan(f2):
-            where = mid - dx if math.isnan(f1) else mid + dx
-            raise IntegrandError(f"integrand returned NaN at {where!r}")
-        s = f1 + f2
-        kron += _WGK[i] * s
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * s
+def _gk15(f: Callable[[float], float], lo: float, hi: float,
+          transform: str | None = None, a: float = 0.0) -> tuple[float, float]:
+    """One Gauss-Kronrod panel on [lo, hi]; returns (K15 value, error estimate).
+
+    With a ``transform`` the panel lies in (0, 1) and f is integrated over
+    [a, inf) through that map, applied here at each node: ``rational`` is
+    y = a + t/w with Jacobian 1/w^2, ``exp`` is y = a - ln w with Jacobian
+    1/w, where w = 1 - t.  The nodes are written out (no loop, no wrapper
+    call per node): the centre, then the seven -/+ pairs from the
+    outermost in, and K15 and G7 accumulate in that order.  NaN is looked
+    for once per panel, in the K15 sum.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    d0, d1, d2, d3 = half * x0, half * x1, half * x2, half * x3
+    d4, d5, d6 = half * x4, half * x5, half * x6
+    if transform is None:
+        fc = f(mid)
+        l0, r0 = f(mid - d0), f(mid + d0)
+        l1, r1 = f(mid - d1), f(mid + d1)
+        l2, r2 = f(mid - d2), f(mid + d2)
+        l3, r3 = f(mid - d3), f(mid + d3)
+        l4, r4 = f(mid - d4), f(mid + d4)
+        l5, r5 = f(mid - d5), f(mid + d5)
+        l6, r6 = f(mid - d6), f(mid + d6)
+    elif transform == "rational":
+        # y = a + t/w with dy = dt/w^2
+        fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
+        l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
+        r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
+        l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
+        r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
+        l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
+        r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
+        l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
+        r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
+        l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
+        r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
+        l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
+        r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
+        l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
+        r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
+    else:
+        # y = a - ln w with dy = dt/w
+        log = math.log
+        fc = f(a - log(w := 1.0 - mid)) / w
+        l0 = f(a - log(w := 1.0 - (mid - d0))) / w
+        r0 = f(a - log(w := 1.0 - (mid + d0))) / w
+        l1 = f(a - log(w := 1.0 - (mid - d1))) / w
+        r1 = f(a - log(w := 1.0 - (mid + d1))) / w
+        l2 = f(a - log(w := 1.0 - (mid - d2))) / w
+        r2 = f(a - log(w := 1.0 - (mid + d2))) / w
+        l3 = f(a - log(w := 1.0 - (mid - d3))) / w
+        r3 = f(a - log(w := 1.0 - (mid + d3))) / w
+        l4 = f(a - log(w := 1.0 - (mid - d4))) / w
+        r4 = f(a - log(w := 1.0 - (mid + d4))) / w
+        l5 = f(a - log(w := 1.0 - (mid - d5))) / w
+        r5 = f(a - log(w := 1.0 - (mid + d5))) / w
+        l6 = f(a - log(w := 1.0 - (mid - d6))) / w
+        r6 = f(a - log(w := 1.0 - (mid + d6))) / w
+    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    kron = (k7 * fc + k0 * (l0 + r0) + k1 * s1 + k2 * (l2 + r2) + k3 * s3
+            + k4 * (l4 + r4) + k5 * s5 + k6 * (l6 + r6))
+    gauss = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    if kron != kron:
+        # a NaN node poisons the sum; name the first one (an inf - inf
+        # cancellation has no NaN node and returns the NaN estimate)
+        nodes = (mid, mid - d0, mid + d0, mid - d1, mid + d1, mid - d2, mid + d2,
+                 mid - d3, mid + d3, mid - d4, mid + d4, mid - d5, mid + d5,
+                 mid - d6, mid + d6)
+        fx = (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6)
+        for x, v in zip(nodes, fx):
+            if v != v:
+                raise IntegrandError(f"integrand returned NaN at {x!r}")
     return kron * half, abs(kron - gauss) * half
+
+
+def _adaptive(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    rel_tol: float,
+    abs_tol: float,
+    max_evals: int,
+    transform: str | None = None,
+    a: float = 0.0,
+) -> QuadratureResult:
+    """Adaptive bisection of [lo, hi] with _gk15 panels: split the panel
+    with the largest error estimate until the budget, the tolerance or
+    float resolution stops it, then re-sum the panels in sorted order."""
+    if not (rel_tol > 0.0 and abs_tol > 0.0):
+        raise ValueError("tolerances must be positive")
+    val, err = _gk15(f, lo, hi, transform, a)
+    heap: list[tuple[float, float, float, float, float]] = [(-err, lo, hi, val, err)]
+    total, total_err = val, err
+    evals = 15
+    while total_err > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
+        neg, p_lo, p_hi, v, e = heapq.heappop(heap)
+        midpoint = 0.5 * (p_lo + p_hi)
+        if midpoint == p_lo or midpoint == p_hi:
+            # interval at float resolution; keep its estimate
+            heapq.heappush(heap, (0.0, p_lo, p_hi, v, e))
+            break
+        v1, e1 = _gk15(f, p_lo, midpoint, transform, a)
+        v2, e2 = _gk15(f, midpoint, p_hi, transform, a)
+        evals += 30
+        total += v1 + v2 - v
+        total_err += e1 + e2 - e
+        heapq.heappush(heap, (-e1, p_lo, midpoint, v1, e1))
+        heapq.heappush(heap, (-e2, midpoint, p_hi, v2, e2))
+    # re-sum in a fixed order for reproducibility and to refresh the error
+    panels = sorted((p_lo, p_hi, v, e) for _, p_lo, p_hi, v, e in heap)
+    total = math.fsum(p[2] for p in panels)
+    total_err = math.fsum(p[3] for p in panels)
+    converged = total_err <= max(abs_tol, rel_tol * abs(total))
+    return QuadratureResult(total, total_err, evals, converged)
 
 
 def integrate_finite(
@@ -119,32 +212,7 @@ def integrate_finite(
     max_evals: int = 200_000,
 ) -> QuadratureResult:
     """Adaptive bisection with Gauss-Kronrod panels on [a, b]."""
-    if not (rel_tol > 0.0 and abs_tol > 0.0):
-        raise ValueError("tolerances must be positive")
-    val, err = _gk15(f, a, b)
-    heap: list[tuple[float, float, float, float, float]] = [(-err, a, b, val, err)]
-    total, total_err = val, err
-    evals = 15
-    while total_err > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
-        neg, lo, hi, v, e = heapq.heappop(heap)
-        midpoint = 0.5 * (lo + hi)
-        if midpoint == lo or midpoint == hi:
-            # interval at float resolution; keep its estimate
-            heapq.heappush(heap, (0.0, lo, hi, v, e))
-            break
-        v1, e1 = _gk15(f, lo, midpoint)
-        v2, e2 = _gk15(f, midpoint, hi)
-        evals += 30
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, lo, midpoint, v1, e1))
-        heapq.heappush(heap, (-e2, midpoint, hi, v2, e2))
-    # re-sum in a fixed order for reproducibility and to refresh the error
-    panels = sorted((lo, hi, v, e) for _, lo, hi, v, e in heap)
-    total = math.fsum(p[2] for p in panels)
-    total_err = math.fsum(p[3] for p in panels)
-    converged = total_err <= max(abs_tol, rel_tol * abs(total))
-    return QuadratureResult(total, total_err, evals, converged)
+    return _adaptive(f, a, b, rel_tol, abs_tol, max_evals)
 
 
 def integrate_semi_infinite(
@@ -161,82 +229,9 @@ def integrate_semi_infinite(
     y = a + t/(1-t), ``exp`` uses y = a - ln(1-t).  The two transforms
     must agree within tolerances (transform-invariance property).
     """
-    if transform == "rational":
-
-        def g(t: float) -> float:
-            w = 1.0 - t
-            return f(a + t / w) / (w * w)
-
-    elif transform == "exp":
-
-        def g(t: float) -> float:
-            w = 1.0 - t
-            return f(a - math.log(w)) / w
-
-    else:
+    if transform not in ("rational", "exp"):
         raise ValueError(f"unknown transform {transform!r}")
-    return integrate_finite(g, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol,
-                            max_evals=max_evals)
-
-
-# ---------------------------------------------------------------------------
-# series summation with a geometric tail bound
-# ---------------------------------------------------------------------------
-
-def sum_until_tail_bound(
-    term: Callable[[int], float],
-    rel_tol: float = 1e-8,
-    window: int = 8,
-    max_terms: int = 2_000_000,
-    n_start: int = 0,
-) -> tuple[float, SeriesTruncation]:
-    """Sum term(n) for n >= n_start until a geometric tail bound closes.
-
-    Terms must eventually be positive and decreasing; once the trailing
-    window confirms that, the dropped remainder is bounded by
-    t_last * r / (1 - r) with r the worst consecutive ratio in the window.
-    Growing windows raise SeriesDivergenceError (the runtime face of the
-    spectrum positivity conditions).
-    """
-    total = 0.0
-    recent: list[float] = []
-    n = n_start
-    grow_strikes = 0
-    while n < n_start + max_terms:
-        t = term(n)
-        if math.isnan(t):
-            raise IntegrandError(f"series term returned NaN at n={n}")
-        total += t
-        recent.append(t)
-        if len(recent) > window:
-            recent.pop(0)
-        if len(recent) == window:
-            positive = all(u >= 0.0 for u in recent)
-            decreasing = all(recent[k + 1] <= recent[k] for k in range(window - 1))
-            if positive and decreasing and recent[0] > 0.0:
-                ratios = [
-                    recent[k + 1] / recent[k]
-                    for k in range(window - 1)
-                    if recent[k] > 0.0
-                ]
-                r = max(ratios) if ratios else 0.0
-                if r < 1.0:
-                    tail = recent[-1] * r / (1.0 - r) if r > 0.0 else 0.0
-                    if tail <= rel_tol * max(abs(total), 1e-300):
-                        return total, SeriesTruncation(n_max=n, tail_estimate=tail)
-            elif not positive or recent[-1] > recent[0]:
-                # growing or sign-flipping window: strike, eventually abort
-                if abs(recent[-1]) > abs(recent[0]) and abs(recent[-1]) > rel_tol * abs(total):
-                    grow_strikes += 1
-                    if grow_strikes >= 6 and n > n_start + 4 * window:
-                        raise SeriesDivergenceError(
-                            "series not convergent under monotone-decay policy "
-                            f"(terms growing near n={n}; positivity condition violated?)"
-                        )
-        n += 1
-    raise SeriesDivergenceError(
-        f"series did not meet tail bound within {max_terms} terms"
-    )
+    return _adaptive(f, 0.0, 1.0, rel_tol, abs_tol, max_evals, transform, a)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +240,8 @@ def sum_until_tail_bound(
 
 def diagonalize_truncated(h: np.ndarray, k: int) -> np.ndarray:
     """The k lowest eigenvalues of a dense symmetric matrix, ascending."""
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
@@ -271,6 +268,8 @@ def diagonalize_converged(
 
     Returns (eigenvalues, per-eigenvalue converged flags, basis size used).
     """
+    import numpy as np
+
     n = n_start
     vals = diagonalize_truncated(build(n), k)
     while 2 * n <= n_cap:
@@ -304,6 +303,8 @@ def metropolis_expectation(
     Deterministic for a fixed seed; the standard error comes from batch
     means, so short-range autocorrelation is accounted for.
     """
+    import numpy as np
+
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10^4")
     rng = np.random.default_rng(seed)

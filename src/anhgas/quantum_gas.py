@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import specfun as sf
 from .oracles import SeriesTruncation, integrate_semi_infinite
 from .params import NATURAL_UNITS, OscillatorParams, ThermalState, UnitSystem
 from .reports import ComparisonReport, Status, compare
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpectrumCoeffs",
@@ -38,6 +40,7 @@ __all__ = [
     "mode_mean_occupancy_energy",
     "massless_integrand",
     "energy_density_massless",
+    "energy_density_massless_conventions",
     "energy_density_massive",
     "whittaker_series_term",
     "whittaker_series_term_printed",
@@ -66,6 +69,8 @@ def position_power_matrix(
 
     Entries are exact rational multiples of s^(power/2), s = hbar/(2 m w).
     """
+    import numpy as np
+
     if power not in (1, 2, 3, 4):
         raise ValueError(f"power must be in 1..4, got {power}")
     if n_dim < power + 2:
@@ -101,6 +106,8 @@ def oscillator_hamiltonian(
     n_dim: int, p: OscillatorParams, u: UnitSystem = NATURAL_UNITS
 ) -> np.ndarray:
     """H = hw(n + 1/2) + mu x^3 + lam x^4 in the harmonic basis."""
+    import numpy as np
+
     n = np.arange(n_dim, dtype=float)
     h = np.diag(u.hbar * p.omega * (n + 0.5))
     if p.mu != 0.0:
@@ -138,6 +145,8 @@ def rspt_shift(n: int, p: OscillatorParams, order: str = "both",
     with H_I = mu x^3 + lam x^4.  The basis only needs to cover the
     bandwidth-4 couplings, so n + 20 states are exact.
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     n_dim = n_dim or (n + 20)
@@ -403,43 +412,42 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
     raise ValueError(f"unknown cutoff convention {cutoff_convention!r}")
 
 
-def energy_density_massless(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
-    cutoff_convention: str = "y_star",
-    g1_includes_y: bool = False,
-    rel_tol: float = 1e-9,
-    threshold: float = 1e-6,
-) -> ComparisonReport:
-    """Massless Bose-Einstein energy density with the positivity cutoff.
+def _massless_integrals(p: OscillatorParams, t: ThermalState, u: UnitSystem,
+                        g1_includes_y: bool, rel_tol: float):
+    """The couplings and a runner for the massless density integrals.
 
-    Boltzmann weights use exp(-f_n) throughout (the lone positive-exponent
-    display is treated as a sign slip; the positive form diverges).
-    Literal and oracle sides run independent transforms and tolerances;
-    the other cutoff convention's value is echoed in options_used.
+    The integrand vanishes at or below max(cut, y_star), so that lower limit,
+    the transform and the mode-sum tolerance fix an integral; the runner
+    computes each such integral once and returns it again on repeat.
     """
     if p.lam <= 0.0 and p.mu != 0.0:
         raise ValueError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
-    y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
+    done: dict[tuple[float, str, float], float] = {}
 
     def run(cut: float, transform: str, series_tol: float) -> float:
-        res = integrate_semi_infinite(
-            lambda y: massless_integrand(y, d, cut, series_tol),
-            max(cut, d.y_star), rel_tol=rel_tol, transform=transform,
-        )
-        return pref * res.value
+        lower = max(cut, d.y_star)
+        key = (lower, transform, series_tol)
+        if key not in done:
+            res = integrate_semi_infinite(
+                lambda y: massless_integrand(y, d, cut, series_tol),
+                lower, rel_tol=rel_tol, transform=transform,
+            )
+            done[key] = pref * res.value
+        return done[key]
 
+    return d, run
+
+
+def _massless_report(t: ThermalState, d: DimensionlessCouplings, run,
+                     cutoff_convention: str, g1_includes_y: bool,
+                     threshold: float) -> ComparisonReport:
+    y_cut = _resolve_cut(d, cutoff_convention)
     literal = run(y_cut, "rational", 1e-12)
     oracle = run(y_cut, "exp", 5e-13)
     other = "kappa_literal" if cutoff_convention == "y_star" else "y_star"
-    other_cut = _resolve_cut(d, other)
-    # the integrand vanishes at or below max(cut, y_star): equal maxima make
-    # the other convention's integral the literal one
-    if max(other_cut, d.y_star) == max(y_cut, d.y_star):
-        other_val = literal
-    else:
-        other_val = run(other_cut, "rational", 1e-12)
+    other_val = run(_resolve_cut(d, other), "rational", 1e-12)
     return compare(
         "energy_density_massless",
         literal,
@@ -455,6 +463,41 @@ def energy_density_massless(
             "g1_includes_y": g1_includes_y,
         },
     )
+
+
+def energy_density_massless(
+    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
+    cutoff_convention: str = "y_star",
+    g1_includes_y: bool = False,
+    rel_tol: float = 1e-9,
+    threshold: float = 1e-6,
+) -> ComparisonReport:
+    """Massless Bose-Einstein energy density with the positivity cutoff.
+
+    Boltzmann weights use exp(-f_n) throughout (the lone positive-exponent
+    display is treated as a sign slip; the positive form diverges).
+    Literal and oracle sides run independent transforms and tolerances;
+    the other cutoff convention's value is echoed in options_used.
+    """
+    d, run = _massless_integrals(p, t, u, g1_includes_y, rel_tol)
+    return _massless_report(t, d, run, cutoff_convention, g1_includes_y, threshold)
+
+
+def energy_density_massless_conventions(
+    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
+    g1_includes_y: bool = False,
+    rel_tol: float = 1e-9,
+    threshold: float = 1e-6,
+) -> tuple[ComparisonReport, ComparisonReport]:
+    """energy_density_massless under the y_star and the kappa_literal cut.
+
+    Bit-identical to one call per convention, but each distinct integral
+    runs once: at kappa^2 <= 1/3 both cuts resolve to y_star, and the two
+    reports share their literal and oracle integrals.
+    """
+    d, run = _massless_integrals(p, t, u, g1_includes_y, rel_tol)
+    return (_massless_report(t, d, run, "y_star", g1_includes_y, threshold),
+            _massless_report(t, d, run, "kappa_literal", g1_includes_y, threshold))
 
 
 def energy_density_massive(

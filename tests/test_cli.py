@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +155,35 @@ class TestQuantumCommand:
         assert lines[0] == "n,literal,generic_rspt,abs_dev"
         devs = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(d > 0.0 for d in devs)   # printed cubic shift disagrees
+
+
+    def test_no_positivity_window_errors_both_conventions(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.0, "mu": 0.01},
+            "thermal_grid": [1.0],
+        }))
+        out = tmp_path / "out"
+        assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = (out / "quantum.csv").read_text().splitlines()[1:3]
+        assert rows == [f"1,energy_density_massless[{c}],,,,ERROR"
+                        for c in ("y_star", "kappa_literal")]
+        reports = json.loads((out / "quantum_reports.json").read_text())[:2]
+        assert [r["quantity_name"] for r in reports] == [
+            "energy_density_massless[y_star]", "energy_density_massless[kappa_literal]"]
+        assert reports[0]["provenance"] == reports[1]["provenance"]
+        assert reports[0]["provenance"].startswith("positivity window failure: cubic")
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported only by the diagonalization, Metropolis and
+    # matrix-element functions that use it
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, anhgas.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

@@ -1,0 +1,341 @@
+"""The quadrature engine and the classical oracle helpers against a
+verbatim reference: the loop-based G7/K15 panel, with the semi-infinite
+map applied through a per-node closure, as it stood before the panel
+became straight-line code with the map inside it.  Every result must be
+equal in all four QuadratureResult fields, bit for bit; NaN integrands
+must fail at the same abscissa."""
+
+from __future__ import annotations
+
+import heapq
+import math
+from typing import Callable
+
+import pytest
+
+from anhgas import classical_gas as cg
+from anhgas import oracles as oc
+from anhgas.oracles import IntegrandError, QuadratureResult
+
+
+# ---------------------------------------------------------------------------
+# reference engine, kept verbatim
+# ---------------------------------------------------------------------------
+
+# QUADPACK abscissae and weights for the (G7, K15) pair on [-1, 1]
+_XGK = (
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+    0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+    0.2077849550078985, 0.0,
+)
+_WGK = (
+    0.0229353220105292, 0.0630920926299785, 0.1047900103222502,
+    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
+    0.2044329400752989, 0.2094821410847278,
+)
+_WG = (
+    0.1294849661688697, 0.2797053914892767,
+    0.3818300505051189, 0.4179591836734694,
+)
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod panel; returns (K15 value, error estimate)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fc = f(mid)
+    if math.isnan(fc):
+        raise IntegrandError(f"integrand returned NaN at {mid!r}")
+    gauss = _WG[3] * fc
+    kron = _WGK[7] * fc
+    for i in range(7):
+        dx = half * _XGK[i]
+        f1 = f(mid - dx)
+        f2 = f(mid + dx)
+        if math.isnan(f1) or math.isnan(f2):
+            where = mid - dx if math.isnan(f1) else mid + dx
+            raise IntegrandError(f"integrand returned NaN at {where!r}")
+        s = f1 + f2
+        kron += _WGK[i] * s
+        if i % 2 == 1:
+            gauss += _WG[i // 2] * s
+    return kron * half, abs(kron - gauss) * half
+
+
+def integrate_finite(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    rel_tol: float = 1e-10,
+    abs_tol: float = 1e-300,
+    max_evals: int = 200_000,
+) -> QuadratureResult:
+    """Adaptive bisection with Gauss-Kronrod panels on [a, b]."""
+    if not (rel_tol > 0.0 and abs_tol > 0.0):
+        raise ValueError("tolerances must be positive")
+    val, err = _gk15(f, a, b)
+    heap: list[tuple[float, float, float, float, float]] = [(-err, a, b, val, err)]
+    total, total_err = val, err
+    evals = 15
+    while total_err > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
+        neg, lo, hi, v, e = heapq.heappop(heap)
+        midpoint = 0.5 * (lo + hi)
+        if midpoint == lo or midpoint == hi:
+            # interval at float resolution; keep its estimate
+            heapq.heappush(heap, (0.0, lo, hi, v, e))
+            break
+        v1, e1 = _gk15(f, lo, midpoint)
+        v2, e2 = _gk15(f, midpoint, hi)
+        evals += 30
+        total += v1 + v2 - v
+        total_err += e1 + e2 - e
+        heapq.heappush(heap, (-e1, lo, midpoint, v1, e1))
+        heapq.heappush(heap, (-e2, midpoint, hi, v2, e2))
+    # re-sum in a fixed order for reproducibility and to refresh the error
+    panels = sorted((lo, hi, v, e) for _, lo, hi, v, e in heap)
+    total = math.fsum(p[2] for p in panels)
+    total_err = math.fsum(p[3] for p in panels)
+    converged = total_err <= max(abs_tol, rel_tol * abs(total))
+    return QuadratureResult(total, total_err, evals, converged)
+
+
+def integrate_semi_infinite(
+    f: Callable[[float], float],
+    a: float,
+    rel_tol: float = 1e-10,
+    abs_tol: float = 1e-300,
+    transform: str = "rational",
+    max_evals: int = 200_000,
+) -> QuadratureResult:
+    """Integral of f over [a, inf).
+
+    The interval is first mapped onto (0, 1); ``rational`` uses
+    y = a + t/(1-t), ``exp`` uses y = a - ln(1-t).  The two transforms
+    must agree within tolerances (transform-invariance property).
+    """
+    if transform == "rational":
+
+        def g(t: float) -> float:
+            w = 1.0 - t
+            return f(a + t / w) / (w * w)
+
+    elif transform == "exp":
+
+        def g(t: float) -> float:
+            w = 1.0 - t
+            return f(a - math.log(w)) / w
+
+    else:
+        raise ValueError(f"unknown transform {transform!r}")
+    return integrate_finite(g, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol,
+                            max_evals=max_evals)
+
+
+# ---------------------------------------------------------------------------
+# reference classical helpers, kept verbatim
+# ---------------------------------------------------------------------------
+
+def _radial_gaussian_integral(c: float) -> QuadratureResult:
+    # int_0^inf r^2 exp(-c r^2) dr, quadrature-evaluated on a conditioned scale
+    scale = 1.0 / math.sqrt(c)
+
+    def f(v: float) -> float:
+        e = -v * v
+        return v * v * math.exp(e) if e > -745.0 else 0.0
+
+    res = integrate_semi_infinite(f, 0.0, rel_tol=1e-12)
+    return QuadratureResult(
+        res.value * scale**3, res.abs_error_estimate * scale**3,
+        res.evaluations, res.converged,
+    )
+
+
+def _sinh2_weight(s: float, z: float) -> float:
+    if s <= 0.0 or s > 350.0:
+        return 0.0
+    e = 2.0 * cg._log_sinh(s) - z * math.cosh(s)
+    return math.exp(e) if e > -745.0 else 0.0
+
+
+def _sinh_cosh_weight(s: float, z: float) -> float:
+    if s <= 0.0 or s > 350.0:
+        return 0.0
+    e = 2.0 * cg._log_sinh(s) + cg._log_cosh(s) - z * math.cosh(s)
+    return math.exp(e) if e > -745.0 else 0.0
+
+
+def _reference_relativistic_radial_scaled(z: float) -> QuadratureResult:
+    def f(t: float) -> float:
+        if t <= 0.0 or t > 350.0:
+            return 0.0
+        e = 2.0 * cg._log_sinh(t) + cg._log_cosh(t) - z * (math.cosh(t) - 1.0)
+        return math.exp(e) if e > -745.0 else 0.0
+
+    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+def bits(res: QuadratureResult) -> tuple:
+    """All four fields, floats by their exact hex form (NaN-safe)."""
+    assert type(res) is QuadratureResult
+    return (float.hex(res.value), float.hex(res.abs_error_estimate),
+            res.evaluations, res.converged)
+
+
+def outcome(call) -> tuple:
+    """bits() of the result, or the type and message of what was raised."""
+    try:
+        return bits(call())
+    except Exception as exc:       # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def needle(y):
+    return 1.0 / (1e-8 + (y - 0.37) ** 2)
+
+
+def step(y):
+    return 1.0 if y < 1.0 / 3.0 else 0.0
+
+
+def planck(y):
+    return y**3 / math.expm1(y) if 0.0 < y < 700.0 else 0.0
+
+
+def plateau(y0):
+    return lambda y: 1.0 if y < y0 else 0.0
+
+
+FINITE_CASES = {
+    "sin": (math.sin, 0.0, math.pi, {}),
+    "reversed": (lambda y: math.exp(-y), 2.0, -1.0, {"rel_tol": 1e-13}),
+    "needle": (needle, 0.0, 1.0, {}),
+    "needle-budget": (needle, 0.0, 1.0, {"rel_tol": 1e-13, "max_evals": 90}),
+    "step-budget": (step, 0.0, 1.0, {"rel_tol": 1e-300}),
+    "step-resolution": (plateau(1.0 + 2**-47), 1.0, 1.0 + 2**-45, {"rel_tol": 1e-300}),
+}
+
+SEMI_INFINITE_CASES = {
+    "gamma": (lambda y: y**3 * math.exp(-y) if y < 700 else 0.0, 0.0, {}),
+    "planck": (planck, 0.0, {"rel_tol": 1e-12}),
+    "gaussian-offset": (lambda y: math.exp(-y * y), 1.0, {"rel_tol": 1e-13}),
+    # under the exp map a node reaches t = 1 and ln(0) raises
+    "power-tail": (lambda y: 1.0 / (1.0 + y) ** 2, 0.0, {}),
+    "budget": (planck, 0.0, {"rel_tol": 1e-15, "max_evals": 45}),
+    "plateau-10": (plateau(10.0), 0.0, {"rel_tol": 1e-300}),
+    "plateau-1000": (plateau(1000.0), 0.0, {"rel_tol": 1e-300}),
+}
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("name", sorted(FINITE_CASES))
+    def test_finite(self, name):
+        f, a, b, kw = FINITE_CASES[name]
+        assert (outcome(lambda: oc.integrate_finite(f, a, b, **kw))
+                == outcome(lambda: integrate_finite(f, a, b, **kw)))
+
+    @pytest.mark.parametrize("transform", ["rational", "exp"])
+    @pytest.mark.parametrize("name", sorted(SEMI_INFINITE_CASES))
+    def test_semi_infinite(self, name, transform):
+        f, a, kw = SEMI_INFINITE_CASES[name]
+        assert (outcome(lambda: oc.integrate_semi_infinite(f, a, transform=transform, **kw))
+                == outcome(lambda: integrate_semi_infinite(f, a, transform=transform, **kw)))
+
+    def test_cases_reach_every_stop(self):
+        # the cases above cover each way the loop ends: converged; out of
+        # budget; at float resolution (unconverged with budget left)
+        def stop(res, max_evals=200_000):
+            if res.converged:
+                return "converged"
+            return "budget" if res.evaluations + 30 > max_evals else "resolution"
+
+        def finite(name):
+            f, a, b, kw = FINITE_CASES[name]
+            return stop(oc.integrate_finite(f, a, b, **kw), kw.get("max_evals", 200_000))
+
+        def semi(name, transform):
+            f, a, kw = SEMI_INFINITE_CASES[name]
+            res = oc.integrate_semi_infinite(f, a, transform=transform, **kw)
+            return stop(res, kw.get("max_evals", 200_000))
+
+        assert [finite(n) for n in ("sin", "needle-budget", "step-budget", "step-resolution")] \
+            == ["converged", "budget", "budget", "resolution"]
+        for transform in ("rational", "exp"):
+            assert semi("gamma", transform) == "converged"
+            assert semi("budget", transform) == "budget"
+        assert semi("plateau-1000", "rational") == "resolution"
+        assert semi("plateau-10", "exp") == "resolution"
+
+    def test_kronrod_panel_alone(self):
+        for f, lo, hi in ((math.exp, -1.0, 2.0), (needle, 0.3, 0.4), (step, 0.0, 1.0)):
+            assert oc._gk15(f, lo, hi) == _gk15(f, lo, hi)
+
+
+class TestEngineFailures:
+    @pytest.mark.parametrize("bad", [
+        lambda y: math.nan if y > 0.3 else math.exp(-y),      # centre node
+        lambda y: math.nan if y < 0.05 else y,                # first left node
+        lambda y: math.nan if y > 0.95 else y,                # first right node
+        lambda y: math.nan if 0.8 < y < 0.9 else y,           # an inner pair
+        lambda y: math.nan if 0.36 < y < 0.3701 else needle(y),  # a later panel
+    ])
+    def test_nan_names_the_same_abscissa(self, bad):
+        with pytest.raises(IntegrandError) as want:
+            integrate_finite(bad, 0.0, 1.0)
+        with pytest.raises(IntegrandError) as got:
+            oc.integrate_finite(bad, 0.0, 1.0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("transform", ["rational", "exp"])
+    def test_nan_under_a_map_names_the_panel_abscissa(self, transform):
+        def bad(y):
+            return math.nan if y > 3.0 else math.exp(-y)
+
+        with pytest.raises(IntegrandError) as want:
+            integrate_semi_infinite(bad, 0.0, transform=transform)
+        with pytest.raises(IntegrandError) as got:
+            oc.integrate_semi_infinite(bad, 0.0, transform=transform)
+        assert str(got.value) == str(want.value)
+
+    def test_inf_pair_returns_nan_without_raising(self):
+        def pair(x):
+            return math.copysign(math.inf, x) if abs(x) > 0.5 else 0.0
+
+        res = oc.integrate_finite(pair, -1.0, 1.0)
+        assert math.isnan(res.value) and not res.converged
+        assert bits(res) == bits(integrate_finite(pair, -1.0, 1.0))
+
+    def test_argument_errors_are_kept(self):
+        with pytest.raises(ValueError, match="tolerances"):
+            oc.integrate_finite(math.sin, 0.0, 1.0, rel_tol=0.0)
+        with pytest.raises(ValueError, match="tolerances"):
+            oc.integrate_semi_infinite(math.exp, 0.0, abs_tol=-1.0)
+        with pytest.raises(ValueError, match="unknown transform"):
+            oc.integrate_semi_infinite(math.exp, 0.0, transform="tan")
+
+
+class TestClassicalHelpersMatchReference:
+    def test_log_sinh2_cosh_is_bit_identical(self):
+        grid = [0.0, 1e-12, 5e-9, math.nextafter(1e-8, 0.0), 1e-8, 1.5e-8]
+        grid += [10.0 ** (k / 8.0) for k in range(-60, 21)]
+        grid += [0.37 * k for k in range(1, 946)]           # up to 349.7
+        grid += [349.9, 350.0]
+        for t in grid:
+            want = 2.0 * cg._log_sinh(t) + cg._log_cosh(t)
+            assert float.hex(cg._log_sinh2_cosh(t)) == float.hex(want), t
+
+    @pytest.mark.parametrize("c", [1e-6, 0.02, 0.5, 1.0, 3.7, 1e4])
+    def test_radial_gaussian_integral(self, c):
+        assert bits(cg._radial_gaussian_integral(c)) == bits(_radial_gaussian_integral(c))
+
+    @pytest.mark.parametrize("z", [0.03, 0.5, 1.0, 2.0, 5.0, 40.0])
+    def test_kinetic_integrals(self, z):
+        want = integrate_semi_infinite(lambda s: _sinh2_weight(s, z), 0.0, rel_tol=1e-11)
+        assert bits(cg.sinh2_integral(z)) == bits(want)
+        want = integrate_semi_infinite(lambda s: _sinh_cosh_weight(s, z), 0.0, rel_tol=1e-11)
+        assert bits(cg.sinh2_cosh_integral(z)) == bits(want)
+        assert bits(cg._relativistic_radial_scaled(z)) == bits(
+            _reference_relativistic_radial_scaled(z))

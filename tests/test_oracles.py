@@ -1,5 +1,5 @@
 """Ground-truth machinery checks: quadrature anchors and properties,
-series tail-bound soundness, diagonalization, Metropolis determinism."""
+diagonalization, Metropolis determinism."""
 
 import math
 
@@ -90,40 +90,6 @@ class TestQuadrature:
     def test_finite_interval(self):
         res = oc.integrate_finite(math.sin, 0.0, math.pi)
         assert res.value == pytest.approx(2.0, rel=1e-12)
-
-
-class TestSeriesSummation:
-    def test_geometric(self):
-        val, tr = oc.sum_until_tail_bound(lambda n: math.exp(-n), rel_tol=1e-12)
-        want = 1.0 / (1.0 - math.exp(-1.0))
-        assert val == pytest.approx(want, rel=1e-11)
-        assert tr.tail_estimate <= 1e-11 * want
-
-    def test_geometric_in_mode_form(self):
-        # f_n = n*y at zero couplings
-        y = 2.0
-        val, _ = oc.sum_until_tail_bound(lambda n: math.exp(-n * y), rel_tol=1e-12)
-        assert val == pytest.approx(1.0 / (1.0 - math.exp(-y)), rel=1e-11)
-
-    def test_gaussian_terms_vs_brute_force(self):
-        val, tr = oc.sum_until_tail_bound(
-            lambda n: n * math.exp(-n * n), rel_tol=1e-12)
-        brute = math.fsum(n * math.exp(-n * n) for n in range(10**6))
-        assert val == pytest.approx(brute, rel=1e-12)
-
-    def test_tail_bound_soundness(self):
-        val, tr = oc.sum_until_tail_bound(lambda n: math.exp(-0.3 * n), rel_tol=1e-8)
-        more = math.fsum(math.exp(-0.3 * n) for n in range(10 * (tr.n_max + 1)))
-        assert abs(more - val) <= tr.tail_estimate
-
-    def test_divergence_detected(self):
-        with pytest.raises(oc.SeriesDivergenceError, match="not convergent"):
-            oc.sum_until_tail_bound(lambda n: math.exp(0.05 * n), rel_tol=1e-10)
-
-    def test_nan_term_aborts(self):
-        with pytest.raises(oc.IntegrandError):
-            oc.sum_until_tail_bound(
-                lambda n: math.nan if n == 7 else math.exp(-n), rel_tol=1e-10)
 
 
 class TestDiagonalization:

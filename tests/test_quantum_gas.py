@@ -320,6 +320,34 @@ class TestMasslessEnergyDensity:
         p = OscillatorParams(m=1.0, omega=1.0, mu=0.1)
         with pytest.raises(ValueError, match="positivity"):
             qg.energy_density_massless(p, t_of(1.0), U)
+        with pytest.raises(ValueError, match="positivity"):
+            qg.energy_density_massless_conventions(p, t_of(1.0), U)
+
+    @pytest.mark.parametrize("mu, temperature", [(0.1, 1.0), (2.0, 0.5)])
+    def test_both_conventions_share_their_integrals(self, mu, temperature, monkeypatch):
+        # mu = 0.1: kappa^2 <= 1/3, both cuts resolve to y_star; mu = 2:
+        # 3 kappa^2 lies above y_star and the cuts differ
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=mu)
+        t = t_of(temperature)
+        d = qg.dimensionless_couplings(p, t, U)
+        shared = 3.0 * d.kappa_sq <= d.y_star
+        assert shared == (mu == 0.1)
+        real = qg.integrate_semi_infinite
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qg, "integrate_semi_infinite", counting)
+        separate = [qg.energy_density_massless(p, t, U, cutoff_convention=c)
+                    for c in ("y_star", "kappa_literal")]
+        assert len(calls) == (4 if shared else 6)
+        calls.clear()
+        both = qg.energy_density_massless_conventions(p, t, U)
+        assert len(calls) == (2 if shared else 4)
+        assert [r.to_dict() for r in both] == [r.to_dict() for r in separate]
+        assert [r.options_used["cutoff_convention"] for r in both] == ["y_star", "kappa_literal"]
 
 
 class TestMassiveEnergyDensity:
