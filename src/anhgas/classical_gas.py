@@ -178,7 +178,7 @@ def _log_sinh2_cosh(t: float) -> float:
     return 2.0 * (t - ln2 + math.log1p(-e)) + (t - ln2 + math.log1p(e))
 
 
-def sinh2_integral(z: float, rel_tol: float = 1e-11) -> QuadratureResult:
+def sinh2_integral(z: float) -> QuadratureResult:
     """int_0^inf sinh^2 t exp(-z cosh t) dt by quadrature (= K_1(z)/z)."""
     exp, cosh = math.exp, math.cosh
 
@@ -188,10 +188,10 @@ def sinh2_integral(z: float, rel_tol: float = 1e-11) -> QuadratureResult:
         e = 2.0 * _log_sinh(s) - z * cosh(s)
         return exp(e) if e > -745.0 else 0.0
 
-    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
 
 
-def sinh2_cosh_integral(z: float, rel_tol: float = 1e-11) -> QuadratureResult:
+def sinh2_cosh_integral(z: float) -> QuadratureResult:
     """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt by quadrature
     (= g_function_corrected(z) / z^3)."""
     exp, cosh = math.exp, math.cosh
@@ -202,7 +202,7 @@ def sinh2_cosh_integral(z: float, rel_tol: float = 1e-11) -> QuadratureResult:
         e = _log_sinh2_cosh(s) - z * cosh(s)
         return exp(e) if e > -745.0 else 0.0
 
-    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
 
 
 def _relativistic_radial_scaled(z: float, rel_tol: float = 1e-11,

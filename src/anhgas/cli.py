@@ -226,20 +226,19 @@ def _quantum_point(cfg: RunConfig, temperature: float):
                      rep.oracle, rep.rel_dev, rep.status.value))
 
     g1y = bool(opts["g1_includes_y"])
-    names = [f"energy_density_massless[{c}]" for c in ("y_star", "kappa_literal")]
-    try:
-        # both conventions at once, so the integrals they share run once
-        reps = qg.energy_density_massless_conventions(
-            p, t, u, g1_includes_y=g1y, rel_tol=float(opts["rel_tol"]),
-        )
-        for name, rep in zip(names, reps):
-            add(rep, name)
-    except ValueError as exc:
-        # the positivity window does not depend on the convention
-        for name in names:
-            rows.append((temperature, name, None, None, None, Status.ERROR.value))
+    integrals: dict = {}    # shared by the two conventions' reports
+    for convention in ("y_star", "kappa_literal"):
+        try:
+            rep = qg.energy_density_massless_reusing(
+                integrals, p, t, u, convention, g1y, float(opts["rel_tol"]),
+            )
+            add(rep, f"energy_density_massless[{convention}]")
+        except ValueError as exc:
+            rows.append((temperature, f"energy_density_massless[{convention}]",
+                         None, None, None, Status.ERROR.value))
             reports.append(ComparisonReport(
-                name, math.nan, math.nan, math.nan, math.nan, Status.ERROR,
+                f"energy_density_massless[{convention}]", math.nan, math.nan,
+                math.nan, math.nan, Status.ERROR,
                 f"positivity window failure: {exc}", 0.0, {"T": temperature}))
     try:
         rep = qg.energy_density_massive(

@@ -40,7 +40,7 @@ __all__ = [
     "mode_mean_occupancy_energy",
     "massless_integrand",
     "energy_density_massless",
-    "energy_density_massless_conventions",
+    "energy_density_massless_reusing",
     "energy_density_massive",
     "whittaker_series_term",
     "whittaker_series_term_printed",
@@ -412,38 +412,30 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
     raise ValueError(f"unknown cutoff convention {cutoff_convention!r}")
 
 
-def _massless_integrals(p: OscillatorParams, t: ThermalState, u: UnitSystem,
-                        g1_includes_y: bool, rel_tol: float):
-    """The couplings and a runner for the massless density integrals.
-
-    The integrand vanishes at or below max(cut, y_star), so that lower limit,
-    the transform and the mode-sum tolerance fix an integral; the runner
-    computes each such integral once and returns it again on repeat.
-    """
+def _massless_density(
+    p: OscillatorParams, t: ThermalState, u: UnitSystem, cutoff_convention: str,
+    g1_includes_y: bool, rel_tol: float, threshold: float,
+    integrals: dict[tuple, float],
+) -> ComparisonReport:
     if p.lam <= 0.0 and p.mu != 0.0:
         raise ValueError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
+    y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
-    done: dict[tuple[float, str, float], float] = {}
 
     def run(cut: float, transform: str, series_tol: float) -> float:
+        # the integrand vanishes at or below max(cut, y_star), so that lower
+        # limit, not the cut, fixes the integral with the other arguments
         lower = max(cut, d.y_star)
-        key = (lower, transform, series_tol)
-        if key not in done:
+        key = (p, t, u, g1_includes_y, rel_tol, lower, transform, series_tol)
+        if key not in integrals:
             res = integrate_semi_infinite(
                 lambda y: massless_integrand(y, d, cut, series_tol),
                 lower, rel_tol=rel_tol, transform=transform,
             )
-            done[key] = pref * res.value
-        return done[key]
+            integrals[key] = pref * res.value
+        return integrals[key]
 
-    return d, run
-
-
-def _massless_report(t: ThermalState, d: DimensionlessCouplings, run,
-                     cutoff_convention: str, g1_includes_y: bool,
-                     threshold: float) -> ComparisonReport:
-    y_cut = _resolve_cut(d, cutoff_convention)
     literal = run(y_cut, "rational", 1e-12)
     oracle = run(y_cut, "exp", 5e-13)
     other = "kappa_literal" if cutoff_convention == "y_star" else "y_star"
@@ -479,25 +471,24 @@ def energy_density_massless(
     Literal and oracle sides run independent transforms and tolerances;
     the other cutoff convention's value is echoed in options_used.
     """
-    d, run = _massless_integrals(p, t, u, g1_includes_y, rel_tol)
-    return _massless_report(t, d, run, cutoff_convention, g1_includes_y, threshold)
+    return _massless_density(p, t, u, cutoff_convention, g1_includes_y, rel_tol,
+                             threshold, {})
 
 
-def energy_density_massless_conventions(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
-    g1_includes_y: bool = False,
-    rel_tol: float = 1e-9,
-    threshold: float = 1e-6,
-) -> tuple[ComparisonReport, ComparisonReport]:
-    """energy_density_massless under the y_star and the kappa_literal cut.
+def energy_density_massless_reusing(
+    integrals: dict[tuple, float], p: OscillatorParams, t: ThermalState,
+    u: UnitSystem, cutoff_convention: str, g1_includes_y: bool, rel_tol: float,
+) -> ComparisonReport:
+    """energy_density_massless (threshold 1e-6) that keeps each integral it
+    computes in ``integrals`` and reuses one found there.
 
-    Bit-identical to one call per convention, but each distinct integral
-    runs once: at kappa^2 <= 1/3 both cuts resolve to y_star, and the two
-    reports share their literal and oracle integrals.
+    A key holds every argument its integral depends on, so reuse changes
+    no bit.  The two cutoff conventions at one temperature share integrals:
+    at kappa^2 <= 1/3 both cuts resolve to y_star, and the two reports
+    have the same literal and oracle.
     """
-    d, run = _massless_integrals(p, t, u, g1_includes_y, rel_tol)
-    return (_massless_report(t, d, run, "y_star", g1_includes_y, threshold),
-            _massless_report(t, d, run, "kappa_literal", g1_includes_y, threshold))
+    return _massless_density(p, t, u, cutoff_convention, g1_includes_y, rel_tol,
+                             1e-6, integrals)
 
 
 def energy_density_massive(

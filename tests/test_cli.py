@@ -174,6 +174,21 @@ class TestQuantumCommand:
         assert reports[0]["provenance"] == reports[1]["provenance"]
         assert reports[0]["provenance"].startswith("positivity window failure: cubic")
 
+    def test_a_failing_convention_errors_only_its_own_row(self, tmp_path):
+        # at T = 0.01 the kappa_literal oracle integral raises a math domain
+        # error (a node at t = 1 of the exp map); the y_star row is unaffected
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
+            "thermal_grid": [0.01],
+        }))
+        out = tmp_path / "out"
+        run(["quantum", "--config", str(cfg), "--out", str(out)])
+        rows = (out / "quantum.csv").read_text().splitlines()[1:3]
+        assert rows[0].startswith("0.01,energy_density_massless[y_star],9.88")
+        assert rows[0].endswith(",FLAGGED")
+        assert rows[1] == "0.01,energy_density_massless[kappa_literal],,,,ERROR"
+
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is imported only by the diagonalization, Metropolis and

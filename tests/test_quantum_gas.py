@@ -321,7 +321,7 @@ class TestMasslessEnergyDensity:
         with pytest.raises(ValueError, match="positivity"):
             qg.energy_density_massless(p, t_of(1.0), U)
         with pytest.raises(ValueError, match="positivity"):
-            qg.energy_density_massless_conventions(p, t_of(1.0), U)
+            qg.energy_density_massless_reusing({}, p, t_of(1.0), U, "y_star", False, 1e-9)
 
     @pytest.mark.parametrize("mu, temperature", [(0.1, 1.0), (2.0, 0.5)])
     def test_both_conventions_share_their_integrals(self, mu, temperature, monkeypatch):
@@ -344,10 +344,20 @@ class TestMasslessEnergyDensity:
                     for c in ("y_star", "kappa_literal")]
         assert len(calls) == (4 if shared else 6)
         calls.clear()
-        both = qg.energy_density_massless_conventions(p, t, U)
+        integrals: dict = {}
+        both = [qg.energy_density_massless_reusing(integrals, p, t, U, c, False, 1e-9)
+                for c in ("y_star", "kappa_literal")]
         assert len(calls) == (2 if shared else 4)
         assert [r.to_dict() for r in both] == [r.to_dict() for r in separate]
-        assert [r.options_used["cutoff_convention"] for r in both] == ["y_star", "kappa_literal"]
+        # every argument is in the key: another temperature reuses nothing
+        t2 = t_of(2.0 * temperature)
+        calls.clear()
+        alone = qg.energy_density_massless(p, t2, U)
+        n_alone = len(calls)
+        calls.clear()
+        again = qg.energy_density_massless_reusing(integrals, p, t2, U, "y_star", False, 1e-9)
+        assert len(calls) == n_alone
+        assert again.to_dict() == alone.to_dict()
 
 
 class TestMassiveEnergyDensity:
