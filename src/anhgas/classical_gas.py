@@ -11,6 +11,7 @@ the point of the dual-route design.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from . import specfun as sf
 from .oracles import QuadratureResult, integrate_semi_infinite
@@ -178,45 +179,35 @@ def _log_sinh2_cosh(t: float) -> float:
     return 2.0 * (t - ln2 + math.log1p(-e)) + (t - ln2 + math.log1p(e))
 
 
-def sinh2_integral(z: float) -> QuadratureResult:
-    """int_0^inf sinh^2 t exp(-z cosh t) dt by quadrature (= K_1(z)/z)."""
-    exp, cosh = math.exp, math.cosh
-
-    def f(s: float) -> float:
-        if s <= 0.0 or s > 350.0:
-            return 0.0
-        e = 2.0 * _log_sinh(s) - z * cosh(s)
-        return exp(e) if e > -745.0 else 0.0
-
-    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
-
-
-def sinh2_cosh_integral(z: float) -> QuadratureResult:
-    """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt by quadrature
-    (= g_function_corrected(z) / z^3)."""
-    exp, cosh = math.exp, math.cosh
-
-    def f(s: float) -> float:
-        if s <= 0.0 or s > 350.0:
-            return 0.0
-        e = _log_sinh2_cosh(s) - z * cosh(s)
-        return exp(e) if e > -745.0 else 0.0
-
-    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
-
-
-def _relativistic_radial_scaled(z: float, rel_tol: float = 1e-11,
-                                transform: str = "rational") -> QuadratureResult:
-    # e^z int_0^inf sinh^2 t cosh t exp(-z cosh t) dt, safe for any z > 0
+def _kinetic_integral(z: float, log_weight: Callable[[float], float],
+                      shift: float = 0.0) -> QuadratureResult:
+    # int_0^inf exp(log_weight(t) - z (cosh t - shift)) dt; shift = 1 is the
+    # e^z-scaled form, safe for any z > 0
     exp, cosh = math.exp, math.cosh
 
     def f(t: float) -> float:
         if t <= 0.0 or t > 350.0:
             return 0.0
-        e = _log_sinh2_cosh(t) - z * (cosh(t) - 1.0)
+        e = log_weight(t) - z * (cosh(t) - shift)
         return exp(e) if e > -745.0 else 0.0
 
-    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol, transform=transform)
+    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+
+
+def sinh2_integral(z: float) -> QuadratureResult:
+    """int_0^inf sinh^2 t exp(-z cosh t) dt by quadrature (= K_1(z)/z)."""
+    return _kinetic_integral(z, lambda t: 2.0 * _log_sinh(t))
+
+
+def sinh2_cosh_integral(z: float) -> QuadratureResult:
+    """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt by quadrature
+    (= g_function_corrected(z) / z^3)."""
+    return _kinetic_integral(z, _log_sinh2_cosh)
+
+
+def _relativistic_radial_scaled(z: float) -> QuadratureResult:
+    # e^z int_0^inf sinh^2 t cosh t exp(-z cosh t) dt
+    return _kinetic_integral(z, _log_sinh2_cosh, 1.0)
 
 
 def log_momentum_radial_integral(p: OscillatorParams, beta: float, u: UnitSystem) -> float:
@@ -262,23 +253,38 @@ def f_oracle_from_params(p: OscillatorParams, t: ThermalState, u: UnitSystem,
     return res.value / (t.kt(u) / p.lam) ** 0.75
 
 
-def position_radial_integral(p: OscillatorParams, t: ThermalState, u: UnitSystem,
-                             rel_tol: float = 1e-12) -> QuadratureResult:
-    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature."""
-    beta = t.beta
+def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, float]:
+    """(a2, a4, scale) of the position weight r^2 exp(-a2 r^2 - a4 r^4);
+    scale is its characteristic width, for conditioning and sampling."""
     a2 = 0.5 * beta * p.m * p.omega**2
     a4 = beta * p.lam
-    # characteristic width of the integrand, for transform conditioning
     scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+    return a2, a4, scale
+
+
+def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
+                       moment: Callable[[float], float] | None = None) -> QuadratureResult:
+    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [moment(r)] dv over r = v * scale,
+    # so the integral over r is scale times this one
     neg_a2 = -a2
     exp = math.exp
 
     def f(v: float) -> float:
         r = v * scale
         e = neg_a2 * r * r - a4 * r**4
-        return r * r * exp(e) if e > -745.0 else 0.0
+        if not e > -745.0:
+            return 0.0
+        w = r * r * exp(e)
+        return w if moment is None else w * moment(r)
 
-    res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+
+
+def position_radial_integral(p: OscillatorParams, t: ThermalState, u: UnitSystem,
+                             rel_tol: float = 1e-12) -> QuadratureResult:
+    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature."""
+    a2, a4, scale = _position_weight(p, t.beta)
+    res = _position_integral(a2, a4, scale, rel_tol)
     return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
                             res.evaluations, res.converged)
 
@@ -340,21 +346,18 @@ def g_function_corrected_derivative(x: float) -> float:
 # anharmonic partition function and average energy
 # ---------------------------------------------------------------------------
 
-def vibrational_partition(p: OscillatorParams, t: ThermalState, u: UnitSystem,
-                          use_closed_form: bool = False) -> float:
+def vibrational_partition(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
     """Vibrational factor 4 pi (kT/lam)^(3/4) F(x)."""
     x = coupling_x(p, t, u)
-    f_val = f_closed_form(x) if use_closed_form else f_oracle(x)
-    return 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_val
+    return 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_oracle(x)
 
 
 def anharmonic_relativistic_partition(
     p: OscillatorParams, t: ThermalState, u: UnitSystem, vol: FormalVolumes,
-    use_closed_form: bool = False,
 ) -> ComparisonReport:
     """a0 F(x) G(z) vs the product of the two radial quadratures.
 
-    F goes through the trusted quadrature route by default; the printed
+    F goes through the trusted quadrature route; the printed
     G carries a power swap that cancels exactly at z = 1, so reports away
     from that point come out FLAGGED by design.
     """
@@ -364,8 +367,7 @@ def anharmonic_relativistic_partition(
     z = relativistic_z(p, t, u)
     a0 = 16.0 * math.pi**2 * (p.m * u.c) ** 3 * vol.V * vol.V_P \
         / (_TWO_PI * u.hbar) ** 6 * (kt / p.lam) ** 0.75
-    f_val = f_closed_form(x) if use_closed_form else f_oracle(x)
-    literal = a0 * f_val * g_function(z)
+    literal = a0 * f_oracle(x) * g_function(z)
 
     log_kin = log_momentum_radial_integral(p, t.beta, u)
     pos = position_radial_integral(p, t, u)
@@ -379,7 +381,7 @@ def anharmonic_relativistic_partition(
         oracle,
         threshold=1e-6,
         provenance="anharmonic partition product form vs dual radial quadrature",
-        options_used={"T": t.T, "x": x, "z": z, "closed_form_F": use_closed_form},
+        options_used={"T": t.T, "x": x, "z": z, "closed_form_F": False},
     )
 
 
@@ -408,36 +410,20 @@ def average_energy_log_derivative(p: OscillatorParams, t: ThermalState, u: UnitS
 
 def average_energy_quadrature(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
     """<H> as weighted quadrature ratios: relativistic kinetic + vibrational."""
-    beta = t.beta
     z = relativistic_z(p, t, u)
 
     # kinetic: <m c^2 cosh t> under sinh^2 cosh e^{-z cosh}
-    def w_kin(t_: float, moment: int) -> float:
-        if t_ <= 0.0 or t_ > 350.0:
-            return 0.0
-        e = 2.0 * _log_sinh(t_) + _log_cosh(t_) * (1 + moment) - z * (math.cosh(t_) - 1.0)
-        return math.exp(e) if e > -745.0 else 0.0
-
-    num_k = integrate_semi_infinite(lambda s: w_kin(s, 1), 0.0, rel_tol=1e-11).value
-    den_k = integrate_semi_infinite(lambda s: w_kin(s, 0), 0.0, rel_tol=1e-11).value
+    num_k = _kinetic_integral(
+        z, lambda s: 2.0 * _log_sinh(s) + _log_cosh(s) * 2, 1.0).value
+    den_k = _relativistic_radial_scaled(z).value
     e_kin = p.m * u.c**2 * num_k / den_k
 
-    a2 = 0.5 * beta * p.m * p.omega**2
-    a4 = beta * p.lam
-    scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
-
-    def w_pos(v: float, with_h: bool) -> float:
-        r = v * scale
-        e = -a2 * r * r - a4 * r**4
-        if e <= -745.0:
-            return 0.0
-        base = r * r * math.exp(e)
-        if not with_h:
-            return base
-        return base * (0.5 * p.m * p.omega**2 * r * r + p.lam * r**4)
-
-    num_p = integrate_semi_infinite(lambda v: w_pos(v, True), 0.0, rel_tol=1e-11).value
-    den_p = integrate_semi_infinite(lambda v: w_pos(v, False), 0.0, rel_tol=1e-11).value
+    # vibrational: <V(r)> under r^2 e^{-a2 r^2 - a4 r^4}
+    a2, a4, scale = _position_weight(p, t.beta)
+    h2, lam = 0.5 * p.m * p.omega**2, p.lam
+    num_p = _position_integral(a2, a4, scale, 1e-11,
+                               lambda r: h2 * r * r + lam * r**4).value
+    den_p = _position_integral(a2, a4, scale, 1e-11).value
     return e_kin + num_p / den_p
 
 
@@ -448,7 +434,6 @@ def average_energy_metropolis(
     """Monte Carlo estimate of <H>; returns (mean, std_error, estimates)."""
     from .oracles import metropolis_expectation
 
-    beta = t.beta
     z = relativistic_z(p, t, u)
     mc2 = p.m * u.c**2
 
@@ -463,9 +448,7 @@ def average_energy_metropolis(
         burn_in=burn_in, seed=seed, x0=max(0.5, 1.0 / math.sqrt(z)),
     )
 
-    a2 = 0.5 * beta * p.m * p.omega**2
-    a4 = beta * p.lam
-    r0 = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+    a2, a4, r0 = _position_weight(p, t.beta)
 
     def logw_pos(r: float) -> float:
         if r <= 0.0:

@@ -49,13 +49,9 @@ _DEFAULT_OPTIONS: dict = {
     "series_i_max": 3,
     "series_j_max": 3,
     "rel_tol": 1e-9,
-    "series_rel_tol": 1e-10,
     "seed": 20080,
-    "mc_samples": 20000,
-    "mc_burn_in": 2000,
     "spectral_samples": 48,
     "massive_gas_mass": 1.0,
-    "use_closed_form_f": False,
 }
 
 
@@ -225,31 +221,32 @@ def _quantum_point(cfg: RunConfig, temperature: float):
         rows.append((temperature, name or rep.quantity_name, rep.literal,
                      rep.oracle, rep.rel_dev, rep.status.value))
 
+    def add_error(name: str, exc: ValueError):
+        cause = ("positivity window failure" if isinstance(exc, qg.PositivityWindowError)
+                 else "evaluation failure")
+        reports.append(ComparisonReport(
+            name, math.nan, math.nan, math.nan, math.nan, Status.ERROR,
+            f"{cause}: {exc}", 0.0, {"T": temperature}))
+        rows.append((temperature, name, None, None, None, Status.ERROR.value))
+
     g1y = bool(opts["g1_includes_y"])
     integrals: dict = {}    # shared by the two conventions' reports
     for convention in ("y_star", "kappa_literal"):
+        name = f"energy_density_massless[{convention}]"
         try:
-            rep = qg.energy_density_massless_reusing(
+            add(qg.energy_density_massless_reusing(
                 integrals, p, t, u, convention, g1y, float(opts["rel_tol"]),
-            )
-            add(rep, f"energy_density_massless[{convention}]")
+            ), name)
         except ValueError as exc:
-            rows.append((temperature, f"energy_density_massless[{convention}]",
-                         None, None, None, Status.ERROR.value))
-            reports.append(ComparisonReport(
-                f"energy_density_massless[{convention}]", math.nan, math.nan,
-                math.nan, math.nan, Status.ERROR,
-                f"positivity window failure: {exc}", 0.0, {"T": temperature}))
+            add_error(name, exc)
     try:
-        rep = qg.energy_density_massive(
+        add(qg.energy_density_massive(
             p, float(opts["massive_gas_mass"]), t, u,
             cutoff_convention=str(opts["cutoff_convention"]), g1_includes_y=g1y,
             rel_tol=float(opts["rel_tol"]),
-        )
-        add(rep)
-    except ValueError:
-        rows.append((temperature, "energy_density_massive", None, None, None,
-                     Status.ERROR.value))
+        ))
+    except ValueError as exc:
+        add_error("energy_density_massive", exc)
     if p.lam > 0.0 or p.mu == 0.0:
         d = qg.dimensionless_couplings(p, t, u, g1y)
         if d.a_B <= 0.1:
@@ -412,8 +409,7 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
     return rows
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, threads: int,
-               only: str | None = None) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path, only: str | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _verify_rows(cfg)
     if only:
@@ -482,12 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--out", type=str, default="out")
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--print-config", action="store_true")
         if name == "verify":
             sp.add_argument("--only", type=str, default=None,
                             choices=["specfun", "oracles", "classical", "quantum"])
+        else:
+            sp.add_argument("--threads", type=int, default=None)
     se = sub.add_parser("specfun-eval")
     se.add_argument("function", type=str)
     se.add_argument("values", type=float, nargs="*")
@@ -505,13 +502,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.print_config:
             sys.stdout.write(cfg.dumps())
             return 0
-        threads = _thread_count(args)
         out_dir = Path(args.out)
         if args.command == "classical":
-            return cmd_classical(cfg, out_dir, threads)
+            return cmd_classical(cfg, out_dir, _thread_count(args))
         if args.command == "quantum":
-            return cmd_quantum(cfg, out_dir, threads)
-        return cmd_verify(cfg, out_dir, threads, only=args.only)
+            return cmd_quantum(cfg, out_dir, _thread_count(args))
+        return cmd_verify(cfg, out_dir, only=args.only)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"config or input error: {exc}", file=sys.stderr)
         return 1

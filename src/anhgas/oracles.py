@@ -48,7 +48,6 @@ class SeriesTruncation:
     i_max: int = 0
     j_max: int = 0
     tail_estimate: float = 0.0
-    condition: str = "monotone-decay"
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,10 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float,
     1/w, where w = 1 - t.  The nodes are written out (no loop, no wrapper
     call per node): the centre, then the seven -/+ pairs from the
     outermost in, and K15 and G7 accumulate in that order.  NaN is looked
-    for once per panel, in the K15 sum.  Written out because a loop over
-    the nodes with the same maps and float order made the classical
-    sweep about 1.36x slower.
+    for once per panel, in the K15 sum.  A node at t = 1, where y = inf,
+    raises a ValueError that names the map and the panel.  Written out
+    because a loop over the nodes with the same maps and float order made
+    the classical sweep about 1.36x slower.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
@@ -110,41 +110,53 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float,
         l4, r4 = f(mid - d4), f(mid + d4)
         l5, r5 = f(mid - d5), f(mid + d5)
         l6, r6 = f(mid - d6), f(mid + d6)
-    elif transform == "rational":
-        # y = a + t/w with dy = dt/w^2
-        fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
-        l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
-        r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
-        l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
-        r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
-        l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
-        r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
-        l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
-        r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
-        l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
-        r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
-        l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
-        r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
-        l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
-        r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
     else:
-        # y = a - ln w with dy = dt/w
-        log = math.log
-        fc = f(a - log(w := 1.0 - mid)) / w
-        l0 = f(a - log(w := 1.0 - (mid - d0))) / w
-        r0 = f(a - log(w := 1.0 - (mid + d0))) / w
-        l1 = f(a - log(w := 1.0 - (mid - d1))) / w
-        r1 = f(a - log(w := 1.0 - (mid + d1))) / w
-        l2 = f(a - log(w := 1.0 - (mid - d2))) / w
-        r2 = f(a - log(w := 1.0 - (mid + d2))) / w
-        l3 = f(a - log(w := 1.0 - (mid - d3))) / w
-        r3 = f(a - log(w := 1.0 - (mid + d3))) / w
-        l4 = f(a - log(w := 1.0 - (mid - d4))) / w
-        r4 = f(a - log(w := 1.0 - (mid + d4))) / w
-        l5 = f(a - log(w := 1.0 - (mid - d5))) / w
-        r5 = f(a - log(w := 1.0 - (mid + d5))) / w
-        l6 = f(a - log(w := 1.0 - (mid - d6))) / w
-        r6 = f(a - log(w := 1.0 - (mid + d6))) / w
+        try:
+            if transform == "rational":
+                # y = a + t/w with dy = dt/w^2
+                fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
+                l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
+                r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
+                l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
+                r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
+                l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
+                r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
+                l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
+                r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
+                l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
+                r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
+                l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
+                r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
+                l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
+                r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
+            else:
+                # y = a - ln w with dy = dt/w
+                log = math.log
+                fc = f(a - log(w := 1.0 - mid)) / w
+                l0 = f(a - log(w := 1.0 - (mid - d0))) / w
+                r0 = f(a - log(w := 1.0 - (mid + d0))) / w
+                l1 = f(a - log(w := 1.0 - (mid - d1))) / w
+                r1 = f(a - log(w := 1.0 - (mid + d1))) / w
+                l2 = f(a - log(w := 1.0 - (mid - d2))) / w
+                r2 = f(a - log(w := 1.0 - (mid + d2))) / w
+                l3 = f(a - log(w := 1.0 - (mid - d3))) / w
+                r3 = f(a - log(w := 1.0 - (mid + d3))) / w
+                l4 = f(a - log(w := 1.0 - (mid - d4))) / w
+                r4 = f(a - log(w := 1.0 - (mid + d4))) / w
+                l5 = f(a - log(w := 1.0 - (mid - d5))) / w
+                r5 = f(a - log(w := 1.0 - (mid + d5))) / w
+                l6 = f(a - log(w := 1.0 - (mid - d6))) / w
+                r6 = f(a - log(w := 1.0 - (mid + d6))) / w
+        except (ValueError, ZeroDivisionError) as exc:
+            # at a node t = 1 the map itself fails, in this frame: ln 0 or
+            # t/0.  Anything raised inside f, or with no node at t = 1,
+            # passes through unchanged
+            if exc.__traceback__.tb_next is not None or mid + d0 < 1.0:
+                raise
+            raise ValueError(
+                f"the {transform} map of [{a!r}, inf) put a node at t = 1, "
+                f"where y = inf, in the panel [{lo!r}, {hi!r}]"
+            ) from exc
     s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
     g0, g1, g2, g3 = _WG

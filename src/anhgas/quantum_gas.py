@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "PositivityWindowError",
     "SpectrumCoeffs",
     "DimensionlessCouplings",
     "LadderBasisOperator",
@@ -47,6 +48,10 @@ __all__ = [
     "series_energy_density",
     "blackbody_energy_density",
 ]
+
+
+class PositivityWindowError(ValueError):
+    """The mode sums have no positivity window where they were asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,7 @@ class DimensionlessCouplings:
         if a_A == 0.0:
             return cls(0.0, a_B, 0.0, 0.0, g1_includes_y)
         if a_B == 0.0:
-            raise ValueError(
+            raise PositivityWindowError(
                 "no positivity window: a_B = 0 with a_A < 0 keeps the "
                 "quadratic mode coefficient negative for every y"
             )
@@ -302,7 +307,7 @@ def dimensionless_couplings(p: OscillatorParams, t: ThermalState,
 
 def _require_window(y: float, d: DimensionlessCouplings):
     if y <= d.y_star:
-        raise ValueError(
+        raise PositivityWindowError(
             f"y={y} is at or below the positivity cutoff y_star={d.y_star}: "
             "the quadratic mode coefficients turn negative and the "
             "occupation sum diverges"
@@ -335,7 +340,7 @@ def _mode_sums(y: float, d: DimensionlessCouplings, rel_tol: float,
     quad = d.a_A / y4 + 2.0 * d.a_B / y2
     lin = 6.0 * d.a_A / y4 + 2.0 * d.a_B / y2 + y
     if not (y > 0.0 and quad >= 0.0 and quad + lin > 0.0):
-        raise ValueError(
+        raise PositivityWindowError(
             f"y={y} is outside the positivity window: f_n is not convex "
             "and increasing, so the mode sums have no tail bound"
         )
@@ -418,7 +423,7 @@ def _massless_density(
     integrals: dict[tuple, float],
 ) -> ComparisonReport:
     if p.lam <= 0.0 and p.mu != 0.0:
-        raise ValueError("cubic coupling without quartic has no positivity window")
+        raise PositivityWindowError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
     y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
@@ -508,7 +513,7 @@ def energy_density_massive(
     if mass_gas <= 0.0:
         raise ValueError(f"gas mass must be positive, got {mass_gas}")
     if p.lam <= 0.0 and p.mu != 0.0:
-        raise ValueError("cubic coupling without quartic has no positivity window")
+        raise PositivityWindowError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
     y_cut = _resolve_cut(d, cutoff_convention)
     kt = t.kt(u)

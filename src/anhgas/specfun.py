@@ -31,7 +31,6 @@ __all__ = [
     "log_bessel_k",
     "bessel_k_derivative",
     "bessel_k_derivative_scaled",
-    "log_abs_bessel_k_derivative",
     "whittaker_w",
     "log_whittaker_w",
     "upper_incomplete_gamma",
@@ -320,16 +319,6 @@ def bessel_k_derivative_scaled(nu: float, x: float) -> SpecialFunctionResult:
     v = -0.5 * (a.value + b.value)
     return SpecialFunctionResult(
         v, 0.5 * (a.abs_error_estimate + b.abs_error_estimate), "recurrence"
-    )
-
-
-def log_abs_bessel_k_derivative(nu: float, x: float) -> SpecialFunctionResult:
-    """ln |K'_nu(x)|; the sign is always -1 on x > 0."""
-    a = log_bessel_k(abs(nu) - 1.0, x)
-    b = log_bessel_k(abs(nu) + 1.0, x)
-    v = _logaddexp(a.value, b.value) - math.log(2.0)
-    return SpecialFunctionResult(
-        v, a.abs_error_estimate + b.abs_error_estimate, "recurrence"
     )
 
 

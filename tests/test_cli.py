@@ -46,8 +46,11 @@ class TestRunConfig:
         assert again.to_dict() == cfg.to_dict()
 
     def test_unknown_keys_rejected_with_path(self):
-        with pytest.raises(ValueError, match="options.cutof_convention"):
-            RunConfig.from_dict({"options": {"cutof_convention": "y_star"}})
+        # a misspelling, and the options removed because nothing read them
+        for key in ("cutof_convention", "series_rel_tol", "mc_samples", "mc_burn_in",
+                    "use_closed_form_f"):
+            with pytest.raises(ValueError, match=f"options.{key}"):
+                RunConfig.from_dict({"options": {key: 1}})
         with pytest.raises(ValueError, match="oscilator"):
             RunConfig.from_dict({"oscilator": {}})
 
@@ -189,6 +192,27 @@ class TestQuantumCommand:
         assert rows[0].endswith(",FLAGGED")
         assert rows[1] == "0.01,energy_density_massless[kappa_literal],,,,ERROR"
 
+    def test_quadrature_failures_error_with_their_cause(self, tmp_path):
+        # at T = 0.05 every density integral puts a node at t = 1 of the exp
+        # map; each row is ERROR with a report that names that failure
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
+            "thermal_grid": [0.05],
+        }))
+        out = tmp_path / "out"
+        assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
+        names = ["energy_density_massless[y_star]",
+                 "energy_density_massless[kappa_literal]", "energy_density_massive"]
+        rows = (out / "quantum.csv").read_text().splitlines()[1:]
+        assert rows == [f"0.050000000000000003,{n},,,,ERROR" for n in names]
+        reports = json.loads((out / "quantum_reports.json").read_text())
+        assert [r["quantity_name"] for r in reports] == names
+        for r in reports:
+            assert r["status"] == "ERROR"
+            assert r["provenance"].startswith("evaluation failure: the exp map of [")
+            assert "put a node at t = 1" in r["provenance"]
+
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is imported only by the diagonalization, Metropolis and
@@ -216,6 +240,11 @@ class TestVerifyCommand:
     def test_unknown_section_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["verify", "--only", "nonsense", "--out", str(tmp_path)])
+
+    def test_takes_no_thread_count(self, tmp_path):
+        # verify runs serially; only the sweeps take --threads
+        with pytest.raises(SystemExit):
+            run(["verify", "--threads", "2", "--out", str(tmp_path)])
 
 
 class TestSpecfunEval:

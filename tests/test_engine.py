@@ -1,9 +1,11 @@
 """The quadrature engine and the classical oracle helpers against a
 verbatim reference: the loop-based G7/K15 panel, with the semi-infinite
 map applied through a per-node closure, as it stood before the panel
-became straight-line code with the map inside it.  Every result must be
-equal in all four QuadratureResult fields, bit for bit; NaN integrands
-must fail at the same abscissa."""
+became straight-line code with the map inside it, and the classical
+oracle helpers as they stood before they shared one kinetic and one
+position integrand.  Every result must be equal in all four
+QuadratureResult fields, bit for bit; NaN integrands must fail at the
+same abscissa."""
 
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ import pytest
 
 from anhgas import classical_gas as cg
 from anhgas import oracles as oc
-from anhgas.oracles import IntegrandError, QuadratureResult
+from anhgas.oracles import IntegrandError, McEstimate, QuadratureResult
+from anhgas.params import NATURAL_UNITS, OscillatorParams, ThermalState, UnitSystem
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,88 @@ def _reference_relativistic_radial_scaled(z: float) -> QuadratureResult:
     return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
 
 
+def _reference_position_radial_integral(p: OscillatorParams, t: ThermalState, u: UnitSystem,
+                                        rel_tol: float = 1e-12) -> QuadratureResult:
+    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature."""
+    beta = t.beta
+    a2 = 0.5 * beta * p.m * p.omega**2
+    a4 = beta * p.lam
+    # characteristic width of the integrand, for transform conditioning
+    scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+    neg_a2 = -a2
+    exp = math.exp
+
+    def f(v: float) -> float:
+        r = v * scale
+        e = neg_a2 * r * r - a4 * r**4
+        return r * r * exp(e) if e > -745.0 else 0.0
+
+    res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
+                            res.evaluations, res.converged)
+
+
+def _reference_average_energy_quadrature(p: OscillatorParams, t: ThermalState,
+                                         u: UnitSystem) -> float:
+    """<H> as weighted quadrature ratios: relativistic kinetic + vibrational."""
+    beta = t.beta
+    z = cg.relativistic_z(p, t, u)
+
+    # kinetic: <m c^2 cosh t> under sinh^2 cosh e^{-z cosh}
+    def w_kin(t_: float, moment: int) -> float:
+        if t_ <= 0.0 or t_ > 350.0:
+            return 0.0
+        e = 2.0 * cg._log_sinh(t_) + cg._log_cosh(t_) * (1 + moment) - z * (math.cosh(t_) - 1.0)
+        return math.exp(e) if e > -745.0 else 0.0
+
+    num_k = integrate_semi_infinite(lambda s: w_kin(s, 1), 0.0, rel_tol=1e-11).value
+    den_k = integrate_semi_infinite(lambda s: w_kin(s, 0), 0.0, rel_tol=1e-11).value
+    e_kin = p.m * u.c**2 * num_k / den_k
+
+    a2 = 0.5 * beta * p.m * p.omega**2
+    a4 = beta * p.lam
+    scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+
+    def w_pos(v: float, with_h: bool) -> float:
+        r = v * scale
+        e = -a2 * r * r - a4 * r**4
+        if e <= -745.0:
+            return 0.0
+        base = r * r * math.exp(e)
+        if not with_h:
+            return base
+        return base * (0.5 * p.m * p.omega**2 * r * r + p.lam * r**4)
+
+    num_p = integrate_semi_infinite(lambda v: w_pos(v, True), 0.0, rel_tol=1e-11).value
+    den_p = integrate_semi_infinite(lambda v: w_pos(v, False), 0.0, rel_tol=1e-11).value
+    return e_kin + num_p / den_p
+
+
+def _reference_metropolis_position(p: OscillatorParams, t: ThermalState):
+    """The position chain of average_energy_metropolis: its log-weight,
+    proposal scale and start point."""
+    beta = t.beta
+    a2 = 0.5 * beta * p.m * p.omega**2
+    a4 = beta * p.lam
+    r0 = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+
+    def logw_pos(r: float) -> float:
+        if r <= 0.0:
+            return -math.inf
+        return 2.0 * math.log(r) - a2 * r * r - a4 * r**4
+
+    return logw_pos, 0.8 * r0, r0
+
+
+# (m, omega, lam, T): lam = 0, and lam > 0 with the position width set by
+# a2 (a2^2 > a4) and by a4
+OSCILLATOR_GRID = [
+    (1.0, 1.0, 0.0, 1.0), (0.5, 2.0, 0.0, 0.2), (3.0, 0.7, 0.0, 6.0),
+    (1.0, 1.0, 0.5, 1.0), (1.0, 1.0, 0.5, 0.05), (0.5, 2.0, 0.01, 4.0),
+    (3.0, 0.7, 4.0, 0.3), (2.0, 0.3, 1e-4, 2.5),
+]
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 # ---------------------------------------------------------------------------
@@ -222,12 +307,17 @@ SEMI_INFINITE_CASES = {
     "gamma": (lambda y: y**3 * math.exp(-y) if y < 700 else 0.0, 0.0, {}),
     "planck": (planck, 0.0, {"rel_tol": 1e-12}),
     "gaussian-offset": (lambda y: math.exp(-y * y), 1.0, {"rel_tol": 1e-13}),
-    # under the exp map a node reaches t = 1 and ln(0) raises
+    # under the exp map a node reaches t = 1 (see NAMED_MAP_ERRORS)
     "power-tail": (lambda y: 1.0 / (1.0 + y) ** 2, 0.0, {}),
     "budget": (planck, 0.0, {"rel_tol": 1e-15, "max_evals": 45}),
     "plateau-10": (plateau(10.0), 0.0, {"rel_tol": 1e-300}),
     "plateau-1000": (plateau(1000.0), 0.0, {"rel_tol": 1e-300}),
 }
+
+# cases where a node reaches t = 1: the reference raises a bare "math
+# domain error" from ln(0); the engine raises a ValueError that names the
+# map and the panel
+NAMED_MAP_ERRORS = {("power-tail", "exp"), ("plateau-1000", "exp")}
 
 
 class TestEngineMatchesReference:
@@ -241,8 +331,15 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("name", sorted(SEMI_INFINITE_CASES))
     def test_semi_infinite(self, name, transform):
         f, a, kw = SEMI_INFINITE_CASES[name]
-        assert (outcome(lambda: oc.integrate_semi_infinite(f, a, transform=transform, **kw))
-                == outcome(lambda: integrate_semi_infinite(f, a, transform=transform, **kw)))
+        got = outcome(lambda: oc.integrate_semi_infinite(f, a, transform=transform, **kw))
+        want = outcome(lambda: integrate_semi_infinite(f, a, transform=transform, **kw))
+        if (name, transform) in NAMED_MAP_ERRORS:
+            assert want == ("raised", "ValueError", "math domain error")
+            assert got[:2] == ("raised", "ValueError")
+            assert got[2].startswith("the exp map of [0.0, inf) put a node at t = 1, ")
+            assert got[2].endswith(", 1.0]")
+        else:
+            assert got == want
 
     def test_cases_reach_every_stop(self):
         # the cases above cover each way the loop ends: converged; out of
@@ -308,6 +405,33 @@ class TestEngineFailures:
         assert math.isnan(res.value) and not res.converged
         assert bits(res) == bits(integrate_finite(pair, -1.0, 1.0))
 
+    @pytest.mark.parametrize("transform", ["rational", "exp"])
+    def test_a_node_at_t_1_names_the_map_and_the_panel(self, transform):
+        # on [1 - 2^-50, 1] the outermost right node rounds to t = 1
+        lo = 1.0 - 2.0**-50
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            return math.exp(-y)
+
+        with pytest.raises(ValueError) as got:
+            oc._gk15(f, lo, 1.0, transform, 2.0)
+        assert type(got.value) is ValueError
+        assert str(got.value) == (f"the {transform} map of [2.0, inf) put a node at t = 1, "
+                                  f"where y = inf, in the panel [{lo!r}, 1.0]")
+        assert seen and all(math.isfinite(y) for y in seen)
+
+    @pytest.mark.parametrize("transform", ["rational", "exp"])
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_integrand_errors_pass_through(self, transform, error):
+        def f(y):
+            raise error("from the integrand")
+
+        for lo in (0.25, 1.0 - 2.0**-50):     # with and without a node at t = 1
+            with pytest.raises(error, match="^from the integrand$"):
+                oc._gk15(f, lo, 1.0, transform, 0.0)
+
     def test_argument_errors_are_kept(self):
         with pytest.raises(ValueError, match="tolerances"):
             oc.integrate_finite(math.sin, 0.0, 1.0, rel_tol=0.0)
@@ -339,3 +463,40 @@ class TestClassicalHelpersMatchReference:
         assert bits(cg.sinh2_cosh_integral(z)) == bits(want)
         assert bits(cg._relativistic_radial_scaled(z)) == bits(
             _reference_relativistic_radial_scaled(z))
+
+    @pytest.mark.parametrize("m, omega, lam, T", OSCILLATOR_GRID)
+    def test_position_radial_integral(self, m, omega, lam, T):
+        p = OscillatorParams(m=m, omega=omega, lam=lam)
+        t = ThermalState.from_temperature(T)
+        for rel_tol in (1e-12, 1e-9):
+            assert bits(cg.position_radial_integral(p, t, NATURAL_UNITS, rel_tol)) == bits(
+                _reference_position_radial_integral(p, t, NATURAL_UNITS, rel_tol))
+
+    @pytest.mark.parametrize("m, omega, lam, T", OSCILLATOR_GRID)
+    def test_average_energy_quadrature(self, m, omega, lam, T):
+        p = OscillatorParams(m=m, omega=omega, lam=lam)
+        for u in (NATURAL_UNITS, UnitSystem(hbar=1.0, c=1.3, k_B=0.8)):
+            t = ThermalState.from_temperature(T, u)
+            got = cg.average_energy_quadrature(p, t, u)
+            assert float.hex(got) == float.hex(_reference_average_energy_quadrature(p, t, u))
+
+    @pytest.mark.parametrize("m, omega, lam, T", OSCILLATOR_GRID)
+    def test_metropolis_position_chain(self, m, omega, lam, T, monkeypatch):
+        # the sampler is replaced by a recorder: what matters is what the
+        # position chain is handed
+        calls = []
+
+        def record(log_weight, observable, proposal_scale, n_samples, burn_in, seed, x0):
+            calls.append((log_weight, proposal_scale, x0))
+            return McEstimate(0.0, 0.0, n_samples, seed, 0.5)
+
+        monkeypatch.setattr(oc, "metropolis_expectation", record)
+        p = OscillatorParams(m=m, omega=omega, lam=lam)
+        t = ThermalState.from_temperature(T)
+        cg.average_energy_metropolis(p, t, NATURAL_UNITS)
+        logw, scale, x0 = calls[1]
+        want_logw, want_scale, want_x0 = _reference_metropolis_position(p, t)
+        assert float.hex(scale) == float.hex(want_scale)
+        assert float.hex(x0) == float.hex(want_x0)
+        for r in [-1.0, 0.0, 1e-3 * x0, 0.5 * x0, x0, 2.0 * x0, 7.0 * x0]:
+            assert float.hex(logw(r)) == float.hex(want_logw(r))
