@@ -41,7 +41,6 @@ __all__ = [
     "anharmonic_relativistic_partition",
     "average_energy_classical",
     "average_energy_quadrature",
-    "average_energy_log_derivative",
     "average_energy_metropolis",
 ]
 
@@ -221,14 +220,10 @@ def log_momentum_radial_integral(p: OscillatorParams, beta: float, u: UnitSystem
 # the quartic-Gaussian function F and its companion G
 # ---------------------------------------------------------------------------
 
-def f_oracle(x: float, rel_tol: float = 1e-12) -> float:
-    """Scale-invariant normal form F(x) = int_0^inf u^2 exp(-4x u^2 - u^4) du.
-
-    This is the operational definition of the vibrational closed form: any
-    (m, w, lam, T) realization of the same x reduces to this integral.
-    """
+def _quartic_gaussian(x: float, rel_tol: float, quartic: bool) -> QuadratureResult:
+    # int_0^inf u^2 [u^2 if quartic] exp(-4x u^2 - u^4) du, over w = c u
     if x < 0.0:
-        raise ValueError(f"f_oracle requires x >= 0, got {x}")
+        raise ValueError(f"F requires x >= 0, got {x}")
     c = math.sqrt(math.sqrt(1.0 + (4.0 * x) ** 2))  # conditioning scale
     m4x = -4.0 * x
     exp = math.exp
@@ -236,10 +231,22 @@ def f_oracle(x: float, rel_tol: float = 1e-12) -> float:
     def f(w: float) -> float:
         uu = w / c
         e = m4x * uu * uu - uu**4
-        return uu * uu * exp(e) if e > -745.0 else 0.0
+        v = uu * uu * exp(e) if e > -745.0 else 0.0
+        return v * uu * uu if quartic else v
 
     res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
-    return res.value / c
+    return QuadratureResult(res.value / c, res.abs_error_estimate / c,
+                            res.evaluations, res.converged)
+
+
+def f_oracle(x: float, rel_tol: float = 1e-12) -> QuadratureResult:
+    """Scale-invariant normal form F(x) = int_0^inf u^2 exp(-4x u^2 - u^4) du,
+    with its quadrature record.
+
+    This is the operational definition of the vibrational closed form: any
+    (m, w, lam, T) realization of the same x reduces to this integral.
+    """
+    return _quartic_gaussian(x, rel_tol, False)
 
 
 def f_oracle_from_params(p: OscillatorParams, t: ThermalState, u: UnitSystem,
@@ -308,12 +315,8 @@ def f_closed_form(x: float) -> float:
 
 
 def f_derivative(x: float, rel_tol: float = 1e-12) -> float:
-    """dF/dx by Richardson-extrapolated central differences on f_oracle."""
-    h = 1e-3 * max(x, 0.1)
-    d1 = (f_oracle(x + h, rel_tol) - f_oracle(max(x - h, 0.0), rel_tol)) / (2.0 * h)
-    h2 = 0.5 * h
-    d2 = (f_oracle(x + h2, rel_tol) - f_oracle(max(x - h2, 0.0), rel_tol)) / (2.0 * h2)
-    return (4.0 * d2 - d1) / 3.0
+    """F'(x) = -4 int_0^inf u^4 exp(-4x u^2 - u^4) du, by its own quadrature."""
+    return -4.0 * _quartic_gaussian(x, rel_tol, True).value
 
 
 def g_function(x: float) -> float:
@@ -349,7 +352,7 @@ def g_function_corrected_derivative(x: float) -> float:
 def vibrational_partition(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
     """Vibrational factor 4 pi (kT/lam)^(3/4) F(x)."""
     x = coupling_x(p, t, u)
-    return 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_oracle(x)
+    return 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_oracle(x).value
 
 
 def anharmonic_relativistic_partition(
@@ -367,7 +370,7 @@ def anharmonic_relativistic_partition(
     z = relativistic_z(p, t, u)
     a0 = 16.0 * math.pi**2 * (p.m * u.c) ** 3 * vol.V * vol.V_P \
         / (_TWO_PI * u.hbar) ** 6 * (kt / p.lam) ** 0.75
-    literal = a0 * f_oracle(x) * g_function(z)
+    literal = a0 * f_oracle(x).value * g_function(z)
 
     log_kin = log_momentum_radial_integral(p, t.beta, u)
     pos = position_radial_integral(p, t, u)
@@ -385,46 +388,27 @@ def anharmonic_relativistic_partition(
     )
 
 
-def _log_position_integral(p: OscillatorParams, beta: float, u: UnitSystem) -> float:
-    state = ThermalState(T=1.0 / (u.k_B * beta), beta=beta)
-    return math.log(position_radial_integral(p, state, u).value)
-
-
-def average_energy_log_derivative(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
-    """-d/d(beta) ln Z by Richardson central differences.
-
-    Only the beta-dependent factors enter, so the formally infinite
-    volumes drop out identically (bit-identical under their rescaling).
-    """
-    beta = t.beta
-
-    def log_z(b: float) -> float:
-        return log_momentum_radial_integral(p, b, u) + _log_position_integral(p, b, u)
-
-    h = 1e-3 * beta
-    d1 = (log_z(beta + h) - log_z(beta - h)) / (2.0 * h)
-    h2 = 0.5 * h
-    d2 = (log_z(beta + h2) - log_z(beta - h2)) / (2.0 * h2)
-    return -(4.0 * d2 - d1) / 3.0
+def _average_energy_moments(p: OscillatorParams, t: ThermalState,
+                            u: UnitSystem) -> tuple[float, dict[str, QuadratureResult]]:
+    # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four quadratures
+    z = relativistic_z(p, t, u)
+    a2, a4, scale = _position_weight(p, t.beta)
+    h2, lam = 0.5 * p.m * p.omega**2, p.lam
+    quads = {
+        "int sinh^2 s cosh^2 s e^{-z cosh s} ds":
+            _kinetic_integral(z, lambda s: 2.0 * _log_sinh(s) + _log_cosh(s) * 2, 1.0),
+        "int sinh^2 s cosh s e^{-z cosh s} ds": _relativistic_radial_scaled(z),
+        "int r^2 V(r) e^{-beta V(r)} dr":
+            _position_integral(a2, a4, scale, 1e-11, lambda r: h2 * r * r + lam * r**4),
+        "int r^2 e^{-beta V(r)} dr": _position_integral(a2, a4, scale, 1e-11),
+    }
+    num_k, den_k, num_p, den_p = (q.value for q in quads.values())
+    return p.m * u.c**2 * num_k / den_k + num_p / den_p, quads
 
 
 def average_energy_quadrature(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
     """<H> as weighted quadrature ratios: relativistic kinetic + vibrational."""
-    z = relativistic_z(p, t, u)
-
-    # kinetic: <m c^2 cosh t> under sinh^2 cosh e^{-z cosh}
-    num_k = _kinetic_integral(
-        z, lambda s: 2.0 * _log_sinh(s) + _log_cosh(s) * 2, 1.0).value
-    den_k = _relativistic_radial_scaled(z).value
-    e_kin = p.m * u.c**2 * num_k / den_k
-
-    # vibrational: <V(r)> under r^2 e^{-a2 r^2 - a4 r^4}
-    a2, a4, scale = _position_weight(p, t.beta)
-    h2, lam = 0.5 * p.m * p.omega**2, p.lam
-    num_p = _position_integral(a2, a4, scale, 1e-11,
-                               lambda r: h2 * r * r + lam * r**4).value
-    den_p = _position_integral(a2, a4, scale, 1e-11).value
-    return e_kin + num_p / den_p
+    return _average_energy_moments(p, t, u)[0]
 
 
 def average_energy_metropolis(
@@ -466,31 +450,35 @@ def average_energy_metropolis(
 
 
 def average_energy_classical(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem, threshold: float = 1e-3
+    p: OscillatorParams, t: ThermalState, u: UnitSystem, threshold: float = 1e-3,
+    f_x: QuadratureResult | None = None,
 ) -> ComparisonReport:
-    """Printed average-energy formula vs the log-derivative oracle.
+    """Printed average-energy formula, with F(x) = ``f_x`` if the caller
+    has f_oracle(x), vs the moment ratios of average_energy_quadrature.
 
-    The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G; the
-    oracle differentiates the actual partition integrals.  Deviations are
-    recorded, not patched.
+    The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G.  An
+    unconverged quadrature on either side makes the report ERROR.
     """
-    p.require_anharmonic()
     kt = t.kt(u)
     x = coupling_x(p, t, u)
     z = relativistic_z(p, t, u)
-    f_val = f_oracle(x)
-    fp_val = f_derivative(x)
+    f_q = f_x if f_x is not None else f_oracle(x)
+    fp_q = _quartic_gaussian(x, 1e-12, True)               # F'(x) = -4 fp_q
     literal = (
         0.75 * kt
-        - math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * fp_val / f_val
+        + math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * 4.0 * fp_q.value / f_q.value
         - p.m * u.c**2 * g_function_derivative(z) / g_function(z)
     )
-    oracle = average_energy_log_derivative(p, t, u)
+    oracle, moments = _average_energy_moments(p, t, u)
+    quadratures = {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
+                   "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du": fp_q, **moments}
     return compare(
         "average_energy_classical",
         literal,
         oracle,
         threshold=threshold,
-        provenance="printed average-energy formula vs -d(ln Z)/d(beta)",
+        provenance="printed average-energy formula, F' by its own quadrature, "
+                   "vs the moment ratio <m c^2 cosh s> + <V(r)>",
         options_used={"T": t.T, "x": x, "z": z},
+        unconverged=[name for name, q in quadratures.items() if not q.converged],
     )

@@ -85,6 +85,12 @@ class RunConfig:
             if key not in _DEFAULT_OPTIONS:
                 raise ValueError(f"unknown config key: options.{key}")
             opts[key] = val
+        if opts["cutoff_convention"] not in ("y_star", "kappa_literal"):
+            raise ValueError("options.cutoff_convention: must be 'y_star' or "
+                             f"'kappa_literal', got {opts['cutoff_convention']!r}")
+        mass = opts["massive_gas_mass"]
+        if not (isinstance(mass, (int, float)) and mass > 0.0):
+            raise ValueError(f"options.massive_gas_mass: must be a number > 0, got {mass!r}")
         try:
             units = UnitSystem(**raw.get("unit_system", {}))
         except (TypeError, ValueError) as exc:
@@ -178,13 +184,14 @@ def _classical_point(cfg: RunConfig, temperature: float):
         zxi_oracle = 4.0 * math.pi * cg.position_radial_integral(p, t, u).value
         add(compare("vibrational_partition", zxi_literal, zxi_oracle, 1e-6,
                     "printed closed form vs radial quadrature", {"T": temperature}))
-        add(compare("f_function", f_literal, cg.f_oracle(x), 1e-6,
+        f_x = cg.f_oracle(x)
+        add(compare("f_function", f_literal, f_x.value, 1e-6,
                     "printed quartic-Gaussian closed form vs defining integral",
                     {"x": x}))
         g_oracle = cg.sinh2_cosh_integral(z).value * z**3
         add(compare("g_function", cg.g_function(z), g_oracle, 1e-6,
                     "printed Bessel combination vs its defining integral", {"z": z}))
-        add(cg.average_energy_classical(p, t, u))
+        add(cg.average_energy_classical(p, t, u, f_x=f_x))
     else:
         for name in ("vibrational_partition", "f_function", "g_function",
                      "average_energy_classical"):
@@ -362,10 +369,10 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
                     cg.g_function_corrected(z) / z**3, 1e-8,
                     "one z-derivative of the kinetic radial integral"))
     add("classical", "quartic limit of F",
-        compare("F(0)", cg.f_oracle(0.0), math.gamma(0.75) / 4.0, 1e-9,
+        compare("F(0)", cg.f_oracle(0.0).value, math.gamma(0.75) / 4.0, 1e-9,
                 "pure-quartic Gaussian integral"))
     add("classical", "closed form for F vs oracle",
-        compare("f_closed_form(1)", cg.f_closed_form(1.0), cg.f_oracle(1.0),
+        compare("f_closed_form(1)", cg.f_closed_form(1.0), cg.f_oracle(1.0).value,
                 1e-6, "printed closed form against the defining integral"))
     p_nat = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
     t_nat = ThermalState.from_temperature(1.0, u)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 __all__ = ["Status", "ComparisonReport", "compare"]
 
@@ -54,10 +54,13 @@ def compare(
     threshold: float,
     provenance: str,
     options_used: dict | None = None,
+    unconverged: Sequence[str] = (),
 ) -> ComparisonReport:
-    """Build a report; PASS iff rel_dev <= threshold, ERROR on non-finite."""
+    """Build a report; PASS iff rel_dev <= threshold, ERROR if non-finite or unconverged."""
     opts = dict(options_used or {})
-    if not (math.isfinite(literal) and math.isfinite(oracle)):
+    if unconverged:
+        provenance = f"{provenance}; unconverged quadrature: {'; '.join(unconverged)}"
+    if unconverged or not (math.isfinite(literal) and math.isfinite(oracle)):
         return ComparisonReport(
             quantity_name, literal, oracle, math.nan, math.nan,
             Status.ERROR, provenance, threshold, opts,

@@ -1,12 +1,14 @@
 """Classical-gas checks: printed formulas against their quadrature
 oracles, limit behavior, and the documented FLAGGED deviations."""
 
+import functools
 import math
 
 import pytest
 
 from anhgas import classical_gas as cg
-from anhgas.oracles import integrate_semi_infinite
+from anhgas import cli
+from anhgas.oracles import QuadratureResult, integrate_semi_infinite
 from anhgas.params import FormalVolumes, NATURAL_UNITS, OscillatorParams, ThermalState
 from anhgas.reports import Status
 
@@ -25,6 +27,30 @@ F_GOLDEN = {
 
 def natural_state():
     return ThermalState.from_temperature(1.0, U)
+
+
+# test-only cross-checks: Richardson-extrapolated central differences,
+# the finite-difference route the exact integral forms replace
+
+def richardson_derivative(g, x, h):
+    d1 = (g(x + h) - g(x - h)) / (2.0 * h)
+    d2 = (g(x + 0.5 * h) - g(x - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def richardson_f_derivative(x):
+    return richardson_derivative(lambda y: cg.f_oracle(y).value, x, 1e-3 * max(x, 0.1))
+
+
+def richardson_average_energy(p, t, u=U, log_extensive=0.0):
+    """-d(ln Z)/d(beta) of the actual partition integrals; log_extensive
+    is ln of a beta-independent factor such as a formal volume."""
+    def log_z(b):
+        state = ThermalState(T=1.0 / (u.k_B * b), beta=b)
+        return (log_extensive + cg.log_momentum_radial_integral(p, b, u)
+                + math.log(cg.position_radial_integral(p, state, u).value))
+
+    return -richardson_derivative(log_z, t.beta, 1e-3 * t.beta)
 
 
 class TestHarmonicPartition:
@@ -114,21 +140,23 @@ class TestRelativisticHarmonicPartition:
         r1 = cg.relativistic_harmonic_partition_z2(p, t, U, VOL)
         r2 = cg.relativistic_harmonic_partition_z2(p, t, U, FormalVolumes(Q=2.0))
         assert r2.literal == pytest.approx(2.0 * r1.literal, rel=1e-14)
-        # intensive log-derivative does not see the volume factors at all
-        assert cg.average_energy_log_derivative(
-            OscillatorParams(m=1.0, omega=1.0, lam=1.0), t, U
-        ) == cg.average_energy_log_derivative(
-            OscillatorParams(m=1.0, omega=1.0, lam=1.0), t, U
-        )
+        # the intensive <H> = -d(ln Z)/d(beta) does not see the factor Q:
+        # with and without ln 2 in ln Z it is the moment ratio <H>
+        want = cg.average_energy_quadrature(p, t, U)
+        for log_q in (0.0, math.log(2.0)):
+            got = richardson_average_energy(p, t, log_extensive=log_q)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestQuarticGaussianF:
     def test_pure_quartic_limit(self):
-        assert cg.f_oracle(0.0) == pytest.approx(math.gamma(0.75) / 4.0, rel=1e-9)
+        assert cg.f_oracle(0.0).value == pytest.approx(math.gamma(0.75) / 4.0, rel=1e-9)
 
     @pytest.mark.parametrize("x,golden", sorted(F_GOLDEN.items()))
     def test_golden_values(self, x, golden):
-        assert cg.f_oracle(x) == pytest.approx(golden, rel=1e-10)
+        res = cg.f_oracle(x)
+        assert res.converged
+        assert res.value == pytest.approx(golden, rel=1e-10)
 
     def test_two_transforms_agree(self):
         # same integral through both semi-infinite maps
@@ -152,12 +180,12 @@ class TestQuarticGaussianF:
             values.append(cg.f_oracle_from_params(p, t, U))
         spread = max(values) - min(values)
         assert spread <= 1e-9 * min(values)
-        assert values[0] == pytest.approx(cg.f_oracle(x), rel=1e-9)
+        assert values[0] == pytest.approx(cg.f_oracle(x).value, rel=1e-9)
 
     def test_decreasing_in_x(self):
         # stiffer confinement shrinks the configuration integral
         xs = [0.2 * k for k in range(51)]
-        vals = [cg.f_oracle(x, rel_tol=1e-10) for x in xs]
+        vals = [cg.f_oracle(x, rel_tol=1e-10).value for x in xs]
         assert all(v > 0.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -166,7 +194,7 @@ class TestQuarticGaussianF:
         # verbatim evaluation is positive but exactly 4x the integral; the
         # artifact records this as a FLAGGED deviation, never silently fixes
         closed = cg.f_closed_form(x)
-        oracle = cg.f_oracle(x)
+        oracle = cg.f_oracle(x).value
         assert closed > 0.0
         assert closed / oracle == pytest.approx(4.0, rel=1e-9)
 
@@ -174,7 +202,20 @@ class TestQuarticGaussianF:
         # e^{2x^2} overflow region handled through scaled Bessel values
         got = cg.f_closed_form(25.0)
         assert math.isfinite(got)
-        assert got == pytest.approx(4.0 * cg.f_oracle(25.0), rel=1e-8)
+        assert got == pytest.approx(4.0 * cg.f_oracle(25.0).value, rel=1e-8)
+
+    def test_derivative_at_zero_is_minus_gamma_five_quarters(self):
+        # F^(k+1)(0) = (-4)^(k+1) Gamma((5 + 2k)/4) / 4; a difference
+        # clamped at x = 0 returns about half of F'(0) here
+        assert cg.f_derivative(0.0) == pytest.approx(-math.gamma(1.25), rel=1e-12)
+        x = 1e-6
+        want = -math.gamma(1.25) + 4.0 * math.gamma(1.75) * x - 8.0 * math.gamma(2.25) * x * x
+        assert cg.f_derivative(x) == pytest.approx(want, rel=1e-12)
+
+    def test_derivative_matches_richardson_difference(self):
+        xs = [1e-3 * (4e5) ** (k / 24) for k in range(25)]     # 1e-3 ... 400
+        for x in xs:
+            assert cg.f_derivative(x) == pytest.approx(richardson_f_derivative(x), rel=1e-10)
 
     def test_derivative_matches_quartic_moment(self):
         # dF/dx = -4 int u^4 exp(-4x u^2 - u^4) du
@@ -280,9 +321,84 @@ class TestAverageEnergy:
         # -d(ln Z)/d(beta) must equal the weighted quadrature ratio <H>
         for p in FIVE_POINTS:
             t = natural_state()
-            fd = cg.average_energy_log_derivative(p, t, U)
+            fd = richardson_average_energy(p, t)
             ratio = cg.average_energy_quadrature(p, t, U)
             assert fd == pytest.approx(ratio, rel=1e-5)
+
+    def test_moment_oracle_matches_log_derivative(self):
+        temps = [0.005 * 40000 ** (k / 11) for k in range(12)]     # 0.005 ... 200
+        for p in FIVE_POINTS:
+            for T in temps:
+                t = ThermalState.from_temperature(T, U)
+                assert cg.average_energy_quadrature(p, t, U) == pytest.approx(
+                    richardson_average_energy(p, t), rel=1e-10)
+
+    def test_report_oracle_is_the_moment_ratio(self):
+        p = OscillatorParams(m=1.0, omega=1.5, lam=2.0)
+        t = ThermalState.from_temperature(0.7, U)
+        rep = cg.average_energy_classical(p, t, U)
+        assert float.hex(rep.oracle) == float.hex(cg.average_energy_quadrature(p, t, U))
+        assert "<m c^2 cosh s> + <V(r)>" in rep.provenance
+
+    def test_handed_f_gives_the_same_report(self):
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
+        t = ThermalState.from_temperature(0.4, U)
+        f_x = cg.f_oracle(cg.coupling_x(p, t, U))
+        assert cg.average_energy_classical(p, t, U, f_x=f_x) == \
+            cg.average_energy_classical(p, t, U)
+
+    def test_classical_point_runs_five_quadratures_for_the_row(self, monkeypatch):
+        # F(x) comes from the f_function row; the row itself runs F'(x)
+        # and the four moment quadratures
+        inside = []
+        calls = []
+        row = cg.average_energy_classical
+        quad = cg.integrate_semi_infinite
+
+        def traced_row(*args, **kwargs):
+            inside.append(True)
+            try:
+                return row(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_quad(*args, **kwargs):
+            if inside:
+                calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "average_energy_classical", traced_row)
+        monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
+        cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+        rows, _ = cli._classical_point(cfg, 1.3)
+        assert rows[-1][1] == "average_energy_classical"
+        assert len(calls) == 5
+
+    def test_unconverged_quadrature_is_error(self, monkeypatch):
+        # a 15-evaluation budget leaves every quadrature at one panel
+        p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
+        t = natural_state()
+        monkeypatch.setattr(cg, "integrate_semi_infinite",
+                            functools.partial(integrate_semi_infinite, max_evals=15))
+        rep = cg.average_energy_classical(p, t, U)
+        assert rep.status is Status.ERROR
+        assert math.isfinite(rep.literal) and math.isfinite(rep.oracle)
+        prov = rep.provenance.split("; unconverged quadrature: ", 1)[1]
+        assert "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du" in prov
+        assert "int r^2 e^{-beta V(r)} dr" in prov
+        # the public oracle keeps its float return value
+        assert isinstance(cg.average_energy_quadrature(p, t, U), float)
+
+    def test_unconverged_handed_f_is_named(self):
+        p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
+        t = natural_state()
+        good = cg.f_oracle(cg.coupling_x(p, t, U))
+        bad = QuadratureResult(good.value, 1.0, 15, False)
+        rep = cg.average_energy_classical(p, t, U, f_x=bad)
+        assert rep.status is Status.ERROR
+        assert rep.provenance.endswith(
+            "; unconverged quadrature: F(x) = int u^2 e^{-4x u^2 - u^4} du")
+        assert cg.average_energy_classical(p, t, U, f_x=good).status is not Status.ERROR
 
     def test_dual_route_report_records_deviation(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)

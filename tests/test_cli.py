@@ -54,6 +54,37 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="oscilator"):
             RunConfig.from_dict({"oscilator": {}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("cutoff_convention", "ystar"),
+        ("cutoff_convention", None),
+        ("massive_gas_mass", 0.0),
+        ("massive_gas_mass", -1.0),
+        ("massive_gas_mass", float("nan")),
+        ("massive_gas_mass", "heavy"),
+        ("massive_gas_mass", "3.5"),
+        ("massive_gas_mass", None),
+    ])
+    def test_bad_option_values_rejected_with_path(self, key, value):
+        with pytest.raises(ValueError, match=f"options.{key}"):
+            RunConfig.from_dict({"options": {key: value}})
+
+    def test_good_option_values_accepted(self):
+        for convention in ("y_star", "kappa_literal"):
+            RunConfig.from_dict({"options": {"cutoff_convention": convention}})
+        for mass in (1e-6, 2):
+            RunConfig.from_dict({"options": {"massive_gas_mass": mass}})
+
+    @pytest.mark.parametrize("options", [{"cutoff_convention": "ystar"},
+                                         {"massive_gas_mass": 0}])
+    def test_bad_option_value_exits_one_before_any_compute(self, tmp_path, capsys, options):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
+                                   "thermal_grid": [1.0, 2.0], "options": options}))
+        out = tmp_path / "out"
+        assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"options.{next(iter(options))}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_print_config_lists_every_flag(self, capsys, tmp_path):
         assert run(["verify", "--print-config"]) == 0
         out = capsys.readouterr().out
