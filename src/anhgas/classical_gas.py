@@ -90,6 +90,7 @@ def harmonic_partition_z1_report(
         threshold=1e-8,
         provenance="harmonic phase-space volume, printed formula vs 6-D Gaussian quadrature",
         options_used={"T": t.T},
+        unconverged=_unconverged({_UNIT_GAUSSIAN_NAME: _UNIT_RADIAL_GAUSSIAN}),
     )
 
 
@@ -101,6 +102,12 @@ def _unit_radial_gaussian(v: float) -> float:
 # int_0^inf v^2 exp(-v^2) dv by quadrature; it does not depend on c, so it
 # runs once, and _radial_gaussian_integral rescales it
 _UNIT_RADIAL_GAUSSIAN = integrate_semi_infinite(_unit_radial_gaussian, 0.0, rel_tol=1e-12)
+_UNIT_GAUSSIAN_NAME = "int v^2 e^{-v^2} dv"
+
+
+def _unconverged(quads: dict[str, QuadratureResult]) -> list[str]:
+    """The names of the quadratures that did not converge, for compare()."""
+    return [name for name, q in quads.items() if not q.converged]
 
 
 def _radial_gaussian_integral(c: float) -> QuadratureResult:
@@ -141,9 +148,9 @@ def relativistic_harmonic_partition_z2(
     )
 
     mom = _relativistic_radial_scaled(z)                       # e^z int sinh^2 cosh e^{-z cosh}
+    pos = _radial_gaussian_integral(0.5 * t.beta * p.m * p.omega**2)
     kin = 4.0 * math.pi * (p.m * u.c) ** 3 * mom.value * math.exp(-z)
-    pos = 4.0 * math.pi * _radial_gaussian_integral(0.5 * t.beta * p.m * p.omega**2).value
-    oracle = vol.V * vol.Q * kin * pos / (_TWO_PI * u.hbar) ** 6
+    oracle = vol.V * vol.Q * kin * (4.0 * math.pi * pos.value) / (_TWO_PI * u.hbar) ** 6
     return compare(
         "relativistic_harmonic_partition_z2",
         literal,
@@ -151,6 +158,8 @@ def relativistic_harmonic_partition_z2(
         threshold=1e-7,
         provenance="relativistic kinetic integral reduced to modified Bessel functions",
         options_used={"T": t.T, "z": z},
+        unconverged=_unconverged({"int sinh^2 s cosh s e^{-z cosh s} ds": mom,
+                                  _UNIT_GAUSSIAN_NAME: pos}),
     )
 
 
@@ -480,5 +489,5 @@ def average_energy_classical(
         provenance="printed average-energy formula, F' by its own quadrature, "
                    "vs the moment ratio <m c^2 cosh s> + <V(r)>",
         options_used={"T": t.T, "x": x, "z": z},
-        unconverged=[name for name, q in quadratures.items() if not q.converged],
+        unconverged=_unconverged(quadratures),
     )

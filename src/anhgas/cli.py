@@ -181,16 +181,19 @@ def _classical_point(cfg: RunConfig, temperature: float):
         z = cg.relativistic_z(p, t, u)
         f_literal = cg.f_closed_form(x)
         zxi_literal = 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_literal
-        zxi_oracle = 4.0 * math.pi * cg.position_radial_integral(p, t, u).value
-        add(compare("vibrational_partition", zxi_literal, zxi_oracle, 1e-6,
-                    "printed closed form vs radial quadrature", {"T": temperature}))
+        pos = cg.position_radial_integral(p, t, u)
+        add(compare("vibrational_partition", zxi_literal, 4.0 * math.pi * pos.value, 1e-6,
+                    "printed closed form vs radial quadrature", {"T": temperature},
+                    () if pos.converged else ("int r^2 e^{-beta V(r)} dr",)))
         f_x = cg.f_oracle(x)
         add(compare("f_function", f_literal, f_x.value, 1e-6,
                     "printed quartic-Gaussian closed form vs defining integral",
-                    {"x": x}))
-        g_oracle = cg.sinh2_cosh_integral(z).value * z**3
-        add(compare("g_function", cg.g_function(z), g_oracle, 1e-6,
-                    "printed Bessel combination vs its defining integral", {"z": z}))
+                    {"x": x},
+                    () if f_x.converged else ("F(x) = int u^2 e^{-4x u^2 - u^4} du",)))
+        g_q = cg.sinh2_cosh_integral(z)
+        add(compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
+                    "printed Bessel combination vs its defining integral", {"z": z},
+                    () if g_q.converged else ("int sinh^2 s cosh s e^{-z cosh s} ds",)))
         add(cg.average_energy_classical(p, t, u, f_x=f_x))
     else:
         for name in ("vibrational_partition", "f_function", "g_function",
@@ -241,8 +244,8 @@ def _quantum_point(cfg: RunConfig, temperature: float):
     for convention in ("y_star", "kappa_literal"):
         name = f"energy_density_massless[{convention}]"
         try:
-            add(qg.energy_density_massless_reusing(
-                integrals, p, t, u, convention, g1y, float(opts["rel_tol"]),
+            add(qg.energy_density_massless(
+                p, t, u, convention, g1y, float(opts["rel_tol"]), integrals=integrals,
             ), name)
         except ValueError as exc:
             add_error(name, exc)

@@ -41,7 +41,6 @@ __all__ = [
     "mode_mean_occupancy_energy",
     "massless_integrand",
     "energy_density_massless",
-    "energy_density_massless_reusing",
     "energy_density_massive",
     "whittaker_series_term",
     "whittaker_series_term_printed",
@@ -417,11 +416,29 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
     raise ValueError(f"unknown cutoff convention {cutoff_convention!r}")
 
 
-def _massless_density(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem, cutoff_convention: str,
-    g1_includes_y: bool, rel_tol: float, threshold: float,
-    integrals: dict[tuple, float],
+def energy_density_massless(
+    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
+    cutoff_convention: str = "y_star",
+    g1_includes_y: bool = False,
+    rel_tol: float = 1e-9,
+    threshold: float = 1e-6,
+    integrals: dict[tuple, float] | None = None,
 ) -> ComparisonReport:
+    """Massless Bose-Einstein energy density with the positivity cutoff.
+
+    Boltzmann weights use exp(-f_n) throughout (the lone positive-exponent
+    display is treated as a sign slip; the positive form diverges).
+    Literal and oracle sides run independent transforms and tolerances;
+    the other cutoff convention's value is echoed in options_used.
+
+    ``integrals``, if given, keeps each integral computed and supplies one
+    found there. A key holds every argument its integral depends on, so
+    reuse changes no bit. The two cutoff conventions at one temperature
+    share integrals: at kappa^2 <= 1/3 both cuts resolve to y_star, and
+    the two reports have the same literal and oracle.
+    """
+    if integrals is None:
+        integrals = {}
     if p.lam <= 0.0 and p.mu != 0.0:
         raise PositivityWindowError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
@@ -460,40 +477,6 @@ def _massless_density(
             "g1_includes_y": g1_includes_y,
         },
     )
-
-
-def energy_density_massless(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
-    cutoff_convention: str = "y_star",
-    g1_includes_y: bool = False,
-    rel_tol: float = 1e-9,
-    threshold: float = 1e-6,
-) -> ComparisonReport:
-    """Massless Bose-Einstein energy density with the positivity cutoff.
-
-    Boltzmann weights use exp(-f_n) throughout (the lone positive-exponent
-    display is treated as a sign slip; the positive form diverges).
-    Literal and oracle sides run independent transforms and tolerances;
-    the other cutoff convention's value is echoed in options_used.
-    """
-    return _massless_density(p, t, u, cutoff_convention, g1_includes_y, rel_tol,
-                             threshold, {})
-
-
-def energy_density_massless_reusing(
-    integrals: dict[tuple, float], p: OscillatorParams, t: ThermalState,
-    u: UnitSystem, cutoff_convention: str, g1_includes_y: bool, rel_tol: float,
-) -> ComparisonReport:
-    """energy_density_massless (threshold 1e-6) that keeps each integral it
-    computes in ``integrals`` and reuses one found there.
-
-    A key holds every argument its integral depends on, so reuse changes
-    no bit.  The two cutoff conventions at one temperature share integrals:
-    at kappa^2 <= 1/3 both cuts resolve to y_star, and the two reports
-    have the same literal and oracle.
-    """
-    return _massless_density(p, t, u, cutoff_convention, g1_includes_y, rel_tol,
-                             1e-6, integrals)
 
 
 def energy_density_massive(

@@ -1,9 +1,10 @@
 """Self-contained special functions used by the gas modules.
 
 Modified Bessel K of real order (fractional orders are first-class),
-its derivative, Whittaker W, and the upper incomplete gamma function,
-each with a log-scaled variant so callers can multiply huge exponentials
-by tiny function values without overflow.
+its derivative, Whittaker W, and the upper incomplete gamma function.
+Each function has one implementation, in log space, so callers can
+multiply huge exponentials by tiny function values without overflow
+(DLMF 10.40, 8.11); the value and e^x-scaled forms exponentiate it.
 
 Branch policy for K_nu:
 
@@ -35,8 +36,6 @@ __all__ = [
     "log_whittaker_w",
     "upper_incomplete_gamma",
     "log_upper_incomplete_gamma",
-    "upper_incomplete_gamma_ext",
-    "log_upper_incomplete_gamma_ext",
     "exp1",
 ]
 
@@ -59,8 +58,8 @@ class SpecialFunctionRangeError(ValueError):
     """Arguments inside the domain but outside the supported region."""
 
 
-class SpecialFunctionOverflow(OverflowError):
-    """Unscaled value exceeds double range; use the log-scaled variant."""
+class SpecialFunctionOverflow(SpecialFunctionRangeError, OverflowError):
+    """The value leaves double range (over- or underflow); use the log variant."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,9 @@ class SpecialFunctionResult:
     """A function value with an honest absolute error estimate.
 
     ``method`` records which evaluation branch produced the value:
-    one of ``series``, ``asymptotic``, ``quadrature``, ``recurrence``.
+    one of ``series``, ``asymptotic``, ``quadrature``, ``recurrence``,
+    or ``mpmath`` for a Whittaker W outside the closed-form U cases,
+    which ``mpmath.hyperu`` evaluates.
     """
 
     value: float
@@ -146,10 +147,9 @@ def _log_k_small(nu: float, x: float) -> tuple[float, str]:
     m = round(nu)
     rho = nu - m
     if abs(rho) <= _INT_SNAP:
-        if m == 0 or m == 1:
-            k0, k1 = _k01_integer_series(x)
-            return math.log(k1 if m else k0), "series"
         k0, k1 = _k01_integer_series(x)
+        if m == 0 or m == 1:
+            return math.log(k1 if m else k0), "series"
         lo, hi = math.log(k0), math.log(k1)
         order0, steps = 1.0, m - 1
     else:
@@ -222,104 +222,83 @@ def _k_quadrature_scaled(nu: float, x: float) -> tuple[float, float]:
     return res.value, res.abs_error_estimate
 
 
-def _validate_k_args(nu: float, x: float) -> float:
-    if not (x > 0.0) or math.isnan(x):
+def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
+    """ln K_nu(x); never overflows on the supported (nu, x) region.
+
+    The one branch dispatch for K: bessel_k and bessel_k_scaled
+    exponentiate its result.
+    """
+    if not (x > 0.0):
         raise SpecialFunctionDomainError(f"bessel_k requires x > 0, got x={x!r}")
     if abs(nu) > _NU_MAX:
         raise SpecialFunctionRangeError(
             f"order |nu|={abs(nu)} outside supported range <= {_NU_MAX}"
         )
-    return abs(nu)  # K_{-nu} = K_nu
-
-
-def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
-    """ln K_nu(x); never overflows on the supported (nu, x) region."""
-    nu = _validate_k_args(nu, x)
-    if x <= _SERIES_X_MAX:
-        m = round(nu)
-        if _INT_SNAP < abs(nu - m) < _NEAR_INT:
-            val, err = _k_quadrature_scaled(nu, x)
-            return SpecialFunctionResult(
-                math.log(val) - x, (err / val) + 1e-15 * (abs(math.log(val)) + x),
-                "quadrature",
-            )
+    nu = abs(nu)  # K_{-nu} = K_nu
+    if x <= _SERIES_X_MAX and not _INT_SNAP < abs(nu - round(nu)) < _NEAR_INT:
         lk, method = _log_k_small(nu, x)
         # the dominant small-x error is series cancellation, growing ~ e^(2x)
-        err = 1e-15 * (1.0 + nu) + 5e-16 * math.exp(2.0 * x)
-        return SpecialFunctionResult(lk, err, method)
+        return SpecialFunctionResult(
+            lk, 1e-15 * (1.0 + nu) + 5e-16 * math.exp(2.0 * x), method
+        )
     scaled = _k_asymptotic_scaled(nu, x) if x >= _ASYM_X_MIN else None
     if scaled is not None:
-        return SpecialFunctionResult(
-            math.log(scaled) - x, 1e-14 * max(1.0, x), "asymptotic"
-        )
+        return SpecialFunctionResult(math.log(scaled) - x, 1e-14 * max(1.0, x), "asymptotic")
+    # near-integer fractional orders at small x come here too
     val, err = _k_quadrature_scaled(nu, x)
     return SpecialFunctionResult(
-        math.log(val) - x, (err / val) + 1e-15 * x, "quadrature"
+        math.log(val) - x, (err / val) + 1e-15 * (abs(math.log(val)) + x),
+        "quadrature",
+    )
+
+
+def _exp_result(log_res: SpecialFunctionResult, what: str, shift: float = 0.0,
+                sign: float = 1.0) -> SpecialFunctionResult:
+    """sign * exp(log_res.value + shift), its absolute log error carried over
+    as a relative one; raises SpecialFunctionOverflow outside double range."""
+    lv = log_res.value + shift
+    if lv == -math.inf:                 # an exact zero
+        return SpecialFunctionResult(0.0, 1e-300, log_res.method)
+    if abs(lv) > _LOG_HUGE:
+        raise SpecialFunctionOverflow(f"{what} leaves double range; use its log variant")
+    v = math.exp(lv)
+    return SpecialFunctionResult(
+        sign * v, v * (log_res.abs_error_estimate + 2e-16 * abs(lv)), log_res.method
     )
 
 
 def bessel_k_scaled(nu: float, x: float) -> SpecialFunctionResult:
     """K_nu(x) * e^x, the overflow-tamed form used in closed formulas."""
-    nu = _validate_k_args(nu, x)
-    if x <= _SERIES_X_MAX:
-        m = round(nu)
-        if _INT_SNAP < abs(nu - m) < _NEAR_INT:
-            val, err = _k_quadrature_scaled(nu, x)
-            return SpecialFunctionResult(val, err + 1e-14 * val, "quadrature")
-        lk, method = _log_k_small(nu, x)
-        lscaled = lk + x
-        if lscaled > _LOG_HUGE:
-            raise SpecialFunctionOverflow(
-                f"bessel_k_scaled({nu}, {x}) overflows; use log_bessel_k"
-            )
-        v = math.exp(lscaled)
-        err = (1e-15 * (1.0 + nu) + 5e-16 * math.exp(2.0 * x)) * v
-        return SpecialFunctionResult(v, err, method)
-    scaled = _k_asymptotic_scaled(nu, x) if x >= _ASYM_X_MIN else None
-    if scaled is not None:
-        return SpecialFunctionResult(scaled, 1e-14 * scaled, "asymptotic")
-    val, err = _k_quadrature_scaled(nu, x)
-    return SpecialFunctionResult(val, err + 1e-14 * val, "quadrature")
+    return _exp_result(log_bessel_k(nu, x), f"bessel_k_scaled({nu}, {x})", shift=x)
 
 
 def bessel_k(nu: float, x: float) -> SpecialFunctionResult:
     """K_nu(x) for real order, |nu| <= 50, x > 0.
 
-    Raises SpecialFunctionRangeError when the value would not fit in a
-    double; callers needing that regime use the scaled or log variants.
+    Raises SpecialFunctionOverflow, a SpecialFunctionRangeError, when the
+    value would not fit in a double; that regime needs log_bessel_k.
     """
-    res = log_bessel_k(nu, x)
-    if res.value > _LOG_HUGE:
-        raise SpecialFunctionRangeError(
-            f"bessel_k({nu}, {x}) exceeds double range; use log_bessel_k"
-        )
-    if res.value < -_LOG_HUGE:
-        raise SpecialFunctionRangeError(
-            f"bessel_k({nu}, {x}) underflows double range; use log_bessel_k"
-        )
-    v = math.exp(res.value)
-    err = v * (res.abs_error_estimate + 2e-16 * abs(res.value))
-    return SpecialFunctionResult(v, err, res.method)
+    return _exp_result(log_bessel_k(nu, x), f"bessel_k({nu}, {x})")
+
+
+def _k_derivative(k, nu: float, x: float) -> SpecialFunctionResult:
+    # K'_nu = -(K_{nu-1} + K_{nu+1}) / 2, with k = bessel_k or bessel_k_scaled
+    a = k(abs(nu) - 1.0, x)
+    b = k(abs(nu) + 1.0, x)
+    return SpecialFunctionResult(
+        -0.5 * (a.value + b.value),
+        0.5 * (a.abs_error_estimate + b.abs_error_estimate), "recurrence",
+    )
 
 
 def bessel_k_derivative(nu: float, x: float) -> SpecialFunctionResult:
     """K'_nu(x) via the recurrence K'_nu = -(K_{nu-1} + K_{nu+1}) / 2."""
-    a = bessel_k(abs(nu) - 1.0, x)
-    b = bessel_k(abs(nu) + 1.0, x)
-    v = -0.5 * (a.value + b.value)
-    return SpecialFunctionResult(
-        v, 0.5 * (a.abs_error_estimate + b.abs_error_estimate), "recurrence"
-    )
+    return _k_derivative(bessel_k, nu, x)
 
 
 def bessel_k_derivative_scaled(nu: float, x: float) -> SpecialFunctionResult:
     """K'_nu(x) * e^x (always negative for x > 0)."""
-    a = bessel_k_scaled(abs(nu) - 1.0, x)
-    b = bessel_k_scaled(abs(nu) + 1.0, x)
-    v = -0.5 * (a.value + b.value)
-    return SpecialFunctionResult(
-        v, 0.5 * (a.abs_error_estimate + b.abs_error_estimate), "recurrence"
-    )
+    return _k_derivative(bessel_k_scaled, nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +306,7 @@ def bessel_k_derivative_scaled(nu: float, x: float) -> SpecialFunctionResult:
 # ---------------------------------------------------------------------------
 
 def _lower_p_series(a: float, x: float) -> float:
-    # regularized lower gamma P(a, x) by its series, for x < a + 1
-    if x == 0.0:
-        return 0.0
+    # regularized lower gamma P(a, x) by its series, for 0 < x < a + 1
     ap = a
     term = 1.0 / a
     total = term
@@ -368,42 +345,50 @@ def _upper_cf(a: float, x: float, itmax: int = 10000) -> float:
     )
 
 
+def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
+    """ln Gamma(a, x) for any real a when x > 0, and for a > 0 when x = 0.
+
+    Orders a <= 0 are the extension the mode-series terms need, where the
+    orders run through negative integers; Gamma(a, x) is always positive.
+    """
+    if not (x > 0.0 or (x == 0.0 and a > 0.0)):
+        raise SpecialFunctionDomainError(
+            f"log_upper_incomplete_gamma needs x > 0, or x = 0 < a; got a={a}, x={x}")
+    if x == 0.0:
+        v = math.lgamma(a)
+        return SpecialFunctionResult(v, 4e-16 * abs(v) + 1e-16, "series")
+    if a > 0.0 and x < a + 1.0:
+        v = math.lgamma(a) + math.log1p(-_lower_p_series(a, x))
+        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "series")
+    if a > 0.0 or x >= 1.5:
+        v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
+        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "recurrence")
+    # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1),
+    # seeded at the first order in (0, 1]; an integer a crosses 0 on the way
+    n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)
+    cur = a + n_steps
+    lg = log_upper_incomplete_gamma(cur, x).value
+    lx = math.log(x)
+    for _ in range(n_steps):
+        cur -= 1.0
+        if cur == 0.0:
+            lg = math.log(exp1(x))
+            continue
+        l_pow = cur * lx - x            # ln(x^cur e^-x)
+        # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
+        if l_pow >= lg:
+            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
+        else:
+            # only possible through rounding at the crossover; fall back
+            lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+    return SpecialFunctionResult(lg, 1e-14 * (1 + n_steps) * max(1.0, abs(lg)), "recurrence")
+
+
 def upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
     """Gamma(a, x) = int_x^inf t^(a-1) e^-t dt for a > 0, x >= 0."""
     if not (a > 0.0):
         raise SpecialFunctionDomainError(f"upper_incomplete_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise SpecialFunctionDomainError(f"upper_incomplete_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        if a > 171.0:
-            raise SpecialFunctionRangeError("Gamma(a) overflows; use the log variant")
-        v = math.gamma(a)
-        return SpecialFunctionResult(v, 4e-16 * v, "series")
-    if x < a + 1.0:
-        p = _lower_p_series(a, x)
-        v = math.gamma(a) * (1.0 - p) if a <= 171.0 else math.exp(
-            math.lgamma(a) + math.log1p(-p)
-        )
-        return SpecialFunctionResult(v, 4e-15 * abs(v) / max(1e-16, 1.0 - p), "series")
-    h = _upper_cf(a, x)
-    v = math.exp(-x + a * math.log(x)) * h
-    return SpecialFunctionResult(v, 4e-15 * v, "recurrence")
-
-
-def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
-    """ln Gamma(a, x) for a > 0, x >= 0."""
-    if not (a > 0.0):
-        raise SpecialFunctionDomainError(f"log_upper_incomplete_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise SpecialFunctionDomainError(f"requires x >= 0, got {x}")
-    if x == 0.0:
-        return SpecialFunctionResult(math.lgamma(a), 4e-16 * abs(math.lgamma(a)) + 1e-16, "series")
-    if x < a + 1.0:
-        p = _lower_p_series(a, x)
-        v = math.lgamma(a) + math.log1p(-p)
-        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "series")
-    v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
-    return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "recurrence")
+    return _exp_result(log_upper_incomplete_gamma(a, x), f"upper_incomplete_gamma({a}, {x})")
 
 
 def exp1(x: float) -> float:
@@ -423,81 +408,22 @@ def exp1(x: float) -> float:
     return math.exp(-x) * _upper_cf(0.0, x)
 
 
-def upper_incomplete_gamma_ext(a: float, x: float) -> float:
-    """Gamma(a, x) for any real a (including a <= 0), x > 0.
-
-    Extension used by the mode-series terms, where the orders run through
-    negative integers.  Always positive.
-    """
-    if x <= 0.0:
-        raise SpecialFunctionDomainError(f"extension requires x > 0, got {x}")
-    if a > 0.0:
-        return upper_incomplete_gamma(a, x).value
-    if x >= 1.5:
-        return math.exp(-x + a * math.log(x)) * _upper_cf(a, x)
-    # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1),
-    # seeded at the first order in (0, 1] (or at E_1 for integer a)
-    n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)
-    a0 = a + n_steps
-    if a0 == 0.0:
-        g = exp1(x)
-    else:
-        g = upper_incomplete_gamma(a0, x).value
-    cur = a0
-    ex = math.exp(-x)
-    for _ in range(n_steps):
-        cur -= 1.0
-        if cur == 0.0:
-            # crossing zero exactly: restart from E_1
-            g = exp1(x)
-        else:
-            g = (g - math.pow(x, cur) * ex) / cur
-    return g
-
-
-def log_upper_incomplete_gamma_ext(a: float, x: float) -> float:
-    """ln Gamma(a, x) for any real a, x > 0, safe for huge magnitudes."""
-    if x <= 0.0:
-        raise SpecialFunctionDomainError(f"extension requires x > 0, got {x}")
-    if a > 0.0:
-        return log_upper_incomplete_gamma(a, x).value
-    if x >= 1.5:
-        return -x + a * math.log(x) + math.log(_upper_cf(a, x))
-    n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)
-    a0 = a + n_steps
-    lg = math.log(exp1(x)) if a0 == 0.0 else log_upper_incomplete_gamma(a0, x).value
-    cur = a0
-    lx = math.log(x)
-    for _ in range(n_steps):
-        cur -= 1.0
-        if cur == 0.0:
-            lg = math.log(exp1(x))
-            continue
-        l_pow = cur * lx - x            # ln(x^cur e^-x)
-        # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
-        if l_pow >= lg:
-            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
-        else:
-            # only possible through rounding at the crossover; fall back
-            lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
-    return lg
-
-
 # ---------------------------------------------------------------------------
 # Whittaker W
 # ---------------------------------------------------------------------------
 
-def _kummer_u_log(a: float, b: float, z: float) -> tuple[float, float]:
-    """Confluent hypergeometric U(a, b, z) as (ln|U|, sign), z > 0.
+def _kummer_u_log(a: float, b: float, z: float) -> tuple[float, float, str]:
+    """Confluent hypergeometric U(a, b, z) as (ln|U|, sign, method), z > 0.
 
     Closed forms cover a = 0, a = 1 and non-positive-integer a (the cases
     the series terms generate); anything else goes to mpmath.
     """
     if a == 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, "series"
     if a == 1.0:
         # U(1, b, z) = e^z z^(1-b) Gamma(b-1, z)
-        return z + (1.0 - b) * math.log(z) + log_upper_incomplete_gamma_ext(b - 1.0, z), 1.0
+        g = log_upper_incomplete_gamma(b - 1.0, z)
+        return z + (1.0 - b) * math.log(z) + g.value, 1.0, g.method
     if a < 0.0 and abs(a - round(a)) < 1e-12:
         # polynomial case: U(-n, b, z) = (-1)^n sum_k C(n,k) (b+k)_(n-k) (-z)^k
         n = int(round(-a))
@@ -509,26 +435,15 @@ def _kummer_u_log(a: float, b: float, z: float) -> tuple[float, float]:
             total += math.comb(n, k) * poch * (-z) ** k
         total *= (-1.0) ** n
         if total == 0.0:
-            return -math.inf, 1.0
-        return math.log(abs(total)), math.copysign(1.0, total)
+            return -math.inf, 1.0, "series"
+        return math.log(abs(total)), math.copysign(1.0, total), "series"
     import mpmath as _mp
 
     with _mp.workdps(30):
         u = _mp.hyperu(a, b, z)
         if u == 0:
-            return -math.inf, 1.0
-        return float(_mp.log(abs(u))), 1.0 if u > 0 else -1.0
-
-
-def _kummer_u(a: float, b: float, z: float) -> float:
-    log_u, sign = _kummer_u_log(a, b, z)
-    if log_u == -math.inf:
-        return 0.0
-    if log_u > _LOG_HUGE:
-        raise SpecialFunctionOverflow(
-            f"U({a}, {b}, {z}) overflows double range; use the log route"
-        )
-    return sign * math.exp(log_u)
+            return -math.inf, 1.0, "mpmath"
+        return float(_mp.log(abs(u))), 1.0 if u > 0 else -1.0, "mpmath"
 
 
 def _whittaker_params(kappa: float, mu: float) -> tuple[float, float, float]:
@@ -541,43 +456,31 @@ def _whittaker_params(kappa: float, mu: float) -> tuple[float, float, float]:
     for m_ in (mu, -mu):
         a = m_ - kappa + 0.5
         b = 1.0 + 2.0 * m_
-        closed = (
-            a == 0.0 or a == 1.0
-            or (a < 0.0 and abs(a - round(a)) < 1e-12)
-        )
+        closed = a == 0.0 or a == 1.0 or (a < 0.0 and abs(a - round(a)) < 1e-12)
         candidates.append((not closed, m_ < 0.0, a, b, m_))
     candidates.sort()
     _, _, a, b, m_ = candidates[0]
     return a, b, m_
 
 
+def _log_w(kappa: float, mu: float, z: float) -> tuple[float, float, str]:
+    # (ln |W_{kappa,mu}(z)|, sign, method) through the U connection
+    if not (z > 0.0):
+        raise SpecialFunctionDomainError(f"Whittaker W requires z > 0, got {z}")
+    a, b, mu_used = _whittaker_params(kappa, mu)
+    log_u, sign, method = _kummer_u_log(a, b, z)
+    return -0.5 * z + (mu_used + 0.5) * math.log(z) + log_u, sign, method
+
+
 def whittaker_w(kappa: float, mu: float, z: float) -> SpecialFunctionResult:
     """W_{kappa,mu}(z) through the U connection, z > 0, |kappa|,|mu| <= 60."""
-    if not (z > 0.0):
-        raise SpecialFunctionDomainError(f"whittaker_w requires z > 0, got {z}")
     if abs(kappa) > 60.0 or abs(mu) > 60.0:
         raise SpecialFunctionRangeError("whittaker_w parameters outside supported range")
-    a, b, mu_used = _whittaker_params(kappa, mu)
-    log_pref = -0.5 * z + (mu_used + 0.5) * math.log(z)
-    u = _kummer_u(a, b, z)
-    if u == 0.0:
-        return SpecialFunctionResult(0.0, 1e-300, "series")
-    log_mag = log_pref + math.log(abs(u))
-    if log_mag > _LOG_HUGE:
-        raise SpecialFunctionOverflow(
-            f"whittaker_w({kappa}, {mu}, {z}) overflows; use log_whittaker_w"
-        )
-    v = math.copysign(math.exp(log_mag), u)
-    return SpecialFunctionResult(v, 1e-13 * abs(v) + 1e-300, "series")
+    log_w, sign, method = _log_w(kappa, mu, z)
+    return _exp_result(SpecialFunctionResult(log_w, 1e-13, method),
+                       f"whittaker_w({kappa}, {mu}, {z})", sign=sign)
 
 
 def log_whittaker_w(kappa: float, mu: float, z: float) -> tuple[float, float]:
     """(ln |W_{kappa,mu}(z)|, sign)."""
-    if not (z > 0.0):
-        raise SpecialFunctionDomainError(f"log_whittaker_w requires z > 0, got {z}")
-    a, b, mu_used = _whittaker_params(kappa, mu)
-    log_pref = -0.5 * z + (mu_used + 0.5) * math.log(z)
-    log_u, sign = _kummer_u_log(a, b, z)
-    if log_u == -math.inf:
-        return -math.inf, 1.0
-    return log_pref + log_u, sign
+    return _log_w(kappa, mu, z)[:2]

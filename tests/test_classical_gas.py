@@ -400,6 +400,32 @@ class TestAverageEnergy:
             "; unconverged quadrature: F(x) = int u^2 e^{-4x u^2 - u^4} du")
         assert cg.average_energy_classical(p, t, U, f_x=good).status is not Status.ERROR
 
+    def test_classical_point_names_every_unconverged_quadrature(self, monkeypatch):
+        # with a 15-evaluation budget and an unconverged unit Gaussian, no
+        # row of a temperature may PASS or FLAG on an unconverged oracle
+        monkeypatch.setattr(cg, "integrate_semi_infinite",
+                            functools.partial(integrate_semi_infinite, max_evals=15))
+        unit = cg._UNIT_RADIAL_GAUSSIAN
+        monkeypatch.setattr(cg, "_UNIT_RADIAL_GAUSSIAN",
+                            QuadratureResult(unit.value, 1.0, 15, False))
+        named = {
+            "harmonic_partition_z1": "int v^2 e^{-v^2} dv",
+            "relativistic_harmonic_partition_z2": "int sinh^2 s cosh s e^{-z cosh s} ds",
+            "vibrational_partition": "int r^2 e^{-beta V(r)} dr",
+            "f_function": "F(x) = int u^2 e^{-4x u^2 - u^4} du",
+            "g_function": "int sinh^2 s cosh s e^{-z cosh s} ds",
+            "average_energy_classical": "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du",
+        }
+        cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+        rows, reports = cli._classical_point(cfg, 1.3)
+        assert [r.quantity_name for r in reports] == list(named)
+        assert [row[5] for row in rows] == ["ERROR"] * len(named)
+        for rep in reports:
+            prov = rep.provenance.split("; unconverged quadrature: ", 1)[1]
+            assert named[rep.quantity_name] in prov
+        z2 = reports[1].provenance.split("; unconverged quadrature: ", 1)[1]
+        assert z2 == "int sinh^2 s cosh s e^{-z cosh s} ds; int v^2 e^{-v^2} dv"
+
     def test_dual_route_report_records_deviation(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         rep = cg.average_energy_classical(p, natural_state(), U)

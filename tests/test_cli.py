@@ -285,6 +285,11 @@ class TestSpecfunEval:
         assert payload["method"] == "series"
         assert payload["value"] == pytest.approx(0.11537827684086016, rel=1e-12)
 
+    def test_whittaker_names_the_branch_that_ran(self, capsys):
+        # W_{-2,1/2} lands on U(3, 2, .), which has no closed form here
+        assert run(["specfun-eval", "whittaker_w", "-2", "0.5", "0.8"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "mpmath"
+
     def test_wrong_arity(self, capsys):
         assert run(["specfun-eval", "bessel_k", "1.0"]) == 1
 

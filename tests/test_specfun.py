@@ -112,14 +112,22 @@ class TestBesselK:
                 assert abs(got.value - ref) <= 10.0 * got.abs_error_estimate
 
     def test_scaled_and_log_variants_consistent(self):
-        for nu in (0.25, 1.0, 3.5):
-            for x in (0.7, 5.0, 120.0):
-                k = sf.bessel_k(nu, x).value if x < 700 else None
-                ks = sf.bessel_k_scaled(nu, x).value
-                lk = sf.log_bessel_k(nu, x).value
-                assert math.log(ks) - x == pytest.approx(lk, abs=1e-10)
-                if k is not None:
-                    assert ks * math.exp(-x) == pytest.approx(k, rel=1e-12)
+        # log_bessel_k is the one route: the value and scaled forms are its
+        # exponential, bit for bit, on every branch
+        methods = {}
+        for nu, x in ((0.25, 0.7), (1.0, 0.7), (3.5, 0.7), (3.5, 3.9), (0.25, 5.0),
+                      (1.0, 5.0), (3.5, 12.0), (0.25, 120.0), (1.0, 120.0),
+                      (3.5, 120.0), (1.0005, 2.0), (2.9995, 0.5)):
+            lk = sf.log_bessel_k(nu, x)
+            k = sf.bessel_k(nu, x)
+            ks = sf.bessel_k_scaled(nu, x)
+            assert k.value == math.exp(lk.value)
+            assert ks.value == math.exp(lk.value + x)
+            assert k.method == ks.method == lk.method
+            methods[(nu, x)] = lk.method
+        assert set(methods.values()) == {"series", "recurrence", "asymptotic", "quadrature"}
+        # the near-integer orders at small x take the quadrature branch
+        assert methods[(1.0005, 2.0)] == methods[(2.9995, 0.5)] == "quadrature"
 
 
 class TestBesselKDerivative:
@@ -183,18 +191,29 @@ class TestUpperIncompleteGamma:
     @pytest.mark.parametrize("a", [0.0, -1.0, -2.5, -7.0, -13.0, -19.0])
     @pytest.mark.parametrize("x", [3e-4, 0.04, 0.9, 1.49, 1.51, 7.0, 35.0])
     def test_extension_to_nonpositive_orders(self, a, x):
-        got = sf.upper_incomplete_gamma_ext(a, x)
-        ref = float(mpmath.gammainc(a, x))
-        assert got == pytest.approx(ref, rel=5e-13)
-        assert sf.log_upper_incomplete_gamma_ext(a, x) == pytest.approx(
+        assert sf.log_upper_incomplete_gamma(a, x).value == pytest.approx(
             float(mpmath.log(mpmath.gammainc(a, x))), rel=1e-12, abs=1e-12
         )
 
+    def test_zero_argument_and_range(self):
+        # Gamma(a, 0) = Gamma(a) needs a > 0; beyond double range only the
+        # log route answers
+        with pytest.raises(sf.SpecialFunctionDomainError):
+            sf.log_upper_incomplete_gamma(-1.0, 0.0)
+        with pytest.raises(sf.SpecialFunctionOverflow):
+            sf.upper_incomplete_gamma(180.0, 0.0)
+        assert sf.log_upper_incomplete_gamma(180.0, 0.0).value == pytest.approx(
+            math.lgamma(180.0), rel=1e-15)
+
     def test_log_variant_matches(self):
-        for a, x in ((0.7, 0.1), (4.0, 1.0), (12.0, 30.0), (3.0, 200.0)):
-            lg = sf.log_upper_incomplete_gamma(a, x).value
+        for a, x in ((0.7, 0.1), (4.0, 1.0), (12.0, 30.0), (3.0, 200.0), (2.5, 0.0)):
+            lg = sf.log_upper_incomplete_gamma(a, x)
             ref = float(mpmath.log(mpmath.gammainc(a, x)))
-            assert lg == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            assert lg.value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            # the value form is the exponential of the one log route
+            g = sf.upper_incomplete_gamma(a, x)
+            assert g.value == math.exp(lg.value)
+            assert g.method == lg.method
 
     def test_exp1(self):
         for x in (0.05, 0.8, 1.0, 3.0, 25.0):
@@ -250,10 +269,15 @@ class TestWhittakerW:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_log_variant(self):
-        for (k, m, z) in ((0.3, 1.2, 2.5), (-2.0, 0.5, 0.8), (-5.0, -4.5, 0.04)):
-            val = sf.whittaker_w(k, m, z).value
+        # U cases: polynomial, generic (mpmath), a = 1 through Gamma(-9, 0.04)
+        for (k, m, z), method in (((0.3, 1.2, 2.5), "series"),
+                                  ((-2.0, 0.5, 0.8), "mpmath"),
+                                  ((-5.0, -4.5, 0.04), "recurrence"),
+                                  ((1.5, 2.0, 1.0), "series")):
+            got = sf.whittaker_w(k, m, z)
             lg, sign = sf.log_whittaker_w(k, m, z)
-            assert sign * math.exp(lg) == pytest.approx(val, rel=1e-12)
+            assert got.value == sign * math.exp(lg)
+            assert got.method == method
 
     def test_domain_error_and_overflow_signal(self):
         with pytest.raises(sf.SpecialFunctionDomainError):
