@@ -463,7 +463,11 @@ def cmd_specfun_eval(func: str, args: list[float]) -> int:
     if len(args) != arity:
         print(f"{func} takes {arity} arguments, got {len(args)}", file=sys.stderr)
         return 1
-    res = fn(*args)
+    try:
+        res = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        print(f"specfun-eval error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps({
         "function": func,
         "args": args,

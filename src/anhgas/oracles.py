@@ -275,15 +275,15 @@ def diagonalize_converged(
     build: Callable[[int], np.ndarray],
     k: int,
     n_start: int = 200,
-    drift_tol: float = 1e-8,
-    n_cap: int = 2000,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Double the basis until the k lowest eigenvalues stop drifting.
+    """Double the basis, up to 2000 states, until the k lowest eigenvalues
+    drift by at most 1e-8 relative.
 
     Returns (eigenvalues, per-eigenvalue converged flags, basis size used).
     """
     import numpy as np
 
+    drift_tol, n_cap = 1e-8, 2000
     n = n_start
     vals = diagonalize_truncated(build(n), k)
     while 2 * n <= n_cap:
@@ -310,11 +310,10 @@ def metropolis_expectation(
     burn_in: int,
     seed: int,
     x0: float = 1.0,
-    n_batches: int = 32,
 ) -> McEstimate:
     """Random-walk Metropolis estimate of <observable> under exp(log_weight).
 
-    Deterministic for a fixed seed; the standard error comes from batch
+    Deterministic for a fixed seed; the standard error comes from 32 batch
     means, so short-range autocorrelation is accounted for.
     """
     import numpy as np
@@ -341,6 +340,7 @@ def metropolis_expectation(
         if i >= burn_in:
             values[i - burn_in] = observable(x)
     acc = accepted / total
+    n_batches = 32
     usable = (n_samples // n_batches) * n_batches
     batches = values[:usable].reshape(n_batches, -1).mean(axis=1)
     mean = float(values.mean())

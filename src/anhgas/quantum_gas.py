@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import specfun as sf
@@ -29,7 +29,6 @@ __all__ = [
     "PositivityWindowError",
     "SpectrumCoeffs",
     "DimensionlessCouplings",
-    "LadderBasisOperator",
     "position_power_matrix",
     "oscillator_hamiltonian",
     "literal_shift",
@@ -57,21 +56,13 @@ class PositivityWindowError(ValueError):
 # harmonic-basis operators and perturbation theory
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LadderBasisOperator:
-    """Exact harmonic-basis matrix of x^power; bandwidth equals power."""
-
-    dimension: int
-    matrix: np.ndarray
-    power: int
-
-
 def position_power_matrix(
     power: int, n_dim: int, m: float, omega: float, u: UnitSystem = NATURAL_UNITS
-) -> LadderBasisOperator:
+) -> np.ndarray:
     """Matrix of x^power (power in 1..4) from ladder-operator algebra.
 
-    Entries are exact rational multiples of s^(power/2), s = hbar/(2 m w).
+    Entries are exact rational multiples of s^(power/2), s = hbar/(2 m w);
+    the bandwidth equals power.
     """
     import numpy as np
 
@@ -102,8 +93,20 @@ def position_power_matrix(
             (n[:-4] + 1.0) * (n[:-4] + 2.0) * (n[:-4] + 3.0) * (n[:-4] + 4.0)
         )
         mat[np.arange(n_dim - 4), np.arange(4, n_dim)] = off4
-    mat = mat + np.triu(mat, 1).T
-    return LadderBasisOperator(dimension=n_dim, matrix=mat, power=power)
+    return mat + np.triu(mat, 1).T
+
+
+def _interaction(n_dim: int, p: OscillatorParams, u: UnitSystem) -> np.ndarray:
+    # H_I = mu x^3 + lam x^4; the two never share an entry (odd vs even
+    # bands), so any order of the sums gives the same bits
+    import numpy as np
+
+    h_i = np.zeros((n_dim, n_dim))
+    if p.mu != 0.0:
+        h_i += p.mu * position_power_matrix(3, n_dim, p.m, p.omega, u)
+    if p.lam != 0.0:
+        h_i += p.lam * position_power_matrix(4, n_dim, p.m, p.omega, u)
+    return h_i
 
 
 def oscillator_hamiltonian(
@@ -113,12 +116,7 @@ def oscillator_hamiltonian(
     import numpy as np
 
     n = np.arange(n_dim, dtype=float)
-    h = np.diag(u.hbar * p.omega * (n + 0.5))
-    if p.mu != 0.0:
-        h = h + p.mu * position_power_matrix(3, n_dim, p.m, p.omega, u).matrix
-    if p.lam != 0.0:
-        h = h + p.lam * position_power_matrix(4, n_dim, p.m, p.omega, u).matrix
-    return h
+    return np.diag(u.hbar * p.omega * (n + 0.5)) + _interaction(n_dim, p, u)
 
 
 def literal_shift(n: int, p: OscillatorParams, order: str = "both",
@@ -154,11 +152,7 @@ def rspt_shift(n: int, p: OscillatorParams, order: str = "both",
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     n_dim = n_dim or (n + 20)
-    h_i = np.zeros((n_dim, n_dim))
-    if p.mu != 0.0:
-        h_i += p.mu * position_power_matrix(3, n_dim, p.m, p.omega, u).matrix
-    if p.lam != 0.0:
-        h_i += p.lam * position_power_matrix(4, n_dim, p.m, p.omega, u).matrix
+    h_i = _interaction(n_dim, p, u)
     first = float(h_i[n, n])
     if order == "first":
         return first
@@ -203,7 +197,6 @@ class SpectrumCoeffs:
     a_coeff: float
     b_coeff: float
     c_coeff: float
-    omega: float
 
     def energy_level(self, n: int) -> float:
         return self.a_coeff * n * n + self.b_coeff * n + self.c_coeff
@@ -221,7 +214,7 @@ def spectrum_coeffs(omega: float, p: OscillatorParams,
         + 3.0 * p.lam * h2 / (2.0 * p.m**2 * omega**2) + u.hbar * omega
     c = -5.0 * mu2 * h2 / (16.0 * p.m**3 * omega**4) \
         + 3.0 * p.lam * h2 / (4.0 * p.m**2 * omega**2) + 0.5 * u.hbar * omega
-    return SpectrumCoeffs(a_coeff=a, b_coeff=b, c_coeff=c, omega=omega)
+    return SpectrumCoeffs(a_coeff=a, b_coeff=b, c_coeff=c)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +230,6 @@ class DimensionlessCouplings:
     a_B: float
     kappa_sq: float
     y_star: float
-    g1_includes_y: bool = False
-
-    def g1(self, y: float) -> float:
-        base = 6.0 * self.a_A / y**4 + 2.0 * self.a_B / y**2
-        return base + y if self.g1_includes_y else base
-
-    def g2(self, y: float) -> float:
-        return self.a_A / y**4 + self.a_B / y**2
 
     def f_n(self, y: float, n: np.ndarray | float):
         return (self.a_A * (n * n + 6.0 * n) / y**4
@@ -259,7 +244,7 @@ class DimensionlessCouplings:
         if a_B < 0.0:
             raise ValueError(f"a_B must be >= 0, got {a_B}")
         if a_A == 0.0:
-            return cls(0.0, a_B, 0.0, 0.0, g1_includes_y)
+            return cls(0.0, a_B, 0.0, 0.0)
         if a_B == 0.0:
             raise PositivityWindowError(
                 "no positivity window: a_B = 0 with a_A < 0 keeps the "
@@ -287,13 +272,19 @@ class DimensionlessCouplings:
             y1_root = hi
         else:
             y1_root = math.sqrt(3.0 * kappa_sq)
-        return cls(a_A, a_B, kappa_sq, max(y1_root, y2_root), g1_includes_y)
+        return cls(a_A, a_B, kappa_sq, max(y1_root, y2_root))
 
 
 def dimensionless_couplings(p: OscillatorParams, t: ThermalState,
                             u: UnitSystem = NATURAL_UNITS,
                             g1_includes_y: bool = False) -> DimensionlessCouplings:
-    """a_A = -hbar^6 mu^2 / (16 m^3 (kT)^5), a_B = 3 lam hbar^4 / (4 m^2 (kT)^3)."""
+    """a_A = -hbar^6 mu^2 / (16 m^3 (kT)^5), a_B = 3 lam hbar^4 / (4 m^2 (kT)^3).
+
+    The one place that decides the positivity window: a cubic coupling
+    without a quartic one has none, even where a_A underflows to zero.
+    """
+    if p.lam <= 0.0 and p.mu != 0.0:
+        raise PositivityWindowError("cubic coupling without quartic has no positivity window")
     kt = t.kt(u)
     a_a = -u.hbar**6 * p.mu**2 / (16.0 * p.m**3 * kt**5)
     a_b = 3.0 * p.lam * u.hbar**4 / (4.0 * p.m**2 * kt**3)
@@ -314,15 +305,13 @@ def _require_window(y: float, d: DimensionlessCouplings):
 
 
 def _in_window(y: float, d: DimensionlessCouplings, y_cut: float) -> bool:
-    # Heaviside of the mode sums: above the cutoff, y_star and both
-    # threshold functions
-    if y <= y_cut or y <= d.y_star or y <= 0.0:
-        return False
-    return not (d.a_A < 0.0 and (d.g1(y) <= 0.0 or d.g2(y) <= 0.0))
+    # Heaviside of the mode sums: above the cutoff and y_star, which is
+    # where both threshold functions turn positive
+    return y > y_cut and y > d.y_star and y > 0.0
 
 
-def _mode_sums(y: float, d: DimensionlessCouplings, rel_tol: float,
-               n_cap: int = 2_000_000) -> tuple[float, float, int, float, float]:
+def _mode_sums(y: float, d: DimensionlessCouplings,
+               rel_tol: float) -> tuple[float, float, int, float, float]:
     """Sums over n >= 0 of f_n e^{-f_n} and of e^{-f_n}, with a rigorous stop.
 
     Returns (num, den, last n summed, bound on num's dropped tail, bound on
@@ -347,7 +336,7 @@ def _mode_sums(y: float, d: DimensionlessCouplings, rel_tol: float,
     num = den = 0.0
     f = 0.0
     n = 0
-    while n < n_cap:
+    while n < 2_000_000:
         w = exp(-f)
         den += w
         num += f * w
@@ -361,26 +350,20 @@ def _mode_sums(y: float, d: DimensionlessCouplings, rel_tol: float,
             if tail_den <= rel_tol * den and tail_num <= rel_tol * num:
                 return num, den, n - 1, tail_num, tail_den
         f = f_next
-    raise RuntimeError(f"mode sums did not converge within {n_cap} terms at y={y}")
+    raise RuntimeError(f"mode sums did not converge within {n} terms at y={y}")
 
 
-def mode_partition_sum(y: float, d: DimensionlessCouplings,
-                       rel_tol: float = 1e-10) -> tuple[float, SeriesTruncation]:
+def mode_partition_sum(y: float, d: DimensionlessCouplings) -> tuple[float, SeriesTruncation]:
     """sum_n exp(-f_n(y)) with zero-point terms deliberately absent."""
-    if not (y > 0.0):
-        raise ValueError(f"y must be positive, got {y}")
     _require_window(y, d)
-    _, den, n_max, _, tail = _mode_sums(y, d, rel_tol)
+    _, den, n_max, _, tail = _mode_sums(y, d, 1e-10)
     return den, SeriesTruncation(n_max=n_max, tail_estimate=tail)
 
 
-def mode_mean_occupancy_energy(y: float, d: DimensionlessCouplings,
-                               rel_tol: float = 1e-12) -> float:
+def mode_mean_occupancy_energy(y: float, d: DimensionlessCouplings) -> float:
     """Dimensionless mean mode energy sum f_n e^{-f_n} / sum e^{-f_n}."""
-    if not (y > 0.0):
-        raise ValueError(f"y must be positive, got {y}")
     _require_window(y, d)
-    num, den, _, _, _ = _mode_sums(y, d, rel_tol)
+    num, den, _, _, _ = _mode_sums(y, d, 1e-12)
     return num / den
 
 
@@ -421,7 +404,6 @@ def energy_density_massless(
     cutoff_convention: str = "y_star",
     g1_includes_y: bool = False,
     rel_tol: float = 1e-9,
-    threshold: float = 1e-6,
     integrals: dict[tuple, float] | None = None,
 ) -> ComparisonReport:
     """Massless Bose-Einstein energy density with the positivity cutoff.
@@ -439,8 +421,6 @@ def energy_density_massless(
     """
     if integrals is None:
         integrals = {}
-    if p.lam <= 0.0 and p.mu != 0.0:
-        raise PositivityWindowError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
     y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
@@ -466,7 +446,7 @@ def energy_density_massless(
         "energy_density_massless",
         literal,
         oracle,
-        threshold=threshold,
+        threshold=1e-6,
         provenance="mode-sum energy density, dual-transform quadrature",
         options_used={
             "T": t.T,
@@ -485,7 +465,6 @@ def energy_density_massive(
     cutoff_convention: str = "y_star",
     g1_includes_y: bool = False,
     rel_tol: float = 1e-9,
-    threshold: float = 0.05,
 ) -> ComparisonReport:
     """Massive-gas energy density: printed radicand vs dispersion-corrected.
 
@@ -495,8 +474,6 @@ def energy_density_massive(
     """
     if mass_gas <= 0.0:
         raise ValueError(f"gas mass must be positive, got {mass_gas}")
-    if p.lam <= 0.0 and p.mu != 0.0:
-        raise PositivityWindowError("cubic coupling without quartic has no positivity window")
     d = dimensionless_couplings(p, t, u, g1_includes_y)
     y_cut = _resolve_cut(d, cutoff_convention)
     kt = t.kt(u)
@@ -508,15 +485,11 @@ def energy_density_massive(
         lower = max(y_min, y_cut, d.y_star)
 
         def f(y: float) -> float:
-            if y <= lower:
-                return 0.0
             rad = q * q * y - 1.0 if mode == "printed" else (q * y) ** 2 - 1.0
             if rad <= 0.0:
                 return 0.0
-            base = massless_integrand(y, d, y_cut)
-            if base == 0.0:
-                return 0.0
-            return base / y * math.sqrt(rad)     # mean * y * sqrt(radicand)
+            # mean * y * sqrt(radicand); zero outside the window
+            return massless_integrand(y, d, y_cut) / y * math.sqrt(rad)
 
         return pref * integrate_semi_infinite(f, lower, rel_tol=rel_tol,
                                               transform=transform).value
@@ -527,7 +500,7 @@ def energy_density_massive(
         "energy_density_massive",
         literal,
         corrected,
-        threshold=threshold,
+        threshold=0.05,
         provenance="massive-gas density, printed radicand vs dispersion-corrected",
         options_used={
             "T": t.T, "mass_gas": mass_gas, "q": q,
@@ -536,11 +509,8 @@ def energy_density_massive(
         },
     )
     if literal == 0.0 and corrected == 0.0:
-        rep = ComparisonReport(
-            rep.quantity_name, 0.0, 0.0, 0.0, 0.0, Status.FLAGGED,
-            rep.provenance, threshold,
-            {**rep.options_used, "window": "empty"},
-        )
+        rep = replace(rep, status=Status.FLAGGED,
+                      options_used={**rep.options_used, "window": "empty"})
     return rep
 
 
@@ -591,7 +561,7 @@ def _tail_integral(power: float, decay: float, y0: float) -> float:
 
 
 def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
-                          y0: float | None = None) -> tuple[float, float]:
+                          y0: float) -> tuple[float, float]:
     """Corrected series term pair (f_term, g_term) at indices (i, j, n).
 
     f_term collects the three tail integrals with decay n, g_term the same
@@ -605,8 +575,6 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
         raise ValueError(f"series terms start at n = 1, got {n}")
     if i < 0 or j < 0:
         raise ValueError("indices must be non-negative")
-    if y0 is None:
-        y0 = 3.0 * d.kappa_sq
     p1, p2, p3 = _line_powers(i, j)
     c1 = d.a_A * (n * n + 6.0 * n)
     c2 = d.a_B * (2.0 * n * n + 2.0 * n)
@@ -643,16 +611,12 @@ def whittaker_series_term_printed(i: int, j: int, n: int, d: DimensionlessCoupli
     c_a = d.a_A * (n * n + 6.0 * n)
     c_b = d.a_B * (2.0 * n * n + 2.0 * n)
 
-    def w_term(kap: float, mu: float, z: float) -> float:
-        log_w, sign = sf.log_whittaker_w(kap, mu, z)
-        return sign, log_w
-
     def line(coeff: float, n_pow_base: float, n_pow: float,
              arg_pow_base: float, arg_pow: float,
              kap: float, mu: float, z: float) -> float:
         if coeff == 0.0:
             return 0.0
-        sign, log_w = w_term(kap, mu, z)
+        log_w, sign = sf.log_whittaker_w(kap, mu, z)
         log_mag = (math.log(abs(coeff)) + n_pow * math.log(n_pow_base)
                    + arg_pow * math.log(arg_pow_base) + expo + log_w)
         if log_mag > 705.0:
@@ -685,7 +649,6 @@ def series_energy_density(
     cutoff_convention: str = "y_star",
     g1_includes_y: bool = False,
     rel_tol: float = 1e-9,
-    threshold: float = 0.01,
 ) -> ComparisonReport:
     """Triple-series energy density vs denominator-replaced quadrature.
 
@@ -700,7 +663,7 @@ def series_energy_density(
             f"a_B={d.a_B:.3g} outside the denominator-replacement regime (<= 0.1)"
         )
     trunc = trunc or SeriesTruncation(n_max=50, i_max=3, j_max=3)
-    y0 = _resolve_cut(d, cutoff_convention) if d.kappa_sq > 0.0 else 0.0
+    y0 = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
 
     try:
@@ -711,7 +674,7 @@ def series_energy_density(
             "series_energy_density", math.nan, math.nan, math.nan, math.nan,
             Status.ERROR,
             "triple tail-integral series vs denominator-replaced quadrature",
-            threshold,
+            0.01,
             {"T": t.T, "overflow": str(exc), "y0": y0,
              "n_max": trunc.n_max, "i_max": trunc.i_max, "j_max": trunc.j_max},
         )
@@ -728,7 +691,7 @@ def series_energy_density(
         "series_energy_density",
         literal,
         oracle,
-        threshold=threshold,
+        threshold=0.01,
         provenance="triple tail-integral series vs denominator-replaced quadrature",
         options_used={
             "T": t.T,
@@ -740,11 +703,8 @@ def series_energy_density(
         },
     )
     if not box_ok:
-        rep = ComparisonReport(
-            rep.quantity_name, rep.literal, rep.oracle, rep.abs_dev, rep.rel_dev,
-            Status.FLAGGED, rep.provenance, rep.threshold,
-            {**rep.options_used, "note": "truncation box too small"},
-        )
+        rep = replace(rep, status=Status.FLAGGED,
+                      options_used={**rep.options_used, "note": "truncation box too small"})
     return rep
 
 

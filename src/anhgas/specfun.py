@@ -68,8 +68,9 @@ class SpecialFunctionResult:
 
     ``method`` records which evaluation branch produced the value:
     one of ``series``, ``asymptotic``, ``quadrature``, ``recurrence``,
-    or ``mpmath`` for a Whittaker W outside the closed-form U cases,
-    which ``mpmath.hyperu`` evaluates.
+    ``continued_fraction`` (the Lentz fraction for Gamma(a, x)), or
+    ``mpmath`` for a Whittaker W outside the closed-form U cases, which
+    ``mpmath.hyperu`` evaluates.
     """
 
     value: float
@@ -200,6 +201,8 @@ def _k_asymptotic_scaled(nu: float, x: float) -> float | None:
     return None
 
 
+# classical_gas keeps its own copy: this one feeds the literal closed
+# forms through K_nu, that one the oracles that check them
 def _log_cosh(u: float) -> float:
     u = abs(u)
     return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
@@ -319,14 +322,14 @@ def _lower_p_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _upper_cf(a: float, x: float, itmax: int = 10000) -> float:
+def _upper_cf(a: float, x: float) -> float:
     # Lentz continued fraction for Gamma(a, x) e^x x^-a; x >= ~1 or a << x
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, itmax):
+    for i in range(1, 10000):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -362,7 +365,7 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
         return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "series")
     if a > 0.0 or x >= 1.5:
         v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
-        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "recurrence")
+        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "continued_fraction")
     # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1),
     # seeded at the first order in (0, 1]; an integer a crosses 0 on the way
     n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)

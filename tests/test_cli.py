@@ -295,3 +295,14 @@ class TestSpecfunEval:
 
     def test_unknown_function(self, capsys):
         assert run(["specfun-eval", "bessel_j", "1.0", "1.0"]) == 1
+
+    @pytest.mark.parametrize("values, message", [
+        (["50", "1e-6"], "leaves double range"),     # beyond double range
+        (["0.5", "-1"], "requires x > 0"),           # outside the domain
+    ])
+    def test_evaluation_error_is_one_line_and_exit_one(self, capsys, values, message):
+        assert run(["specfun-eval", "bessel_k", *values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specfun-eval error: ")
+        assert message in captured.err and captured.err.count("\n") == 1

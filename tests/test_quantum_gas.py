@@ -22,35 +22,34 @@ def t_of(temperature):
 
 class TestPositionPowerMatrices:
     def test_x2_diagonal(self):
-        op = qg.position_power_matrix(2, 10, 1.0, 1.0, U)
+        mat = qg.position_power_matrix(2, 10, 1.0, 1.0, U)
         n = np.arange(10)
-        assert np.allclose(np.diag(op.matrix), S * (2 * n + 1), rtol=0, atol=0)
+        assert np.allclose(np.diag(mat), S * (2 * n + 1), rtol=0, atol=0)
 
     def test_x4_diagonal(self):
-        op = qg.position_power_matrix(4, 10, 1.0, 1.0, U)
+        mat = qg.position_power_matrix(4, 10, 1.0, 1.0, U)
         n = np.arange(10.0)
-        assert np.allclose(np.diag(op.matrix), S * S * (6 * n * n + 6 * n + 3),
+        assert np.allclose(np.diag(mat), S * S * (6 * n * n + 6 * n + 3),
                            rtol=1e-15, atol=0)
 
     def test_x3_third_off_diagonal(self):
-        op = qg.position_power_matrix(3, 12, 1.0, 1.0, U)
+        mat = qg.position_power_matrix(3, 12, 1.0, 1.0, U)
         for n in range(9):
             want = S**1.5 * math.sqrt((n + 1) * (n + 2) * (n + 3))
-            assert op.matrix[n + 3, n] == pytest.approx(want, rel=1e-14)
+            assert mat[n + 3, n] == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("power", [2, 3, 4])
     def test_brute_force_product_oracle(self, power):
         # multiply out x at a larger dimension, then truncate
         n_dim = 14
-        x1 = qg.position_power_matrix(1, n_dim + 8, 1.0, 1.0, U).matrix
+        x1 = qg.position_power_matrix(1, n_dim + 8, 1.0, 1.0, U)
         brute = np.linalg.matrix_power(x1, power)[:n_dim, :n_dim]
-        mine = qg.position_power_matrix(power, n_dim, 1.0, 1.0, U).matrix
+        mine = qg.position_power_matrix(power, n_dim, 1.0, 1.0, U)
         assert np.max(np.abs(brute - mine)) < 1e-13
 
     @pytest.mark.parametrize("power", [1, 2, 3, 4])
     def test_bandwidth_and_symmetry(self, power):
-        op = qg.position_power_matrix(power, 16, 2.0, 0.7, U)
-        mat = op.matrix
+        mat = qg.position_power_matrix(power, 16, 2.0, 0.7, U)
         assert np.max(np.abs(mat - mat.T)) <= 1e-14 * max(1.0, np.max(np.abs(mat)))
         for r in range(16):
             for c in range(16):
@@ -169,6 +168,22 @@ class TestDimensionlessCouplings:
         assert d.y_star < 1.0   # the +y term loosens the threshold
 
 
+class TestOnePositivityWindow:
+    # dimensionless_couplings decides the window for every caller, also
+    # where mu^2 underflows and a_A comes out zero
+    @pytest.mark.parametrize("mu", [0.1, 1e-200])
+    @pytest.mark.parametrize("call", [
+        lambda p: qg.dimensionless_couplings(p, t_of(1.0), U),
+        lambda p: qg.energy_density_massless(p, t_of(1.0), U),
+        lambda p: qg.energy_density_massive(p, 1.0, t_of(1.0), U),
+        lambda p: qg.series_energy_density(p, t_of(1.0), U),
+    ], ids=["couplings", "massless", "massive", "series"])
+    def test_cubic_without_quartic_is_refused(self, call, mu):
+        p = OscillatorParams(m=1.0, omega=1.0, mu=mu)
+        with pytest.raises(qg.PositivityWindowError, match="cubic coupling without quartic"):
+            call(p)
+
+
 class TestModeSums:
     def test_geometric_limit(self):
         d = qg.DimensionlessCouplings.from_values(0.0, 0.0)
@@ -178,7 +193,7 @@ class TestModeSums:
 
     def test_brute_force_quartic_coupling(self):
         d = qg.DimensionlessCouplings.from_values(0.0, 0.1)
-        val, _ = qg.mode_partition_sum(1.0, d, rel_tol=1e-10)
+        val, _ = qg.mode_partition_sum(1.0, d)
         brute = math.fsum(
             math.exp(-(0.1 * (2 * n * n + 2 * n) + n)) for n in range(10**4))
         assert val == pytest.approx(brute, rel=1e-10)
@@ -444,7 +459,7 @@ class TestSeriesTerms:
 
     def test_index_floor(self):
         with pytest.raises(ValueError, match="n = 1"):
-            qg.whittaker_series_term(0, 0, 0, self.d)
+            qg.whittaker_series_term(0, 0, 0, self.d, y0=self.y0)
 
     def test_triple_sum_memo_is_exact_and_saves_calls(self, monkeypatch):
         from anhgas import specfun as sf

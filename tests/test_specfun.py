@@ -215,6 +215,12 @@ class TestUpperIncompleteGamma:
             assert g.value == math.exp(lg.value)
             assert g.method == lg.method
 
+    def test_branch_labels(self):
+        # the Lentz continued fraction and the a <= 0 downward recurrence
+        # are told apart
+        assert sf.log_upper_incomplete_gamma(3.0, 200.0).method == "continued_fraction"
+        assert sf.log_upper_incomplete_gamma(-2.5, 0.5).method == "recurrence"
+
     def test_exp1(self):
         for x in (0.05, 0.8, 1.0, 3.0, 25.0):
             assert sf.exp1(x) == pytest.approx(float(mpmath.e1(x)), rel=1e-12)
