@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from . import classical_gas as cg
 from . import quantum_gas as qg
 from . import specfun as sf
-from .oracles import SeriesTruncation, integrate_semi_infinite, metropolis_expectation
+from .oracles import integrate_semi_infinite, metropolis_expectation
 from .params import FormalVolumes, OscillatorParams, ThermalState, UnitSystem
 from .reports import ComparisonReport, Status, compare
 
@@ -42,17 +42,16 @@ def _fmt(x: float) -> str:
 
 _DEFAULT_OPTIONS: dict = {
     "cutoff_convention": "y_star",
-    "g1_includes_y": False,
-    "perturbation_order": "both",
-    "n_levels": 6,
-    "series_n_max": 50,
-    "series_i_max": 3,
-    "series_j_max": 3,
-    "rel_tol": 1e-9,
     "seed": 20080,
-    "spectral_samples": 48,
     "massive_gas_mass": 1.0,
 }
+
+
+def _positive_number(path: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0.0 < value <= sys.float_info.max:
+        raise ValueError(f"{path}: must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -76,10 +75,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {"unit_system", "oscillator", "thermal_grid", "options"}
-        for key in raw:
-            if key not in known:
+        if not isinstance(raw, dict):
+            raise ValueError("config: must be a JSON object")
+        for key, val in raw.items():
+            if key not in ("unit_system", "oscillator", "thermal_grid", "options"):
                 raise ValueError(f"unknown config key: {key}")
+            if key != "thermal_grid" and not isinstance(val, dict):
+                raise ValueError(f"{key}: must be a JSON object, got {val!r}")
         opts = dict(_DEFAULT_OPTIONS)
         for key, val in raw.get("options", {}).items():
             if key not in _DEFAULT_OPTIONS:
@@ -88,23 +90,22 @@ class RunConfig:
         if opts["cutoff_convention"] not in ("y_star", "kappa_literal"):
             raise ValueError("options.cutoff_convention: must be 'y_star' or "
                              f"'kappa_literal', got {opts['cutoff_convention']!r}")
-        mass = opts["massive_gas_mass"]
-        if not (isinstance(mass, (int, float)) and mass > 0.0):
-            raise ValueError(f"options.massive_gas_mass: must be a number > 0, got {mass!r}")
-        try:
-            units = UnitSystem(**raw.get("unit_system", {}))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"unit_system: {exc}") from exc
-        osc_raw = {"m": 1.0, "omega": 1.0, "lam": 1.0, "mu": 0.0}
-        osc_raw.update(raw.get("oscillator", {}))
-        try:
-            osc = OscillatorParams(**osc_raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"oscillator: {exc}") from exc
-        grid = [float(t) for t in raw.get("thermal_grid", [1.0])]
-        if not grid:
-            raise ValueError("thermal_grid: must contain at least one temperature")
-        return cls(unit_system=units, oscillator=osc, thermal_grid=grid, options=opts)
+        _positive_number("options.massive_gas_mass", opts["massive_gas_mass"])
+        records = {}
+        for key, default in (("unit_system", UnitSystem()), ("oscillator", cls().oscillator)):
+            for name, val in raw.get(key, {}).items():
+                if isinstance(val, bool) or not isinstance(val, (int, float)):
+                    raise ValueError(f"{key}.{name}: must be a number, got {val!r}")
+            try:
+                records[key] = dataclasses.replace(default, **raw.get(key, {}))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+        grid = raw.get("thermal_grid", [1.0])
+        if not (isinstance(grid, list) and grid):
+            raise ValueError("thermal_grid: must be a non-empty list of temperatures, "
+                             f"got {grid!r}")
+        grid = [_positive_number(f"thermal_grid[{k}]", t) for k, t in enumerate(grid)]
+        return cls(thermal_grid=grid, options=opts, **records)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -220,7 +221,6 @@ def cmd_classical(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 def _quantum_point(cfg: RunConfig, temperature: float):
     u = cfg.unit_system
     p = cfg.oscillator
-    opts = cfg.options
     t = ThermalState.from_temperature(temperature, u)
     rows: list[tuple] = []
     reports: list[ComparisonReport] = []
@@ -239,43 +239,30 @@ def _quantum_point(cfg: RunConfig, temperature: float):
             f"{cause}: {exc}", 0.0, {"T": temperature}))
         rows.append((temperature, name, None, None, None, Status.ERROR.value))
 
-    g1y = bool(opts["g1_includes_y"])
     integrals: dict = {}    # shared by the two conventions' reports
     for convention in ("y_star", "kappa_literal"):
         name = f"energy_density_massless[{convention}]"
         try:
-            add(qg.energy_density_massless(
-                p, t, u, convention, g1y, float(opts["rel_tol"]), integrals=integrals,
-            ), name)
+            add(qg.energy_density_massless(p, t, u, convention, integrals=integrals), name)
         except ValueError as exc:
             add_error(name, exc)
+    cutoff = str(cfg.options["cutoff_convention"])
     try:
-        add(qg.energy_density_massive(
-            p, float(opts["massive_gas_mass"]), t, u,
-            cutoff_convention=str(opts["cutoff_convention"]), g1_includes_y=g1y,
-            rel_tol=float(opts["rel_tol"]),
-        ))
+        add(qg.energy_density_massive(p, float(cfg.options["massive_gas_mass"]), t, u, cutoff))
     except ValueError as exc:
         add_error("energy_density_massive", exc)
-    if p.lam > 0.0 or p.mu == 0.0:
-        d = qg.dimensionless_couplings(p, t, u, g1y)
-        if d.a_B <= 0.1:
-            trunc = SeriesTruncation(
-                n_max=int(opts["series_n_max"]),
-                i_max=int(opts["series_i_max"]),
-                j_max=int(opts["series_j_max"]),
-            )
-            add(qg.series_energy_density(
-                p, t, u, trunc=trunc,
-                cutoff_convention=str(opts["cutoff_convention"]),
-                g1_includes_y=g1y, rel_tol=float(opts["rel_tol"]),
-            ))
-        # spectral-density samples for plotting: (y, integrand)
-        n_samp = int(opts["spectral_samples"])
-        y_lo = max(d.y_star, 1e-3)
-        for k in range(n_samp):
-            y = y_lo + (20.0 - y_lo) * (k + 0.5) / n_samp
-            spectral.append((temperature, y, qg.massless_integrand(y, d, d.y_star)))
+    try:
+        d = qg.dimensionless_couplings(p, t, u)
+    except qg.PositivityWindowError:
+        return rows, reports, spectral
+    if d.a_B <= qg.SERIES_MAX_A_B:
+        add(qg.series_energy_density(p, t, u, cutoff_convention=cutoff))
+    # spectral-density samples for plotting: (y, integrand)
+    n_samp = 48
+    y_lo = max(d.y_star, 1e-3)
+    for k in range(n_samp):
+        y = y_lo + (20.0 - y_lo) * (k + 0.5) / n_samp
+        spectral.append((temperature, y, qg.massless_integrand(y, d, d.y_star)))
     return rows, reports, spectral
 
 
@@ -283,15 +270,13 @@ def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     u = cfg.unit_system
     p = cfg.oscillator
-    opts = cfg.options
 
-    # spectrum table is temperature-independent
+    # spectrum table of the lowest six levels, temperature-independent
     lines = ["n,literal,generic_rspt,abs_dev"]
-    statuses = []
-    for n in range(int(opts["n_levels"])):
+    for n in range(6):
         e0 = u.hbar * p.omega * (n + 0.5)
-        lit = e0 + qg.literal_shift(n, p, str(opts["perturbation_order"]), u)
-        gen = e0 + qg.rspt_shift(n, p, str(opts["perturbation_order"]), u)
+        lit = e0 + qg.literal_shift(n, p, "both", u)
+        gen = e0 + qg.rspt_shift(n, p, "both", u)
         lines.append(f"{n},{_fmt(lit)},{_fmt(gen)},{_fmt(abs(lit - gen))}")
     (out_dir / "spectrum.csv").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8", newline="\n")
@@ -492,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--out", type=str, default="out")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--print-config", action="store_true")
         if name == "verify":
+            sp.add_argument("--seed", type=int, default=None)
             sp.add_argument("--only", type=str, default=None,
                             choices=["specfun", "oracles", "classical", "quantum"])
         else:
@@ -511,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_specfun_eval(args.function, list(args.values))
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        if args.seed is not None:
+        if args.command == "verify" and args.seed is not None:
             cfg.options["seed"] = args.seed
         if args.print_config:
             sys.stdout.write(cfg.dumps())

@@ -52,6 +52,11 @@ class PositivityWindowError(ValueError):
     """The mode sums have no positivity window where they were asked for."""
 
 
+_DENSITY_REL_TOL = 1e-9     # of every energy-density quadrature
+# largest a_B at which the triple series replaces the occupation denominator
+SERIES_MAX_A_B = 0.1
+
+
 # ---------------------------------------------------------------------------
 # harmonic-basis operators and perturbation theory
 # ---------------------------------------------------------------------------
@@ -237,8 +242,7 @@ class DimensionlessCouplings:
                 + n * y)
 
     @classmethod
-    def from_values(cls, a_A: float, a_B: float,
-                    g1_includes_y: bool = False) -> "DimensionlessCouplings":
+    def from_values(cls, a_A: float, a_B: float) -> "DimensionlessCouplings":
         if a_A > 0.0:
             raise ValueError(f"a_A must be <= 0, got {a_A}")
         if a_B < 0.0:
@@ -251,33 +255,12 @@ class DimensionlessCouplings:
                 "quadratic mode coefficient negative for every y"
             )
         kappa_sq = -a_A / a_B
-        y2_root = math.sqrt(kappa_sq)                 # g2 > 0  <=>  y > kappa
-        if g1_includes_y:
-            # root of y^4 g1 = 6 a_A + 2 a_B y^2 + y^5, increasing for y > 0:
-            # bisect the bracket down to float resolution
-            def h(y: float) -> float:
-                return 6.0 * a_A + 2.0 * a_B * y * y + y**5
-
-            lo, hi = 0.0, max(1.0, math.sqrt(3.0 * kappa_sq)) * 2.0
-            while h(hi) < 0.0:
-                hi *= 2.0
-            while True:
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                if h(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            y1_root = hi
-        else:
-            y1_root = math.sqrt(3.0 * kappa_sq)
-        return cls(a_A, a_B, kappa_sq, max(y1_root, y2_root))
+        # the g1 root sqrt(3 kappa^2) lies above the g2 root kappa
+        return cls(a_A, a_B, kappa_sq, math.sqrt(3.0 * kappa_sq))
 
 
 def dimensionless_couplings(p: OscillatorParams, t: ThermalState,
-                            u: UnitSystem = NATURAL_UNITS,
-                            g1_includes_y: bool = False) -> DimensionlessCouplings:
+                            u: UnitSystem = NATURAL_UNITS) -> DimensionlessCouplings:
     """a_A = -hbar^6 mu^2 / (16 m^3 (kT)^5), a_B = 3 lam hbar^4 / (4 m^2 (kT)^3).
 
     The one place that decides the positivity window: a cubic coupling
@@ -288,7 +271,7 @@ def dimensionless_couplings(p: OscillatorParams, t: ThermalState,
     kt = t.kt(u)
     a_a = -u.hbar**6 * p.mu**2 / (16.0 * p.m**3 * kt**5)
     a_b = 3.0 * p.lam * u.hbar**4 / (4.0 * p.m**2 * kt**3)
-    return DimensionlessCouplings.from_values(a_a, a_b, g1_includes_y)
+    return DimensionlessCouplings.from_values(a_a, a_b)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +385,6 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
 def energy_density_massless(
     p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
     cutoff_convention: str = "y_star",
-    g1_includes_y: bool = False,
-    rel_tol: float = 1e-9,
     integrals: dict[tuple, float] | None = None,
 ) -> ComparisonReport:
     """Massless Bose-Einstein energy density with the positivity cutoff.
@@ -421,7 +402,7 @@ def energy_density_massless(
     """
     if integrals is None:
         integrals = {}
-    d = dimensionless_couplings(p, t, u, g1_includes_y)
+    d = dimensionless_couplings(p, t, u)
     y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t, u)
 
@@ -429,11 +410,11 @@ def energy_density_massless(
         # the integrand vanishes at or below max(cut, y_star), so that lower
         # limit, not the cut, fixes the integral with the other arguments
         lower = max(cut, d.y_star)
-        key = (p, t, u, g1_includes_y, rel_tol, lower, transform, series_tol)
+        key = (p, t, u, lower, transform, series_tol)
         if key not in integrals:
             res = integrate_semi_infinite(
                 lambda y: massless_integrand(y, d, cut, series_tol),
-                lower, rel_tol=rel_tol, transform=transform,
+                lower, rel_tol=_DENSITY_REL_TOL, transform=transform,
             )
             integrals[key] = pref * res.value
         return integrals[key]
@@ -454,7 +435,6 @@ def energy_density_massless(
             "y_cut": y_cut,
             "y_star": d.y_star,
             "value_other_cutoff": other_val,
-            "g1_includes_y": g1_includes_y,
         },
     )
 
@@ -463,8 +443,6 @@ def energy_density_massive(
     p: OscillatorParams, mass_gas: float, t: ThermalState,
     u: UnitSystem = NATURAL_UNITS,
     cutoff_convention: str = "y_star",
-    g1_includes_y: bool = False,
-    rel_tol: float = 1e-9,
 ) -> ComparisonReport:
     """Massive-gas energy density: printed radicand vs dispersion-corrected.
 
@@ -474,7 +452,7 @@ def energy_density_massive(
     """
     if mass_gas <= 0.0:
         raise ValueError(f"gas mass must be positive, got {mass_gas}")
-    d = dimensionless_couplings(p, t, u, g1_includes_y)
+    d = dimensionless_couplings(p, t, u)
     y_cut = _resolve_cut(d, cutoff_convention)
     kt = t.kt(u)
     q = kt / (mass_gas * u.c**2)
@@ -491,7 +469,7 @@ def energy_density_massive(
             # mean * y * sqrt(radicand); zero outside the window
             return massless_integrand(y, d, y_cut) / y * math.sqrt(rad)
 
-        return pref * integrate_semi_infinite(f, lower, rel_tol=rel_tol,
+        return pref * integrate_semi_infinite(f, lower, rel_tol=_DENSITY_REL_TOL,
                                               transform=transform).value
 
     literal = run("printed", "rational")
@@ -647,20 +625,19 @@ def series_energy_density(
     p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
     trunc: SeriesTruncation | None = None,
     cutoff_convention: str = "y_star",
-    g1_includes_y: bool = False,
-    rel_tol: float = 1e-9,
 ) -> ComparisonReport:
     """Triple-series energy density vs denominator-replaced quadrature.
 
     Valid in the small-coupling regime where the occupation denominator
-    can be replaced by 1/(1 - e^-y); enforced via a_B <= 0.1.  The series
-    telescopes the replacement exactly: each n contributes tail integrals
-    with decay n minus the same with decay n+1.
+    can be replaced by 1/(1 - e^-y); enforced via a_B <= SERIES_MAX_A_B.
+    The series telescopes the replacement exactly: each n contributes tail
+    integrals with decay n minus the same with decay n+1.
     """
-    d = dimensionless_couplings(p, t, u, g1_includes_y)
-    if d.a_B > 0.1:
+    d = dimensionless_couplings(p, t, u)
+    if d.a_B > SERIES_MAX_A_B:
         raise ValueError(
-            f"a_B={d.a_B:.3g} outside the denominator-replacement regime (<= 0.1)"
+            f"a_B={d.a_B:.3g} outside the denominator-replacement regime "
+            f"(<= {SERIES_MAX_A_B})"
         )
     trunc = trunc or SeriesTruncation(n_max=50, i_max=3, j_max=3)
     y0 = _resolve_cut(d, cutoff_convention)
@@ -686,7 +663,7 @@ def series_energy_density(
         num = _mode_sums(y, d, 1e-12)[0]
         return num * -math.expm1(-y) * y * y
 
-    oracle = pref * integrate_semi_infinite(replaced, y0, rel_tol=rel_tol).value
+    oracle = pref * integrate_semi_infinite(replaced, y0, rel_tol=_DENSITY_REL_TOL).value
     rep = compare(
         "series_energy_density",
         literal,

@@ -46,9 +46,12 @@ class TestRunConfig:
         assert again.to_dict() == cfg.to_dict()
 
     def test_unknown_keys_rejected_with_path(self):
-        # a misspelling, and the options removed because nothing read them
+        # a misspelling, the options removed because nothing read them, and
+        # those removed because nothing set them to a second value
         for key in ("cutof_convention", "series_rel_tol", "mc_samples", "mc_burn_in",
-                    "use_closed_form_f"):
+                    "use_closed_form_f", "g1_includes_y", "perturbation_order",
+                    "n_levels", "series_n_max", "series_i_max", "series_j_max",
+                    "rel_tol", "spectral_samples"):
             with pytest.raises(ValueError, match=f"options.{key}"):
                 RunConfig.from_dict({"options": {key: 1}})
         with pytest.raises(ValueError, match="oscilator"):
@@ -83,6 +86,33 @@ class TestRunConfig:
         out = tmp_path / "out"
         assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"options.{next(iter(options))}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classical", "quantum"])
+    @pytest.mark.parametrize("text, path", [
+        ('{"thermal_grid": 5}', "thermal_grid"),
+        ('{"thermal_grid": []}', "thermal_grid"),
+        ('{"thermal_grid": [1.0, null]}', "thermal_grid[1]"),
+        ('{"thermal_grid": [1e999]}', "thermal_grid[0]"),
+        ('{"thermal_grid": [1.0, -1.0]}', "thermal_grid[1]"),
+        ('{"thermal_grid": [1.0, NaN]}', "thermal_grid[1]"),
+        ('{"thermal_grid": [true, "2"]}', "thermal_grid[0]"),
+        ('{"oscillator": 5}', "oscillator"),
+        ('{"oscillator": {"lam": 0.5, "mu": "0.1"}}', "oscillator.mu"),
+        ('{"unit_system": {"hbar": true}}', "unit_system.hbar"),
+        ('{"options": [1]}', "options"),
+        ('{"options": {"massive_gas_mass": true}}', "options.massive_gas_mass"),
+        ('[1.0]', "config"),
+    ])
+    def test_malformed_config_is_one_line_and_no_output(self, tmp_path, capsys,
+                                                        command, text, path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config or input error: {path}: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_print_config_lists_every_flag(self, capsys, tmp_path):
@@ -208,6 +238,20 @@ class TestQuantumCommand:
         assert reports[0]["provenance"] == reports[1]["provenance"]
         assert reports[0]["provenance"].startswith("positivity window failure: cubic")
 
+    def test_window_decided_where_the_couplings_are(self, tmp_path):
+        # lam > 0, but a_B underflows to 0 while a_A < 0: dimensionless_couplings
+        # finds no window, so the sweep writes ERROR rows and no spectral samples
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "oscillator": {"m": 1.0, "omega": 1.0, "lam": 5e-324, "mu": 0.1},
+            "thermal_grid": [2.0],
+        }))
+        out = tmp_path / "out"
+        assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = (out / "quantum.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows] == ["ERROR"] * 3
+        assert (out / "spectral_density.csv").read_text() == "T,y,integrand\n"
+
     def test_a_failing_convention_errors_only_its_own_row(self, tmp_path):
         # at T = 0.01 the kappa_literal oracle integral raises a math domain
         # error (a node at t = 1 of the exp map); the y_star row is unaffected
@@ -276,6 +320,15 @@ class TestVerifyCommand:
         # verify runs serially; only the sweeps take --threads
         with pytest.raises(SystemExit):
             run(["verify", "--threads", "2", "--out", str(tmp_path)])
+
+    def test_only_verify_takes_a_seed(self, tmp_path, capsys):
+        # the Metropolis row is the only seeded computation
+        for command in ("classical", "quantum"):
+            with pytest.raises(SystemExit):
+                run([command, "--seed", "3", "--out", str(tmp_path / command)])
+            assert not (tmp_path / command).exists()
+        assert run(["verify", "--seed", "3", "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["options"]["seed"] == 3
 
 
 class TestSpecfunEval:

@@ -161,12 +161,6 @@ class TestDimensionlessCouplings:
         with pytest.raises(ValueError, match="positivity window"):
             qg.DimensionlessCouplings.from_values(-0.1, 0.0)
 
-    def test_alternate_cutoff_with_linear_term(self):
-        d = qg.DimensionlessCouplings.from_values(-1.0, 3.0, g1_includes_y=True)
-        y = d.y_star
-        assert 6.0 * -1.0 / y**4 + 2.0 * 3.0 / y**2 + y == pytest.approx(0.0, abs=1e-9)
-        assert d.y_star < 1.0   # the +y term loosens the threshold
-
 
 class TestOnePositivityWindow:
     # dimensionless_couplings decides the window for every caller, also
