@@ -6,17 +6,14 @@ diagonalization, brute-force summation, seeded Monte Carlo).  Deviations
 are reported as FLAGGED results, never silently patched.
 """
 
-from .params import FormalVolumes, NATURAL_UNITS, OscillatorParams, ThermalState, UnitSystem
+from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "UnitSystem",
     "OscillatorParams",
     "ThermalState",
-    "FormalVolumes",
-    "NATURAL_UNITS",
     "ComparisonReport",
     "Status",
     "compare",

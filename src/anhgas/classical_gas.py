@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import specfun as sf
 from .oracles import QuadratureResult, integrate_semi_infinite
-from .params import FormalVolumes, OscillatorParams, ThermalState, UnitSystem
+from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, compare
 
 __all__ = [
@@ -47,32 +47,27 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def coupling_x(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
+def coupling_x(p: OscillatorParams, t: ThermalState) -> float:
     """Dimensionless stiffness-vs-quartic ratio x = sqrt(m^2 w^4 / (64 kT lam))."""
     p.require_anharmonic()
-    return math.sqrt(p.m**2 * p.omega**4 / (64.0 * t.kt(u) * p.lam))
+    return math.sqrt(p.m**2 * p.omega**4 / (64.0 * t.T * p.lam))
 
 
-def relativistic_z(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
+def relativistic_z(p: OscillatorParams, t: ThermalState) -> float:
     """Rest energy over thermal energy, z = m c^2 / (k_B T)."""
-    return p.m * u.c**2 / t.kt(u)
+    return p.m / t.T
 
 
 # ---------------------------------------------------------------------------
 # harmonic reference
 # ---------------------------------------------------------------------------
 
-def harmonic_partition_z1(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem, vol: FormalVolumes
-) -> float:
+def harmonic_partition_z1(p: OscillatorParams, t: ThermalState) -> float:
     """Printed harmonic partition function V/(2 pi hbar)^3 (2 pi kT / (w sqrt(m)))^3."""
-    kt = t.kt(u)
-    return vol.V / (_TWO_PI * u.hbar) ** 3 * (_TWO_PI * kt / (p.omega * math.sqrt(p.m))) ** 3
+    return 1.0 / _TWO_PI ** 3 * (_TWO_PI * t.T / (p.omega * math.sqrt(p.m))) ** 3
 
 
-def harmonic_partition_z1_report(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem, vol: FormalVolumes
-) -> ComparisonReport:
+def harmonic_partition_z1_report(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """Printed formula vs the 6-D Gaussian phase-space quadrature.
 
     The two disagree except at special masses (the printed formula carries
@@ -82,10 +77,10 @@ def harmonic_partition_z1_report(
     beta = t.beta
     kin = _radial_gaussian_integral(0.5 * beta / p.m)          # int p^2 e^{-beta p^2/2m}
     pos = _radial_gaussian_integral(0.5 * beta * p.m * p.omega**2)
-    oracle = vol.V * (4.0 * math.pi) ** 2 * kin.value * pos.value / (_TWO_PI * u.hbar) ** 6
+    oracle = (4.0 * math.pi) ** 2 * kin.value * pos.value / _TWO_PI ** 6
     return compare(
         "harmonic_partition_z1",
-        harmonic_partition_z1(p, t, u, vol),
+        harmonic_partition_z1(p, t),
         oracle,
         threshold=1e-8,
         provenance="harmonic phase-space volume, printed formula vs 6-D Gaussian quadrature",
@@ -120,9 +115,12 @@ def _radial_gaussian_integral(c: float) -> QuadratureResult:
     )
 
 
-def momentum_sphere_q(p: OscillatorParams, u: UnitSystem) -> float:
-    """Momentum-sphere volume (4/3) pi [(m w^2 A^2 / 2c^2)^2 - m^2 c^2]^(3/2)."""
-    radicand = (p.m * p.omega**2 * p.amplitude_a**2 / (2.0 * u.c**2)) ** 2 - (p.m * u.c) ** 2
+def momentum_sphere_q(p: OscillatorParams, amplitude: float) -> float:
+    """Momentum-sphere volume (4/3) pi [(m w^2 A^2 / 2c^2)^2 - m^2 c^2]^(3/2)
+    of oscillation amplitude A."""
+    if not (amplitude > 0.0):
+        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    radicand = (p.m * p.omega**2 * amplitude**2 / 2.0) ** 2 - p.m ** 2
     if radicand < 0.0:
         raise ValueError(
             "amplitude below relativistic threshold: "
@@ -131,26 +129,23 @@ def momentum_sphere_q(p: OscillatorParams, u: UnitSystem) -> float:
     return 4.0 / 3.0 * math.pi * radicand ** 1.5
 
 
-def relativistic_harmonic_partition_z2(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem, vol: FormalVolumes
-) -> ComparisonReport:
+def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """Closed form of the relativistic harmonic partition function vs quadrature."""
-    kt = t.kt(u)
-    z = relativistic_z(p, t, u)
+    z = relativistic_z(p, t)
     k0 = sf.bessel_k(0.0, z).value
     k1 = sf.bessel_k(1.0, z).value
     bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
     literal = (
-        4.0 * math.pi * vol.V * vol.Q
-        * (u.c / (_TWO_PI * u.hbar) ** 2) ** 3
-        * (_TWO_PI * p.m * kt / p.omega**2) ** 1.5
+        4.0 * math.pi
+        * (1.0 / _TWO_PI ** 2) ** 3
+        * (_TWO_PI * p.m * t.T / p.omega**2) ** 1.5
         * bracket
     )
 
     mom = _relativistic_radial_scaled(z)                       # e^z int sinh^2 cosh e^{-z cosh}
     pos = _radial_gaussian_integral(0.5 * t.beta * p.m * p.omega**2)
-    kin = 4.0 * math.pi * (p.m * u.c) ** 3 * mom.value * math.exp(-z)
-    oracle = vol.V * vol.Q * kin * (4.0 * math.pi * pos.value) / (_TWO_PI * u.hbar) ** 6
+    kin = 4.0 * math.pi * p.m ** 3 * mom.value * math.exp(-z)
+    oracle = kin * (4.0 * math.pi * pos.value) / _TWO_PI ** 6
     return compare(
         "relativistic_harmonic_partition_z2",
         literal,
@@ -220,11 +215,11 @@ def _relativistic_radial_scaled(z: float) -> QuadratureResult:
     return _kinetic_integral(z, _log_sinh2_cosh, 1.0)
 
 
-def log_momentum_radial_integral(p: OscillatorParams, beta: float, u: UnitSystem) -> float:
+def log_momentum_radial_integral(p: OscillatorParams, beta: float) -> float:
     """ln of 4 pi int p^2 exp(-beta c sqrt(m^2 c^2 + p^2)) dp."""
-    z = beta * p.m * u.c**2
+    z = beta * p.m
     mom = _relativistic_radial_scaled(z)
-    return math.log(4.0 * math.pi * (p.m * u.c) ** 3) - z + math.log(mom.value)
+    return math.log(4.0 * math.pi * p.m ** 3) - z + math.log(mom.value)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +255,13 @@ def f_oracle(x: float, rel_tol: float = 1e-12) -> QuadratureResult:
     return _quartic_gaussian(x, rel_tol, False)
 
 
-def f_oracle_from_params(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
+def f_oracle_from_params(p: OscillatorParams, t: ThermalState) -> float:
     """F evaluated through one concrete (m, w, lam, T) realization.
 
     Runs the raw radial quadrature for that parameter set and divides by
     (kT/lam)^(3/4); realizations of the same x must agree to ~1e-9.
     """
-    return position_radial_integral(p, t, u).value / (t.kt(u) / p.lam) ** 0.75
+    return position_radial_integral(p, t).value / (t.T / p.lam) ** 0.75
 
 
 def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, float]:
@@ -296,7 +291,7 @@ def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
     return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
 
 
-def position_radial_integral(p: OscillatorParams, t: ThermalState, u: UnitSystem,
+def position_radial_integral(p: OscillatorParams, t: ThermalState,
                              rel_tol: float = 1e-12) -> QuadratureResult:
     """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature."""
     a2, a4, scale = _position_weight(p, t.beta)
@@ -358,34 +353,27 @@ def g_function_corrected_derivative(x: float) -> float:
 # anharmonic partition function and average energy
 # ---------------------------------------------------------------------------
 
-def vibrational_partition(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
+def vibrational_partition(p: OscillatorParams, t: ThermalState) -> float:
     """Vibrational factor 4 pi (kT/lam)^(3/4) F(x)."""
-    x = coupling_x(p, t, u)
-    return 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_oracle(x).value
+    x = coupling_x(p, t)
+    return 4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_oracle(x).value
 
 
-def anharmonic_relativistic_partition(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem, vol: FormalVolumes,
-) -> ComparisonReport:
+def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """a0 F(x) G(z) vs the product of the two radial quadratures.
 
     F goes through the trusted quadrature route; the printed
     G carries a power swap that cancels exactly at z = 1, so reports away
     from that point come out FLAGGED by design.
     """
-    kt = t.kt(u)
-    x = coupling_x(p, t, u)
-    z = relativistic_z(p, t, u)
-    a0 = 16.0 * math.pi**2 * (p.m * u.c) ** 3 * vol.V * vol.V_P \
-        / (_TWO_PI * u.hbar) ** 6 * (kt / p.lam) ** 0.75
+    x = coupling_x(p, t)
+    z = relativistic_z(p, t)
+    a0 = 16.0 * math.pi**2 * p.m ** 3 / _TWO_PI ** 6 * (t.T / p.lam) ** 0.75
     literal = a0 * f_oracle(x).value * g_function(z)
 
-    log_kin = log_momentum_radial_integral(p, t.beta, u)
-    pos = position_radial_integral(p, t, u)
-    oracle = (
-        vol.V * vol.V_P / (_TWO_PI * u.hbar) ** 6
-        * math.exp(log_kin) * 4.0 * math.pi * pos.value
-    )
+    log_kin = log_momentum_radial_integral(p, t.beta)
+    pos = position_radial_integral(p, t)
+    oracle = 1.0 / _TWO_PI ** 6 * math.exp(log_kin) * 4.0 * math.pi * pos.value
     return compare(
         "anharmonic_relativistic_partition",
         literal,
@@ -396,10 +384,10 @@ def anharmonic_relativistic_partition(
     )
 
 
-def _average_energy_moments(p: OscillatorParams, t: ThermalState,
-                            u: UnitSystem) -> tuple[float, dict[str, QuadratureResult]]:
+def _average_energy_moments(p: OscillatorParams,
+                            t: ThermalState) -> tuple[float, dict[str, QuadratureResult]]:
     # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four quadratures
-    z = relativistic_z(p, t, u)
+    z = relativistic_z(p, t)
     a2, a4, scale = _position_weight(p, t.beta)
     h2, lam = 0.5 * p.m * p.omega**2, p.lam
     quads = {
@@ -411,23 +399,23 @@ def _average_energy_moments(p: OscillatorParams, t: ThermalState,
         "int r^2 e^{-beta V(r)} dr": _position_integral(a2, a4, scale, 1e-11),
     }
     num_k, den_k, num_p, den_p = (q.value for q in quads.values())
-    return p.m * u.c**2 * num_k / den_k + num_p / den_p, quads
+    return p.m * num_k / den_k + num_p / den_p, quads
 
 
-def average_energy_quadrature(p: OscillatorParams, t: ThermalState, u: UnitSystem) -> float:
+def average_energy_quadrature(p: OscillatorParams, t: ThermalState) -> float:
     """<H> as weighted quadrature ratios: relativistic kinetic + vibrational."""
-    return _average_energy_moments(p, t, u)[0]
+    return _average_energy_moments(p, t)[0]
 
 
 def average_energy_metropolis(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem,
+    p: OscillatorParams, t: ThermalState,
     n_samples: int = 100_000, burn_in: int = 5_000, seed: int = 20_08,
 ):
     """Monte Carlo estimate of <H>; returns (mean, std_error, estimates)."""
     from .oracles import metropolis_expectation
 
-    z = relativistic_z(p, t, u)
-    mc2 = p.m * u.c**2
+    z = relativistic_z(p, t)
+    mc2 = p.m
 
     def logw_kin(s: float) -> float:
         if s <= 0.0:
@@ -458,8 +446,7 @@ def average_energy_metropolis(
 
 
 def average_energy_classical(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem,
-    f_x: QuadratureResult | None = None,
+    p: OscillatorParams, t: ThermalState, f_x: QuadratureResult | None = None,
 ) -> ComparisonReport:
     """Printed average-energy formula, with F(x) = ``f_x`` if the caller
     has f_oracle(x), vs the moment ratios of average_energy_quadrature.
@@ -467,17 +454,17 @@ def average_energy_classical(
     The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G.  An
     unconverged quadrature on either side makes the report ERROR.
     """
-    kt = t.kt(u)
-    x = coupling_x(p, t, u)
-    z = relativistic_z(p, t, u)
+    kt = t.T
+    x = coupling_x(p, t)
+    z = relativistic_z(p, t)
     f_q = f_x if f_x is not None else f_oracle(x)
     fp_q = _quartic_gaussian(x, 1e-12, True)               # F'(x) = -4 fp_q
     literal = (
         0.75 * kt
         + math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * 4.0 * fp_q.value / f_q.value
-        - p.m * u.c**2 * g_function_derivative(z) / g_function(z)
+        - p.m * g_function_derivative(z) / g_function(z)
     )
-    oracle, moments = _average_energy_moments(p, t, u)
+    oracle, moments = _average_energy_moments(p, t)
     quadratures = {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
                    "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du": fp_q, **moments}
     return compare(

@@ -23,8 +23,8 @@ from typing import Callable, Iterable
 from . import classical_gas as cg
 from . import quantum_gas as qg
 from . import specfun as sf
-from .oracles import integrate_semi_infinite, metropolis_expectation
-from .params import FormalVolumes, OscillatorParams, ThermalState, UnitSystem
+from .oracles import IntegrandError, integrate_semi_infinite, metropolis_expectation
+from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
 
 THREADS_ENV = "ANHGAS_THREADS"
@@ -58,7 +58,6 @@ def _positive_number(path: str, value) -> float:
 class RunConfig:
     """Serializable run description; round-trips losslessly through JSON."""
 
-    unit_system: UnitSystem = field(default_factory=UnitSystem)
     oscillator: OscillatorParams = field(
         default_factory=lambda: OscillatorParams(m=1.0, omega=1.0, lam=1.0, mu=0.0)
     )
@@ -67,7 +66,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "unit_system": dataclasses.asdict(self.unit_system),
             "oscillator": dataclasses.asdict(self.oscillator),
             "thermal_grid": list(self.thermal_grid),
             "options": dict(self.options),
@@ -78,7 +76,7 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ValueError("config: must be a JSON object")
         for key, val in raw.items():
-            if key not in ("unit_system", "oscillator", "thermal_grid", "options"):
+            if key not in ("oscillator", "thermal_grid", "options"):
                 raise ValueError(f"unknown config key: {key}")
             if key != "thermal_grid" and not isinstance(val, dict):
                 raise ValueError(f"{key}: must be a JSON object, got {val!r}")
@@ -91,21 +89,23 @@ class RunConfig:
             raise ValueError("options.cutoff_convention: must be 'y_star' or "
                              f"'kappa_literal', got {opts['cutoff_convention']!r}")
         _positive_number("options.massive_gas_mass", opts["massive_gas_mass"])
-        records = {}
-        for key, default in (("unit_system", UnitSystem()), ("oscillator", cls().oscillator)):
-            for name, val in raw.get(key, {}).items():
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise ValueError(f"{key}.{name}: must be a number, got {val!r}")
-            try:
-                records[key] = dataclasses.replace(default, **raw.get(key, {}))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from exc
+        fields = {f.name for f in dataclasses.fields(OscillatorParams)}
+        for name, val in raw.get("oscillator", {}).items():
+            if name not in fields:
+                raise ValueError(f"unknown config key: oscillator.{name}")
+            if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                    or not -sys.float_info.max <= val <= sys.float_info.max:
+                raise ValueError(f"oscillator.{name}: must be a finite number, got {val!r}")
+        try:
+            oscillator = dataclasses.replace(cls().oscillator, **raw.get("oscillator", {}))
+        except ValueError as exc:
+            raise ValueError(f"oscillator: {exc}") from exc
         grid = raw.get("thermal_grid", [1.0])
         if not (isinstance(grid, list) and grid):
             raise ValueError("thermal_grid: must be a non-empty list of temperatures, "
                              f"got {grid!r}")
         grid = [_positive_number(f"thermal_grid[{k}]", t) for k, t in enumerate(grid)]
-        return cls(thermal_grid=grid, options=opts, **records)
+        return cls(oscillator=oscillator, thermal_grid=grid, options=opts)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -163,10 +163,8 @@ def _exit_code(statuses: Iterable[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def _classical_point(cfg: RunConfig, temperature: float):
-    u = cfg.unit_system
     p = cfg.oscillator
-    vol = FormalVolumes()
-    t = ThermalState.from_temperature(temperature, u)
+    t = ThermalState.from_temperature(temperature)
     rows: list[tuple] = []
     reports: list[ComparisonReport] = []
 
@@ -175,14 +173,14 @@ def _classical_point(cfg: RunConfig, temperature: float):
         rows.append((temperature, rep.quantity_name, rep.literal, rep.oracle,
                      rep.rel_dev, rep.status.value))
 
-    add(cg.harmonic_partition_z1_report(p, t, u, vol))
-    add(cg.relativistic_harmonic_partition_z2(p, t, u, vol))
+    add(cg.harmonic_partition_z1_report(p, t))
+    add(cg.relativistic_harmonic_partition_z2(p, t))
     if p.lam > 0.0:
-        x = cg.coupling_x(p, t, u)
-        z = cg.relativistic_z(p, t, u)
+        x = cg.coupling_x(p, t)
+        z = cg.relativistic_z(p, t)
         f_literal = cg.f_closed_form(x)
-        zxi_literal = 4.0 * math.pi * (t.kt(u) / p.lam) ** 0.75 * f_literal
-        pos = cg.position_radial_integral(p, t, u)
+        zxi_literal = 4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal
+        pos = cg.position_radial_integral(p, t)
         add(compare("vibrational_partition", zxi_literal, 4.0 * math.pi * pos.value, 1e-6,
                     "printed closed form vs radial quadrature", {"T": temperature},
                     () if pos.converged else ("int r^2 e^{-beta V(r)} dr",)))
@@ -195,7 +193,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
         add(compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
                     "printed Bessel combination vs its defining integral", {"z": z},
                     () if g_q.converged else ("int sinh^2 s cosh s e^{-z cosh s} ds",)))
-        add(cg.average_energy_classical(p, t, u, f_x=f_x))
+        add(cg.average_energy_classical(p, t, f_x=f_x))
     else:
         for name in ("vibrational_partition", "f_function", "g_function",
                      "average_energy_classical"):
@@ -218,10 +216,13 @@ def cmd_classical(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 # quantum sweep
 # ---------------------------------------------------------------------------
 
+# what makes one quantum row ERROR instead of ending the sweep
+_ROW_FAILURES = (ValueError, ArithmeticError, IntegrandError)
+
+
 def _quantum_point(cfg: RunConfig, temperature: float):
-    u = cfg.unit_system
     p = cfg.oscillator
-    t = ThermalState.from_temperature(temperature, u)
+    t = ThermalState.from_temperature(temperature)
     rows: list[tuple] = []
     reports: list[ComparisonReport] = []
     spectral: list[tuple] = []
@@ -231,7 +232,7 @@ def _quantum_point(cfg: RunConfig, temperature: float):
         rows.append((temperature, name or rep.quantity_name, rep.literal,
                      rep.oracle, rep.rel_dev, rep.status.value))
 
-    def add_error(name: str, exc: ValueError):
+    def add_error(name: str, exc: Exception):
         cause = ("positivity window failure" if isinstance(exc, qg.PositivityWindowError)
                  else "evaluation failure")
         reports.append(ComparisonReport(
@@ -243,20 +244,27 @@ def _quantum_point(cfg: RunConfig, temperature: float):
     for convention in ("y_star", "kappa_literal"):
         name = f"energy_density_massless[{convention}]"
         try:
-            add(qg.energy_density_massless(p, t, u, convention, integrals=integrals), name)
-        except ValueError as exc:
+            add(qg.energy_density_massless(p, t, convention, integrals=integrals), name)
+        except _ROW_FAILURES as exc:
             add_error(name, exc)
     cutoff = str(cfg.options["cutoff_convention"])
     try:
-        add(qg.energy_density_massive(p, float(cfg.options["massive_gas_mass"]), t, u, cutoff))
-    except ValueError as exc:
+        add(qg.energy_density_massive(p, float(cfg.options["massive_gas_mass"]), t, cutoff))
+    except _ROW_FAILURES as exc:
         add_error("energy_density_massive", exc)
     try:
-        d = qg.dimensionless_couplings(p, t, u)
+        d = qg.dimensionless_couplings(p, t)
     except qg.PositivityWindowError:
         return rows, reports, spectral
+    except _ROW_FAILURES as exc:
+        # without the couplings the series row cannot even be placed
+        add_error("series_energy_density", exc)
+        return rows, reports, spectral
     if d.a_B <= qg.SERIES_MAX_A_B:
-        add(qg.series_energy_density(p, t, u, cutoff_convention=cutoff))
+        try:
+            add(qg.series_energy_density(p, t, cutoff_convention=cutoff))
+        except _ROW_FAILURES as exc:
+            add_error("series_energy_density", exc)
     # spectral-density samples for plotting: (y, integrand)
     n_samp = 48
     y_lo = max(d.y_star, 1e-3)
@@ -268,15 +276,14 @@ def _quantum_point(cfg: RunConfig, temperature: float):
 
 def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    u = cfg.unit_system
     p = cfg.oscillator
 
     # spectrum table of the lowest six levels, temperature-independent
     lines = ["n,literal,generic_rspt,abs_dev"]
     for n in range(6):
-        e0 = u.hbar * p.omega * (n + 0.5)
-        lit = e0 + qg.literal_shift(n, p, "both", u)
-        gen = e0 + qg.rspt_shift(n, p, "both", u)
+        e0 = p.omega * (n + 0.5)
+        lit = e0 + qg.literal_shift(n, p, "both")
+        gen = e0 + qg.rspt_shift(n, p, "both")
         lines.append(f"{n},{_fmt(lit)},{_fmt(gen)},{_fmt(abs(lit - gen))}")
     (out_dir / "spectrum.csv").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8", newline="\n")
@@ -302,7 +309,6 @@ def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
 def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
     """The fixed matrix of desk-scale identity checks, grouped by section."""
-    u = cfg.unit_system
     seed = int(cfg.options["seed"])
     rows: list[tuple[str, str, ComparisonReport]] = []
 
@@ -363,44 +369,43 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
         compare("f_closed_form(1)", cg.f_closed_form(1.0), cg.f_oracle(1.0).value,
                 1e-6, "printed closed form against the defining integral"))
     p_nat = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
-    t_nat = ThermalState.from_temperature(1.0, u)
-    vol = FormalVolumes()
+    t_nat = ThermalState.from_temperature(1.0)
     add("classical", "harmonic partition vs phase-space quadrature",
-        cg.harmonic_partition_z1_report(p_nat, t_nat, u, vol))
+        cg.harmonic_partition_z1_report(p_nat, t_nat))
     add("classical", "relativistic harmonic partition",
-        cg.relativistic_harmonic_partition_z2(p_nat, t_nat, u, vol))
+        cg.relativistic_harmonic_partition_z2(p_nat, t_nat))
     add("classical", "anharmonic partition dual route",
-        cg.anharmonic_relativistic_partition(p_nat, t_nat, u, vol))
+        cg.anharmonic_relativistic_partition(p_nat, t_nat))
     add("classical", "average energy dual route",
-        cg.average_energy_classical(p_nat, t_nat, u))
+        cg.average_energy_classical(p_nat, t_nat))
 
     # --- quantum ----------------------------------------------------------
     p_q = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
     add("quantum", "quartic first-order shift n=0",
-        qg.perturbative_shift(0, p_q, "first", u))
+        qg.perturbative_shift(0, p_q, "first"))
     p_c = OscillatorParams(m=1.0, omega=1.0, mu=1e-2)
     add("quantum", "cubic second-order shift n=0",
-        qg.perturbative_shift(0, p_c, "second", u))
+        qg.perturbative_shift(0, p_c, "second"))
     d_test = qg.DimensionlessCouplings.from_values(-1.0, 3.0)
     add("quantum", "positivity cutoff root",
         compare("y_star for (-1, 3)", d_test.y_star, 1.0, 1e-10,
                 "closed-form cutoff vs bracketed root"))
-    t1 = ThermalState.from_temperature(1.0, u)
+    t1 = ThermalState.from_temperature(1.0)
     p_free = OscillatorParams(m=1.0, omega=1.0)
-    bb = qg.energy_density_massless(p_free, t1, u)
+    bb = qg.energy_density_massless(p_free, t1)
     add("quantum", "blackbody limit",
         compare("energy density at zero couplings", bb.literal,
-                qg.blackbody_energy_density(t1, u), 1e-8,
+                qg.blackbody_energy_density(t1), 1e-8,
                 "uncoupled mode sum collapses to the blackbody integral"))
-    t2 = ThermalState.from_temperature(2.0, u)
+    t2 = ThermalState.from_temperature(2.0)
     add("quantum", "T^4 scaling",
         compare("density(2T)/density(T)",
-                qg.energy_density_massless(p_free, t2, u).literal
+                qg.energy_density_massless(p_free, t2).literal
                 / bb.literal, 16.0, 1e-10, "quartic temperature scaling"))
     p_s = OscillatorParams(m=1.0, omega=1.0, lam=4e-4 / 3.0,
                            mu=4.0 * math.sqrt(0.4e-4))
     add("quantum", "series vs quadrature",
-        qg.series_energy_density(p_s, t1, u))
+        qg.series_energy_density(p_s, t1))
     return rows
 
 
@@ -507,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "quantum":
             return cmd_quantum(cfg, out_dir, _thread_count(args))
         return cmd_verify(cfg, out_dir, only=args.only)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"config or input error: {exc}", file=sys.stderr)
         return 1
 

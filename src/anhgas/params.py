@@ -1,41 +1,27 @@
-"""Physical parameter records shared by the classical and quantum modules."""
+"""Physical parameter records shared by the classical and quantum modules.
+
+Every quantity is in natural units, hbar = c = k_B = 1, and the formally
+infinite volumes V, V_P and Q are unit factors.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["UnitSystem", "OscillatorParams", "ThermalState", "FormalVolumes", "NATURAL_UNITS"]
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Physical constants; defaults are natural units hbar = c = k_B = 1."""
-
-    hbar: float = 1.0
-    c: float = 1.0
-    k_B: float = 1.0
-
-    def __post_init__(self):
-        if not (self.hbar > 0.0 and self.c > 0.0 and self.k_B > 0.0):
-            raise ValueError("all unit constants must be strictly positive")
-
-
-NATURAL_UNITS = UnitSystem()
+__all__ = ["OscillatorParams", "ThermalState"]
 
 
 @dataclass(frozen=True)
 class OscillatorParams:
     """One oscillator or gas species.
 
-    ``lam`` is the quartic coupling, ``mu`` the cubic one; ``amplitude_a``
-    only enters the momentum-sphere volume of the relativistic setup.
+    ``lam`` is the quartic coupling, ``mu`` the cubic one.
     """
 
     m: float
     omega: float
     lam: float = 0.0
     mu: float = 0.0
-    amplitude_a: float = 1.0
 
     def __post_init__(self):
         if not (self.m > 0.0):
@@ -44,8 +30,6 @@ class OscillatorParams:
             raise ValueError(f"frequency must be positive, got {self.omega}")
         if self.lam < 0.0:
             raise ValueError(f"quartic coupling must be >= 0, got {self.lam}")
-        if not (self.amplitude_a > 0.0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude_a}")
 
     def require_anharmonic(self):
         if self.lam <= 0.0:
@@ -54,33 +38,13 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Temperature plus the derived inverse temperature beta = 1/(k_B T)."""
+    """Temperature plus the derived inverse temperature beta = 1/T."""
 
     T: float
     beta: float
 
     @classmethod
-    def from_temperature(cls, T: float, units: UnitSystem = NATURAL_UNITS) -> "ThermalState":
+    def from_temperature(cls, T: float) -> "ThermalState":
         if not (T > 0.0):
             raise ValueError(f"temperature must be positive, got {T}")
-        return cls(T=T, beta=1.0 / (units.k_B * T))
-
-    def kt(self, units: UnitSystem) -> float:
-        return units.k_B * self.T
-
-
-@dataclass(frozen=True)
-class FormalVolumes:
-    """Formally infinite volumes, carried as symbolic unit factors.
-
-    They multiply extensive quantities only; intensive outputs must not
-    depend on them (tested by perturbing and asserting invariance).
-    """
-
-    V: float = 1.0
-    V_P: float = 1.0
-    Q: float = 1.0
-
-    def __post_init__(self):
-        if not (self.V > 0.0 and self.V_P > 0.0 and self.Q > 0.0):
-            raise ValueError("volume factors must be positive")
+        return cls(T=T, beta=1.0 / T)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from . import specfun as sf
 from .oracles import SeriesTruncation, integrate_semi_infinite
-from .params import NATURAL_UNITS, OscillatorParams, ThermalState, UnitSystem
+from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
 
 if TYPE_CHECKING:
@@ -61,9 +61,7 @@ SERIES_MAX_A_B = 0.1
 # harmonic-basis operators and perturbation theory
 # ---------------------------------------------------------------------------
 
-def position_power_matrix(
-    power: int, n_dim: int, m: float, omega: float, u: UnitSystem = NATURAL_UNITS
-) -> np.ndarray:
+def position_power_matrix(power: int, n_dim: int, m: float, omega: float) -> np.ndarray:
     """Matrix of x^power (power in 1..4) from ladder-operator algebra.
 
     Entries are exact rational multiples of s^(power/2), s = hbar/(2 m w);
@@ -75,7 +73,7 @@ def position_power_matrix(
         raise ValueError(f"power must be in 1..4, got {power}")
     if n_dim < power + 2:
         raise ValueError(f"dimension {n_dim} too small for power {power}")
-    s = u.hbar / (2.0 * m * omega)
+    s = 1.0 / (2.0 * m * omega)
     n = np.arange(n_dim, dtype=float)
     mat = np.zeros((n_dim, n_dim))
     if power == 1:
@@ -101,39 +99,36 @@ def position_power_matrix(
     return mat + np.triu(mat, 1).T
 
 
-def _interaction(n_dim: int, p: OscillatorParams, u: UnitSystem) -> np.ndarray:
+def _interaction(n_dim: int, p: OscillatorParams) -> np.ndarray:
     # H_I = mu x^3 + lam x^4; the two never share an entry (odd vs even
     # bands), so any order of the sums gives the same bits
     import numpy as np
 
     h_i = np.zeros((n_dim, n_dim))
     if p.mu != 0.0:
-        h_i += p.mu * position_power_matrix(3, n_dim, p.m, p.omega, u)
+        h_i += p.mu * position_power_matrix(3, n_dim, p.m, p.omega)
     if p.lam != 0.0:
-        h_i += p.lam * position_power_matrix(4, n_dim, p.m, p.omega, u)
+        h_i += p.lam * position_power_matrix(4, n_dim, p.m, p.omega)
     return h_i
 
 
-def oscillator_hamiltonian(
-    n_dim: int, p: OscillatorParams, u: UnitSystem = NATURAL_UNITS
-) -> np.ndarray:
+def oscillator_hamiltonian(n_dim: int, p: OscillatorParams) -> np.ndarray:
     """H = hw(n + 1/2) + mu x^3 + lam x^4 in the harmonic basis."""
     import numpy as np
 
     n = np.arange(n_dim, dtype=float)
-    return np.diag(u.hbar * p.omega * (n + 0.5)) + _interaction(n_dim, p, u)
+    return np.diag(p.omega * (n + 0.5)) + _interaction(n_dim, p)
 
 
-def literal_shift(n: int, p: OscillatorParams, order: str = "both",
-                  u: UnitSystem = NATURAL_UNITS) -> float:
+def literal_shift(n: int, p: OscillatorParams, order: str = "both") -> float:
     """The printed level shifts, verbatim.
 
     first order:  3 lam hbar^2 / (4 m^2 w^2) (2n^2 + 2n + 1)
     second order: -mu^2 hbar^2 / (16 m^3 w^4) (n^2 + 6n + 5)
     """
-    quartic = 3.0 * p.lam * u.hbar**2 / (4.0 * p.m**2 * p.omega**2) \
+    quartic = 3.0 * p.lam / (4.0 * p.m**2 * p.omega**2) \
         * (2.0 * n * n + 2.0 * n + 1.0)
-    cubic = -p.mu**2 * u.hbar**2 / (16.0 * p.m**3 * p.omega**4) \
+    cubic = -p.mu**2 / (16.0 * p.m**3 * p.omega**4) \
         * (n * n + 6.0 * n + 5.0)
     if order == "first":
         return quartic
@@ -145,7 +140,7 @@ def literal_shift(n: int, p: OscillatorParams, order: str = "both",
 
 
 def rspt_shift(n: int, p: OscillatorParams, order: str = "both",
-               u: UnitSystem = NATURAL_UNITS, n_dim: int | None = None) -> float:
+               n_dim: int | None = None) -> float:
     """Generic Rayleigh-Schrodinger corrections from exact matrix elements.
 
     first:  <n|H_I|n>;  second: sum_{k != n} |<n|H_I|k>|^2 / (E0_n - E0_k),
@@ -157,13 +152,13 @@ def rspt_shift(n: int, p: OscillatorParams, order: str = "both",
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     n_dim = n_dim or (n + 20)
-    h_i = _interaction(n_dim, p, u)
+    h_i = _interaction(n_dim, p)
     first = float(h_i[n, n])
     if order == "first":
         return first
     row = h_i[n, :]
     k = np.arange(n_dim, dtype=float)
-    denom = u.hbar * p.omega * (n - k)
+    denom = p.omega * (n - k)
     mask = k != n
     second = float(np.sum(row[mask] ** 2 / denom[mask]))
     if order == "second":
@@ -173,17 +168,16 @@ def rspt_shift(n: int, p: OscillatorParams, order: str = "both",
     raise ValueError(f"order must be first/second/both, got {order!r}")
 
 
-def perturbative_shift(n: int, p: OscillatorParams, order: str = "both",
-                       u: UnitSystem = NATURAL_UNITS) -> ComparisonReport:
+def perturbative_shift(n: int, p: OscillatorParams, order: str = "both") -> ComparisonReport:
     """Printed shift formulas vs the generic engine, as a report.
 
     The quartic first-order pieces agree exactly; the printed cubic
     second-order coefficient differs from the standard sum over the four
     intermediate states, which the report exposes rather than hides.
     """
-    lit = literal_shift(n, p, order, u)
-    gen_a = rspt_shift(n, p, order, u)
-    gen_b = rspt_shift(n, p, order, u, n_dim=2 * (n + 20))
+    lit = literal_shift(n, p, order)
+    gen_a = rspt_shift(n, p, order)
+    gen_b = rspt_shift(n, p, order, n_dim=2 * (n + 20))
     opts = {"n": n, "order": order, "basis_converged": gen_a == gen_b}
     return compare(
         f"perturbative_shift[n={n},{order}]",
@@ -207,18 +201,16 @@ class SpectrumCoeffs:
         return self.a_coeff * n * n + self.b_coeff * n + self.c_coeff
 
 
-def spectrum_coeffs(omega: float, p: OscillatorParams,
-                    u: UnitSystem = NATURAL_UNITS) -> SpectrumCoeffs:
+def spectrum_coeffs(omega: float, p: OscillatorParams) -> SpectrumCoeffs:
     """A, B, C as printed (meromorphic in omega)."""
     if not (omega > 0.0):
         raise ValueError(f"frequency must be positive, got {omega}")
-    h2 = u.hbar**2
     mu2 = p.mu**2
-    a = -mu2 * h2 / (16.0 * p.m**3 * omega**4) + 3.0 * p.lam * h2 / (2.0 * p.m**2 * omega**2)
-    b = -3.0 * mu2 * h2 / (8.0 * p.m**3 * omega**4) \
-        + 3.0 * p.lam * h2 / (2.0 * p.m**2 * omega**2) + u.hbar * omega
-    c = -5.0 * mu2 * h2 / (16.0 * p.m**3 * omega**4) \
-        + 3.0 * p.lam * h2 / (4.0 * p.m**2 * omega**2) + 0.5 * u.hbar * omega
+    a = -mu2 / (16.0 * p.m**3 * omega**4) + 3.0 * p.lam / (2.0 * p.m**2 * omega**2)
+    b = -3.0 * mu2 / (8.0 * p.m**3 * omega**4) \
+        + 3.0 * p.lam / (2.0 * p.m**2 * omega**2) + omega
+    c = -5.0 * mu2 / (16.0 * p.m**3 * omega**4) \
+        + 3.0 * p.lam / (4.0 * p.m**2 * omega**2) + 0.5 * omega
     return SpectrumCoeffs(a_coeff=a, b_coeff=b, c_coeff=c)
 
 
@@ -259,8 +251,7 @@ class DimensionlessCouplings:
         return cls(a_A, a_B, kappa_sq, math.sqrt(3.0 * kappa_sq))
 
 
-def dimensionless_couplings(p: OscillatorParams, t: ThermalState,
-                            u: UnitSystem = NATURAL_UNITS) -> DimensionlessCouplings:
+def dimensionless_couplings(p: OscillatorParams, t: ThermalState) -> DimensionlessCouplings:
     """a_A = -hbar^6 mu^2 / (16 m^3 (kT)^5), a_B = 3 lam hbar^4 / (4 m^2 (kT)^3).
 
     The one place that decides the positivity window: a cubic coupling
@@ -268,9 +259,8 @@ def dimensionless_couplings(p: OscillatorParams, t: ThermalState,
     """
     if p.lam <= 0.0 and p.mu != 0.0:
         raise PositivityWindowError("cubic coupling without quartic has no positivity window")
-    kt = t.kt(u)
-    a_a = -u.hbar**6 * p.mu**2 / (16.0 * p.m**3 * kt**5)
-    a_b = 3.0 * p.lam * u.hbar**4 / (4.0 * p.m**2 * kt**3)
+    a_a = -p.mu**2 / (16.0 * p.m**3 * t.T**5)
+    a_b = 3.0 * p.lam / (4.0 * p.m**2 * t.T**3)
     return DimensionlessCouplings.from_values(a_a, a_b)
 
 
@@ -363,15 +353,13 @@ def massless_integrand(y: float, d: DimensionlessCouplings, y_cut: float = 0.0,
     return num / den * y * y
 
 
-def blackbody_energy_density(t: ThermalState, u: UnitSystem = NATURAL_UNITS) -> float:
+def blackbody_energy_density(t: ThermalState) -> float:
     """Reference pi^2/15 (kT)^4 / (hbar c)^3 limit value."""
-    kt = t.kt(u)
-    return math.pi**2 / 15.0 * kt**4 / (u.hbar**3 * u.c**3)
+    return math.pi**2 / 15.0 * t.T**4
 
 
-def _density_prefactor(t: ThermalState, u: UnitSystem) -> float:
-    kt = t.kt(u)
-    return kt**4 / (u.hbar**3 * math.pi**2 * u.c**3)
+def _density_prefactor(t: ThermalState) -> float:
+    return t.T**4 / math.pi**2
 
 
 def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
@@ -383,7 +371,7 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
 
 
 def energy_density_massless(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
+    p: OscillatorParams, t: ThermalState,
     cutoff_convention: str = "y_star",
     integrals: dict[tuple, float] | None = None,
 ) -> ComparisonReport:
@@ -402,15 +390,15 @@ def energy_density_massless(
     """
     if integrals is None:
         integrals = {}
-    d = dimensionless_couplings(p, t, u)
+    d = dimensionless_couplings(p, t)
     y_cut = _resolve_cut(d, cutoff_convention)
-    pref = _density_prefactor(t, u)
+    pref = _density_prefactor(t)
 
     def run(cut: float, transform: str, series_tol: float) -> float:
         # the integrand vanishes at or below max(cut, y_star), so that lower
         # limit, not the cut, fixes the integral with the other arguments
         lower = max(cut, d.y_star)
-        key = (p, t, u, lower, transform, series_tol)
+        key = (p, t, lower, transform, series_tol)
         if key not in integrals:
             res = integrate_semi_infinite(
                 lambda y: massless_integrand(y, d, cut, series_tol),
@@ -441,7 +429,6 @@ def energy_density_massless(
 
 def energy_density_massive(
     p: OscillatorParams, mass_gas: float, t: ThermalState,
-    u: UnitSystem = NATURAL_UNITS,
     cutoff_convention: str = "y_star",
 ) -> ComparisonReport:
     """Massive-gas energy density: printed radicand vs dispersion-corrected.
@@ -452,11 +439,10 @@ def energy_density_massive(
     """
     if mass_gas <= 0.0:
         raise ValueError(f"gas mass must be positive, got {mass_gas}")
-    d = dimensionless_couplings(p, t, u)
+    d = dimensionless_couplings(p, t)
     y_cut = _resolve_cut(d, cutoff_convention)
-    kt = t.kt(u)
-    q = kt / (mass_gas * u.c**2)
-    pref = mass_gas * u.c**2 * kt / (2.0 * u.hbar**3 * math.pi**2 * u.c**3)
+    q = t.T / mass_gas
+    pref = mass_gas * t.T / (2.0 * math.pi**2)
 
     def run(mode: str, transform: str) -> float:
         y_min = 1.0 / q**2 if mode == "printed" else 1.0 / q
@@ -622,7 +608,7 @@ def whittaker_series_term_printed(i: int, j: int, n: int, d: DimensionlessCoupli
 
 
 def series_energy_density(
-    p: OscillatorParams, t: ThermalState, u: UnitSystem = NATURAL_UNITS,
+    p: OscillatorParams, t: ThermalState,
     trunc: SeriesTruncation | None = None,
     cutoff_convention: str = "y_star",
 ) -> ComparisonReport:
@@ -633,7 +619,7 @@ def series_energy_density(
     The series telescopes the replacement exactly: each n contributes tail
     integrals with decay n minus the same with decay n+1.
     """
-    d = dimensionless_couplings(p, t, u)
+    d = dimensionless_couplings(p, t)
     if d.a_B > SERIES_MAX_A_B:
         raise ValueError(
             f"a_B={d.a_B:.3g} outside the denominator-replacement regime "
@@ -641,7 +627,7 @@ def series_energy_density(
         )
     trunc = trunc or SeriesTruncation(n_max=50, i_max=3, j_max=3)
     y0 = _resolve_cut(d, cutoff_convention)
-    pref = _density_prefactor(t, u)
+    pref = _density_prefactor(t)
 
     try:
         value, tail, box_ok = _triple_sum(d, trunc, y0)

@@ -18,11 +18,9 @@ from anhgas.oracles import (
     diagonalize_truncated,
     integrate_semi_infinite,
 )
-from anhgas.params import NATURAL_UNITS, OscillatorParams, ThermalState
+from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
 from anhgas import specfun as sf
-
-U = NATURAL_UNITS
 
 
 class Budget:
@@ -37,7 +35,7 @@ class Budget:
 
 
 def t_of(temperature):
-    return ThermalState.from_temperature(temperature, U)
+    return ThermalState.from_temperature(temperature)
 
 
 def test_criterion_1_blackbody_reduction():
@@ -46,8 +44,8 @@ def test_criterion_1_blackbody_reduction():
     worst = 0.0
     for temperature in (0.5, 1.0, 2.0):
         t = t_of(temperature)
-        rep = qg.energy_density_massless(p, t, U)
-        want = math.pi**2 / 15.0 * t.kt(U) ** 4
+        rep = qg.energy_density_massless(p, t)
+        want = math.pi**2 / 15.0 * t.T ** 4
         rel = abs(rep.literal - want) / want
         worst = max(worst, rel)
         assert rel <= 1e-8
@@ -92,7 +90,7 @@ def test_criterion_3_vibrational_closed_form():
     for (m, omega) in ((1.0, 1.0), (4.0, 0.5), (0.3, 2.0)):
         lam = m * m * omega**4 / (64.0 * x * x)
         values.append(cg.f_oracle_from_params(
-            OscillatorParams(m=m, omega=omega, lam=lam), t, U))
+            OscillatorParams(m=m, omega=omega, lam=lam), t))
     assert max(values) - min(values) <= 1e-9 * min(values)
 
     assert cg.f_oracle(0.0).value == pytest.approx(math.gamma(0.75) / 4.0, rel=1e-9)
@@ -122,15 +120,15 @@ def test_criterion_4_average_energy_dual_path():
     ]
     outcomes = []
     for p in points:
-        rep = cg.average_energy_classical(p, t_of(1.0), U)
+        rep = cg.average_energy_classical(p, t_of(1.0))
         assert rep.status in (Status.PASS, Status.FLAGGED)
         assert math.isfinite(rep.rel_dev)           # deviation recorded
         outcomes.append(rep.status.value)
 
     p = points[0]
     mc_mean, mc_err, _ = cg.average_energy_metropolis(
-        p, t_of(1.0), U, n_samples=100_000, burn_in=5_000, seed=2008)
-    want = cg.average_energy_quadrature(p, t_of(1.0), U)
+        p, t_of(1.0), n_samples=100_000, burn_in=5_000, seed=2008)
+    want = cg.average_energy_quadrature(p, t_of(1.0))
     assert abs(mc_mean - want) <= 3.0 * mc_err
     budget.done("4 average-energy-dual-path",
                 f"statuses {outcomes}, MC dev {abs(mc_mean - want):.4f} "
@@ -141,16 +139,16 @@ def test_criterion_5_quartic_shift():
     budget = Budget(10.0)
     p = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
     for n in range(6):
-        lit = qg.literal_shift(n, p, "first", U)
-        gen = qg.rspt_shift(n, p, "first", U)
+        lit = qg.literal_shift(n, p, "first")
+        gen = qg.rspt_shift(n, p, "first")
         assert gen == pytest.approx(lit, rel=1e-13)
 
     resid = {}
     for lam_tilde in (1e-3, 5e-4):
         pl = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * lam_tilde)
-        evals = diagonalize_truncated(qg.oscillator_hamiltonian(220, pl, U), 4)
+        evals = diagonalize_truncated(qg.oscillator_hamiltonian(220, pl), 4)
         resid[lam_tilde] = [
-            abs(evals[n] - ((n + 0.5) + qg.rspt_shift(n, pl, "both", U)))
+            abs(evals[n] - ((n + 0.5) + qg.rspt_shift(n, pl, "both")))
             for n in range(4)
         ]
     ratios = [resid[1e-3][n] / resid[5e-4][n] for n in range(4)]
@@ -166,8 +164,8 @@ def test_criterion_6_cubic_shift_comparison():
         res = {}
         for mu_tilde in (1e-2, 5e-3):
             p = OscillatorParams(m=1.0, omega=1.0, mu=mu_tilde)
-            evals = diagonalize_truncated(qg.oscillator_hamiltonian(260, p, U), 6)
-            e_pt = (n + 0.5) + qg.rspt_shift(n, p, "both", U)
+            evals = diagonalize_truncated(qg.oscillator_hamiltonian(260, p), 6)
+            e_pt = (n + 0.5) + qg.rspt_shift(n, p, "both")
             res[mu_tilde] = abs(evals[n] - e_pt)
         ratio = res[1e-2] / res[5e-3]
         ratios.append(ratio)
@@ -175,7 +173,7 @@ def test_criterion_6_cubic_shift_comparison():
 
     # the printed-coefficient deviation must be reported, never suppressed
     rep = qg.perturbative_shift(0, OscillatorParams(m=1.0, omega=1.0, mu=1e-2),
-                                "second", U)
+                                "second")
     assert rep.status is Status.FLAGGED
     assert rep.rel_dev == pytest.approx(abs(5 / 16 - 11 / 8) / (11 / 8), rel=1e-10)
     budget.done("6 cubic-shift-comparison",
@@ -243,10 +241,10 @@ def test_criterion_9_series_vs_quadrature():
         p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * a_b / 3.0,
                              mu=4.0 * math.sqrt(0.4 * a_b))
         trunc = SeriesTruncation(n_max=50, i_max=3, j_max=3)
-        rep = qg.series_energy_density(p, t_of(1.0), U, trunc=trunc)
+        rep = qg.series_energy_density(p, t_of(1.0), trunc=trunc)
         assert rep.rel_dev <= 0.01
         rep2 = qg.series_energy_density(
-            p, t_of(1.0), U, trunc=SeriesTruncation(n_max=100, i_max=6, j_max=6))
+            p, t_of(1.0), trunc=SeriesTruncation(n_max=100, i_max=6, j_max=6))
         moved = abs(rep2.literal - rep.literal)
         assert moved <= rep.options_used["tail_estimate"]
         details.append(f"a_B={a_b}: rel {rep.rel_dev:.2e}, "

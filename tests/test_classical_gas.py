@@ -9,11 +9,8 @@ import pytest
 from anhgas import classical_gas as cg
 from anhgas import cli
 from anhgas.oracles import QuadratureResult, integrate_semi_infinite
-from anhgas.params import FormalVolumes, NATURAL_UNITS, OscillatorParams, ThermalState
+from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
-
-U = NATURAL_UNITS
-VOL = FormalVolumes()
 
 # frozen golden values, computed from the defining integral at 20 digits
 F_GOLDEN = {
@@ -26,7 +23,7 @@ F_GOLDEN = {
 
 
 def natural_state():
-    return ThermalState.from_temperature(1.0, U)
+    return ThermalState.from_temperature(1.0)
 
 
 # test-only cross-checks: Richardson-extrapolated central differences,
@@ -42,13 +39,13 @@ def richardson_f_derivative(x):
     return richardson_derivative(lambda y: cg.f_oracle(y).value, x, 1e-3 * max(x, 0.1))
 
 
-def richardson_average_energy(p, t, u=U, log_extensive=0.0):
+def richardson_average_energy(p, t, log_extensive=0.0):
     """-d(ln Z)/d(beta) of the actual partition integrals; log_extensive
     is ln of a beta-independent factor such as a formal volume."""
     def log_z(b):
-        state = ThermalState(T=1.0 / (u.k_B * b), beta=b)
-        return (log_extensive + cg.log_momentum_radial_integral(p, b, u)
-                + math.log(cg.position_radial_integral(p, state, u).value))
+        state = ThermalState(T=1.0 / b, beta=b)
+        return (log_extensive + cg.log_momentum_radial_integral(p, b)
+                + math.log(cg.position_radial_integral(p, state).value))
 
     return -richardson_derivative(log_z, t.beta, 1e-3 * t.beta)
 
@@ -56,12 +53,12 @@ def richardson_average_energy(p, t, u=U, log_extensive=0.0):
 class TestHarmonicPartition:
     def test_natural_units_value(self):
         p = OscillatorParams(m=1.0, omega=1.0)
-        assert cg.harmonic_partition_z1(p, natural_state(), U, VOL) == pytest.approx(1.0)
+        assert cg.harmonic_partition_z1(p, natural_state()) == pytest.approx(1.0)
 
     def test_cubic_temperature_homogeneity(self):
         p = OscillatorParams(m=1.3, omega=0.7)
-        z1 = cg.harmonic_partition_z1(p, ThermalState.from_temperature(1.0, U), U, VOL)
-        z2 = cg.harmonic_partition_z1(p, ThermalState.from_temperature(2.0, U), U, VOL)
+        z1 = cg.harmonic_partition_z1(p, ThermalState.from_temperature(1.0))
+        z2 = cg.harmonic_partition_z1(p, ThermalState.from_temperature(2.0))
         assert z2 / z1 == pytest.approx(8.0, rel=1e-14)
 
     def test_report_pairs_printed_formula_with_phase_space_quadrature(self):
@@ -69,8 +66,8 @@ class TestHarmonicPartition:
         # construction (stray mass root, one phase-space power); the report
         # must carry that deviation openly rather than fail
         p = OscillatorParams(m=2.0, omega=3.0)
-        t = ThermalState.from_temperature(1.5, U)
-        rep = cg.harmonic_partition_z1_report(p, t, U, VOL)
+        t = ThermalState.from_temperature(1.5)
+        rep = cg.harmonic_partition_z1_report(p, t)
         analytic_oracle = (2.0 * math.pi * 1.5 / 3.0) ** 3 / (2.0 * math.pi) ** 6
         assert rep.oracle == pytest.approx(analytic_oracle, rel=1e-8)
         assert rep.literal == pytest.approx(
@@ -83,37 +80,40 @@ class TestHarmonicPartition:
 
 class TestMomentumSphere:
     def test_boundary_radicand_gives_zero(self):
-        # w^2 A^2 = 2 c^3 exactly, in powers of two so no rounding slack
-        from anhgas.params import UnitSystem
-
-        p = OscillatorParams(m=1.0, omega=4.0, amplitude_a=1.0)
-        assert cg.momentum_sphere_q(p, UnitSystem(c=2.0)) == 0.0
+        # w^2 A^2 = 2 c^3 = 2: sqrt(2)^2 rounds up by one ulp and the
+        # amplitude one ulp below 1 cancels it, so the radicand is exactly 0
+        p = OscillatorParams(m=1.0, omega=math.sqrt(2.0))
+        assert cg.momentum_sphere_q(p, math.nextafter(1.0, 0.0)) == 0.0
 
     def test_printed_value(self):
-        p = OscillatorParams(m=1.0, omega=1.0, amplitude_a=2.0)
+        p = OscillatorParams(m=1.0, omega=1.0)
         want = 4.0 / 3.0 * math.pi * 3.0**1.5
-        assert cg.momentum_sphere_q(p, U) == pytest.approx(want, rel=1e-14)
+        assert cg.momentum_sphere_q(p, 2.0) == pytest.approx(want, rel=1e-14)
 
     def test_three_halves_power_homogeneity(self):
         # doubling the radicand scales Q by 2^(3/2)
-        base = OscillatorParams(m=1.0, omega=1.0, amplitude_a=2.0)
-        q1 = cg.momentum_sphere_q(base, U)
+        p = OscillatorParams(m=1.0, omega=1.0)
+        q1 = cg.momentum_sphere_q(p, 2.0)
         # radicand 3 -> 6 when (w^2 A^2 / 2)^2 = 7
-        a2 = math.sqrt(2.0 * math.sqrt(7.0))
-        q2 = cg.momentum_sphere_q(
-            OscillatorParams(m=1.0, omega=1.0, amplitude_a=a2), U)
+        q2 = cg.momentum_sphere_q(p, math.sqrt(2.0 * math.sqrt(7.0)))
         assert q2 / q1 == pytest.approx(2.0**1.5, rel=1e-12)
 
     def test_below_threshold_raises(self):
-        p = OscillatorParams(m=1.0, omega=1.0, amplitude_a=1.0)
+        p = OscillatorParams(m=1.0, omega=1.0)
         with pytest.raises(ValueError, match="threshold"):
-            cg.momentum_sphere_q(p, U)
+            cg.momentum_sphere_q(p, 1.0)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -2.0, math.nan])
+    def test_amplitude_must_be_positive(self, amplitude):
+        p = OscillatorParams(m=1.0, omega=1.0)
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            cg.momentum_sphere_q(p, amplitude)
 
 
 class TestRelativisticHarmonicPartition:
     def test_dual_route_agreement_at_unit_rest_energy(self):
         p = OscillatorParams(m=1.0, omega=1.0)
-        rep = cg.relativistic_harmonic_partition_z2(p, natural_state(), U, VOL)
+        rep = cg.relativistic_harmonic_partition_z2(p, natural_state())
         assert rep.status is Status.PASS
         assert rep.rel_dev <= 1e-7
 
@@ -122,11 +122,11 @@ class TestRelativisticHarmonicPartition:
         p = OscillatorParams(m=1.0, omega=1.0)
 
         def ratio(temperature):
-            t = ThermalState.from_temperature(temperature, U)
-            z = cg.relativistic_z(p, t, U)
-            rep = cg.relativistic_harmonic_partition_z2(p, t, U, VOL)
+            t = ThermalState.from_temperature(temperature)
+            z = cg.relativistic_z(p, t)
+            rep = cg.relativistic_harmonic_partition_z2(p, t)
             pref = (4.0 * math.pi * (1.0 / (2.0 * math.pi) ** 2) ** 3
-                    * (2.0 * math.pi * t.kt(U)) ** 1.5)
+                    * (2.0 * math.pi * t.T) ** 1.5)
             asym = pref * math.sqrt(math.pi / 2.0) * z**-1.5 * math.exp(-z)
             return rep.literal / asym
 
@@ -137,12 +137,9 @@ class TestRelativisticHarmonicPartition:
     def test_momentum_sphere_factor_is_extensive_only(self):
         p = OscillatorParams(m=1.0, omega=1.0)
         t = natural_state()
-        r1 = cg.relativistic_harmonic_partition_z2(p, t, U, VOL)
-        r2 = cg.relativistic_harmonic_partition_z2(p, t, U, FormalVolumes(Q=2.0))
-        assert r2.literal == pytest.approx(2.0 * r1.literal, rel=1e-14)
         # the intensive <H> = -d(ln Z)/d(beta) does not see the factor Q:
         # with and without ln 2 in ln Z it is the moment ratio <H>
-        want = cg.average_energy_quadrature(p, t, U)
+        want = cg.average_energy_quadrature(p, t)
         for log_q in (0.0, math.log(2.0)):
             got = richardson_average_energy(p, t, log_extensive=log_q)
             assert got == pytest.approx(want, rel=1e-10)
@@ -177,7 +174,7 @@ class TestQuarticGaussianF:
         for (m, omega) in ((1.0, 1.0), (4.0, 0.5), (0.3, 2.0)):
             lam = m * m * omega**4 / (64.0 * x * x)
             p = OscillatorParams(m=m, omega=omega, lam=lam)
-            values.append(cg.f_oracle_from_params(p, t, U))
+            values.append(cg.f_oracle_from_params(p, t))
         spread = max(values) - min(values)
         assert spread <= 1e-9 * min(values)
         assert values[0] == pytest.approx(cg.f_oracle(x).value, rel=1e-9)
@@ -273,15 +270,15 @@ class TestGFunction:
 class TestAnharmonicPartition:
     def test_dual_route_at_unit_rest_energy(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
-        rep = cg.anharmonic_relativistic_partition(p, natural_state(), U, VOL)
+        rep = cg.anharmonic_relativistic_partition(p, natural_state())
         assert rep.status is Status.PASS
         assert rep.rel_dev <= 1e-6
 
     def test_flagged_away_from_unit_rest_energy(self):
         # the printed G cancels its power swap only at z = 1
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
-        t = ThermalState.from_temperature(0.5, U)
-        rep = cg.anharmonic_relativistic_partition(p, t, U, VOL)
+        t = ThermalState.from_temperature(0.5)
+        rep = cg.anharmonic_relativistic_partition(p, t)
         assert rep.status is Status.FLAGGED
         z = 2.0
         want_ratio = z**3 * cg.g_function(z) / cg.g_function_corrected(z)
@@ -289,20 +286,13 @@ class TestAnharmonicPartition:
 
     def test_vibrational_factor_gaussian_limit(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-6)
-        got = cg.vibrational_partition(p, natural_state(), U)
+        got = cg.vibrational_partition(p, natural_state())
         assert got == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-3)
-
-    def test_momentum_volume_is_multiplicative(self):
-        p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
-        t = natural_state()
-        r1 = cg.anharmonic_relativistic_partition(p, t, U, VOL)
-        r2 = cg.anharmonic_relativistic_partition(p, t, U, FormalVolumes(V_P=2.0))
-        assert r2.literal == pytest.approx(2.0 * r1.literal, rel=1e-14)
 
     def test_vibrational_partition_increasing_in_temperature(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
         temps = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0]
-        vals = [cg.vibrational_partition(p, ThermalState.from_temperature(T, U), U)
+        vals = [cg.vibrational_partition(p, ThermalState.from_temperature(T))
                 for T in temps]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -322,30 +312,30 @@ class TestAverageEnergy:
         for p in FIVE_POINTS:
             t = natural_state()
             fd = richardson_average_energy(p, t)
-            ratio = cg.average_energy_quadrature(p, t, U)
+            ratio = cg.average_energy_quadrature(p, t)
             assert fd == pytest.approx(ratio, rel=1e-5)
 
     def test_moment_oracle_matches_log_derivative(self):
         temps = [0.005 * 40000 ** (k / 11) for k in range(12)]     # 0.005 ... 200
         for p in FIVE_POINTS:
             for T in temps:
-                t = ThermalState.from_temperature(T, U)
-                assert cg.average_energy_quadrature(p, t, U) == pytest.approx(
+                t = ThermalState.from_temperature(T)
+                assert cg.average_energy_quadrature(p, t) == pytest.approx(
                     richardson_average_energy(p, t), rel=1e-10)
 
     def test_report_oracle_is_the_moment_ratio(self):
         p = OscillatorParams(m=1.0, omega=1.5, lam=2.0)
-        t = ThermalState.from_temperature(0.7, U)
-        rep = cg.average_energy_classical(p, t, U)
-        assert float.hex(rep.oracle) == float.hex(cg.average_energy_quadrature(p, t, U))
+        t = ThermalState.from_temperature(0.7)
+        rep = cg.average_energy_classical(p, t)
+        assert float.hex(rep.oracle) == float.hex(cg.average_energy_quadrature(p, t))
         assert "<m c^2 cosh s> + <V(r)>" in rep.provenance
 
     def test_handed_f_gives_the_same_report(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
-        t = ThermalState.from_temperature(0.4, U)
-        f_x = cg.f_oracle(cg.coupling_x(p, t, U))
-        assert cg.average_energy_classical(p, t, U, f_x=f_x) == \
-            cg.average_energy_classical(p, t, U)
+        t = ThermalState.from_temperature(0.4)
+        f_x = cg.f_oracle(cg.coupling_x(p, t))
+        assert cg.average_energy_classical(p, t, f_x=f_x) == \
+            cg.average_energy_classical(p, t)
 
     def test_classical_point_runs_five_quadratures_for_the_row(self, monkeypatch):
         # F(x) comes from the f_function row; the row itself runs F'(x)
@@ -380,25 +370,25 @@ class TestAverageEnergy:
         t = natural_state()
         monkeypatch.setattr(cg, "integrate_semi_infinite",
                             functools.partial(integrate_semi_infinite, max_evals=15))
-        rep = cg.average_energy_classical(p, t, U)
+        rep = cg.average_energy_classical(p, t)
         assert rep.status is Status.ERROR
         assert math.isfinite(rep.literal) and math.isfinite(rep.oracle)
         prov = rep.provenance.split("; unconverged quadrature: ", 1)[1]
         assert "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du" in prov
         assert "int r^2 e^{-beta V(r)} dr" in prov
         # the public oracle keeps its float return value
-        assert isinstance(cg.average_energy_quadrature(p, t, U), float)
+        assert isinstance(cg.average_energy_quadrature(p, t), float)
 
     def test_unconverged_handed_f_is_named(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         t = natural_state()
-        good = cg.f_oracle(cg.coupling_x(p, t, U))
+        good = cg.f_oracle(cg.coupling_x(p, t))
         bad = QuadratureResult(good.value, 1.0, 15, False)
-        rep = cg.average_energy_classical(p, t, U, f_x=bad)
+        rep = cg.average_energy_classical(p, t, f_x=bad)
         assert rep.status is Status.ERROR
         assert rep.provenance.endswith(
             "; unconverged quadrature: F(x) = int u^2 e^{-4x u^2 - u^4} du")
-        assert cg.average_energy_classical(p, t, U, f_x=good).status is not Status.ERROR
+        assert cg.average_energy_classical(p, t, f_x=good).status is not Status.ERROR
 
     def test_classical_point_names_every_unconverged_quadrature(self, monkeypatch):
         # with a 15-evaluation budget and an unconverged unit Gaussian, no
@@ -428,7 +418,7 @@ class TestAverageEnergy:
 
     def test_dual_route_report_records_deviation(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
-        rep = cg.average_energy_classical(p, natural_state(), U)
+        rep = cg.average_energy_classical(p, natural_state())
         assert rep.status in (Status.PASS, Status.FLAGGED)
         assert math.isfinite(rep.rel_dev)
         assert rep.abs_dev == pytest.approx(abs(rep.literal - rep.oracle))
@@ -454,7 +444,7 @@ class TestAverageEnergy:
         # z -> 0: the kinetic quadrature ratio approaches 3 kT
         p = OscillatorParams(m=1e-3, omega=1.0, lam=1.0)
         t = natural_state()
-        total = cg.average_energy_quadrature(p, t, U)
+        total = cg.average_energy_quadrature(p, t)
         p_heavy_pot = 0.75  # the quartic-dominated vibrational share: lam r^4 with w ~ 1
         # isolate the kinetic part by subtracting the vibrational quadrature ratio
         beta = t.beta
@@ -474,11 +464,11 @@ class TestAverageEnergy:
     def test_metropolis_vs_quadrature(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         t = natural_state()
-        mean, err, _ = cg.average_energy_metropolis(p, t, U, n_samples=50_000, seed=414)
-        want = cg.average_energy_quadrature(p, t, U)
+        mean, err, _ = cg.average_energy_metropolis(p, t, n_samples=50_000, seed=414)
+        want = cg.average_energy_quadrature(p, t)
         assert abs(mean - want) <= 3.0 * err
 
     def test_degenerate_harmonic_input_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.0)
         with pytest.raises(ValueError, match="quartic"):
-            cg.average_energy_classical(p, natural_state(), U)
+            cg.average_energy_classical(p, natural_state())

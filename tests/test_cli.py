@@ -99,7 +99,8 @@ class TestRunConfig:
         ('{"thermal_grid": [true, "2"]}', "thermal_grid[0]"),
         ('{"oscillator": 5}', "oscillator"),
         ('{"oscillator": {"lam": 0.5, "mu": "0.1"}}', "oscillator.mu"),
-        ('{"unit_system": {"hbar": true}}', "unit_system.hbar"),
+        ('{"oscillator": {"mu": 1e999}}', "oscillator.mu"),
+        ('{"oscillator": {"lam": NaN}}', "oscillator.lam"),
         ('{"options": [1]}', "options"),
         ('{"options": {"massive_gas_mass": true}}', "options.massive_gas_mass"),
         ('[1.0]', "config"),
@@ -113,6 +114,20 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config or input error: {path}: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classical", "quantum"])
+    @pytest.mark.parametrize("section, key", [
+        ({"unit_system": {"hbar": 1.0, "c": 1.0, "k_B": 1.0}}, "unit_system"),
+        ({"oscillator": {"amplitude_a": 2.0}}, "oscillator.amplitude_a"),
+    ])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, command,
+                                               section, key):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps(section))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config or input error: unknown config key: {key}\n"
         assert not out.exists()
 
     def test_print_config_lists_every_flag(self, capsys, tmp_path):
@@ -287,6 +302,34 @@ class TestQuantumCommand:
             assert r["status"] == "ERROR"
             assert r["provenance"].startswith("evaluation failure: the exp map of [")
             assert "put a node at t = 1" in r["provenance"]
+
+
+@pytest.mark.parametrize("command, raw, error_rows", [
+    ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, False),
+    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, True),
+    ("quantum", {"oscillator": {"lam": 1e-320, "mu": 0.1}, "thermal_grid": [1.0]}, True),
+    # m^2 underflows to 0 in the spectrum table, before any sweep row
+    ("quantum", {"oscillator": {"m": 1e-300, "lam": 0.5}, "thermal_grid": [1.0]}, False),
+])
+def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command, raw,
+                                                      error_rows):
+    # an overflow, a division by zero or a NaN integrand escaping main
+    # would be a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if not error_rows:
+        assert err.startswith("config or input error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    rows = (out / "quantum.csv").read_text().splitlines()[1:]
+    reports = json.loads((out / "quantum_reports.json").read_text())
+    assert len(reports) == len(rows) == 4
+    errors = [r for r in reports if r["status"] == "ERROR"]
+    assert errors and all(r["provenance"].startswith("evaluation failure: ")
+                          for r in errors)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

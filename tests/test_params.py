@@ -2,18 +2,7 @@
 
 import pytest
 
-from anhgas.params import FormalVolumes, NATURAL_UNITS, OscillatorParams, ThermalState, UnitSystem
-
-
-class TestUnitSystem:
-    def test_natural_defaults(self):
-        assert (NATURAL_UNITS.hbar, NATURAL_UNITS.c, NATURAL_UNITS.k_B) == (1.0, 1.0, 1.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            UnitSystem(hbar=0.0)
-        with pytest.raises(ValueError):
-            UnitSystem(c=-1.0)
+from anhgas.params import OscillatorParams, ThermalState
 
 
 class TestOscillatorParams:
@@ -24,8 +13,6 @@ class TestOscillatorParams:
             OscillatorParams(m=1.0, omega=-2.0)
         with pytest.raises(ValueError, match="quartic"):
             OscillatorParams(m=1.0, omega=1.0, lam=-0.1)
-        with pytest.raises(ValueError, match="amplitude"):
-            OscillatorParams(m=1.0, omega=1.0, amplitude_a=0.0)
 
     def test_cubic_coupling_may_take_either_sign(self):
         assert OscillatorParams(m=1.0, omega=1.0, mu=-0.3).mu == -0.3
@@ -38,21 +25,10 @@ class TestOscillatorParams:
 class TestThermalState:
     @pytest.mark.parametrize("temperature", [0.1, 0.7, 1.0, 3.7, 250.0])
     def test_inverse_temperature_as_constructed(self, temperature):
-        units = UnitSystem(k_B=1.5)
-        t = ThermalState.from_temperature(temperature, units)
-        assert t.beta == 1.0 / (units.k_B * temperature)
-        assert t.kt(units) == units.k_B * temperature
+        t = ThermalState.from_temperature(temperature)
+        assert t.beta == 1.0 / temperature
+        assert t.T == temperature
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             ThermalState.from_temperature(0.0)
-
-
-class TestFormalVolumes:
-    def test_defaults_are_unit_factors(self):
-        v = FormalVolumes()
-        assert (v.V, v.V_P, v.Q) == (1.0, 1.0, 1.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            FormalVolumes(V_P=0.0)

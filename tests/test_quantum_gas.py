@@ -9,31 +9,30 @@ import pytest
 
 from anhgas import quantum_gas as qg
 from anhgas.oracles import SeriesTruncation, diagonalize_truncated, integrate_semi_infinite
-from anhgas.params import NATURAL_UNITS, OscillatorParams, ThermalState
+from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
 
-U = NATURAL_UNITS
 S = 0.5   # hbar / (2 m w) at natural parameters
 
 
 def t_of(temperature):
-    return ThermalState.from_temperature(temperature, U)
+    return ThermalState.from_temperature(temperature)
 
 
 class TestPositionPowerMatrices:
     def test_x2_diagonal(self):
-        mat = qg.position_power_matrix(2, 10, 1.0, 1.0, U)
+        mat = qg.position_power_matrix(2, 10, 1.0, 1.0)
         n = np.arange(10)
         assert np.allclose(np.diag(mat), S * (2 * n + 1), rtol=0, atol=0)
 
     def test_x4_diagonal(self):
-        mat = qg.position_power_matrix(4, 10, 1.0, 1.0, U)
+        mat = qg.position_power_matrix(4, 10, 1.0, 1.0)
         n = np.arange(10.0)
         assert np.allclose(np.diag(mat), S * S * (6 * n * n + 6 * n + 3),
                            rtol=1e-15, atol=0)
 
     def test_x3_third_off_diagonal(self):
-        mat = qg.position_power_matrix(3, 12, 1.0, 1.0, U)
+        mat = qg.position_power_matrix(3, 12, 1.0, 1.0)
         for n in range(9):
             want = S**1.5 * math.sqrt((n + 1) * (n + 2) * (n + 3))
             assert mat[n + 3, n] == pytest.approx(want, rel=1e-14)
@@ -42,14 +41,14 @@ class TestPositionPowerMatrices:
     def test_brute_force_product_oracle(self, power):
         # multiply out x at a larger dimension, then truncate
         n_dim = 14
-        x1 = qg.position_power_matrix(1, n_dim + 8, 1.0, 1.0, U)
+        x1 = qg.position_power_matrix(1, n_dim + 8, 1.0, 1.0)
         brute = np.linalg.matrix_power(x1, power)[:n_dim, :n_dim]
-        mine = qg.position_power_matrix(power, n_dim, 1.0, 1.0, U)
+        mine = qg.position_power_matrix(power, n_dim, 1.0, 1.0)
         assert np.max(np.abs(brute - mine)) < 1e-13
 
     @pytest.mark.parametrize("power", [1, 2, 3, 4])
     def test_bandwidth_and_symmetry(self, power):
-        mat = qg.position_power_matrix(power, 16, 2.0, 0.7, U)
+        mat = qg.position_power_matrix(power, 16, 2.0, 0.7)
         assert np.max(np.abs(mat - mat.T)) <= 1e-14 * max(1.0, np.max(np.abs(mat)))
         for r in range(16):
             for c in range(16):
@@ -58,15 +57,15 @@ class TestPositionPowerMatrices:
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError, match="too small"):
-            qg.position_power_matrix(4, 5, 1.0, 1.0, U)
+            qg.position_power_matrix(4, 5, 1.0, 1.0)
 
 
 class TestPerturbativeShifts:
     def test_quartic_first_order_matches_printed_exactly(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
         for n in range(6):
-            lit = qg.literal_shift(n, p, "first", U)
-            gen = qg.rspt_shift(n, p, "first", U)
+            lit = qg.literal_shift(n, p, "first")
+            gen = qg.rspt_shift(n, p, "first")
             assert gen == pytest.approx(lit, rel=1e-13)
 
     def test_cubic_second_order_standard_sum(self):
@@ -75,11 +74,11 @@ class TestPerturbativeShifts:
         p = OscillatorParams(m=1.0, omega=1.0, mu=1e-3)
         for n in range(4):
             want = -(p.mu**2 / 8.0) * (30 * n * n + 30 * n + 11)
-            assert qg.rspt_shift(n, p, "second", U) == pytest.approx(want, rel=1e-12)
+            assert qg.rspt_shift(n, p, "second") == pytest.approx(want, rel=1e-12)
 
     def test_cubic_printed_coefficient_is_flagged(self):
         p = OscillatorParams(m=1.0, omega=1.0, mu=1e-3)
-        rep = qg.perturbative_shift(0, p, "second", U)
+        rep = qg.perturbative_shift(0, p, "second")
         assert rep.status is Status.FLAGGED
         assert rep.literal == pytest.approx(-(p.mu**2 / 16.0) * 5.0, rel=1e-12)
         assert rep.oracle == pytest.approx(-(p.mu**2 / 8.0) * 11.0, rel=1e-12)
@@ -89,16 +88,16 @@ class TestPerturbativeShifts:
     def test_no_perturbation_no_shift(self):
         p = OscillatorParams(m=1.0, omega=1.0)
         for order in ("first", "second", "both"):
-            assert qg.literal_shift(0, p, order, U) == 0.0
-            assert qg.rspt_shift(0, p, order, U) == 0.0
+            assert qg.literal_shift(0, p, order) == 0.0
+            assert qg.rspt_shift(0, p, order) == 0.0
 
     def test_second_order_quartic_included_by_engine(self):
         # the generic engine picks up the lam^2 second-order piece the
         # printed formulas neglect
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-2)
-        second = qg.rspt_shift(0, p, "second", U)
+        second = qg.rspt_shift(0, p, "second")
         assert second < 0.0
-        assert abs(second) < abs(qg.rspt_shift(0, p, "first", U))
+        assert abs(second) < abs(qg.rspt_shift(0, p, "first"))
 
     def test_third_order_residual_scaling_quartic(self):
         # the residual beyond second order shrinks by ~8 when the coupling
@@ -106,9 +105,9 @@ class TestPerturbativeShifts:
         resid = {}
         for lam_tilde in (1e-3, 5e-4):
             p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * lam_tilde)
-            evals = diagonalize_truncated(qg.oscillator_hamiltonian(220, p, U), 4)
+            evals = diagonalize_truncated(qg.oscillator_hamiltonian(220, p), 4)
             resid[lam_tilde] = [
-                abs(evals[n] - ((n + 0.5) + qg.rspt_shift(n, p, "both", U)))
+                abs(evals[n] - ((n + 0.5) + qg.rspt_shift(n, p, "both")))
                 for n in range(4)
             ]
         for n in range(4):
@@ -119,19 +118,19 @@ class TestPerturbativeShifts:
 class TestSpectrumCoeffs:
     def test_unperturbed(self):
         p = OscillatorParams(m=1.0, omega=1.0)
-        sc = qg.spectrum_coeffs(1.0, p, U)
+        sc = qg.spectrum_coeffs(1.0, p)
         assert (sc.a_coeff, sc.b_coeff, sc.c_coeff) == (0.0, 1.0, 0.5)
 
     def test_regroups_the_shifts_exactly(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=2e-3, mu=1e-3)
-        sc = qg.spectrum_coeffs(1.0, p, U)
+        sc = qg.spectrum_coeffs(1.0, p)
         for n in range(4):
-            want = 1.0 * (n + 0.5) + qg.literal_shift(n, p, "both", U)
+            want = 1.0 * (n + 0.5) + qg.literal_shift(n, p, "both")
             assert sc.energy_level(n) == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_quartic_dominant_signs(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-2, mu=1e-4)
-        sc = qg.spectrum_coeffs(1.0, p, U)
+        sc = qg.spectrum_coeffs(1.0, p)
         assert sc.a_coeff > 0.0 and sc.b_coeff > 0.0
 
 
@@ -147,13 +146,13 @@ class TestDimensionlessCouplings:
 
     def test_definitional_identity(self):
         p = OscillatorParams(m=1.2, omega=1.0, lam=0.3, mu=0.2)
-        d = qg.dimensionless_couplings(p, t_of(1.4), U)
+        d = qg.dimensionless_couplings(p, t_of(1.4))
         assert d.kappa_sq * d.a_B + d.a_A == pytest.approx(0.0, abs=1e-12 * abs(d.a_A))
         assert d.a_A <= 0.0 <= d.a_B
 
     def test_physical_values(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.75, mu=4.0)
-        d = qg.dimensionless_couplings(p, t_of(1.0), U)
+        d = qg.dimensionless_couplings(p, t_of(1.0))
         assert d.a_B == pytest.approx(3.0 * 0.75 / 4.0)
         assert d.a_A == pytest.approx(-1.0)
 
@@ -167,10 +166,10 @@ class TestOnePositivityWindow:
     # where mu^2 underflows and a_A comes out zero
     @pytest.mark.parametrize("mu", [0.1, 1e-200])
     @pytest.mark.parametrize("call", [
-        lambda p: qg.dimensionless_couplings(p, t_of(1.0), U),
-        lambda p: qg.energy_density_massless(p, t_of(1.0), U),
-        lambda p: qg.energy_density_massive(p, 1.0, t_of(1.0), U),
-        lambda p: qg.series_energy_density(p, t_of(1.0), U),
+        lambda p: qg.dimensionless_couplings(p, t_of(1.0)),
+        lambda p: qg.energy_density_massless(p, t_of(1.0)),
+        lambda p: qg.energy_density_massive(p, 1.0, t_of(1.0)),
+        lambda p: qg.series_energy_density(p, t_of(1.0)),
     ], ids=["couplings", "massless", "massive", "series"])
     def test_cubic_without_quartic_is_refused(self, call, mu):
         p = OscillatorParams(m=1.0, omega=1.0, mu=mu)
@@ -281,33 +280,33 @@ class TestMasslessEnergyDensity:
         p = OscillatorParams(m=1.0, omega=1.0)
         for temperature in (0.5, 1.0, 2.0):
             t = t_of(temperature)
-            rep = qg.energy_density_massless(p, t, U)
+            rep = qg.energy_density_massless(p, t)
             assert rep.status is Status.PASS
             assert rep.literal == pytest.approx(
-                qg.blackbody_energy_density(t, U), rel=1e-8)
+                qg.blackbody_energy_density(t), rel=1e-8)
 
     def test_t4_scaling_is_exact(self):
         p = OscillatorParams(m=1.0, omega=1.0)
-        r1 = qg.energy_density_massless(p, t_of(1.0), U).literal
-        r2 = qg.energy_density_massless(p, t_of(2.0), U).literal
+        r1 = qg.energy_density_massless(p, t_of(1.0)).literal
+        r2 = qg.energy_density_massless(p, t_of(2.0)).literal
         assert r2 / r1 == pytest.approx(16.0, rel=1e-10)
 
     def test_small_coupling_deviation_scaling(self):
         # measured scaling of the blackbody deviation: the soft-mode region
         # y ~ sqrt(a_B) dominates, giving a_B^(3/4), so halving the coupling
         # divides the deviation by 2^(3/4), not by 2
-        bb = qg.blackbody_energy_density(t_of(1.0), U)
+        bb = qg.blackbody_energy_density(t_of(1.0))
         devs = []
         for a_b in (1e-3, 5e-4):
             p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * a_b / 3.0)
-            rep = qg.energy_density_massless(p, t_of(1.0), U)
+            rep = qg.energy_density_massless(p, t_of(1.0))
             devs.append(rep.literal - bb)
         assert devs[0] < 0.0   # quartic stiffening lowers the density
         assert devs[0] / devs[1] == pytest.approx(2.0**0.75, rel=0.01)
 
     def test_heaviside_semantics(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=4e-3 / 3.0, mu=4.0 * math.sqrt(4e-4))
-        d = qg.dimensionless_couplings(p, t_of(1.0), U)
+        d = qg.dimensionless_couplings(p, t_of(1.0))
         assert d.y_star > 0.0
         for k in range(100):
             y = d.y_star * (k + 0.5) / 100.0
@@ -320,7 +319,7 @@ class TestMasslessEnergyDensity:
         gaps = []
         for eps in (0.25, 0.1, 0.08):
             p = OscillatorParams(m=1.0, omega=1.0, lam=2e-3 * eps, mu=0.3 * eps)
-            rep = qg.energy_density_massless(p, t_of(1.0), U)
+            rep = qg.energy_density_massless(p, t_of(1.0))
             gaps.append(abs(rep.literal - rep.options_used["value_other_cutoff"]))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] == 0.0
@@ -328,9 +327,9 @@ class TestMasslessEnergyDensity:
     def test_cubic_alone_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, mu=0.1)
         with pytest.raises(ValueError, match="positivity"):
-            qg.energy_density_massless(p, t_of(1.0), U)
+            qg.energy_density_massless(p, t_of(1.0))
         with pytest.raises(ValueError, match="positivity"):
-            qg.energy_density_massless(p, t_of(1.0), U, integrals={})
+            qg.energy_density_massless(p, t_of(1.0), integrals={})
 
     @pytest.mark.parametrize("mu, temperature", [(0.1, 1.0), (2.0, 0.5)])
     def test_both_conventions_share_their_integrals(self, mu, temperature, monkeypatch):
@@ -338,7 +337,7 @@ class TestMasslessEnergyDensity:
         # 3 kappa^2 lies above y_star and the cuts differ
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=mu)
         t = t_of(temperature)
-        d = qg.dimensionless_couplings(p, t, U)
+        d = qg.dimensionless_couplings(p, t)
         shared = 3.0 * d.kappa_sq <= d.y_star
         assert shared == (mu == 0.1)
         real = qg.integrate_semi_infinite
@@ -349,22 +348,22 @@ class TestMasslessEnergyDensity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(qg, "integrate_semi_infinite", counting)
-        separate = [qg.energy_density_massless(p, t, U, cutoff_convention=c)
+        separate = [qg.energy_density_massless(p, t, cutoff_convention=c)
                     for c in ("y_star", "kappa_literal")]
         assert len(calls) == (4 if shared else 6)
         calls.clear()
         integrals: dict = {}
-        both = [qg.energy_density_massless(p, t, U, c, integrals=integrals)
+        both = [qg.energy_density_massless(p, t, c, integrals=integrals)
                 for c in ("y_star", "kappa_literal")]
         assert len(calls) == (2 if shared else 4)
         assert [r.to_dict() for r in both] == [r.to_dict() for r in separate]
         # every argument is in the key: another temperature reuses nothing
         t2 = t_of(2.0 * temperature)
         calls.clear()
-        alone = qg.energy_density_massless(p, t2, U)
+        alone = qg.energy_density_massless(p, t2)
         n_alone = len(calls)
         calls.clear()
-        again = qg.energy_density_massless(p, t2, U, integrals=integrals)
+        again = qg.energy_density_massless(p, t2, integrals=integrals)
         assert len(calls) == n_alone
         assert again.to_dict() == alone.to_dict()
 
@@ -372,14 +371,14 @@ class TestMasslessEnergyDensity:
 class TestMassiveEnergyDensity:
     def test_window_empty_flags_zero(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
-        rep = qg.energy_density_massive(p, 1e6, t_of(1.0), U)
+        rep = qg.energy_density_massive(p, 1e6, t_of(1.0))
         assert rep.literal == 0.0 and rep.oracle == 0.0
         assert rep.status is Status.FLAGGED
         assert rep.options_used.get("window") == "empty"
 
     def test_corrected_mode_dual_transform(self):
         p = OscillatorParams(m=1.0, omega=1.0)
-        rep = qg.energy_density_massive(p, 1.0, t_of(1.0), U)
+        rep = qg.energy_density_massive(p, 1.0, t_of(1.0))
         dual = rep.options_used["corrected_dual_transform"]
         assert rep.oracle == pytest.approx(dual, rel=1e-7)
 
@@ -387,7 +386,7 @@ class TestMassiveEnergyDensity:
         # the printed radicand is linear in y, the corrected one quadratic;
         # they differ at order one even far into the relativistic regime
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
-        rep = qg.energy_density_massive(p, 0.01, t_of(1.0), U)
+        rep = qg.energy_density_massive(p, 0.01, t_of(1.0))
         assert rep.status is Status.FLAGGED
         assert rep.literal != rep.oracle
         assert math.isfinite(rep.rel_dev) and rep.rel_dev > 0.05
@@ -495,7 +494,7 @@ class TestSeriesEnergyDensity:
     def test_blackbody_collapse(self):
         p = OscillatorParams(m=1.0, omega=1.0)
         rep = qg.series_energy_density(
-            p, t_of(1.0), U, trunc=SeriesTruncation(n_max=2000, i_max=0, j_max=0))
+            p, t_of(1.0), trunc=SeriesTruncation(n_max=2000, i_max=0, j_max=0))
         want = math.pi**2 / 15.0
         assert rep.literal == pytest.approx(want, rel=1e-9)
         assert rep.status is Status.PASS
@@ -504,7 +503,7 @@ class TestSeriesEnergyDensity:
     def test_matches_denominator_replaced_quadrature(self, a_b):
         p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * a_b / 3.0,
                              mu=4.0 * math.sqrt(0.4 * a_b))
-        rep = qg.series_energy_density(p, t_of(1.0), U)
+        rep = qg.series_energy_density(p, t_of(1.0))
         assert rep.options_used["box_converged"]
         assert rep.rel_dev <= 0.01
         assert rep.status is Status.PASS
@@ -513,21 +512,21 @@ class TestSeriesEnergyDensity:
         p = OscillatorParams(m=1.0, omega=1.0, lam=4e-3 / 3.0,
                              mu=4.0 * math.sqrt(0.4e-3))
         rep = qg.series_energy_density(
-            p, t_of(1.0), U, trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
+            p, t_of(1.0), trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
         rep2 = qg.series_energy_density(
-            p, t_of(1.0), U, trunc=SeriesTruncation(n_max=100, i_max=6, j_max=6))
+            p, t_of(1.0), trunc=SeriesTruncation(n_max=100, i_max=6, j_max=6))
         assert abs(rep2.literal - rep.literal) <= rep.options_used["tail_estimate"]
 
     def test_oversized_coupling_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         with pytest.raises(ValueError, match="replacement regime"):
-            qg.series_energy_density(p, t_of(1.0), U)
+            qg.series_energy_density(p, t_of(1.0))
 
     def test_undersized_box_is_flagged_not_wrong(self):
         # strong couplings break the expansion; the report must say so
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.05, mu=0.3)
         rep = qg.series_energy_density(
-            p, t_of(1.0), U, trunc=SeriesTruncation(n_max=30, i_max=2, j_max=2))
+            p, t_of(1.0), trunc=SeriesTruncation(n_max=30, i_max=2, j_max=2))
         if rep.status is Status.FLAGGED:
             assert not rep.options_used["box_converged"] or rep.rel_dev > 0.01
         else:
@@ -546,7 +545,7 @@ class TestSeriesEnergyDensity:
         p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * 0.1 / 3.0,
                              mu=4.0 * math.sqrt(1e-40))
         rep = qg.series_energy_density(
-            p, t_of(1.0), U, trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
+            p, t_of(1.0), trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
         assert rep.status is Status.ERROR
         assert "overflow" in rep.options_used
 
@@ -554,8 +553,8 @@ class TestSeriesEnergyDensity:
         # kappa_literal puts y0 = 3 kappa^2 below y_star when kappa^2 < 1/3;
         # the oracle integrand must still vanish below y_star
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
-        lit = qg.series_energy_density(p, t_of(2.0), U, cutoff_convention="kappa_literal")
-        star = qg.series_energy_density(p, t_of(2.0), U)
-        assert lit.options_used["y0"] < qg.dimensionless_couplings(p, t_of(2.0), U).y_star
+        lit = qg.series_energy_density(p, t_of(2.0), cutoff_convention="kappa_literal")
+        star = qg.series_energy_density(p, t_of(2.0))
+        assert lit.options_used["y0"] < qg.dimensionless_couplings(p, t_of(2.0)).y_star
         assert math.isfinite(lit.oracle)
         assert lit.oracle == pytest.approx(star.oracle, rel=1e-9)
