@@ -23,7 +23,6 @@ __all__ = [
     "relativistic_z",
     "harmonic_partition_z1",
     "harmonic_partition_z1_report",
-    "momentum_sphere_q",
     "relativistic_harmonic_partition_z2",
     "f_oracle",
     "f_oracle_from_params",
@@ -32,12 +31,10 @@ __all__ = [
     "g_function",
     "g_function_corrected",
     "g_function_derivative",
-    "g_function_corrected_derivative",
     "position_radial_integral",
     "log_momentum_radial_integral",
     "sinh2_integral",
     "sinh2_cosh_integral",
-    "vibrational_partition",
     "anharmonic_relativistic_partition",
     "average_energy_classical",
     "average_energy_quadrature",
@@ -113,20 +110,6 @@ def _radial_gaussian_integral(c: float) -> QuadratureResult:
         res.value * scale**3, res.abs_error_estimate * scale**3,
         res.evaluations, res.converged,
     )
-
-
-def momentum_sphere_q(p: OscillatorParams, amplitude: float) -> float:
-    """Momentum-sphere volume (4/3) pi [(m w^2 A^2 / 2c^2)^2 - m^2 c^2]^(3/2)
-    of oscillation amplitude A."""
-    if not (amplitude > 0.0):
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
-    radicand = (p.m * p.omega**2 * amplitude**2 / 2.0) ** 2 - p.m ** 2
-    if radicand < 0.0:
-        raise ValueError(
-            "amplitude below relativistic threshold: "
-            f"radicand {radicand:.6g} < 0 (need A^2 >= 2 c^3 / w^2)"
-        )
-    return 4.0 / 3.0 * math.pi * radicand ** 1.5
 
 
 def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
@@ -344,20 +327,9 @@ def g_function_derivative(x: float) -> float:
     return sf.bessel_k(0.0, x).value * (1.0 - 2.0 * x * x) + x * sf.bessel_k(1.0, x).value
 
 
-def g_function_corrected_derivative(x: float) -> float:
-    """d/dx of the corrected G collapses to -x^2 K_1(x)."""
-    return -x * x * sf.bessel_k(1.0, x).value
-
-
 # ---------------------------------------------------------------------------
 # anharmonic partition function and average energy
 # ---------------------------------------------------------------------------
-
-def vibrational_partition(p: OscillatorParams, t: ThermalState) -> float:
-    """Vibrational factor 4 pi (kT/lam)^(3/4) F(x)."""
-    x = coupling_x(p, t)
-    return 4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_oracle(x).value
-
 
 def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """a0 F(x) G(z) vs the product of the two radial quadratures.

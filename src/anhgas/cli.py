@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -131,147 +132,158 @@ def _ordered_parallel(fn: Callable, items: Iterable, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_csv(path: Path, rows: list[tuple]) -> None:
-    lines = [CSV_HEADER]
-    for t, name, literal, oracle, rel, status in rows:
-        lit = _fmt(literal) if literal is not None else ""
-        ora = _fmt(oracle) if oracle is not None else ""
-        rl = _fmt(rel) if rel is not None else ""
-        lines.append(f"{_fmt(t)},{name},{lit},{ora},{rl},{status}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8", newline="\n")
+
+
+def _csv_line(t: float, name: str, rep: ComparisonReport) -> str:
+    values = (_fmt(v) if math.isfinite(v) else "" for v in (rep.literal, rep.oracle,
+                                                            rep.rel_dev))
+    return ",".join((_fmt(t), name, *values, rep.status.value))
+
+
+def _json_value(value):
+    # strict JSON: a non-finite float, also one inside options_used, is null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
 
 
 def _write_reports_json(path: Path, reports: list[ComparisonReport]) -> None:
-    payload = [r.to_dict() for r in reports]
+    payload = [_json_value(r.to_dict()) for r in reports]
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_fmt) + "\n",
         encoding="utf-8", newline="\n",
     )
 
 
-def _exit_code(statuses: Iterable[str]) -> int:
-    codes = set(statuses)
-    if Status.ERROR.value in codes:
-        return 1
-    if Status.FLAGGED.value in codes:
-        return 2
-    return 0
+def _exit_code(reports: Iterable[ComparisonReport]) -> int:
+    statuses = {r.status for r in reports}
+    return 1 if Status.ERROR in statuses else 2 if Status.FLAGGED in statuses else 0
 
 
 # ---------------------------------------------------------------------------
-# classical sweep
+# sweeps: each grid point declares its rows as (name, thunk)
 # ---------------------------------------------------------------------------
+
+# what makes one row ERROR instead of ending the sweep
+_ROW_FAILURES = (ValueError, ArithmeticError, IntegrandError)
+
+
+def _row(temperature: float, name: str,
+         thunk: Callable[[], ComparisonReport] | str) -> ComparisonReport:
+    """The report of one sweep row: the thunk's, or an ERROR report that
+    names the failure the thunk raised. A row declared with a reason in
+    place of a thunk is SKIPPED, and its report gives the reason."""
+    status, provenance = Status.SKIPPED, thunk
+    if callable(thunk):
+        try:
+            return thunk()
+        except _ROW_FAILURES as exc:
+            cause = ("positivity window failure" if isinstance(exc, qg.PositivityWindowError)
+                     else "evaluation failure")
+            status, provenance = Status.ERROR, f"{cause}: {exc}"
+    nan = math.nan
+    return ComparisonReport(name, nan, nan, nan, nan, status, provenance, 0.0,
+                            {"T": temperature})
+
+
+def _sweep(cfg: RunConfig, point: Callable, threads: int, out_dir: Path,
+           stem: str) -> tuple[int, list]:
+    """Run point(cfg, T), which returns its rows as (name, thunk) and its
+    extra samples, over the grid. Write every row, in input order, to
+    <stem>.csv and <stem>_reports.json; return the exit code and the samples."""
+
+    def run(temperature: float):
+        rows, samples = point(cfg, temperature)
+        return [(temperature, name, _row(temperature, name, thunk))
+                for name, thunk in rows], samples
+
+    results = _ordered_parallel(run, cfg.thermal_grid, threads)
+    rows = [row for point_rows, _ in results for row in point_rows]
+    reports = [rep for _, _, rep in rows]
+    _write_lines(out_dir / f"{stem}.csv", [CSV_HEADER, *(_csv_line(*row) for row in rows)])
+    _write_reports_json(out_dir / f"{stem}_reports.json", reports)
+    return _exit_code(reports), [s for _, samples in results for s in samples]
+
 
 def _classical_point(cfg: RunConfig, temperature: float):
     p = cfg.oscillator
     t = ThermalState.from_temperature(temperature)
-    rows: list[tuple] = []
-    reports: list[ComparisonReport] = []
+    # shared between rows: computed by the first row that asks
+    x = functools.cache(lambda: cg.coupling_x(p, t))
+    f_literal = functools.cache(lambda: cg.f_closed_form(x()))
+    f_x = functools.cache(lambda: cg.f_oracle(x()))
 
-    def add(rep: ComparisonReport):
-        reports.append(rep)
-        rows.append((temperature, rep.quantity_name, rep.literal, rep.oracle,
-                     rep.rel_dev, rep.status.value))
-
-    add(cg.harmonic_partition_z1_report(p, t))
-    add(cg.relativistic_harmonic_partition_z2(p, t))
-    if p.lam > 0.0:
-        x = cg.coupling_x(p, t)
-        z = cg.relativistic_z(p, t)
-        f_literal = cg.f_closed_form(x)
-        zxi_literal = 4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal
+    def vibrational():
         pos = cg.position_radial_integral(p, t)
-        add(compare("vibrational_partition", zxi_literal, 4.0 * math.pi * pos.value, 1e-6,
-                    "printed closed form vs radial quadrature", {"T": temperature},
-                    () if pos.converged else ("int r^2 e^{-beta V(r)} dr",)))
-        f_x = cg.f_oracle(x)
-        add(compare("f_function", f_literal, f_x.value, 1e-6,
-                    "printed quartic-Gaussian closed form vs defining integral",
-                    {"x": x},
-                    () if f_x.converged else ("F(x) = int u^2 e^{-4x u^2 - u^4} du",)))
+        return compare("vibrational_partition",
+                       4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal(),
+                       4.0 * math.pi * pos.value, 1e-6,
+                       "printed closed form vs radial quadrature", {"T": temperature},
+                       () if pos.converged else ("int r^2 e^{-beta V(r)} dr",))
+
+    def f_function():
+        return compare("f_function", f_literal(), f_x().value, 1e-6,
+                       "printed quartic-Gaussian closed form vs defining integral",
+                       {"x": x()},
+                       () if f_x().converged else ("F(x) = int u^2 e^{-4x u^2 - u^4} du",))
+
+    def g_function():
+        z = cg.relativistic_z(p, t)
         g_q = cg.sinh2_cosh_integral(z)
-        add(compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
-                    "printed Bessel combination vs its defining integral", {"z": z},
-                    () if g_q.converged else ("int sinh^2 s cosh s e^{-z cosh s} ds",)))
-        add(cg.average_energy_classical(p, t, f_x=f_x))
-    else:
-        for name in ("vibrational_partition", "f_function", "g_function",
-                     "average_energy_classical"):
-            rows.append((temperature, name, None, None, None, "SKIPPED"))
-    return rows, reports
+        return compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
+                       "printed Bessel combination vs its defining integral", {"z": z},
+                       () if g_q.converged else ("int sinh^2 s cosh s e^{-z cosh s} ds",))
+
+    rows = [
+        ("harmonic_partition_z1", lambda: cg.harmonic_partition_z1_report(p, t)),
+        ("relativistic_harmonic_partition_z2",
+         lambda: cg.relativistic_harmonic_partition_z2(p, t)),
+        ("vibrational_partition", vibrational),
+        ("f_function", f_function),
+        ("g_function", g_function),
+        ("average_energy_classical", lambda: cg.average_energy_classical(p, t, f_x=f_x())),
+    ]
+    if p.lam <= 0.0:
+        # the last four rows need the quartic coupling
+        rows[2:] = [(name, "needs a positive quartic coupling lam") for name, _ in rows[2:]]
+    return rows, []
 
 
 def cmd_classical(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _ordered_parallel(lambda T: _classical_point(cfg, T),
-                                cfg.thermal_grid, threads)
-    rows = [row for point_rows, _ in results for row in point_rows]
-    reports = [r for _, point_reports in results for r in point_reports]
-    _write_csv(out_dir / "classical.csv", rows)
-    _write_reports_json(out_dir / "classical_reports.json", reports)
-    return _exit_code(r[5] for r in rows)
-
-
-# ---------------------------------------------------------------------------
-# quantum sweep
-# ---------------------------------------------------------------------------
-
-# what makes one quantum row ERROR instead of ending the sweep
-_ROW_FAILURES = (ValueError, ArithmeticError, IntegrandError)
+    return _sweep(cfg, _classical_point, threads, out_dir, "classical")[0]
 
 
 def _quantum_point(cfg: RunConfig, temperature: float):
     p = cfg.oscillator
     t = ThermalState.from_temperature(temperature)
-    rows: list[tuple] = []
-    reports: list[ComparisonReport] = []
-    spectral: list[tuple] = []
-
-    def add(rep: ComparisonReport, name: str | None = None):
-        reports.append(rep)
-        rows.append((temperature, name or rep.quantity_name, rep.literal,
-                     rep.oracle, rep.rel_dev, rep.status.value))
-
-    def add_error(name: str, exc: Exception):
-        cause = ("positivity window failure" if isinstance(exc, qg.PositivityWindowError)
-                 else "evaluation failure")
-        reports.append(ComparisonReport(
-            name, math.nan, math.nan, math.nan, math.nan, Status.ERROR,
-            f"{cause}: {exc}", 0.0, {"T": temperature}))
-        rows.append((temperature, name, None, None, None, Status.ERROR.value))
-
-    integrals: dict = {}    # shared by the two conventions' reports
-    for convention in ("y_star", "kappa_literal"):
-        name = f"energy_density_massless[{convention}]"
-        try:
-            add(qg.energy_density_massless(p, t, convention, integrals=integrals), name)
-        except _ROW_FAILURES as exc:
-            add_error(name, exc)
     cutoff = str(cfg.options["cutoff_convention"])
-    try:
-        add(qg.energy_density_massive(p, float(cfg.options["massive_gas_mass"]), t, cutoff))
-    except _ROW_FAILURES as exc:
-        add_error("energy_density_massive", exc)
+    mass = float(cfg.options["massive_gas_mass"])
+    integrals: dict = {}    # shared by the two conventions' reports
+    rows = [(f"energy_density_massless[{c}]",
+             functools.partial(qg.energy_density_massless, p, t, c, integrals=integrals))
+            for c in ("y_star", "kappa_literal")]
+    rows.append(("energy_density_massive",
+                 lambda: qg.energy_density_massive(p, mass, t, cutoff)))
+    series = ("series_energy_density",
+              lambda: qg.series_energy_density(p, t, cutoff_convention=cutoff))
     try:
         d = qg.dimensionless_couplings(p, t)
     except qg.PositivityWindowError:
-        return rows, reports, spectral
-    except _ROW_FAILURES as exc:
-        # without the couplings the series row cannot even be placed
-        add_error("series_energy_density", exc)
-        return rows, reports, spectral
+        return rows, []
+    except _ROW_FAILURES:
+        # the series row cannot be placed; its own call reports the failure
+        return rows + [series], []
     if d.a_B <= qg.SERIES_MAX_A_B:
-        try:
-            add(qg.series_energy_density(p, t, cutoff_convention=cutoff))
-        except _ROW_FAILURES as exc:
-            add_error("series_energy_density", exc)
-    # spectral-density samples for plotting: (y, integrand)
-    n_samp = 48
+        rows.append(series)
+    # spectral-density samples for plotting: (T, y, integrand)
     y_lo = max(d.y_star, 1e-3)
-    for k in range(n_samp):
-        y = y_lo + (20.0 - y_lo) * (k + 0.5) / n_samp
-        spectral.append((temperature, y, qg.massless_integrand(y, d, d.y_star)))
-    return rows, reports, spectral
+    ys = [y_lo + (20.0 - y_lo) * (k + 0.5) / 48 for k in range(48)]
+    return rows, [(temperature, y, qg.massless_integrand(y, d, d.y_star)) for y in ys]
 
 
 def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
@@ -285,22 +297,12 @@ def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         lit = e0 + qg.literal_shift(n, p, "both")
         gen = e0 + qg.rspt_shift(n, p, "both")
         lines.append(f"{n},{_fmt(lit)},{_fmt(gen)},{_fmt(abs(lit - gen))}")
-    (out_dir / "spectrum.csv").write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8", newline="\n")
+    _write_lines(out_dir / "spectrum.csv", lines)
 
-    results = _ordered_parallel(lambda T: _quantum_point(cfg, T),
-                                cfg.thermal_grid, threads)
-    rows = [row for r, _, _ in results for row in r]
-    reports = [rep for _, rs, _ in results for rep in rs]
-    spectral = [s for _, _, sp in results for s in sp]
-    _write_csv(out_dir / "quantum.csv", rows)
-    _write_reports_json(out_dir / "quantum_reports.json", reports)
-    sp_lines = ["T,y,integrand"]
-    for t_, y_, v_ in spectral:
-        sp_lines.append(f"{_fmt(t_)},{_fmt(y_)},{_fmt(v_)}")
-    (out_dir / "spectral_density.csv").write_text("\n".join(sp_lines) + "\n",
-                                                  encoding="utf-8", newline="\n")
-    return _exit_code(r[5] for r in rows)
+    code, spectral = _sweep(cfg, _quantum_point, threads, out_dir, "quantum")
+    _write_lines(out_dir / "spectral_density.csv",
+                 ["T,y,integrand", *(",".join(map(_fmt, s)) for s in spectral)])
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +419,13 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, only: str | None = None) -> int:
         if not rows:
             print(f"no verification rows in section {only!r}", file=sys.stderr)
             return 1
-    lines = []
-    reports = []
-    for section, name, rep in rows:
-        mark = rep.status.value
-        lines.append(f"[{mark}] {section}: {name} rel_dev={_fmt(rep.rel_dev)}")
-        reports.append(rep)
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    (out_dir / "verify_matrix.txt").write_text(text, encoding="utf-8", newline="\n")
+    reports = [rep for _, _, rep in rows]
+    lines = [f"[{rep.status.value}] {section}: {name} rel_dev={_fmt(rep.rel_dev)}"
+             for section, name, rep in rows]
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    _write_lines(out_dir / "verify_matrix.txt", lines)
     _write_reports_json(out_dir / "verify_reports.json", reports)
-    return _exit_code(rep.status.value for _, _, rep in rows)
+    return _exit_code(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Quantum gas of cubic+quartic perturbed oscillators.
 
-Covers the perturbed level formula and its quadratic-in-n coefficients,
-the Bose-Einstein mode sums with their positivity cutoff, massless and
-massive energy densities, and the triple-series solution whose terms are
-Whittaker functions in disguise (each term is an upper incomplete gamma).
+Covers the perturbed level shifts, the Bose-Einstein mode sums with
+their positivity cutoff, massless and massive energy densities, and the
+triple-series solution whose terms are Whittaker functions in disguise
+(each term is an upper incomplete gamma).
 
 Two evaluation modes coexist throughout: the printed formulas verbatim,
 and corrected forms pinned by independent oracles.  Reports pair them;
@@ -27,17 +27,13 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PositivityWindowError",
-    "SpectrumCoeffs",
     "DimensionlessCouplings",
     "position_power_matrix",
     "oscillator_hamiltonian",
     "literal_shift",
     "rspt_shift",
     "perturbative_shift",
-    "spectrum_coeffs",
     "dimensionless_couplings",
-    "mode_partition_sum",
-    "mode_mean_occupancy_energy",
     "massless_integrand",
     "energy_density_massless",
     "energy_density_massive",
@@ -189,31 +185,6 @@ def perturbative_shift(n: int, p: OscillatorParams, order: str = "both") -> Comp
     )
 
 
-@dataclass(frozen=True)
-class SpectrumCoeffs:
-    """Coefficients of the perturbed level formula E_n = A n^2 + B n + C."""
-
-    a_coeff: float
-    b_coeff: float
-    c_coeff: float
-
-    def energy_level(self, n: int) -> float:
-        return self.a_coeff * n * n + self.b_coeff * n + self.c_coeff
-
-
-def spectrum_coeffs(omega: float, p: OscillatorParams) -> SpectrumCoeffs:
-    """A, B, C as printed (meromorphic in omega)."""
-    if not (omega > 0.0):
-        raise ValueError(f"frequency must be positive, got {omega}")
-    mu2 = p.mu**2
-    a = -mu2 / (16.0 * p.m**3 * omega**4) + 3.0 * p.lam / (2.0 * p.m**2 * omega**2)
-    b = -3.0 * mu2 / (8.0 * p.m**3 * omega**4) \
-        + 3.0 * p.lam / (2.0 * p.m**2 * omega**2) + omega
-    c = -5.0 * mu2 / (16.0 * p.m**3 * omega**4) \
-        + 3.0 * p.lam / (4.0 * p.m**2 * omega**2) + 0.5 * omega
-    return SpectrumCoeffs(a_coeff=a, b_coeff=b, c_coeff=c)
-
-
 # ---------------------------------------------------------------------------
 # dimensionless couplings and the positivity cutoff
 # ---------------------------------------------------------------------------
@@ -247,6 +218,8 @@ class DimensionlessCouplings:
                 "quadratic mode coefficient negative for every y"
             )
         kappa_sq = -a_A / a_B
+        if not math.isfinite(kappa_sq):
+            raise OverflowError(f"kappa^2 = -a_A/a_B = {-a_A:.6g}/{a_B:.6g} overflows")
         # the g1 root sqrt(3 kappa^2) lies above the g2 root kappa
         return cls(a_A, a_B, kappa_sq, math.sqrt(3.0 * kappa_sq))
 
@@ -267,15 +240,6 @@ def dimensionless_couplings(p: OscillatorParams, t: ThermalState) -> Dimensionle
 # ---------------------------------------------------------------------------
 # mode sums
 # ---------------------------------------------------------------------------
-
-def _require_window(y: float, d: DimensionlessCouplings):
-    if y <= d.y_star:
-        raise PositivityWindowError(
-            f"y={y} is at or below the positivity cutoff y_star={d.y_star}: "
-            "the quadratic mode coefficients turn negative and the "
-            "occupation sum diverges"
-        )
-
 
 def _in_window(y: float, d: DimensionlessCouplings, y_cut: float) -> bool:
     # Heaviside of the mode sums: above the cutoff and y_star, which is
@@ -324,20 +288,6 @@ def _mode_sums(y: float, d: DimensionlessCouplings,
                 return num, den, n - 1, tail_num, tail_den
         f = f_next
     raise RuntimeError(f"mode sums did not converge within {n} terms at y={y}")
-
-
-def mode_partition_sum(y: float, d: DimensionlessCouplings) -> tuple[float, SeriesTruncation]:
-    """sum_n exp(-f_n(y)) with zero-point terms deliberately absent."""
-    _require_window(y, d)
-    _, den, n_max, _, tail = _mode_sums(y, d, 1e-10)
-    return den, SeriesTruncation(n_max=n_max, tail_estimate=tail)
-
-
-def mode_mean_occupancy_energy(y: float, d: DimensionlessCouplings) -> float:
-    """Dimensionless mean mode energy sum f_n e^{-f_n} / sum e^{-f_n}."""
-    _require_window(y, d)
-    num, den, _, _, _ = _mode_sums(y, d, 1e-12)
-    return num / den
 
 
 def massless_integrand(y: float, d: DimensionlessCouplings, y_cut: float = 0.0,

@@ -16,9 +16,11 @@ __all__ = ["Status", "ComparisonReport", "compare"]
 
 
 class Status(str, enum.Enum):
+    # SKIPPED: a sweep row the parameters do not define, with no values
     PASS = "PASS"
     FLAGGED = "FLAGGED"
     ERROR = "ERROR"
+    SKIPPED = "SKIPPED"
 
 
 @dataclass(frozen=True)

@@ -78,38 +78,6 @@ class TestHarmonicPartition:
         assert math.isfinite(rep.rel_dev)
 
 
-class TestMomentumSphere:
-    def test_boundary_radicand_gives_zero(self):
-        # w^2 A^2 = 2 c^3 = 2: sqrt(2)^2 rounds up by one ulp and the
-        # amplitude one ulp below 1 cancels it, so the radicand is exactly 0
-        p = OscillatorParams(m=1.0, omega=math.sqrt(2.0))
-        assert cg.momentum_sphere_q(p, math.nextafter(1.0, 0.0)) == 0.0
-
-    def test_printed_value(self):
-        p = OscillatorParams(m=1.0, omega=1.0)
-        want = 4.0 / 3.0 * math.pi * 3.0**1.5
-        assert cg.momentum_sphere_q(p, 2.0) == pytest.approx(want, rel=1e-14)
-
-    def test_three_halves_power_homogeneity(self):
-        # doubling the radicand scales Q by 2^(3/2)
-        p = OscillatorParams(m=1.0, omega=1.0)
-        q1 = cg.momentum_sphere_q(p, 2.0)
-        # radicand 3 -> 6 when (w^2 A^2 / 2)^2 = 7
-        q2 = cg.momentum_sphere_q(p, math.sqrt(2.0 * math.sqrt(7.0)))
-        assert q2 / q1 == pytest.approx(2.0**1.5, rel=1e-12)
-
-    def test_below_threshold_raises(self):
-        p = OscillatorParams(m=1.0, omega=1.0)
-        with pytest.raises(ValueError, match="threshold"):
-            cg.momentum_sphere_q(p, 1.0)
-
-    @pytest.mark.parametrize("amplitude", [0.0, -2.0, math.nan])
-    def test_amplitude_must_be_positive(self, amplitude):
-        p = OscillatorParams(m=1.0, omega=1.0)
-        with pytest.raises(ValueError, match="amplitude must be positive"):
-            cg.momentum_sphere_q(p, amplitude)
-
-
 class TestRelativisticHarmonicPartition:
     def test_dual_route_agreement_at_unit_rest_energy(self):
         p = OscillatorParams(m=1.0, omega=1.0)
@@ -263,8 +231,6 @@ class TestGFunction:
         for z in (0.7, 1.5, 4.0):
             fd = (cg.g_function(z + h) - cg.g_function(z - h)) / (2.0 * h)
             assert cg.g_function_derivative(z) == pytest.approx(fd, rel=1e-8)
-            fd_c = (cg.g_function_corrected(z + h) - cg.g_function_corrected(z - h)) / (2.0 * h)
-            assert cg.g_function_corrected_derivative(z) == pytest.approx(fd_c, rel=1e-8)
 
 
 class TestAnharmonicPartition:
@@ -284,15 +250,18 @@ class TestAnharmonicPartition:
         want_ratio = z**3 * cg.g_function(z) / cg.g_function_corrected(z)
         assert rep.literal / rep.oracle == pytest.approx(want_ratio, rel=1e-6)
 
+    # the vibrational factor 4 pi (kT/lam)^(3/4) F(x) is the oracle of the
+    # vibrational_partition row, 4 pi times the radial quadrature
     def test_vibrational_factor_gaussian_limit(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-6)
-        got = cg.vibrational_partition(p, natural_state())
+        got = 4.0 * math.pi * cg.position_radial_integral(p, natural_state()).value
         assert got == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-3)
 
     def test_vibrational_partition_increasing_in_temperature(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
         temps = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0]
-        vals = [cg.vibrational_partition(p, ThermalState.from_temperature(T))
+        vals = [4.0 * math.pi
+                * cg.position_radial_integral(p, ThermalState.from_temperature(T)).value
                 for T in temps]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -361,7 +330,8 @@ class TestAverageEnergy:
         monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         rows, _ = cli._classical_point(cfg, 1.3)
-        assert rows[-1][1] == "average_energy_classical"
+        reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
+        assert reports[-1].quantity_name == "average_energy_classical"
         assert len(calls) == 5
 
     def test_unconverged_quadrature_is_error(self, monkeypatch):
@@ -407,9 +377,10 @@ class TestAverageEnergy:
             "average_energy_classical": "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du",
         }
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
-        rows, reports = cli._classical_point(cfg, 1.3)
+        rows, _ = cli._classical_point(cfg, 1.3)
+        reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
         assert [r.quantity_name for r in reports] == list(named)
-        assert [row[5] for row in rows] == ["ERROR"] * len(named)
+        assert [r.status for r in reports] == [Status.ERROR] * len(named)
         for rep in reports:
             prov = rep.provenance.split("; unconverged quadrature: ", 1)[1]
             assert named[rep.quantity_name] in prov

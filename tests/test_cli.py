@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anhgas import cli
+from anhgas import quantum_gas as qg
 from anhgas.cli import CSV_HEADER, RunConfig
+from anhgas.oracles import IntegrandError
+from anhgas.reports import Status
 
 
 def run(argv):
@@ -181,6 +184,35 @@ class TestClassicalCommand:
             t, name, lit, ora, rel, status = r.split(",")
             assert lit == "" and ora == "" and rel == ""
 
+    def test_one_report_per_row_in_row_order(self, tmp_path):
+        # the SKIPPED rows of lam = 0 have their reports too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oscillator": {"lam": 0.0}, "thermal_grid": [0.5, 2.0]}))
+        out = tmp_path / "out"
+        assert run(["classical", "--config", str(cfg), "--out", str(out)]) == 2
+        rows = [r.split(",") for r in (out / "classical.csv").read_text().splitlines()[1:]]
+        reports = json.loads((out / "classical_reports.json").read_text())
+        assert [(float(r[0]), r[1], r[5]) for r in rows] == [
+            (rep["options_used"]["T"], rep["quantity_name"], rep["status"]) for rep in reports]
+        assert [rep["status"] for rep in reports].count("SKIPPED") == 8
+        for rep in reports:
+            if rep["status"] == "SKIPPED":
+                assert rep["literal"] is None and rep["oracle"] is None
+                assert rep["provenance"] == "needs a positive quartic coupling lam"
+
+    def test_an_overflowing_temperature_keeps_the_finite_rows(self, tmp_path, capsys):
+        osc = {"lam": 0.5, "mu": 0.1}
+        for name, grid in (("one", [1.0]), ("both", [1.0, 1e300])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"oscillator": osc, "thermal_grid": grid}))
+            run(["classical", "--config", str(cfg), "--out", str(tmp_path / name)])
+        assert capsys.readouterr().err == ""
+        one = (tmp_path / "one/classical.csv").read_text().splitlines()
+        both = (tmp_path / "both/classical.csv").read_text().splitlines()
+        assert both[:7] == one
+        assert [r.split(",", 1)[0] for r in both[7:]] == ["1.0000000000000001e+300"] * 6
+        assert all(r.endswith(",ERROR") for r in both[7:])
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"options": {"not_a_flag": 1}}))
@@ -304,15 +336,16 @@ class TestQuantumCommand:
             assert "put a node at t = 1" in r["provenance"]
 
 
-@pytest.mark.parametrize("command, raw, error_rows", [
-    ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, False),
-    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, True),
-    ("quantum", {"oscillator": {"lam": 1e-320, "mu": 0.1}, "thermal_grid": [1.0]}, True),
+@pytest.mark.parametrize("command, raw, n_rows", [
+    ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, 6),
+    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, 4),
+    # kappa^2 = -a_A/a_B overflows: no row may PASS on y* = inf
+    ("quantum", {"oscillator": {"lam": 1e-320, "mu": 0.1}, "thermal_grid": [1.0]}, 4),
     # m^2 underflows to 0 in the spectrum table, before any sweep row
-    ("quantum", {"oscillator": {"m": 1e-300, "lam": 0.5}, "thermal_grid": [1.0]}, False),
+    ("quantum", {"oscillator": {"m": 1e-300, "lam": 0.5}, "thermal_grid": [1.0]}, None),
 ])
 def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command, raw,
-                                                      error_rows):
+                                                      n_rows):
     # an overflow, a division by zero or a NaN integrand escaping main
     # would be a traceback
     cfg = tmp_path / "cfg.json"
@@ -320,16 +353,71 @@ def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command,
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    if not error_rows:
+    if n_rows is None:
         assert err.startswith("config or input error: ") and err.count("\n") == 1
         return
     assert err == ""
-    rows = (out / "quantum.csv").read_text().splitlines()[1:]
-    reports = json.loads((out / "quantum_reports.json").read_text())
-    assert len(reports) == len(rows) == 4
-    errors = [r for r in reports if r["status"] == "ERROR"]
-    assert errors and all(r["provenance"].startswith("evaluation failure: ")
-                          for r in errors)
+    rows = (out / f"{command}.csv").read_text().splitlines()[1:]
+    reports = json.loads((out / f"{command}_reports.json").read_text())
+    assert len(reports) == len(rows) == n_rows
+    assert all(r["status"] != "PASS" for r in reports)
+    errors = [r["provenance"] for r in reports if r["status"] == "ERROR"]
+    # a classical row may also be ERROR on the quadrature it names
+    assert errors and all(p.startswith("evaluation failure: ") or (
+        command == "classical" and "; unconverged quadrature: " in p) for p in errors)
+    if command == "quantum":
+        assert "nan" not in (out / "spectral_density.csv").read_text()
+
+
+class TestRowRunner:
+    @pytest.mark.parametrize("exc, provenance", [
+        (ValueError("bad"), "evaluation failure: bad"),
+        (OverflowError("big"), "evaluation failure: big"),
+        (ZeroDivisionError("zero"), "evaluation failure: zero"),
+        (IntegrandError("nan at y=1"), "evaluation failure: nan at y=1"),
+        (qg.PositivityWindowError("none"), "positivity window failure: none"),
+    ])
+    def test_a_failure_is_an_error_report_naming_its_cause(self, exc, provenance):
+        def thunk():
+            raise exc
+
+        rep = cli._row(2.0, "some_row", thunk)
+        assert (rep.quantity_name, rep.status, rep.provenance) == (
+            "some_row", Status.ERROR, provenance)
+        assert rep.options_used == {"T": 2.0}
+        assert math.isnan(rep.literal) and math.isnan(rep.oracle)
+
+    def test_any_other_exception_ends_the_sweep(self):
+        # a mode sum that never converges is a defect, not a row outcome
+        def thunk():
+            raise RuntimeError("mode sums did not converge")
+
+        with pytest.raises(RuntimeError, match="did not converge"):
+            cli._row(1.0, "some_row", thunk)
+
+
+def _refuse(constant):
+    raise ValueError(f"non-JSON constant {constant}")
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [0.02, 0.05, 0.1],
+                 "options": {"cutoff_convention": "kappa_literal"}}),
+    ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1.0, 1e300]}),
+])
+def test_non_finite_values_are_null_and_empty(tmp_path, command, raw):
+    # ERROR reports and the T = 0.02 massless row (oracle 0, rel_dev inf)
+    # carry non-finite values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    run([command, "--config", str(cfg), "--out", str(out)])
+    reports = json.loads((out / f"{command}_reports.json").read_text(),
+                         parse_constant=_refuse)
+    assert any(r["rel_dev"] is None for r in reports)
+    for row in (out / f"{command}.csv").read_text().splitlines()[1:]:
+        for value in row.split(",")[2:5]:
+            assert value == "" or math.isfinite(float(value))
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
