@@ -136,9 +136,13 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8", newline="\n")
 
 
+def _field(x: float) -> str:
+    # a CSV field: a non-finite value is left empty
+    return _fmt(x) if math.isfinite(x) else ""
+
+
 def _csv_line(t: float, name: str, rep: ComparisonReport) -> str:
-    values = (_fmt(v) if math.isfinite(v) else "" for v in (rep.literal, rep.oracle,
-                                                            rep.rel_dev))
+    values = map(_field, (rep.literal, rep.oracle, rep.rel_dev))
     return ",".join((_fmt(t), name, *values, rep.status.value))
 
 
@@ -280,9 +284,9 @@ def _quantum_point(cfg: RunConfig, temperature: float):
         return rows + [series], []
     if d.a_B <= qg.SERIES_MAX_A_B:
         rows.append(series)
-    # spectral-density samples for plotting: (T, y, integrand)
+    # spectral-density samples for plotting, (T, y, integrand), on [y*, 20]
     y_lo = max(d.y_star, 1e-3)
-    ys = [y_lo + (20.0 - y_lo) * (k + 0.5) / 48 for k in range(48)]
+    ys = [y_lo + (20.0 - y_lo) * (k + 0.5) / 48 for k in range(48)] if y_lo < 20.0 else []
     return rows, [(temperature, y, qg.massless_integrand(y, d, d.y_star)) for y in ys]
 
 
@@ -290,13 +294,18 @@ def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.oscillator
 
+    def level(n: int, shift: Callable) -> float:
+        # a failing or non-finite level is an empty field, as in a sweep row
+        try:
+            return p.omega * (n + 0.5) + shift(n, p, "both")
+        except _ROW_FAILURES:
+            return math.nan
+
     # spectrum table of the lowest six levels, temperature-independent
     lines = ["n,literal,generic_rspt,abs_dev"]
     for n in range(6):
-        e0 = p.omega * (n + 0.5)
-        lit = e0 + qg.literal_shift(n, p, "both")
-        gen = e0 + qg.rspt_shift(n, p, "both")
-        lines.append(f"{n},{_fmt(lit)},{_fmt(gen)},{_fmt(abs(lit - gen))}")
+        lit, gen = level(n, qg.literal_shift), level(n, qg.rspt_shift)
+        lines.append(",".join((str(n), *map(_field, (lit, gen, abs(lit - gen))))))
     _write_lines(out_dir / "spectrum.csv", lines)
 
     code, spectral = _sweep(cfg, _quantum_point, threads, out_dir, "quantum")

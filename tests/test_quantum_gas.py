@@ -60,7 +60,30 @@ class TestPositionPowerMatrices:
             qg.position_power_matrix(4, 5, 1.0, 1.0)
 
 
+def dense_rspt_shift(n, p, order):
+    # the same sums over a dense basis: H_I at n + 20 states, row n summed by
+    # numpy over every k != n
+    n_dim = n + 20
+    h_i = p.mu * qg.position_power_matrix(3, n_dim, p.m, p.omega) \
+        + p.lam * qg.position_power_matrix(4, n_dim, p.m, p.omega)
+    k = np.arange(n_dim)
+    mask = k != n
+    first = float(h_i[n, n])
+    second = float(np.sum(h_i[n, mask] ** 2 / (p.omega * (n - k[mask]))))
+    return {"first": first, "second": second, "both": first + second}[order]
+
+
 class TestPerturbativeShifts:
+    @pytest.mark.parametrize("m, omega", [(1.0, 1.0), (2.0, 0.7), (0.3, 4.0)])
+    @pytest.mark.parametrize("lam, mu", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4), (1e-3, 2.0)])
+    def test_band_window_equals_the_dense_basis(self, m, omega, lam, mu):
+        # H_I has bandwidth 4, so the states |k - n| <= 4 hold every term
+        p = OscillatorParams(m=m, omega=omega, lam=lam, mu=mu)
+        for n in range(11):
+            for order in ("first", "second", "both"):
+                assert qg.rspt_shift(n, p, order) == pytest.approx(
+                    dense_rspt_shift(n, p, order), rel=1e-13, abs=0.0)
+
     def test_quartic_first_order_matches_printed_exactly(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
         for n in range(6):
