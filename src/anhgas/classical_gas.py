@@ -19,6 +19,7 @@ from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, compare
 
 __all__ = [
+    "shared_value",
     "coupling_x",
     "relativistic_z",
     "harmonic_partition_z1",
@@ -102,6 +103,17 @@ def _unconverged(quads: dict[str, QuadratureResult]) -> list[str]:
     return [name for name, q in quads.items() if not q.converged]
 
 
+def shared_value(shared: dict | None, fn: Callable, *args):
+    """fn(*args), kept in ``shared``, one temperature's dict, for its other
+    rows. The key holds fn and every argument, so reuse changes no bit."""
+    if shared is None:
+        return fn(*args)
+    key = (fn, *args)
+    if key not in shared:
+        shared[key] = fn(*args)
+    return shared[key]
+
+
 def _radial_gaussian_integral(c: float) -> QuadratureResult:
     # int_0^inf r^2 exp(-c r^2) dr = c^(-3/2) int_0^inf v^2 exp(-v^2) dv
     scale = 1.0 / math.sqrt(c)
@@ -112,11 +124,11 @@ def _radial_gaussian_integral(c: float) -> QuadratureResult:
     )
 
 
-def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
+def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState,
+                                       shared: dict | None = None) -> ComparisonReport:
     """Closed form of the relativistic harmonic partition function vs quadrature."""
     z = relativistic_z(p, t)
-    k0 = sf.bessel_k(0.0, z).value
-    k1 = sf.bessel_k(1.0, z).value
+    k0, k1 = (shared_value(shared, sf.bessel_k, nu, z).value for nu in (0.0, 1.0))
     bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
     literal = (
         4.0 * math.pi
@@ -125,7 +137,7 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> 
         * bracket
     )
 
-    mom = _relativistic_radial_scaled(z)                       # e^z int sinh^2 cosh e^{-z cosh}
+    mom = shared_value(shared, _relativistic_radial_scaled, z)  # e^z int sinh^2 cosh e^{-z cosh}
     pos = _radial_gaussian_integral(0.5 * t.beta * p.m * p.omega**2)
     kin = 4.0 * math.pi * p.m ** 3 * mom.value * math.exp(-z)
     oracle = kin * (4.0 * math.pi * pos.value) / _TWO_PI ** 6
@@ -141,42 +153,43 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> 
     )
 
 
+_LN2 = math.log(2.0)
+
+
 def _log_sinh(x: float) -> float:
     if x < 1e-8:
         return math.log(x) if x > 0.0 else -math.inf
-    return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+    return x - _LN2 + math.log1p(-math.exp(-2.0 * x))
 
 
 # specfun keeps its own copy: this one feeds the oracles, that one the
 # literal closed forms they check, so the two routes share no code
 def _log_cosh(x: float) -> float:
     x = abs(x)
-    return x - math.log(2.0) + math.log1p(math.exp(-2.0 * x))
+    return x - _LN2 + math.log1p(math.exp(-2.0 * x))
 
 
-def _log_sinh2_cosh(t: float) -> float:
-    """2 ln sinh t + ln cosh t, bit for bit, from a single exp(-2t).
+def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
+    """2 ln sinh t + k ln cosh t, bit for bit, from a single exp(-2t).
 
     The log-weight of the relativistic kinetic integrals
-    int sinh^2 t cosh t exp(-z cosh t) dt.
+    int sinh^2 t cosh^k t exp(-z cosh t) dt.
     """
     if t < 1e-8:
-        return 2.0 * _log_sinh(t) + _log_cosh(t)
-    ln2 = math.log(2.0)
+        return 2.0 * _log_sinh(t) + _log_cosh(t) * k
     e = math.exp(-2.0 * t)
-    return 2.0 * (t - ln2 + math.log1p(-e)) + (t - ln2 + math.log1p(e))
+    return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e)) * k
 
 
-def _kinetic_integral(z: float, log_weight: Callable[[float], float],
-                      shift: float = 0.0) -> QuadratureResult:
-    # int_0^inf exp(log_weight(t) - z (cosh t - shift)) dt; shift = 1 is the
-    # e^z-scaled form, safe for any z > 0
-    exp, cosh = math.exp, math.cosh
+def _kinetic_integral(z: float, k: float, shift: float = 0.0) -> QuadratureResult:
+    # int_0^inf sinh^2 t cosh^k t exp(-z (cosh t - shift)) dt; shift = 1 is
+    # the e^z-scaled form, safe for any z > 0
+    exp, cosh, log_weight = math.exp, math.cosh, _log_sinh2_cosh
 
     def f(t: float) -> float:
         if t <= 0.0 or t > 350.0:
             return 0.0
-        e = log_weight(t) - z * (cosh(t) - shift)
+        e = log_weight(t, k) - z * (cosh(t) - shift)
         return exp(e) if e > -745.0 else 0.0
 
     return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
@@ -184,25 +197,29 @@ def _kinetic_integral(z: float, log_weight: Callable[[float], float],
 
 def sinh2_integral(z: float) -> QuadratureResult:
     """int_0^inf sinh^2 t exp(-z cosh t) dt by quadrature (= K_1(z)/z)."""
-    return _kinetic_integral(z, lambda t: 2.0 * _log_sinh(t))
+    return _kinetic_integral(z, 0.0)
 
 
 def sinh2_cosh_integral(z: float) -> QuadratureResult:
     """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt by quadrature
     (= g_function_corrected(z) / z^3)."""
-    return _kinetic_integral(z, _log_sinh2_cosh)
+    return _kinetic_integral(z, 1.0)
 
 
 def _relativistic_radial_scaled(z: float) -> QuadratureResult:
     # e^z int_0^inf sinh^2 t cosh t exp(-z cosh t) dt
-    return _kinetic_integral(z, _log_sinh2_cosh, 1.0)
+    return _kinetic_integral(z, 1.0, 1.0)
+
+
+def _log_momentum(p: OscillatorParams, beta: float) -> tuple[float, QuadratureResult]:
+    # ln of 4 pi int p^2 exp(-beta sqrt(m^2 + p^2)) dp, with its quadrature
+    mom = _relativistic_radial_scaled(beta * p.m)
+    return math.log(4.0 * math.pi * p.m ** 3) - beta * p.m + math.log(mom.value), mom
 
 
 def log_momentum_radial_integral(p: OscillatorParams, beta: float) -> float:
     """ln of 4 pi int p^2 exp(-beta c sqrt(m^2 c^2 + p^2)) dp."""
-    z = beta * p.m
-    mom = _relativistic_radial_scaled(z)
-    return math.log(4.0 * math.pi * p.m ** 3) - z + math.log(mom.value)
+    return _log_momentum(p, beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +323,12 @@ def f_derivative(x: float) -> float:
     return -4.0 * _quartic_gaussian(x, 1e-12, True).value
 
 
-def g_function(x: float) -> float:
+def g_function(x: float, shared: dict | None = None) -> float:
     """The printed companion function G(x) = x K_0(x) + 2 x^2 K_1(x)."""
     if not (x > 0.0):
         raise ValueError(f"g_function requires x > 0, got {x}")
-    return x * sf.bessel_k(0.0, x).value + 2.0 * x * x * sf.bessel_k(1.0, x).value
+    k0, k1 = (shared_value(shared, sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
+    return x * k0 + 2.0 * x * x * k1
 
 
 def g_function_corrected(x: float) -> float:
@@ -322,9 +340,10 @@ def g_function_corrected(x: float) -> float:
     return x * x * sf.bessel_k(0.0, x).value + 2.0 * x * sf.bessel_k(1.0, x).value
 
 
-def g_function_derivative(x: float) -> float:
+def g_function_derivative(x: float, shared: dict | None = None) -> float:
     """d/dx of the printed G, via Bessel recurrences: K0 (1 - 2x^2) + x K1."""
-    return sf.bessel_k(0.0, x).value * (1.0 - 2.0 * x * x) + x * sf.bessel_k(1.0, x).value
+    k0, k1 = (shared_value(shared, sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
+    return k0 * (1.0 - 2.0 * x * x) + x * k1
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +360,10 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
     x = coupling_x(p, t)
     z = relativistic_z(p, t)
     a0 = 16.0 * math.pi**2 * p.m ** 3 / _TWO_PI ** 6 * (t.T / p.lam) ** 0.75
-    literal = a0 * f_oracle(x).value * g_function(z)
+    f_q = f_oracle(x)
+    literal = a0 * f_q.value * g_function(z)
 
-    log_kin = log_momentum_radial_integral(p, t.beta)
+    log_kin, mom = _log_momentum(p, t.beta)
     pos = position_radial_integral(p, t)
     oracle = 1.0 / _TWO_PI ** 6 * math.exp(log_kin) * 4.0 * math.pi * pos.value
     return compare(
@@ -353,19 +373,23 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
         threshold=1e-6,
         provenance="anharmonic partition product form vs dual radial quadrature",
         options_used={"T": t.T, "x": x, "z": z, "closed_form_F": False},
+        unconverged=_unconverged({"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
+                                  "int sinh^2 s cosh s e^{-z cosh s} ds": mom,
+                                  "int r^2 e^{-beta V(r)} dr": pos}),
     )
 
 
-def _average_energy_moments(p: OscillatorParams,
-                            t: ThermalState) -> tuple[float, dict[str, QuadratureResult]]:
+def _average_energy_moments(
+    p: OscillatorParams, t: ThermalState, shared: dict | None = None,
+) -> tuple[float, dict[str, QuadratureResult]]:
     # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four quadratures
     z = relativistic_z(p, t)
     a2, a4, scale = _position_weight(p, t.beta)
     h2, lam = 0.5 * p.m * p.omega**2, p.lam
     quads = {
-        "int sinh^2 s cosh^2 s e^{-z cosh s} ds":
-            _kinetic_integral(z, lambda s: 2.0 * _log_sinh(s) + _log_cosh(s) * 2, 1.0),
-        "int sinh^2 s cosh s e^{-z cosh s} ds": _relativistic_radial_scaled(z),
+        "int sinh^2 s cosh^2 s e^{-z cosh s} ds": _kinetic_integral(z, 2.0, 1.0),
+        "int sinh^2 s cosh s e^{-z cosh s} ds":
+            shared_value(shared, _relativistic_radial_scaled, z),
         "int r^2 V(r) e^{-beta V(r)} dr":
             _position_integral(a2, a4, scale, 1e-11, lambda r: h2 * r * r + lam * r**4),
         "int r^2 e^{-beta V(r)} dr": _position_integral(a2, a4, scale, 1e-11),
@@ -418,25 +442,26 @@ def average_energy_metropolis(
 
 
 def average_energy_classical(
-    p: OscillatorParams, t: ThermalState, f_x: QuadratureResult | None = None,
+    p: OscillatorParams, t: ThermalState, shared: dict | None = None,
 ) -> ComparisonReport:
-    """Printed average-energy formula, with F(x) = ``f_x`` if the caller
-    has f_oracle(x), vs the moment ratios of average_energy_quadrature.
+    """Printed average-energy formula vs the moment ratios of
+    average_energy_quadrature.
 
     The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G.  An
     unconverged quadrature on either side makes the report ERROR.
+    F(x), K_0(z), K_1(z) and the scaled kinetic integral come from ``shared``.
     """
     kt = t.T
     x = coupling_x(p, t)
     z = relativistic_z(p, t)
-    f_q = f_x if f_x is not None else f_oracle(x)
+    f_q = shared_value(shared, f_oracle, x)
     fp_q = _quartic_gaussian(x, 1e-12, True)               # F'(x) = -4 fp_q
     literal = (
         0.75 * kt
         + math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * 4.0 * fp_q.value / f_q.value
-        - p.m * g_function_derivative(z) / g_function(z)
+        - p.m * g_function_derivative(z, shared) / g_function(z, shared)
     )
-    oracle, moments = _average_energy_moments(p, t)
+    oracle, moments = _average_energy_moments(p, t, shared)
     quadratures = {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
                    "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du": fp_q, **moments}
     return compare(

@@ -216,40 +216,41 @@ def _sweep(cfg: RunConfig, point: Callable, threads: int, out_dir: Path,
 def _classical_point(cfg: RunConfig, temperature: float):
     p = cfg.oscillator
     t = ThermalState.from_temperature(temperature)
-    # shared between rows: computed by the first row that asks
-    x = functools.cache(lambda: cg.coupling_x(p, t))
-    f_literal = functools.cache(lambda: cg.f_closed_form(x()))
-    f_x = functools.cache(lambda: cg.f_oracle(x()))
+    shared: dict = {}    # sub-results the rows of this temperature share
+    share = functools.partial(cg.shared_value, shared)
 
     def vibrational():
         pos = cg.position_radial_integral(p, t)
+        f_literal = share(cg.f_closed_form, cg.coupling_x(p, t))
         return compare("vibrational_partition",
-                       4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal(),
+                       4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal,
                        4.0 * math.pi * pos.value, 1e-6,
                        "printed closed form vs radial quadrature", {"T": temperature},
                        () if pos.converged else ("int r^2 e^{-beta V(r)} dr",))
 
     def f_function():
-        return compare("f_function", f_literal(), f_x().value, 1e-6,
+        x = cg.coupling_x(p, t)
+        f_q = share(cg.f_oracle, x)
+        return compare("f_function", share(cg.f_closed_form, x), f_q.value, 1e-6,
                        "printed quartic-Gaussian closed form vs defining integral",
-                       {"x": x()},
-                       () if f_x().converged else ("F(x) = int u^2 e^{-4x u^2 - u^4} du",))
+                       {"x": x},
+                       () if f_q.converged else ("F(x) = int u^2 e^{-4x u^2 - u^4} du",))
 
     def g_function():
         z = cg.relativistic_z(p, t)
         g_q = cg.sinh2_cosh_integral(z)
-        return compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
+        return compare("g_function", cg.g_function(z, shared), g_q.value * z**3, 1e-6,
                        "printed Bessel combination vs its defining integral", {"z": z},
                        () if g_q.converged else ("int sinh^2 s cosh s e^{-z cosh s} ds",))
 
     rows = [
         ("harmonic_partition_z1", lambda: cg.harmonic_partition_z1_report(p, t)),
         ("relativistic_harmonic_partition_z2",
-         lambda: cg.relativistic_harmonic_partition_z2(p, t)),
+         lambda: cg.relativistic_harmonic_partition_z2(p, t, shared)),
         ("vibrational_partition", vibrational),
         ("f_function", f_function),
         ("g_function", g_function),
-        ("average_energy_classical", lambda: cg.average_energy_classical(p, t, f_x=f_x())),
+        ("average_energy_classical", lambda: cg.average_energy_classical(p, t, shared)),
     ]
     if p.lam <= 0.0:
         # the last four rows need the quartic coupling

@@ -121,12 +121,14 @@ def literal_shift(n: int, p: OscillatorParams, order: str = "both") -> float:
     """The printed level shifts, verbatim.
 
     first order:  3 lam hbar^2 / (4 m^2 w^2) (2n^2 + 2n + 1)
-    second order: -mu^2 hbar^2 / (16 m^3 w^4) (n^2 + 6n + 5)
+    second order: -mu^2 hbar^2 / (16 m^3 w^4) (n^2 + 6n + 5), not
+    evaluated at mu = 0 (as in rspt_shift), where w^4 may underflow
     """
     return _by_order(
         order,
         lambda: 3.0 * p.lam / (4.0 * p.m**2 * p.omega**2) * (2.0 * n * n + 2.0 * n + 1.0),
-        lambda: -p.mu**2 / (16.0 * p.m**3 * p.omega**4) * (n * n + 6.0 * n + 5.0),
+        lambda: -p.mu**2 / (16.0 * p.m**3 * p.omega**4) * (n * n + 6.0 * n + 5.0)
+        if p.mu != 0.0 else 0.0,
     )
 
 

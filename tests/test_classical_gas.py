@@ -7,7 +7,7 @@ import math
 import pytest
 
 from anhgas import classical_gas as cg
-from anhgas import cli
+from anhgas import cli, oracles
 from anhgas.oracles import QuadratureResult, integrate_semi_infinite
 from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
@@ -250,6 +250,18 @@ class TestAnharmonicPartition:
         want_ratio = z**3 * cg.g_function(z) / cg.g_function_corrected(z)
         assert rep.literal / rep.oracle == pytest.approx(want_ratio, rel=1e-6)
 
+    def test_unconverged_quadratures_are_named(self, monkeypatch):
+        # a 15-evaluation budget leaves all three quadratures unconverged;
+        # their rel_dev, 0.044, would read FLAGGED without the names
+        monkeypatch.setattr(cg, "integrate_semi_infinite",
+                            functools.partial(integrate_semi_infinite, max_evals=15))
+        p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
+        rep = cg.anharmonic_relativistic_partition(p, natural_state())
+        assert rep.status is Status.ERROR
+        assert rep.provenance.split("; unconverged quadrature: ", 1)[1] == (
+            "F(x) = int u^2 e^{-4x u^2 - u^4} du; int sinh^2 s cosh s e^{-z cosh s} ds; "
+            "int r^2 e^{-beta V(r)} dr")
+
     # the vibrational factor 4 pi (kT/lam)^(3/4) F(x) is the oracle of the
     # vibrational_partition row, 4 pi times the radial quadrature
     def test_vibrational_factor_gaussian_limit(self):
@@ -302,13 +314,15 @@ class TestAverageEnergy:
     def test_handed_f_gives_the_same_report(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
         t = ThermalState.from_temperature(0.4)
-        f_x = cg.f_oracle(cg.coupling_x(p, t))
-        assert cg.average_energy_classical(p, t, f_x=f_x) == \
+        shared = {}
+        cg.shared_value(shared, cg.f_oracle, cg.coupling_x(p, t))
+        assert cg.average_energy_classical(p, t, shared) == \
             cg.average_energy_classical(p, t)
 
-    def test_classical_point_runs_five_quadratures_for_the_row(self, monkeypatch):
-        # F(x) comes from the f_function row; the row itself runs F'(x)
-        # and the four moment quadratures
+    def test_classical_point_runs_four_quadratures_for_the_row(self, monkeypatch):
+        # F(x) comes from the f_function row and the e^z-scaled kinetic
+        # integral from the relativistic_harmonic_partition_z2 row; the row
+        # itself runs F'(x), the cosh^2 moment and the two position integrals
         inside = []
         calls = []
         row = cg.average_energy_classical
@@ -332,7 +346,27 @@ class TestAverageEnergy:
         rows, _ = cli._classical_point(cfg, 1.3)
         reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
         assert reports[-1].quantity_name == "average_energy_classical"
-        assert len(calls) == 5
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("T, want", [(0.1, 10), (1.3, 8)])
+    def test_classical_point_computes_each_shared_value_once(self, monkeypatch, T, want):
+        # K_0(z), K_1(z), F(x), the printed F(x) and the e^z-scaled kinetic
+        # integral are computed once per temperature. At T = 0.1 (z = 10)
+        # bessel_k takes its quadrature branch, and specfun's calls count too
+        calls = []
+        quad = integrate_semi_infinite
+
+        def counted_quad(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
+        monkeypatch.setattr(oracles, "integrate_semi_infinite", counted_quad)
+        cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+        rows, _ = cli._classical_point(cfg, T)
+        reports = [cli._row(T, name, thunk) for name, thunk in rows]
+        assert len(reports) == 6 and Status.ERROR not in {r.status for r in reports}
+        assert len(calls) == want
 
     def test_unconverged_quadrature_is_error(self, monkeypatch):
         # a 15-evaluation budget leaves every quadrature at one panel
@@ -352,13 +386,15 @@ class TestAverageEnergy:
     def test_unconverged_handed_f_is_named(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         t = natural_state()
-        good = cg.f_oracle(cg.coupling_x(p, t))
+        x = cg.coupling_x(p, t)
+        good = cg.f_oracle(x)
         bad = QuadratureResult(good.value, 1.0, 15, False)
-        rep = cg.average_energy_classical(p, t, f_x=bad)
+        rep = cg.average_energy_classical(p, t, {(cg.f_oracle, x): bad})
         assert rep.status is Status.ERROR
         assert rep.provenance.endswith(
             "; unconverged quadrature: F(x) = int u^2 e^{-4x u^2 - u^4} du")
-        assert cg.average_energy_classical(p, t, f_x=good).status is not Status.ERROR
+        assert cg.average_energy_classical(p, t, {(cg.f_oracle, x): good}).status \
+            is not Status.ERROR
 
     def test_classical_point_names_every_unconverged_quadrature(self, monkeypatch):
         # with a 15-evaluation budget and an unconverged unit Gaussian, no

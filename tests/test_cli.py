@@ -15,6 +15,7 @@ from anhgas import cli
 from anhgas import quantum_gas as qg
 from anhgas.cli import CSV_HEADER, RunConfig
 from anhgas.oracles import IntegrandError
+from anhgas.params import OscillatorParams
 from anhgas.reports import Status
 
 
@@ -367,7 +368,7 @@ def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("oscillator", [
-    # omega^4 underflows to 0 in the printed cubic shift
+    # the generic second-order shift overflows at omega = 1e-100
     {"omega": 1e-100},
     # every second-order term of the generic shift overflows
     {"lam": 1e300},
@@ -388,6 +389,21 @@ def test_spectrum_table_leaves_failed_levels_empty(tmp_path, capsys, oscillator)
     assert all(f == "" or math.isfinite(float(f)) for f in fields)
     assert len((out / "quantum.csv").read_text().splitlines()) == 4
     assert len((out / "spectral_density.csv").read_text().splitlines()) == 49
+
+
+def test_spectrum_printed_levels_at_zero_cubic_coupling(tmp_path):
+    # omega^4 underflows to 0, but at mu = 0 the printed cubic term is not
+    # evaluated: every literal level is the finite quartic one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oscillator": {"omega": 1e-100, "mu": 0},
+                               "thermal_grid": [1.0]}))
+    out = tmp_path / "out"
+    assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 2
+    lines = (out / "spectrum.csv").read_text().splitlines()[1:]
+    p = OscillatorParams(m=1.0, omega=1e-100, lam=1.0)
+    literals = [float(line.split(",")[1]) for line in lines]
+    assert literals == [1e-100 * (n + 0.5) + qg.literal_shift(n, p, "first")
+                        for n in range(6)]
 
 
 def test_no_spectral_samples_below_the_cutoff(tmp_path):

@@ -447,14 +447,21 @@ class TestEngineFailures:
 
 
 class TestClassicalHelpersMatchReference:
+    WEIGHT_GRID = ([0.0, 1e-12, 5e-9, math.nextafter(1e-8, 0.0), 1e-8, 1.5e-8]
+                   + [10.0 ** (k / 8.0) for k in range(-60, 21)]
+                   + [0.37 * k for k in range(1, 946)]      # up to 349.7
+                   + [349.9, 350.0])
+
     def test_log_sinh2_cosh_is_bit_identical(self):
-        grid = [0.0, 1e-12, 5e-9, math.nextafter(1e-8, 0.0), 1e-8, 1.5e-8]
-        grid += [10.0 ** (k / 8.0) for k in range(-60, 21)]
-        grid += [0.37 * k for k in range(1, 946)]           # up to 349.7
-        grid += [349.9, 350.0]
-        for t in grid:
+        for t in self.WEIGHT_GRID:
             want = 2.0 * cg._log_sinh(t) + cg._log_cosh(t)
             assert float.hex(cg._log_sinh2_cosh(t)) == float.hex(want), t
+
+    def test_log_sinh2_cosh_squared_is_bit_identical(self):
+        # the kinetic energy moment's weight, as it was written before fusing
+        for t in self.WEIGHT_GRID:
+            want = 2.0 * cg._log_sinh(t) + cg._log_cosh(t) * 2
+            assert float.hex(cg._log_sinh2_cosh(t, 2.0)) == float.hex(want), t
 
     @pytest.mark.parametrize("c", [1e-6, 0.02, 0.5, 1.0, 3.7, 1e4])
     def test_radial_gaussian_integral(self, c):

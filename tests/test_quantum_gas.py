@@ -114,6 +114,18 @@ class TestPerturbativeShifts:
             assert qg.literal_shift(0, p, order) == 0.0
             assert qg.rspt_shift(0, p, order) == 0.0
 
+    def test_printed_shift_skips_a_zero_cubic_coupling(self):
+        # omega^4 underflows to 0 at omega = 1e-100; with mu = 0 the printed
+        # cubic term is not evaluated, so both orders give the quartic shift
+        p = OscillatorParams(m=1.0, omega=1e-100, lam=1.0)
+        for n in range(6):
+            first = qg.literal_shift(n, p, "first")
+            assert math.isfinite(first)
+            assert qg.literal_shift(n, p, "both") == first
+        # a nonzero cubic coupling still divides by the underflowed omega^4
+        with pytest.raises(ZeroDivisionError):
+            qg.literal_shift(0, OscillatorParams(m=1.0, omega=1e-100, mu=1e-3), "both")
+
     def test_second_order_quartic_included_by_engine(self):
         # the generic engine picks up the lam^2 second-order piece the
         # printed formulas neglect
