@@ -48,7 +48,11 @@ _TWO_PI = 2.0 * math.pi
 def coupling_x(p: OscillatorParams, t: ThermalState) -> float:
     """Dimensionless stiffness-vs-quartic ratio x = sqrt(m^2 w^4 / (64 kT lam))."""
     p.require_anharmonic()
-    return math.sqrt(p.m**2 * p.omega**4 / (64.0 * t.T * p.lam))
+    try:
+        return math.sqrt(p.m**2 * p.omega**4 / (64.0 * t.T * p.lam))
+    except OverflowError:
+        raise OverflowError(f"x = sqrt(m^2 w^4 / (64 T lam)): m^2 w^4 overflows at "
+                            f"m={p.m!r}, omega={p.omega!r}") from None
 
 
 def relativistic_z(p: OscillatorParams, t: ThermalState) -> float:
@@ -83,7 +87,7 @@ def harmonic_partition_z1_report(p: OscillatorParams, t: ThermalState) -> Compar
         threshold=1e-8,
         provenance="harmonic phase-space volume, printed formula vs 6-D Gaussian quadrature",
         options_used={"T": t.T},
-        unconverged=_unconverged({_UNIT_GAUSSIAN_NAME: _UNIT_RADIAL_GAUSSIAN}),
+        quadratures={_UNIT_GAUSSIAN_NAME: _UNIT_RADIAL_GAUSSIAN},
     )
 
 
@@ -96,11 +100,6 @@ def _unit_radial_gaussian(v: float) -> float:
 # runs once, and _radial_gaussian_integral rescales it
 _UNIT_RADIAL_GAUSSIAN = integrate_semi_infinite(_unit_radial_gaussian, 0.0, rel_tol=1e-12)
 _UNIT_GAUSSIAN_NAME = "int v^2 e^{-v^2} dv"
-
-
-def _unconverged(quads: dict[str, QuadratureResult]) -> list[str]:
-    """The names of the quadratures that did not converge, for compare()."""
-    return [name for name, q in quads.items() if not q.converged]
 
 
 def shared_value(shared: dict | None, fn: Callable, *args):
@@ -148,8 +147,8 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState,
         threshold=1e-7,
         provenance="relativistic kinetic integral reduced to modified Bessel functions",
         options_used={"T": t.T, "z": z},
-        unconverged=_unconverged({"int sinh^2 s cosh s e^{-z cosh s} ds": mom,
-                                  _UNIT_GAUSSIAN_NAME: pos}),
+        quadratures={"int sinh^2 s cosh s e^{-z cosh s} ds": mom,
+                     _UNIT_GAUSSIAN_NAME: pos},
     )
 
 
@@ -373,9 +372,9 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
         threshold=1e-6,
         provenance="anharmonic partition product form vs dual radial quadrature",
         options_used={"T": t.T, "x": x, "z": z, "closed_form_F": False},
-        unconverged=_unconverged({"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
-                                  "int sinh^2 s cosh s e^{-z cosh s} ds": mom,
-                                  "int r^2 e^{-beta V(r)} dr": pos}),
+        quadratures={"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
+                     "int sinh^2 s cosh s e^{-z cosh s} ds": mom,
+                     "int r^2 e^{-beta V(r)} dr": pos},
     )
 
 
@@ -472,5 +471,5 @@ def average_energy_classical(
         provenance="printed average-energy formula, F' by its own quadrature, "
                    "vs the moment ratio <m c^2 cosh s> + <V(r)>",
         options_used={"T": t.T, "x": x, "z": z},
-        unconverged=_unconverged(quadratures),
+        quadratures=quadratures,
     )

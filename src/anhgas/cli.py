@@ -226,7 +226,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
                        4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal,
                        4.0 * math.pi * pos.value, 1e-6,
                        "printed closed form vs radial quadrature", {"T": temperature},
-                       () if pos.converged else ("int r^2 e^{-beta V(r)} dr",))
+                       {"int r^2 e^{-beta V(r)} dr": pos})
 
     def f_function():
         x = cg.coupling_x(p, t)
@@ -234,14 +234,14 @@ def _classical_point(cfg: RunConfig, temperature: float):
         return compare("f_function", share(cg.f_closed_form, x), f_q.value, 1e-6,
                        "printed quartic-Gaussian closed form vs defining integral",
                        {"x": x},
-                       () if f_q.converged else ("F(x) = int u^2 e^{-4x u^2 - u^4} du",))
+                       {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q})
 
     def g_function():
         z = cg.relativistic_z(p, t)
         g_q = cg.sinh2_cosh_integral(z)
         return compare("g_function", cg.g_function(z, shared), g_q.value * z**3, 1e-6,
                        "printed Bessel combination vs its defining integral", {"z": z},
-                       () if g_q.converged else ("int sinh^2 s cosh s e^{-z cosh s} ds",))
+                       {"int sinh^2 s cosh s e^{-z cosh s} ds": g_q})
 
     rows = [
         ("harmonic_partition_z1", lambda: cg.harmonic_partition_z1_report(p, t)),

@@ -13,12 +13,11 @@ disagreements surface as FLAGGED rows.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import specfun as sf
-from .oracles import SeriesTruncation, integrate_semi_infinite
+from .oracles import QuadratureResult, SeriesTruncation, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
 
@@ -222,8 +221,12 @@ def dimensionless_couplings(p: OscillatorParams, t: ThermalState) -> Dimensionle
     """
     if p.lam <= 0.0 and p.mu != 0.0:
         raise PositivityWindowError("cubic coupling without quartic has no positivity window")
-    a_a = -p.mu**2 / (16.0 * p.m**3 * t.T**5)
-    a_b = 3.0 * p.lam / (4.0 * p.m**2 * t.T**3)
+    try:
+        a_a = -p.mu**2 / (16.0 * p.m**3 * t.T**5)
+        a_b = 3.0 * p.lam / (4.0 * p.m**2 * t.T**3)
+    except OverflowError:
+        raise OverflowError("a_A = -mu^2/(16 m^3 T^5), a_B = 3 lam/(4 m^2 T^3): a power "
+                            f"overflows at mu={p.mu!r}, m={p.m!r}, T={t.T!r}") from None
     return DimensionlessCouplings.from_values(a_a, a_b)
 
 
@@ -313,7 +316,7 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
 def energy_density_massless(
     p: OscillatorParams, t: ThermalState,
     cutoff_convention: str = "y_star",
-    integrals: dict[tuple, float] | None = None,
+    integrals: dict[tuple, QuadratureResult] | None = None,
 ) -> ComparisonReport:
     """Massless Bose-Einstein energy density with the positivity cutoff.
 
@@ -334,23 +337,24 @@ def energy_density_massless(
     y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t)
 
-    def run(cut: float, transform: str, series_tol: float) -> float:
+    def run(cut: float, transform: str, series_tol: float) -> QuadratureResult:
         # the integrand vanishes at or below max(cut, y_star), so that lower
         # limit, not the cut, fixes the integral with the other arguments
         lower = max(cut, d.y_star)
         key = (p, t, lower, transform, series_tol)
         if key not in integrals:
-            res = integrate_semi_infinite(
+            integrals[key] = integrate_semi_infinite(
                 lambda y: massless_integrand(y, d, cut, series_tol),
                 lower, rel_tol=_DENSITY_REL_TOL, transform=transform,
             )
-            integrals[key] = pref * res.value
         return integrals[key]
 
-    literal = run(y_cut, "rational", 1e-12)
-    oracle = run(y_cut, "exp", 5e-13)
     other = "kappa_literal" if cutoff_convention == "y_star" else "y_star"
-    other_val = run(_resolve_cut(d, other), "rational", 1e-12)
+    name = "int y^2 <E>(y) dy"     # <E>(y): the mean mode energy
+    quads = {f"{name}, rational map": run(y_cut, "rational", 1e-12),
+             f"{name}, exp map": run(y_cut, "exp", 5e-13),
+             f"{name} above the {other} cut": run(_resolve_cut(d, other), "rational", 1e-12)}
+    literal, oracle, other_val = (pref * q.value for q in quads.values())
     return compare(
         "energy_density_massless",
         literal,
@@ -364,6 +368,7 @@ def energy_density_massless(
             "y_star": d.y_star,
             "value_other_cutoff": other_val,
         },
+        quadratures=quads,
     )
 
 
@@ -384,7 +389,7 @@ def energy_density_massive(
     q = t.T / mass_gas
     pref = mass_gas * t.T / (2.0 * math.pi**2)
 
-    def run(mode: str, transform: str) -> float:
+    def run(mode: str, transform: str) -> QuadratureResult:
         y_min = 1.0 / q**2 if mode == "printed" else 1.0 / q
         lower = max(y_min, y_cut, d.y_star)
 
@@ -395,11 +400,12 @@ def energy_density_massive(
             # mean * y * sqrt(radicand); zero outside the window
             return massless_integrand(y, d, y_cut) / y * math.sqrt(rad)
 
-        return pref * integrate_semi_infinite(f, lower, rel_tol=_DENSITY_REL_TOL,
-                                              transform=transform).value
+        return integrate_semi_infinite(f, lower, rel_tol=_DENSITY_REL_TOL, transform=transform)
 
-    literal = run("printed", "rational")
-    corrected = run("dispersion", "rational")
+    quads = {"printed-radicand density integral": run("printed", "rational"),
+             "dispersion density integral, rational map": run("dispersion", "rational"),
+             "dispersion density integral, exp map": run("dispersion", "exp")}
+    literal, corrected, dual = (pref * q.value for q in quads.values())
     rep = compare(
         "energy_density_massive",
         literal,
@@ -409,8 +415,9 @@ def energy_density_massive(
         options_used={
             "T": t.T, "mass_gas": mass_gas, "q": q,
             "cutoff_convention": cutoff_convention,
-            "corrected_dual_transform": run("dispersion", "exp"),
+            "corrected_dual_transform": dual,
         },
+        quadratures=quads,
     )
     if literal == 0.0 and corrected == 0.0:
         rep = replace(rep, status=Status.FLAGGED,
@@ -449,12 +456,9 @@ def _gamma_tail_integral(power: float, decay: float, y0: float) -> float:
     return sign * math.exp(log_val)
 
 
-# tail integrals of the _triple_sum call running in this context, or None
-_TAIL_MEMO: ContextVar[dict | None] = ContextVar("anhgas_tail_memo", default=None)
-
-
 def _tail_integral(power: float, decay: float, y0: float) -> float:
-    memo = _TAIL_MEMO.get()
+    # memoized inside a _triple_sum call (specfun's _SERIES_MEMO scope)
+    memo = sf._SERIES_MEMO.get()
     if memo is None:
         return _gamma_tail_integral(power, decay, y0)
     key = (power, decay, y0)
@@ -589,11 +593,11 @@ def series_energy_density(
         num = _mode_sums(y, d, 1e-12)[0]
         return num * -math.expm1(-y) * y * y
 
-    oracle = pref * integrate_semi_infinite(replaced, y0, rel_tol=_DENSITY_REL_TOL).value
+    quad = integrate_semi_infinite(replaced, y0, rel_tol=_DENSITY_REL_TOL)
     rep = compare(
         "series_energy_density",
         literal,
-        oracle,
+        pref * quad.value,
         threshold=0.01,
         provenance="triple tail-integral series vs denominator-replaced quadrature",
         options_used={
@@ -604,8 +608,9 @@ def series_energy_density(
             "cutoff_convention": cutoff_convention,
             "box_converged": box_ok,
         },
+        quadratures={"int y^2 <f e^-f> (1 - e^-y) dy": quad},
     )
-    if not box_ok:
+    if not box_ok and rep.status is not Status.ERROR:
         rep = replace(rep, status=Status.FLAGGED,
                       options_used={**rep.options_used, "note": "truncation box too small"})
     return rep
@@ -627,9 +632,10 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
 
     A tail integral depends only on (power, decay): the power only on
     2i + j, and decay n + 1 serves the g-term at n and the f-term at n + 1,
-    so each distinct one is computed once per call.
+    so each distinct one is computed once per call; so is each argument's
+    incomplete-gamma recurrence beneath them, which is kept in the same memo.
     """
-    token = _TAIL_MEMO.set({})
+    token = sf._SERIES_MEMO.set({})
     try:
         total = 0.0
         shell_prev = None
@@ -689,4 +695,4 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
             shell_prev = shell
         return total, tail_n + tail_ij, box_ok
     finally:
-        _TAIL_MEMO.reset(token)
+        sf._SERIES_MEMO.reset(token)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping
 
 __all__ = ["Status", "ComparisonReport", "compare"]
 
@@ -56,10 +56,11 @@ def compare(
     threshold: float,
     provenance: str,
     options_used: dict | None = None,
-    unconverged: Sequence[str] = (),
+    quadratures: Mapping[str, Any] | None = None,
 ) -> ComparisonReport:
-    """Build a report; PASS iff rel_dev <= threshold, ERROR if non-finite or unconverged."""
+    """PASS iff rel_dev <= threshold; ERROR if non-finite or a named quadrature is unconverged."""
     opts = dict(options_used or {})
+    unconverged = [name for name, q in (quadratures or {}).items() if not q.converged]
     if unconverged:
         provenance = f"{provenance}; unconverged quadrature: {'; '.join(unconverged)}"
     if unconverged or not (math.isfinite(literal) and math.isfinite(oracle)):

@@ -20,6 +20,7 @@ Branch boundaries are covered by cross-branch consistency tests.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 __all__ = [
@@ -48,6 +49,11 @@ _NU_MAX = 50.0
 _NEAR_INT = 1e-3          # fractional orders closer than this to an integer
 _INT_SNAP = 1e-11         # ...and closer than this are treated as integers
 _LOG_HUGE = 700.0         # ln of the unscaled overflow threshold
+
+# memo of the series evaluation running in this context, or None: quantum_gas's
+# tail integrals under (power, decay, y0), and under x the integer-order
+# chain [ln Gamma(0, x), ln Gamma(-1, x), ...] of log_upper_incomplete_gamma
+_SERIES_MEMO: ContextVar[dict | None] = ContextVar("anhgas_series_memo", default=None)
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -367,23 +373,31 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
         v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
         return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "continued_fraction")
     # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1),
-    # seeded at the first order in (0, 1]; an integer a crosses 0 on the way
+    # seeded at the first order in (0, 1]; an integer a crosses 0 on the way,
+    # and in a series evaluation resumes at the deepest order x has in _SERIES_MEMO
     n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)
-    cur = a + n_steps
-    lg = log_upper_incomplete_gamma(cur, x).value
-    lx = math.log(x)
-    for _ in range(n_steps):
-        cur -= 1.0
-        if cur == 0.0:
-            lg = math.log(exp1(x))
-            continue
-        l_pow = cur * lx - x            # ln(x^cur e^-x)
-        # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
-        if l_pow >= lg:
-            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
-        else:
-            # only possible through rounding at the crossover; fall back
-            lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+    memo = _SERIES_MEMO.get() if a == math.floor(a) else None
+    chain = memo.setdefault(x, []) if memo is not None else []
+    if -a < len(chain):
+        lg = chain[int(-a)]
+    else:
+        cur = a + n_steps - len(chain)
+        lg = chain[-1] if chain else log_upper_incomplete_gamma(cur, x).value
+        lx = math.log(x)
+        for _ in range(n_steps - len(chain)):
+            cur -= 1.0
+            if cur == 0.0:
+                lg = math.log(exp1(x))
+            else:
+                l_pow = cur * lx - x            # ln(x^cur e^-x)
+                # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
+                if l_pow >= lg:
+                    lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
+                else:
+                    # only possible through rounding at the crossover; fall back
+                    lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+            if memo is not None:
+                chain.append(lg)
     return SpecialFunctionResult(lg, 1e-14 * (1 + n_steps) * max(1.0, abs(lg)), "recurrence")
 
 

@@ -337,6 +337,62 @@ class TestQuantumCommand:
             assert "put a node at t = 1" in r["provenance"]
 
 
+    def test_unconverged_quadratures_error_each_row(self, tmp_path, monkeypatch):
+        # with a 15-evaluation budget no density quadrature converges; every
+        # row, the series row's oracle included, is ERROR and names its integral
+        real = qg.integrate_semi_infinite
+        monkeypatch.setattr(qg, "integrate_semi_infinite",
+                            lambda *args, **kwargs: real(*args, **kwargs, max_evals=15))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
+            "thermal_grid": [2.0],
+        }))
+        out = tmp_path / "out"
+        assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
+        named = {
+            "energy_density_massless[y_star]": ["int y^2 <E>(y) dy, rational map",
+                                                "int y^2 <E>(y) dy, exp map",
+                                                "int y^2 <E>(y) dy above the kappa_literal cut"],
+            "energy_density_massless[kappa_literal]": ["int y^2 <E>(y) dy, rational map",
+                                                       "int y^2 <E>(y) dy, exp map",
+                                                       "int y^2 <E>(y) dy above the y_star cut"],
+            "energy_density_massive": ["printed-radicand density integral",
+                                       "dispersion density integral, rational map",
+                                       "dispersion density integral, exp map"],
+            "series_energy_density": ["int y^2 <f e^-f> (1 - e^-y) dy"],
+        }
+        rows = [line.split(",")[1] for line in
+                (out / "quantum.csv").read_text().splitlines()[1:]]
+        assert rows == list(named)
+        reports = json.loads((out / "quantum_reports.json").read_text())
+        for row, r in zip(rows, reports):
+            assert r["status"] == "ERROR"
+            head, _, names = r["provenance"].partition("; unconverged quadrature: ")
+            assert head and names.split("; ") == named[row]
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("classical", {"oscillator": {"m": 1e200, "lam": 0.5}, "thermal_grid": [1.0, 0.01, 1e-5]}),
+    ("quantum", {"oscillator": {"m": 1e200, "lam": 0.5}, "thermal_grid": [1.0, 0.01, 1e-5]}),
+    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}),
+])
+def test_an_overflowing_power_names_its_expression(tmp_path, command, raw):
+    # a float power that leaves double range raises OverflowError(34, ...);
+    # the row names the expression and its inputs instead
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    provenance = [r["provenance"]
+                  for r in json.loads((out / f"{command}_reports.json").read_text())]
+    assert not any("(34," in p for p in provenance)
+    want = ("x = sqrt(m^2 w^4 / (64 T lam)): m^2 w^4 overflows at m=1e+200, omega=1.0"
+            if command == "classical" else "a_A = -mu^2/(16 m^3 T^5), a_B = 3 lam/(4 m^2 T^3)")
+    n_named = sum(want in p for p in provenance)
+    assert n_named == (9 if command == "classical" else len(provenance))
+
+
 @pytest.mark.parametrize("command, raw, n_rows", [
     ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, 6),
     ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, 4),

@@ -489,7 +489,30 @@ class TestSeriesTerms:
         total, _, _ = qg._triple_sum(d, trunc, y0)
         assert total == direct
         assert calls[0] < direct_calls / 2
-        assert qg._TAIL_MEMO.get() is None     # the memo lives for one call only
+        assert sf._SERIES_MEMO.get() is None   # the memo lives for one call only
+
+    def test_triple_sum_walks_each_gamma_chain_once(self, monkeypatch):
+        # the sweep oscillator at T = 2.3: most arguments x = n y0 lie below
+        # 1.5, where the integer orders recur down from E_1(x)
+        from anhgas import specfun as sf
+
+        d = qg.dimensionless_couplings(OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1),
+                                       t_of(2.3))
+        calls = []
+        exp1 = sf.exp1
+        monkeypatch.setattr(sf, "exp1", lambda x: calls.append(x) or exp1(x))
+        trunc = SeriesTruncation(n_max=50, i_max=3, j_max=3)
+        qg._triple_sum(d, trunc, d.y_star)
+        assert len(calls) > 20
+        assert len(set(calls)) == len(calls)     # at most one E_1 per argument
+
+    def test_the_memo_scope_ends_when_a_term_overflows(self):
+        from anhgas import specfun as sf
+
+        d = qg.DimensionlessCouplings.from_values(-1e-40, 0.1)
+        with pytest.raises(sf.SpecialFunctionOverflow):
+            qg._triple_sum(d, SeriesTruncation(n_max=50, i_max=3, j_max=3), d.y_star)
+        assert sf._SERIES_MEMO.get() is None
 
 
 class TestSeriesEnergyDensity:

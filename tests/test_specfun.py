@@ -233,6 +233,69 @@ class TestUpperIncompleteGamma:
                 assert abs(got.value - ref) <= 10.0 * got.abs_error_estimate
 
 
+def _parent_log_gamma_recurrence(a, x):
+    # the downward recurrence as it stood before the series memo: seeded at
+    # the first order in (0, 1] (at 1 for an integer a, which then crosses
+    # E_1 at 0), one loop per call
+    n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)
+    cur = a + n_steps
+    lg = sf.log_upper_incomplete_gamma(cur, x).value
+    lx = math.log(x)
+    for _ in range(n_steps):
+        cur -= 1.0
+        if cur == 0.0:
+            lg = math.log(sf.exp1(x))
+            continue
+        l_pow = cur * lx - x
+        if l_pow >= lg:
+            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
+        else:
+            lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+    return lg
+
+
+class TestIncompleteGammaSeriesMemo:
+    # x on the series (x < a + 1), continued-fraction (x >= 1.5) and E_1
+    # (x <= 1, and 1 < x < 1.5 through the fraction) sides
+    XS = (0.03, 0.2, 0.7, 1.0, 1.2, 1.49, 1.5, 2.0, 7.0, 40.0)
+    ORDERS = [float(a) for a in range(4, -26, -1)]
+
+    @staticmethod
+    def _scoped(queries):
+        token = sf._SERIES_MEMO.set({})
+        try:
+            return {q: sf.log_upper_incomplete_gamma(*q) for q in queries}
+        finally:
+            sf._SERIES_MEMO.reset(token)
+
+    @pytest.mark.parametrize("deepest_first", [False, True])
+    def test_scoped_chain_is_bit_identical(self, deepest_first):
+        orders = self.ORDERS[::-1] if deepest_first else self.ORDERS
+        got = self._scoped([(a, x) for x in self.XS for a in orders])
+        for (a, x), res in got.items():
+            alone = sf.log_upper_incomplete_gamma(a, x)
+            assert res.value.hex() == alone.value.hex(), (a, x)
+            assert res == alone
+            if a <= 0.0 and x < 1.5:
+                assert res.value.hex() == _parent_log_gamma_recurrence(a, x).hex()
+        assert sf._SERIES_MEMO.get() is None
+
+    @pytest.mark.parametrize("a", [-0.4, -2.5, -7.3, -19.75, -1e-17])
+    def test_non_integer_orders_keep_their_start(self, a):
+        # a non-integer order still starts at a + ceil(-a), scoped or not
+        for x in (0.03, 0.7, 1.2, 1.49):
+            want = _parent_log_gamma_recurrence(a, x).hex()
+            assert sf.log_upper_incomplete_gamma(a, x).value.hex() == want
+            assert self._scoped([(a, x)])[(a, x)].value.hex() == want
+
+    def test_each_chain_is_walked_once(self, monkeypatch):
+        calls = []
+        exp1 = sf.exp1
+        monkeypatch.setattr(sf, "exp1", lambda x: calls.append(x) or exp1(x))
+        self._scoped([(a, x) for x in (0.2, 1.2) for a in (-3.0, -19.0, 0.0, -7.0)])
+        assert sorted(calls) == [0.2, 1.2]
+
+
 class TestWhittakerW:
     def test_incomplete_gamma_anchor(self):
         # Gamma(4, 1) = e^{-1/2} W_{3/2, 2}(1)
