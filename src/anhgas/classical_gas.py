@@ -115,10 +115,13 @@ def shared_value(shared: dict | None, fn: Callable, *args):
 
 def _radial_gaussian_integral(c: float) -> QuadratureResult:
     # int_0^inf r^2 exp(-c r^2) dr = c^(-3/2) int_0^inf v^2 exp(-v^2) dv
-    scale = 1.0 / math.sqrt(c)
+    try:
+        cube = (1.0 / math.sqrt(c)) ** 3
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError(f"int r^2 e^(-c r^2) dr: c^(-3/2) overflows at c={c!r}") from None
     res = _UNIT_RADIAL_GAUSSIAN
     return QuadratureResult(
-        res.value * scale**3, res.abs_error_estimate * scale**3,
+        res.value * cube, res.abs_error_estimate * cube,
         res.evaluations, res.converged,
     )
 
@@ -128,7 +131,10 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState,
     """Closed form of the relativistic harmonic partition function vs quadrature."""
     z = relativistic_z(p, t)
     k0, k1 = (shared_value(shared, sf.bessel_k, nu, z).value for nu in (0.0, 1.0))
-    bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
+    try:
+        bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
+    except ZeroDivisionError:
+        raise OverflowError(f"K_0(z)/z + 2 K_1(z)/z^2: 2/z^2 overflows at z={z!r}") from None
     literal = (
         4.0 * math.pi
         * (1.0 / _TWO_PI ** 2) ** 3
@@ -191,7 +197,10 @@ def _kinetic_integral(z: float, k: float, shift: float = 0.0) -> QuadratureResul
         e = log_weight(t, k) - z * (cosh(t) - shift)
         return exp(e) if e > -745.0 else 0.0
 
-    return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+    try:
+        return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+    except OverflowError:
+        raise OverflowError(f"sinh^2 t cosh^{k:g} t e^(-z cosh t) overflows at z={z!r}") from None
 
 
 def sinh2_integral(z: float) -> QuadratureResult:
@@ -287,7 +296,10 @@ def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
         w = r * r * exp(e)
         return w if moment is None else w * moment(r)
 
-    return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    try:
+        return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    except OverflowError:
+        raise OverflowError(f"a4 r^4 overflows in e^(-a2 r^2 - a4 r^4) at a4={a4!r}") from None
 
 
 def position_radial_integral(p: OscillatorParams, t: ThermalState,

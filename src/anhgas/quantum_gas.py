@@ -224,9 +224,11 @@ def dimensionless_couplings(p: OscillatorParams, t: ThermalState) -> Dimensionle
     try:
         a_a = -p.mu**2 / (16.0 * p.m**3 * t.T**5)
         a_b = 3.0 * p.lam / (4.0 * p.m**2 * t.T**3)
-    except OverflowError:
-        raise OverflowError("a_A = -mu^2/(16 m^3 T^5), a_B = 3 lam/(4 m^2 T^3): a power "
-                            f"overflows at mu={p.mu!r}, m={p.m!r}, T={t.T!r}") from None
+        if math.isinf(a_a) or math.isinf(a_b):      # a quotient overflowed
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError("a_A = -mu^2/(16 m^3 T^5), a_B = 3 lam/(4 m^2 T^3) overflow "
+                            f"at mu={p.mu!r}, lam={p.lam!r}, m={p.m!r}, T={t.T!r}") from None
     return DimensionlessCouplings.from_values(a_a, a_b)
 
 
@@ -276,7 +278,7 @@ def _mode_sums(y: float, d: DimensionlessCouplings,
         if f_next >= 1.0:
             g = 1.0 / expm1(step) if step < 700.0 else 0.0
             tail_den = w * g
-            tail_num = w * g * (f + step * (1.0 + g))
+            tail_num = w * g * (f + step * (1.0 + g)) if g else 0.0    # also at step = inf
             if tail_den <= rel_tol * den and tail_num <= rel_tol * num:
                 return num, den, n - 1, tail_num, tail_den
         f = f_next
@@ -303,6 +305,12 @@ def blackbody_energy_density(t: ThermalState) -> float:
 
 def _density_prefactor(t: ThermalState) -> float:
     return t.T**4 / math.pi**2
+
+
+def _exp_map_scale(d: DimensionlessCouplings) -> float:
+    # 4 times the width (8 a_B)^(1/3), where the mode-sum weight peaks (as 2 a_B^(1/3),
+    # which cannot overflow): the exp map's e^{-y} tail then vanishes as (1-t)^4 or faster
+    return 4.0 * max(1.0, 2.0 * d.a_B ** (1.0 / 3.0))
 
 
 def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
@@ -345,7 +353,7 @@ def energy_density_massless(
         if key not in integrals:
             integrals[key] = integrate_semi_infinite(
                 lambda y: massless_integrand(y, d, cut, series_tol),
-                lower, rel_tol=_DENSITY_REL_TOL, transform=transform,
+                lower, rel_tol=_DENSITY_REL_TOL, transform=transform, scale=_exp_map_scale(d),
             )
         return integrals[key]
 
@@ -400,7 +408,8 @@ def energy_density_massive(
             # mean * y * sqrt(radicand); zero outside the window
             return massless_integrand(y, d, y_cut) / y * math.sqrt(rad)
 
-        return integrate_semi_infinite(f, lower, rel_tol=_DENSITY_REL_TOL, transform=transform)
+        return integrate_semi_infinite(f, lower, rel_tol=_DENSITY_REL_TOL,
+                                       transform=transform, scale=_exp_map_scale(d))
 
     quads = {"printed-radicand density integral": run("printed", "rational"),
              "dispersion density integral, rational map": run("dispersion", "rational"),

@@ -372,32 +372,32 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
     if a > 0.0 or x >= 1.5:
         v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
         return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "continued_fraction")
-    # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1),
-    # seeded at the first order in (0, 1]; an integer a crosses 0 on the way,
-    # and in a series evaluation resumes at the deepest order x has in _SERIES_MEMO
-    n_steps = int(math.ceil(-a)) + (1 if a == math.floor(a) else 0)
-    memo = _SERIES_MEMO.get() if a == math.floor(a) else None
+    # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1) from the
+    # first order in (0, 1]; from order 1 (every integer a) the chain starts one step
+    # down, at E_1(x) = Gamma(0, x), so chain[k] holds order top - from_e1 - k. In a
+    # series evaluation an integer a goes on from the deepest order x has in _SERIES_MEMO
+    integer = a == math.floor(a)
+    n_steps = int(math.ceil(-a)) + integer
+    top = a + n_steps
+    from_e1 = top == 1.0
+    memo = _SERIES_MEMO.get() if integer else None
     chain = memo.setdefault(x, []) if memo is not None else []
-    if -a < len(chain):
-        lg = chain[int(-a)]
-    else:
-        cur = a + n_steps - len(chain)
-        lg = chain[-1] if chain else log_upper_incomplete_gamma(cur, x).value
-        lx = math.log(x)
-        for _ in range(n_steps - len(chain)):
-            cur -= 1.0
-            if cur == 0.0:
-                lg = math.log(exp1(x))
-            else:
-                l_pow = cur * lx - x            # ln(x^cur e^-x)
-                # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
-                if l_pow >= lg:
-                    lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
-                else:
-                    # only possible through rounding at the crossover; fall back
-                    lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
-            if memo is not None:
-                chain.append(lg)
+    if not chain:
+        chain.append(math.log(exp1(x)) if from_e1 else log_upper_incomplete_gamma(top, x).value)
+    lg = chain[min(n_steps - from_e1, len(chain) - 1)]
+    cur = top - from_e1 - (len(chain) - 1)
+    lx = math.log(x)
+    for _ in range(n_steps - from_e1 + 1 - len(chain)):
+        cur -= 1.0
+        l_pow = cur * lx - x            # ln(x^cur e^-x)
+        # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
+        if l_pow >= lg:
+            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
+        else:
+            # only possible through rounding at the crossover; fall back
+            lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+        if memo is not None:
+            chain.append(lg)
     return SpecialFunctionResult(lg, 1e-14 * (1 + n_steps) * max(1.0, abs(lg)), "recurrence")
 
 

@@ -300,9 +300,17 @@ class TestQuantumCommand:
         assert [r.split(",")[-1] for r in rows] == ["ERROR"] * 3
         assert (out / "spectral_density.csv").read_text() == "T,y,integrand\n"
 
-    def test_a_failing_convention_errors_only_its_own_row(self, tmp_path):
-        # at T = 0.01 the kappa_literal oracle integral raises a math domain
-        # error (a node at t = 1 of the exp map); the y_star row is unaffected
+    def test_a_failing_convention_errors_only_its_own_row(self, tmp_path, monkeypatch):
+        # at T = 0.01 the kappa_literal oracle integral (exp map above the cut
+        # 3 kappa^2 = 50) is made to raise; the y_star row is unaffected
+        real = qg.integrate_semi_infinite
+
+        def failing(f, a, *args, **kwargs):
+            if kwargs.get("transform") == "exp" and a == 50.0:
+                raise ValueError("exp map failure above the kappa_literal cut")
+            return real(f, a, *args, **kwargs)
+
+        monkeypatch.setattr(qg, "integrate_semi_infinite", failing)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
@@ -312,12 +320,17 @@ class TestQuantumCommand:
         run(["quantum", "--config", str(cfg), "--out", str(out)])
         rows = (out / "quantum.csv").read_text().splitlines()[1:3]
         assert rows[0].startswith("0.01,energy_density_massless[y_star],9.88")
-        assert rows[0].endswith(",FLAGGED")
+        assert rows[0].endswith(",PASS")
         assert rows[1] == "0.01,energy_density_massless[kappa_literal],,,,ERROR"
+        reports = json.loads((out / "quantum_reports.json").read_text())
+        assert reports[1]["provenance"] == ("evaluation failure: exp map failure "
+                                            "above the kappa_literal cut")
 
-    def test_quadrature_failures_error_with_their_cause(self, tmp_path):
-        # at T = 0.05 every density integral puts a node at t = 1 of the exp
-        # map; each row is ERROR with a report that names that failure
+    def test_quadrature_failures_error_with_their_cause(self, tmp_path, monkeypatch):
+        # with the exp map unscaled, every density integral at T = 0.05 puts
+        # a node at t = 1, where y = inf, because the mode-sum weight reaches
+        # past y = 36.7; each row is ERROR with a report that names that failure
+        monkeypatch.setattr(qg, "_exp_map_scale", lambda d: 1.0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
@@ -336,6 +349,24 @@ class TestQuantumCommand:
             assert r["provenance"].startswith("evaluation failure: the exp map of [")
             assert "put a node at t = 1" in r["provenance"]
 
+    def test_low_temperatures_have_values(self, tmp_path):
+        # the mode-sum weight peaks near y = (8 a_B)^(1/3): 29 at T = 0.05
+        # and 72 at T = 0.02, which the exp map reaches once it is stretched
+        # to that width; the two maps of each massless row then agree
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
+            "thermal_grid": [0.01, 0.02, 0.05, 0.1],
+        }))
+        out = tmp_path / "out"
+        assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 2
+        reports = json.loads((out / "quantum_reports.json").read_text())
+        assert len(reports) == 12
+        assert all(r["status"] != "ERROR" for r in reports)
+        massless = [r for r in reports if r["quantity_name"].startswith("energy_density_massless")]
+        assert len(massless) == 8
+        for r in massless:
+            assert r["status"] == "PASS" and r["oracle"] > 0.0 and r["rel_dev"] <= 1e-8
 
     def test_unconverged_quadratures_error_each_row(self, tmp_path, monkeypatch):
         # with a 15-evaluation budget no density quadrature converges; every
@@ -376,6 +407,8 @@ class TestQuantumCommand:
     ("classical", {"oscillator": {"m": 1e200, "lam": 0.5}, "thermal_grid": [1.0, 0.01, 1e-5]}),
     ("quantum", {"oscillator": {"m": 1e200, "lam": 0.5}, "thermal_grid": [1.0, 0.01, 1e-5]}),
     ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}),
+    # no power overflows, but the quotient a_B does: no spectral sample is drawn
+    ("quantum", {"oscillator": {"lam": 1e307}, "thermal_grid": [1e-5]}),
 ])
 def test_an_overflowing_power_names_its_expression(tmp_path, command, raw):
     # a float power that leaves double range raises OverflowError(34, ...);
@@ -418,6 +451,9 @@ def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command,
     # a classical row may also be ERROR on the quadrature it names
     assert errors and all(p.startswith("evaluation failure: ") or (
         command == "classical" and "; unconverged quadrature: " in p) for p in errors)
+    # each failure names its expression, not a bare float error
+    assert not any(bare in p for p in errors
+                   for bare in ("(34,", "float division by zero", "math range error"))
     if command == "quantum":
         assert "nan" not in (out / "spectral_density.csv").read_text()
         assert "inf" not in (out / "spectrum.csv").read_text()
@@ -505,13 +541,13 @@ def _refuse(constant):
 
 
 @pytest.mark.parametrize("command, raw", [
-    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [0.02, 0.05, 0.1],
+    # at T = 0.005 the rational map's literal integrals do not converge
+    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [0.005, 0.05, 0.1],
                  "options": {"cutoff_convention": "kappa_literal"}}),
     ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1.0, 1e300]}),
 ])
 def test_non_finite_values_are_null_and_empty(tmp_path, command, raw):
-    # ERROR reports and the T = 0.02 massless row (oracle 0, rel_dev inf)
-    # carry non-finite values
+    # ERROR reports carry non-finite values
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"

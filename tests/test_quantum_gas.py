@@ -182,6 +182,17 @@ class TestDimensionlessCouplings:
         with pytest.raises(OverflowError, match="kappa"):
             qg.DimensionlessCouplings.from_values(a_a, a_b)
 
+    @pytest.mark.parametrize("lam, mu, temperature", [
+        (1e307, 0.0, 1e-5),     # the quotient a_B overflows to inf, no power does
+        (0.5, 1e150, 1e-40),    # a_A = -inf, also from the quotient
+        (0.5, 0.1, 1e300),      # T^5 overflows
+        (0.5, 0.1, 1e-70),      # T^5 underflows to 0
+    ])
+    def test_a_non_finite_coupling_raises(self, lam, mu, temperature):
+        p = OscillatorParams(m=1.0, omega=1.0, lam=lam, mu=mu)
+        with pytest.raises(OverflowError, match=r"a_A = .*, a_B = .* overflow at mu="):
+            qg.dimensionless_couplings(p, t_of(temperature))
+
 
 class TestOnePositivityWindow:
     # dimensionless_couplings decides the window for every caller, also
@@ -269,6 +280,12 @@ class TestModeSums:
             assert tail_den >= rest_den * (1.0 - 1e-12)
             assert tail_num >= rest_num * (1.0 - 1e-12)
 
+    def test_an_infinite_step_drops_no_tail(self):
+        # 2 a_B / y^2 overflows, so f_1 = inf: only the ground state counts,
+        # and the bound on the dropped tail is 0, not 0 * inf = NaN
+        d = qg.DimensionlessCouplings.from_values(0.0, 1e308)
+        assert qg._mode_sums(1e-3, d, 1e-12) == (0.0, 1.0, 0, 0.0, 0.0)
+
     @pytest.mark.parametrize("y", [0.3, 0.5])
     def test_engine_refuses_outside_the_window(self, y):
         # y = 0.3: negative n^2 coefficient; y = 0.5: convex but f_1 < 0
@@ -325,6 +342,15 @@ class TestMasslessEnergyDensity:
             gaps.append(abs(rep.literal - rep.options_used["value_other_cutoff"]))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] == 0.0
+
+    def test_the_exp_map_evaluation_budget(self):
+        # the stretched exp map turns the e^-y tail into a vanishing (1-t)^L
+        # factor; unstretched, this integral took 1005 evaluations
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
+        integrals: dict = {}
+        qg.energy_density_massless(p, t_of(1.0), integrals=integrals)
+        (exp_map,) = [q for key, q in integrals.items() if key[3] == "exp"]
+        assert exp_map.converged and exp_map.evaluations <= 400
 
     def test_cubic_alone_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, mu=0.1)

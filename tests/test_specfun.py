@@ -295,6 +295,18 @@ class TestIncompleteGammaSeriesMemo:
         self._scoped([(a, x) for x in (0.2, 1.2) for a in (-3.0, -19.0, 0.0, -7.0)])
         assert sorted(calls) == [0.2, 1.2]
 
+    def test_integer_chains_start_at_e1(self, monkeypatch):
+        # an integer order's chain is seeded at E_1(x), so no lnGamma(1, x)
+        # from the lower series is formed, scoped or not
+        calls = []
+        series = sf._lower_p_series
+        monkeypatch.setattr(sf, "_lower_p_series", lambda a, x: calls.append(x) or series(a, x))
+        self._scoped([(a, x) for x in (0.2, 1.2) for a in (-3.0, -19.0, 0.0, -7.0)])
+        sf.log_upper_incomplete_gamma(-4.0, 0.7)
+        assert calls == []
+        sf.log_upper_incomplete_gamma(-2.5, 0.7)     # seeded at Gamma(0.5, 0.7)
+        assert calls == [0.7]
+
 
 class TestWhittakerW:
     def test_incomplete_gamma_anchor(self):
