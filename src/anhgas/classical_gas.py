@@ -14,12 +14,12 @@ import math
 from typing import Callable
 
 from . import specfun as sf
+from .memo import shared_value
 from .oracles import QuadratureResult, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, compare
 
 __all__ = [
-    "shared_value",
     "coupling_x",
     "relativistic_z",
     "harmonic_partition_z1",
@@ -66,7 +66,11 @@ def relativistic_z(p: OscillatorParams, t: ThermalState) -> float:
 
 def harmonic_partition_z1(p: OscillatorParams, t: ThermalState) -> float:
     """Printed harmonic partition function V/(2 pi hbar)^3 (2 pi kT / (w sqrt(m)))^3."""
-    return 1.0 / _TWO_PI ** 3 * (_TWO_PI * t.T / (p.omega * math.sqrt(p.m))) ** 3
+    try:
+        return 1.0 / _TWO_PI ** 3 * (_TWO_PI * t.T / (p.omega * math.sqrt(p.m))) ** 3
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError(f"(2 pi T/(w sqrt(m)))^3 overflows at T={t.T!r}, "
+                            f"omega={p.omega!r}, m={p.m!r}") from None
 
 
 def harmonic_partition_z1_report(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
@@ -102,17 +106,6 @@ _UNIT_RADIAL_GAUSSIAN = integrate_semi_infinite(_unit_radial_gaussian, 0.0, rel_
 _UNIT_GAUSSIAN_NAME = "int v^2 e^{-v^2} dv"
 
 
-def shared_value(shared: dict | None, fn: Callable, *args):
-    """fn(*args), kept in ``shared``, one temperature's dict, for its other
-    rows. The key holds fn and every argument, so reuse changes no bit."""
-    if shared is None:
-        return fn(*args)
-    key = (fn, *args)
-    if key not in shared:
-        shared[key] = fn(*args)
-    return shared[key]
-
-
 def _radial_gaussian_integral(c: float) -> QuadratureResult:
     # int_0^inf r^2 exp(-c r^2) dr = c^(-3/2) int_0^inf v^2 exp(-v^2) dv
     try:
@@ -126,11 +119,10 @@ def _radial_gaussian_integral(c: float) -> QuadratureResult:
     )
 
 
-def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState,
-                                       shared: dict | None = None) -> ComparisonReport:
+def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """Closed form of the relativistic harmonic partition function vs quadrature."""
     z = relativistic_z(p, t)
-    k0, k1 = (shared_value(shared, sf.bessel_k, nu, z).value for nu in (0.0, 1.0))
+    k0, k1 = (shared_value(sf.bessel_k, nu, z).value for nu in (0.0, 1.0))
     try:
         bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
     except ZeroDivisionError:
@@ -142,7 +134,7 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState,
         * bracket
     )
 
-    mom = shared_value(shared, _relativistic_radial_scaled, z)  # e^z int sinh^2 cosh e^{-z cosh}
+    mom = shared_value(_relativistic_radial_scaled, z)  # e^z int sinh^2 cosh e^{-z cosh}
     pos = _radial_gaussian_integral(0.5 * t.beta * p.m * p.omega**2)
     kin = 4.0 * math.pi * p.m ** 3 * mom.value * math.exp(-z)
     oracle = kin * (4.0 * math.pi * pos.value) / _TWO_PI ** 6
@@ -334,11 +326,11 @@ def f_derivative(x: float) -> float:
     return -4.0 * _quartic_gaussian(x, 1e-12, True).value
 
 
-def g_function(x: float, shared: dict | None = None) -> float:
+def g_function(x: float) -> float:
     """The printed companion function G(x) = x K_0(x) + 2 x^2 K_1(x)."""
     if not (x > 0.0):
         raise ValueError(f"g_function requires x > 0, got {x}")
-    k0, k1 = (shared_value(shared, sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
+    k0, k1 = (shared_value(sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
     return x * k0 + 2.0 * x * x * k1
 
 
@@ -351,9 +343,9 @@ def g_function_corrected(x: float) -> float:
     return x * x * sf.bessel_k(0.0, x).value + 2.0 * x * sf.bessel_k(1.0, x).value
 
 
-def g_function_derivative(x: float, shared: dict | None = None) -> float:
+def g_function_derivative(x: float) -> float:
     """d/dx of the printed G, via Bessel recurrences: K0 (1 - 2x^2) + x K1."""
-    k0, k1 = (shared_value(shared, sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
+    k0, k1 = (shared_value(sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
     return k0 * (1.0 - 2.0 * x * x) + x * k1
 
 
@@ -391,7 +383,7 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
 
 
 def _average_energy_moments(
-    p: OscillatorParams, t: ThermalState, shared: dict | None = None,
+    p: OscillatorParams, t: ThermalState,
 ) -> tuple[float, dict[str, QuadratureResult]]:
     # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four quadratures
     z = relativistic_z(p, t)
@@ -400,7 +392,7 @@ def _average_energy_moments(
     quads = {
         "int sinh^2 s cosh^2 s e^{-z cosh s} ds": _kinetic_integral(z, 2.0, 1.0),
         "int sinh^2 s cosh s e^{-z cosh s} ds":
-            shared_value(shared, _relativistic_radial_scaled, z),
+            shared_value(_relativistic_radial_scaled, z),
         "int r^2 V(r) e^{-beta V(r)} dr":
             _position_integral(a2, a4, scale, 1e-11, lambda r: h2 * r * r + lam * r**4),
         "int r^2 e^{-beta V(r)} dr": _position_integral(a2, a4, scale, 1e-11),
@@ -452,27 +444,25 @@ def average_energy_metropolis(
     return mean, std_error, (kin, pot)
 
 
-def average_energy_classical(
-    p: OscillatorParams, t: ThermalState, shared: dict | None = None,
-) -> ComparisonReport:
+def average_energy_classical(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """Printed average-energy formula vs the moment ratios of
     average_energy_quadrature.
 
     The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G.  An
     unconverged quadrature on either side makes the report ERROR.
-    F(x), K_0(z), K_1(z) and the scaled kinetic integral come from ``shared``.
+    F(x), K_0(z), K_1(z) and the scaled kinetic integral go through memo.shared_value.
     """
     kt = t.T
     x = coupling_x(p, t)
     z = relativistic_z(p, t)
-    f_q = shared_value(shared, f_oracle, x)
+    f_q = shared_value(f_oracle, x)
     fp_q = _quartic_gaussian(x, 1e-12, True)               # F'(x) = -4 fp_q
     literal = (
         0.75 * kt
         + math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * 4.0 * fp_q.value / f_q.value
-        - p.m * g_function_derivative(z, shared) / g_function(z, shared)
+        - p.m * g_function_derivative(z) / g_function(z)
     )
-    oracle, moments = _average_energy_moments(p, t, shared)
+    oracle, moments = _average_energy_moments(p, t)
     quadratures = {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,
                    "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du": fp_q, **moments}
     return compare(

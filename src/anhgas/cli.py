@@ -1,10 +1,10 @@
 """Command-line surface: config ingestion, temperature sweeps, CSV/JSON
 emission, and the literal-vs-oracle verification matrix.
 
-Output determinism is part of the contract: grid points are computed in
-a thread pool but written strictly in input order, floats are serialized
-with 17 significant digits, and a fixed seed pins the Monte Carlo rows,
-so reruns and thread-count changes are byte-identical.
+Output determinism is part of the contract: grid points are computed in a
+thread pool, each in its own memo scope (anhgas.memo), but written strictly in
+input order; floats have 17 significant digits, and a fixed seed pins the Monte
+Carlo rows, so reruns and thread-count changes are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 from . import classical_gas as cg
 from . import quantum_gas as qg
 from . import specfun as sf
+from .memo import memo_scope, shared_value
 from .oracles import IntegrandError, integrate_semi_infinite, metropolis_expectation
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
@@ -197,13 +198,14 @@ def _row(temperature: float, name: str,
 def _sweep(cfg: RunConfig, point: Callable, threads: int, out_dir: Path,
            stem: str) -> tuple[int, list]:
     """Run point(cfg, T), which returns its rows as (name, thunk) and its
-    extra samples, over the grid. Write every row, in input order, to
-    <stem>.csv and <stem>_reports.json; return the exit code and the samples."""
+    extra samples, in one memo scope per grid point. Write every row, in input
+    order, to <stem>.csv and <stem>_reports.json; return the code and samples."""
 
     def run(temperature: float):
-        rows, samples = point(cfg, temperature)
-        return [(temperature, name, _row(temperature, name, thunk))
-                for name, thunk in rows], samples
+        with memo_scope():
+            rows, samples = point(cfg, temperature)
+            return [(temperature, name, _row(temperature, name, thunk))
+                    for name, thunk in rows], samples
 
     results = _ordered_parallel(run, cfg.thermal_grid, threads)
     rows = [row for point_rows, _ in results for row in point_rows]
@@ -216,12 +218,10 @@ def _sweep(cfg: RunConfig, point: Callable, threads: int, out_dir: Path,
 def _classical_point(cfg: RunConfig, temperature: float):
     p = cfg.oscillator
     t = ThermalState.from_temperature(temperature)
-    shared: dict = {}    # sub-results the rows of this temperature share
-    share = functools.partial(cg.shared_value, shared)
 
     def vibrational():
         pos = cg.position_radial_integral(p, t)
-        f_literal = share(cg.f_closed_form, cg.coupling_x(p, t))
+        f_literal = shared_value(cg.f_closed_form, cg.coupling_x(p, t))
         return compare("vibrational_partition",
                        4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal,
                        4.0 * math.pi * pos.value, 1e-6,
@@ -230,8 +230,8 @@ def _classical_point(cfg: RunConfig, temperature: float):
 
     def f_function():
         x = cg.coupling_x(p, t)
-        f_q = share(cg.f_oracle, x)
-        return compare("f_function", share(cg.f_closed_form, x), f_q.value, 1e-6,
+        f_q = shared_value(cg.f_oracle, x)
+        return compare("f_function", shared_value(cg.f_closed_form, x), f_q.value, 1e-6,
                        "printed quartic-Gaussian closed form vs defining integral",
                        {"x": x},
                        {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q})
@@ -239,18 +239,18 @@ def _classical_point(cfg: RunConfig, temperature: float):
     def g_function():
         z = cg.relativistic_z(p, t)
         g_q = cg.sinh2_cosh_integral(z)
-        return compare("g_function", cg.g_function(z, shared), g_q.value * z**3, 1e-6,
+        return compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
                        "printed Bessel combination vs its defining integral", {"z": z},
                        {"int sinh^2 s cosh s e^{-z cosh s} ds": g_q})
 
     rows = [
         ("harmonic_partition_z1", lambda: cg.harmonic_partition_z1_report(p, t)),
         ("relativistic_harmonic_partition_z2",
-         lambda: cg.relativistic_harmonic_partition_z2(p, t, shared)),
+         lambda: cg.relativistic_harmonic_partition_z2(p, t)),
         ("vibrational_partition", vibrational),
         ("f_function", f_function),
         ("g_function", g_function),
-        ("average_energy_classical", lambda: cg.average_energy_classical(p, t, shared)),
+        ("average_energy_classical", lambda: cg.average_energy_classical(p, t)),
     ]
     if p.lam <= 0.0:
         # the last four rows need the quartic coupling
@@ -268,9 +268,8 @@ def _quantum_point(cfg: RunConfig, temperature: float):
     t = ThermalState.from_temperature(temperature)
     cutoff = str(cfg.options["cutoff_convention"])
     mass = float(cfg.options["massive_gas_mass"])
-    integrals: dict = {}    # shared by the two conventions' reports
     rows = [(f"energy_density_massless[{c}]",
-             functools.partial(qg.energy_density_massless, p, t, c, integrals=integrals))
+             functools.partial(qg.energy_density_massless, p, t, c))
             for c in ("y_star", "kappa_literal")]
     rows.append(("energy_density_massive",
                  lambda: qg.energy_density_massive(p, mass, t, cutoff)))

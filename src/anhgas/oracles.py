@@ -47,7 +47,6 @@ class SeriesTruncation:
     n_max: int
     i_max: int = 0
     j_max: int = 0
-    tail_estimate: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from . import specfun as sf
+from .memo import memo_scope, shared_value
 from .oracles import QuadratureResult, SeriesTruncation, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
@@ -321,10 +322,18 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
     raise ValueError(f"unknown cutoff convention {cutoff_convention!r}")
 
 
+def _massless_integral(d: DimensionlessCouplings, lower: float, transform: str,
+                       series_tol: float) -> QuadratureResult:
+    # lower = max(cut, y_star): the integrand vanishes at or below it, so it stands in for the cut
+    return integrate_semi_infinite(
+        lambda y: massless_integrand(y, d, lower, series_tol),
+        lower, rel_tol=_DENSITY_REL_TOL, transform=transform, scale=_exp_map_scale(d),
+    )
+
+
 def energy_density_massless(
     p: OscillatorParams, t: ThermalState,
     cutoff_convention: str = "y_star",
-    integrals: dict[tuple, QuadratureResult] | None = None,
 ) -> ComparisonReport:
     """Massless Bose-Einstein energy density with the positivity cutoff.
 
@@ -333,35 +342,21 @@ def energy_density_massless(
     Literal and oracle sides run independent transforms and tolerances;
     the other cutoff convention's value is echoed in options_used.
 
-    ``integrals``, if given, keeps each integral computed and supplies one
-    found there. A key holds every argument its integral depends on, so
-    reuse changes no bit. The two cutoff conventions at one temperature
-    share integrals: at kappa^2 <= 1/3 both cuts resolve to y_star, and
-    the two reports have the same literal and oracle.
+    Each integral is a memo.shared_value. At kappa^2 <= 1/3 both cuts
+    resolve to y_star, the other cut's integral is the literal's, and the
+    two conventions' reports have the same literal and oracle.
     """
-    if integrals is None:
-        integrals = {}
     d = dimensionless_couplings(p, t)
     y_cut = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t)
-
-    def run(cut: float, transform: str, series_tol: float) -> QuadratureResult:
-        # the integrand vanishes at or below max(cut, y_star), so that lower
-        # limit, not the cut, fixes the integral with the other arguments
-        lower = max(cut, d.y_star)
-        key = (p, t, lower, transform, series_tol)
-        if key not in integrals:
-            integrals[key] = integrate_semi_infinite(
-                lambda y: massless_integrand(y, d, cut, series_tol),
-                lower, rel_tol=_DENSITY_REL_TOL, transform=transform, scale=_exp_map_scale(d),
-            )
-        return integrals[key]
-
     other = "kappa_literal" if cutoff_convention == "y_star" else "y_star"
+    lower, other_lower = (max(cut, d.y_star) for cut in (y_cut, _resolve_cut(d, other)))
+    literal_q = shared_value(_massless_integral, d, lower, "rational", 1e-12)
     name = "int y^2 <E>(y) dy"     # <E>(y): the mean mode energy
-    quads = {f"{name}, rational map": run(y_cut, "rational", 1e-12),
-             f"{name}, exp map": run(y_cut, "exp", 5e-13),
-             f"{name} above the {other} cut": run(_resolve_cut(d, other), "rational", 1e-12)}
+    quads = {f"{name}, rational map": literal_q,
+             f"{name}, exp map": shared_value(_massless_integral, d, lower, "exp", 5e-13),
+             f"{name} above the {other} cut": literal_q if other_lower == lower else
+             shared_value(_massless_integral, d, other_lower, "rational", 1e-12)}
     literal, oracle, other_val = (pref * q.value for q in quads.values())
     return compare(
         "energy_density_massless",
@@ -465,18 +460,6 @@ def _gamma_tail_integral(power: float, decay: float, y0: float) -> float:
     return sign * math.exp(log_val)
 
 
-def _tail_integral(power: float, decay: float, y0: float) -> float:
-    # memoized inside a _triple_sum call (specfun's _SERIES_MEMO scope)
-    memo = sf._SERIES_MEMO.get()
-    if memo is None:
-        return _gamma_tail_integral(power, decay, y0)
-    key = (power, decay, y0)
-    val = memo.get(key)
-    if val is None:
-        val = memo[key] = _gamma_tail_integral(power, decay, y0)
-    return val
-
-
 def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
                           y0: float) -> tuple[float, float]:
     """Corrected series term pair (f_term, g_term) at indices (i, j, n).
@@ -502,7 +485,7 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
         for coeff, power in ((c1, p1), (c2, p2), (c3, p3)):
             if coeff == 0.0:
                 continue
-            total += coeff * _tail_integral(power, decay, y0)
+            total += coeff * shared_value(_gamma_tail_integral, power, decay, y0)
         return total
 
     return assemble(float(n)), assemble(float(n + 1))
@@ -641,11 +624,10 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
 
     A tail integral depends only on (power, decay): the power only on
     2i + j, and decay n + 1 serves the g-term at n and the f-term at n + 1,
-    so each distinct one is computed once per call; so is each argument's
-    incomplete-gamma recurrence beneath them, which is kept in the same memo.
+    so each distinct one is computed once per call, in a memo scope of its
+    own; so is each argument's incomplete-gamma recurrence beneath them.
     """
-    token = sf._SERIES_MEMO.set({})
-    try:
+    with memo_scope():
         total = 0.0
         shell_prev = None
         tail_n = 0.0
@@ -703,5 +685,3 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
                     box_ok = False
             shell_prev = shell
         return total, tail_n + tail_ij, box_ok
-    finally:
-        sf._SERIES_MEMO.reset(token)

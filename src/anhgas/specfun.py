@@ -14,14 +14,16 @@ Branch policy for K_nu:
                 terms provably shrink below machine precision;
 * otherwise     adaptive quadrature of int_0^inf exp(-x cosh t) cosh(vt) dt.
 
-Branch boundaries are covered by cross-branch consistency tests.
+Branch boundaries are covered by cross-branch consistency tests. In an open memo
+scope (anhgas.memo), ln Gamma(a, x) at integer a continues x's deepest recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
+
+from . import memo
 
 __all__ = [
     "SpecialFunctionResult",
@@ -49,11 +51,6 @@ _NU_MAX = 50.0
 _NEAR_INT = 1e-3          # fractional orders closer than this to an integer
 _INT_SNAP = 1e-11         # ...and closer than this are treated as integers
 _LOG_HUGE = 700.0         # ln of the unscaled overflow threshold
-
-# memo of the series evaluation running in this context, or None: quantum_gas's
-# tail integrals under (power, decay, y0), and under x the integer-order
-# chain [ln Gamma(0, x), ln Gamma(-1, x), ...] of log_upper_incomplete_gamma
-_SERIES_MEMO: ContextVar[dict | None] = ContextVar("anhgas_series_memo", default=None)
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -374,14 +371,14 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
         return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "continued_fraction")
     # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1) from the
     # first order in (0, 1]; from order 1 (every integer a) the chain starts one step
-    # down, at E_1(x) = Gamma(0, x), so chain[k] holds order top - from_e1 - k. In a
-    # series evaluation an integer a goes on from the deepest order x has in _SERIES_MEMO
+    # down, at E_1(x) = Gamma(0, x), so chain[k] holds order top - from_e1 - k. In an
+    # open memo scope an integer a goes on from the deepest order kept there under x
     integer = a == math.floor(a)
     n_steps = int(math.ceil(-a)) + integer
     top = a + n_steps
     from_e1 = top == 1.0
-    memo = _SERIES_MEMO.get() if integer else None
-    chain = memo.setdefault(x, []) if memo is not None else []
+    chains = memo.current() if integer else None
+    chain = chains.setdefault(x, []) if chains is not None else []
     if not chain:
         chain.append(math.log(exp1(x)) if from_e1 else log_upper_incomplete_gamma(top, x).value)
     lg = chain[min(n_steps - from_e1, len(chain) - 1)]
@@ -396,8 +393,7 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
         else:
             # only possible through rounding at the crossover; fall back
             lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
-        if memo is not None:
-            chain.append(lg)
+        chain.append(lg)
     return SpecialFunctionResult(lg, 1e-14 * (1 + n_steps) * max(1.0, abs(lg)), "recurrence")
 
 

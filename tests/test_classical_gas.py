@@ -7,7 +7,8 @@ import math
 import pytest
 
 from anhgas import classical_gas as cg
-from anhgas import cli, oracles
+from anhgas import cli, memo, oracles
+from anhgas.memo import memo_scope, shared_value
 from anhgas.oracles import QuadratureResult, integrate_semi_infinite
 from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
@@ -314,10 +315,10 @@ class TestAverageEnergy:
     def test_handed_f_gives_the_same_report(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
         t = ThermalState.from_temperature(0.4)
-        shared = {}
-        cg.shared_value(shared, cg.f_oracle, cg.coupling_x(p, t))
-        assert cg.average_energy_classical(p, t, shared) == \
-            cg.average_energy_classical(p, t)
+        with memo_scope():
+            shared_value(cg.f_oracle, cg.coupling_x(p, t))
+            handed = cg.average_energy_classical(p, t)
+        assert handed == cg.average_energy_classical(p, t)
 
     def test_classical_point_runs_four_quadratures_for_the_row(self, monkeypatch):
         # F(x) comes from the f_function row and the e^z-scaled kinetic
@@ -343,8 +344,9 @@ class TestAverageEnergy:
         monkeypatch.setattr(cg, "average_energy_classical", traced_row)
         monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
-        rows, _ = cli._classical_point(cfg, 1.3)
-        reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
+        with memo_scope():      # the scope cli._sweep opens for one grid point
+            rows, _ = cli._classical_point(cfg, 1.3)
+            reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
         assert reports[-1].quantity_name == "average_energy_classical"
         assert len(calls) == 4
 
@@ -363,8 +365,9 @@ class TestAverageEnergy:
         monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
         monkeypatch.setattr(oracles, "integrate_semi_infinite", counted_quad)
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
-        rows, _ = cli._classical_point(cfg, T)
-        reports = [cli._row(T, name, thunk) for name, thunk in rows]
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, T)
+            reports = [cli._row(T, name, thunk) for name, thunk in rows]
         assert len(reports) == 6 and Status.ERROR not in {r.status for r in reports}
         assert len(calls) == want
 
@@ -389,12 +392,17 @@ class TestAverageEnergy:
         x = cg.coupling_x(p, t)
         good = cg.f_oracle(x)
         bad = QuadratureResult(good.value, 1.0, 15, False)
-        rep = cg.average_energy_classical(p, t, {(cg.f_oracle, x): bad})
+
+        def report_with(f_q):
+            with memo_scope():
+                memo.current()[(cg.f_oracle, x)] = f_q
+                return cg.average_energy_classical(p, t)
+
+        rep = report_with(bad)
         assert rep.status is Status.ERROR
         assert rep.provenance.endswith(
             "; unconverged quadrature: F(x) = int u^2 e^{-4x u^2 - u^4} du")
-        assert cg.average_energy_classical(p, t, {(cg.f_oracle, x): good}).status \
-            is not Status.ERROR
+        assert report_with(good).status is not Status.ERROR
 
     def test_classical_point_names_every_unconverged_quadrature(self, monkeypatch):
         # with a 15-evaluation budget and an unconverged unit Gaussian, no
@@ -413,8 +421,9 @@ class TestAverageEnergy:
             "average_energy_classical": "F'(x) = -4 int u^4 e^{-4x u^2 - u^4} du",
         }
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
-        rows, _ = cli._classical_point(cfg, 1.3)
-        reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, 1.3)
+            reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
         assert [r.quantity_name for r in reports] == list(named)
         assert [r.status for r in reports] == [Status.ERROR] * len(named)
         for rep in reports:

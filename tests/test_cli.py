@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anhgas import cli
+from anhgas import classical_gas as cg
+from anhgas import cli, memo, oracles
 from anhgas import quantum_gas as qg
 from anhgas.cli import CSV_HEADER, RunConfig
 from anhgas.oracles import IntegrandError
@@ -213,6 +215,20 @@ class TestClassicalCommand:
         assert both[:7] == one
         assert [r.split(",", 1)[0] for r in both[7:]] == ["1.0000000000000001e+300"] * 6
         assert all(r.endswith(",ERROR") for r in both[7:])
+
+    def test_a_huge_temperature_names_the_harmonic_power(self, tmp_path):
+        # (2 pi T/(w sqrt(m)))^3 leaves double range above T ~ 1e102, the
+        # phase-space oracle's c^(-3/2) only above T ~ 1.6e205
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
+                                   "thermal_grid": [1e150, 1e200]}))
+        assert run(["classical", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        reports = json.loads((tmp_path / "out/classical_reports.json").read_text())
+        assert not any("(34," in r["provenance"] for r in reports)
+        z1 = [r for r in reports if r["quantity_name"] == "harmonic_partition_z1"]
+        assert [(r["status"], r["provenance"]) for r in z1] == [
+            ("ERROR", f"evaluation failure: (2 pi T/(w sqrt(m)))^3 overflows at T={t!r}, "
+                      "omega=1.0, m=1.0") for t in (1e150, 1e200)]
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -534,6 +550,59 @@ class TestRowRunner:
 
         with pytest.raises(RuntimeError, match="did not converge"):
             cli._row(1.0, "some_row", thunk)
+
+
+class TestMemoScopes:
+    @pytest.mark.parametrize("command, grid", [
+        ("classical", [1.3, 0.1, 1.3]),
+        ("quantum", [2.0, 1.0, 2.0]),
+    ])
+    def test_each_grid_point_computes_its_own_shared_values(self, monkeypatch, tmp_path,
+                                                            command, grid):
+        # quadratures counted per grid point, in the thread that runs it: a
+        # repeated temperature reuses nothing from its twin, and no count
+        # depends on the thread count
+        local = threading.local()
+        cells = []
+        point = getattr(cli, f"_{command}_point")
+        quad = oracles.integrate_semi_infinite
+
+        def counted_point(cfg, temperature):
+            local.cell = [temperature, 0]
+            cells.append(local.cell)
+            return point(cfg, temperature)
+
+        def counted_quad(*args, **kwargs):
+            local.cell[1] += 1
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(cli, f"_{command}_point", counted_point)
+        for module in (cg, qg, oracles):
+            monkeypatch.setattr(module, "integrate_semi_infinite", counted_quad)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
+                                   "thermal_grid": grid}))
+        counts = []
+        for threads in ("1", "2"):
+            cells.clear()
+            run([command, "--config", str(cfg), "--out", str(tmp_path / threads),
+                 "--threads", threads])
+            counts.append(sorted(map(tuple, cells)))
+        one, two = counts
+        assert one == two
+        assert one[1] == one[2] and one[1][1] > 0
+        if command == "classical":
+            assert one == [(0.1, 10), (1.3, 8), (1.3, 8)]
+
+    @pytest.mark.parametrize("command", ["classical", "quantum"])
+    def test_no_scope_outlives_main(self, tmp_path, command):
+        # T = 1e300 makes ERROR rows: a row's failure closes its scope too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
+                                   "thermal_grid": [1.0, 1e300]}))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--threads", "1"]) == 1
+        assert memo.current() is None
 
 
 def _refuse(constant):

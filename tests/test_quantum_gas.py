@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from anhgas import memo
 from anhgas import quantum_gas as qg
+from anhgas.memo import memo_scope
 from anhgas.oracles import SeriesTruncation, diagonalize_truncated, integrate_semi_infinite
 from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
@@ -347,17 +349,18 @@ class TestMasslessEnergyDensity:
         # the stretched exp map turns the e^-y tail into a vanishing (1-t)^L
         # factor; unstretched, this integral took 1005 evaluations
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
-        integrals: dict = {}
-        qg.energy_density_massless(p, t_of(1.0), integrals=integrals)
-        (exp_map,) = [q for key, q in integrals.items() if key[3] == "exp"]
+        with memo_scope():
+            qg.energy_density_massless(p, t_of(1.0))
+            # keys are (qg._massless_integral, d, lower, transform, series_tol)
+            (exp_map,) = [q for key, q in memo.current().items() if key[3] == "exp"]
         assert exp_map.converged and exp_map.evaluations <= 400
 
     def test_cubic_alone_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, mu=0.1)
         with pytest.raises(ValueError, match="positivity"):
             qg.energy_density_massless(p, t_of(1.0))
-        with pytest.raises(ValueError, match="positivity"):
-            qg.energy_density_massless(p, t_of(1.0), integrals={})
+        with memo_scope(), pytest.raises(ValueError, match="positivity"):
+            qg.energy_density_massless(p, t_of(1.0))
 
     @pytest.mark.parametrize("mu, temperature", [(0.1, 1.0), (2.0, 0.5)])
     def test_both_conventions_share_their_integrals(self, mu, temperature, monkeypatch):
@@ -380,20 +383,20 @@ class TestMasslessEnergyDensity:
                     for c in ("y_star", "kappa_literal")]
         assert len(calls) == (4 if shared else 6)
         calls.clear()
-        integrals: dict = {}
-        both = [qg.energy_density_massless(p, t, c, integrals=integrals)
-                for c in ("y_star", "kappa_literal")]
-        assert len(calls) == (2 if shared else 4)
-        assert [r.to_dict() for r in both] == [r.to_dict() for r in separate]
-        # every argument is in the key: another temperature reuses nothing
-        t2 = t_of(2.0 * temperature)
-        calls.clear()
-        alone = qg.energy_density_massless(p, t2)
-        n_alone = len(calls)
-        calls.clear()
-        again = qg.energy_density_massless(p, t2, integrals=integrals)
-        assert len(calls) == n_alone
-        assert again.to_dict() == alone.to_dict()
+        with memo_scope():
+            both = [qg.energy_density_massless(p, t, c) for c in ("y_star", "kappa_literal")]
+            assert len(calls) == (2 if shared else 4)
+            assert [r.to_dict() for r in both] == [r.to_dict() for r in separate]
+            # every argument is in the key: another temperature reuses nothing
+            t2 = t_of(2.0 * temperature)
+            calls.clear()
+            with memo_scope():      # a fresh memo, and the enclosing one after it
+                alone = qg.energy_density_massless(p, t2)
+            n_alone = len(calls)
+            calls.clear()
+            again = qg.energy_density_massless(p, t2)
+            assert len(calls) == n_alone
+            assert again.to_dict() == alone.to_dict()
 
 
 class TestMassiveEnergyDensity:
@@ -515,7 +518,7 @@ class TestSeriesTerms:
         total, _, _ = qg._triple_sum(d, trunc, y0)
         assert total == direct
         assert calls[0] < direct_calls / 2
-        assert sf._SERIES_MEMO.get() is None   # the memo lives for one call only
+        assert memo.current() is None   # the memo lives for one call only
 
     def test_triple_sum_walks_each_gamma_chain_once(self, monkeypatch):
         # the sweep oscillator at T = 2.3: most arguments x = n y0 lie below
@@ -536,9 +539,12 @@ class TestSeriesTerms:
         from anhgas import specfun as sf
 
         d = qg.DimensionlessCouplings.from_values(-1e-40, 0.1)
-        with pytest.raises(sf.SpecialFunctionOverflow):
-            qg._triple_sum(d, SeriesTruncation(n_max=50, i_max=3, j_max=3), d.y_star)
-        assert sf._SERIES_MEMO.get() is None
+        with memo_scope():
+            enclosing = memo.current()
+            with pytest.raises(sf.SpecialFunctionOverflow):
+                qg._triple_sum(d, SeriesTruncation(n_max=50, i_max=3, j_max=3), d.y_star)
+            assert memo.current() is enclosing
+        assert memo.current() is None
 
 
 class TestSeriesEnergyDensity:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anhgas import memo
 from anhgas import specfun as sf
 from anhgas.oracles import integrate_semi_infinite
 
@@ -262,11 +263,8 @@ class TestIncompleteGammaSeriesMemo:
 
     @staticmethod
     def _scoped(queries):
-        token = sf._SERIES_MEMO.set({})
-        try:
+        with memo.memo_scope():
             return {q: sf.log_upper_incomplete_gamma(*q) for q in queries}
-        finally:
-            sf._SERIES_MEMO.reset(token)
 
     @pytest.mark.parametrize("deepest_first", [False, True])
     def test_scoped_chain_is_bit_identical(self, deepest_first):
@@ -278,7 +276,7 @@ class TestIncompleteGammaSeriesMemo:
             assert res == alone
             if a <= 0.0 and x < 1.5:
                 assert res.value.hex() == _parent_log_gamma_recurrence(a, x).hex()
-        assert sf._SERIES_MEMO.get() is None
+        assert memo.current() is None
 
     @pytest.mark.parametrize("a", [-0.4, -2.5, -7.3, -19.75, -1e-17])
     def test_non_integer_orders_keep_their_start(self, a):
