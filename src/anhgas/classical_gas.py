@@ -11,7 +11,6 @@ the point of the dual-route design.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from . import specfun as sf
 from .memo import shared_value
@@ -36,6 +35,7 @@ __all__ = [
     "log_momentum_radial_integral",
     "sinh2_integral",
     "sinh2_cosh_integral",
+    "relativistic_radial_integral",
     "anharmonic_relativistic_partition",
     "average_energy_classical",
     "average_energy_quadrature",
@@ -57,7 +57,18 @@ def coupling_x(p: OscillatorParams, t: ThermalState) -> float:
 
 def relativistic_z(p: OscillatorParams, t: ThermalState) -> float:
     """Rest energy over thermal energy, z = m c^2 / (k_B T)."""
-    return p.m / t.T
+    z = p.m / t.T
+    if z == 0.0 or z == math.inf:
+        raise ArithmeticError(f"z = m/T = {z!r} leaves double range at m={p.m!r}, T={t.T!r}")
+    return z
+
+
+def _omega_squared(p: OscillatorParams, expression: str) -> float:
+    # w^2 for the named expression, which cannot be formed once w^2 overflows
+    try:
+        return p.omega**2
+    except OverflowError:
+        raise OverflowError(f"{expression}: w^2 overflows at omega={p.omega!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +93,7 @@ def harmonic_partition_z1_report(p: OscillatorParams, t: ThermalState) -> Compar
     """
     beta = t.beta
     kin = _radial_gaussian_integral(0.5 * beta / p.m)          # int p^2 e^{-beta p^2/2m}
-    pos = _radial_gaussian_integral(0.5 * beta * p.m * p.omega**2)
+    pos = _radial_gaussian_integral(0.5 * beta * p.m * _omega_squared(p, "beta m w^2 / 2"))
     oracle = (4.0 * math.pi) ** 2 * kin.value * pos.value / _TWO_PI ** 6
     return compare(
         "harmonic_partition_z1",
@@ -127,15 +138,16 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> 
         bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
     except ZeroDivisionError:
         raise OverflowError(f"K_0(z)/z + 2 K_1(z)/z^2: 2/z^2 overflows at z={z!r}") from None
+    w2 = _omega_squared(p, "2 pi m T / w^2")
     literal = (
         4.0 * math.pi
         * (1.0 / _TWO_PI ** 2) ** 3
-        * (_TWO_PI * p.m * t.T / p.omega**2) ** 1.5
+        * (_TWO_PI * p.m * t.T / w2) ** 1.5
         * bracket
     )
 
     mom = shared_value(_relativistic_radial_scaled, z)  # e^z int sinh^2 cosh e^{-z cosh}
-    pos = _radial_gaussian_integral(0.5 * t.beta * p.m * p.omega**2)
+    pos = _radial_gaussian_integral(0.5 * t.beta * p.m * w2)
     kin = 4.0 * math.pi * p.m ** 3 * mom.value * math.exp(-z)
     oracle = kin * (4.0 * math.pi * pos.value) / _TWO_PI ** 6
     return compare(
@@ -181,12 +193,17 @@ def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
 def _kinetic_integral(z: float, k: float, shift: float = 0.0) -> QuadratureResult:
     # int_0^inf sinh^2 t cosh^k t exp(-z (cosh t - shift)) dt; shift = 1 is
     # the e^z-scaled form, safe for any z > 0
-    exp, cosh, log_weight = math.exp, math.cosh, _log_sinh2_cosh
+    exp, cosh, log1p, log_weight = math.exp, math.cosh, math.log1p, _log_sinh2_cosh
 
     def f(t: float) -> float:
         if t <= 0.0 or t > 350.0:
             return 0.0
-        e = log_weight(t, k) - z * (cosh(t) - shift)
+        if t < 1e-8:
+            e = log_weight(t, k) - z * (cosh(t) - shift)
+        else:   # _log_sinh2_cosh inlined, operation for operation
+            e2 = exp(-2.0 * t)
+            e = (2.0 * (t - _LN2 + log1p(-e2)) + (t - _LN2 + log1p(e2)) * k
+                 - z * (cosh(t) - shift))
         return exp(e) if e > -745.0 else 0.0
 
     try:
@@ -209,6 +226,16 @@ def sinh2_cosh_integral(z: float) -> QuadratureResult:
 def _relativistic_radial_scaled(z: float) -> QuadratureResult:
     # e^z int_0^inf sinh^2 t cosh t exp(-z cosh t) dt
     return _kinetic_integral(z, 1.0, 1.0)
+
+
+def relativistic_radial_integral(z: float) -> QuadratureResult:
+    """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt as e^{-z} times the
+    e^z-scaled quadrature, which one memo scope shares with
+    relativistic_harmonic_partition_z2 and average_energy_classical."""
+    res = shared_value(_relativistic_radial_scaled, z)
+    scale = math.exp(-z)
+    return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
+                            res.evaluations, res.converged)
 
 
 def _log_momentum(p: OscillatorParams, beta: float) -> tuple[float, QuadratureResult]:
@@ -267,18 +294,20 @@ def f_oracle_from_params(p: OscillatorParams, t: ThermalState) -> float:
 def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, float]:
     """(a2, a4, scale) of the position weight r^2 exp(-a2 r^2 - a4 r^4);
     scale is its characteristic width, for conditioning and sampling."""
-    a2 = 0.5 * beta * p.m * p.omega**2
+    a2 = 0.5 * beta * p.m * _omega_squared(p, "beta m w^2 / 2")
     a4 = beta * p.lam
     scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
     return a2, a4, scale
 
 
 def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
-                       moment: Callable[[float], float] | None = None) -> QuadratureResult:
-    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [moment(r)] dv over r = v * scale,
-    # so the integral over r is scale times this one
+                       potential: tuple[float, float] | None = None) -> QuadratureResult:
+    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [V(r)] dv over r = v * scale, with
+    # V(r) = h2 r^2 + lam r^4 for potential = (h2, lam); the integral over r
+    # is scale times this one
     neg_a2 = -a2
     exp = math.exp
+    h2, lam = potential or (0.0, 0.0)
 
     def f(v: float) -> float:
         r = v * scale
@@ -286,7 +315,7 @@ def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
         if not e > -745.0:
             return 0.0
         w = r * r * exp(e)
-        return w if moment is None else w * moment(r)
+        return w if potential is None else w * (h2 * r * r + lam * r**4)
 
     try:
         return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
@@ -296,9 +325,10 @@ def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
 
 def position_radial_integral(p: OscillatorParams, t: ThermalState,
                              rel_tol: float = 1e-12) -> QuadratureResult:
-    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature."""
+    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature,
+    a memo.shared_value: at rel_tol=1e-11 it is average_energy_classical's norm."""
     a2, a4, scale = _position_weight(p, t.beta)
-    res = _position_integral(a2, a4, scale, rel_tol)
+    res = shared_value(_position_integral, a2, a4, scale, rel_tol)
     return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
                             res.evaluations, res.converged)
 
@@ -388,14 +418,14 @@ def _average_energy_moments(
     # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four quadratures
     z = relativistic_z(p, t)
     a2, a4, scale = _position_weight(p, t.beta)
-    h2, lam = 0.5 * p.m * p.omega**2, p.lam
+    potential = (0.5 * p.m * p.omega**2, p.lam)
     quads = {
         "int sinh^2 s cosh^2 s e^{-z cosh s} ds": _kinetic_integral(z, 2.0, 1.0),
         "int sinh^2 s cosh s e^{-z cosh s} ds":
             shared_value(_relativistic_radial_scaled, z),
         "int r^2 V(r) e^{-beta V(r)} dr":
-            _position_integral(a2, a4, scale, 1e-11, lambda r: h2 * r * r + lam * r**4),
-        "int r^2 e^{-beta V(r)} dr": _position_integral(a2, a4, scale, 1e-11),
+            _position_integral(a2, a4, scale, 1e-11, potential),
+        "int r^2 e^{-beta V(r)} dr": shared_value(_position_integral, a2, a4, scale, 1e-11),
     }
     num_k, den_k, num_p, den_p = (q.value for q in quads.values())
     return p.m * num_k / den_k + num_p / den_p, quads
@@ -450,7 +480,8 @@ def average_energy_classical(p: OscillatorParams, t: ThermalState) -> Comparison
 
     The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G.  An
     unconverged quadrature on either side makes the report ERROR.
-    F(x), K_0(z), K_1(z) and the scaled kinetic integral go through memo.shared_value.
+    F(x), K_0(z), K_1(z), the scaled kinetic integral and the position norm go
+    through memo.shared_value.
     """
     kt = t.T
     x = coupling_x(p, t)

@@ -220,7 +220,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
     t = ThermalState.from_temperature(temperature)
 
     def vibrational():
-        pos = cg.position_radial_integral(p, t)
+        pos = cg.position_radial_integral(p, t, rel_tol=1e-11)  # the average energy's norm
         f_literal = shared_value(cg.f_closed_form, cg.coupling_x(p, t))
         return compare("vibrational_partition",
                        4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal,
@@ -238,7 +238,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
 
     def g_function():
         z = cg.relativistic_z(p, t)
-        g_q = cg.sinh2_cosh_integral(z)
+        g_q = cg.relativistic_radial_integral(z)
         return compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
                        "printed Bessel combination vs its defining integral", {"z": z},
                        {"int sinh^2 s cosh s e^{-z cosh s} ds": g_q})

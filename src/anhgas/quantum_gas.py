@@ -339,8 +339,9 @@ def energy_density_massless(
 
     Boltzmann weights use exp(-f_n) throughout (the lone positive-exponent
     display is treated as a sign slip; the positive form diverges).
-    Literal and oracle sides run independent transforms and tolerances;
-    the other cutoff convention's value is echoed in options_used.
+    Literal and oracle integrate the same mode sum under two maps and
+    tolerances, so they check the quadrature, not the mode sum; the other
+    cutoff convention's value is echoed in options_used.
 
     Each integral is a memo.shared_value. At kappa^2 <= 1/3 both cuts
     resolve to y_star, the other cut's integral is the literal's, and the
@@ -363,7 +364,7 @@ def energy_density_massless(
         literal,
         oracle,
         threshold=1e-6,
-        provenance="mode-sum energy density, dual-transform quadrature",
+        provenance="mode-sum energy density, same mode sum, two maps",
         options_used={
             "T": t.T,
             "cutoff_convention": cutoff_convention,

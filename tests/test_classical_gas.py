@@ -103,6 +103,14 @@ class TestRelativisticHarmonicPartition:
         assert r80 == pytest.approx(1.0, abs=0.05)
         assert abs(r160 - 1.0) < abs(r80 - 1.0)
 
+    @pytest.mark.parametrize("m, T", [(1e-200, 1e308), (1e300, 1e-10)])
+    def test_z_outside_double_range_is_named(self, m, T):
+        # an underflowed z = 0 or an overflowed z = inf, not a Bessel domain error
+        p = OscillatorParams(m=m, omega=1.0, lam=0.5)
+        t = ThermalState.from_temperature(T)
+        with pytest.raises(ArithmeticError, match=r"^z = m/T = (0\.0|inf) leaves double range"):
+            cg.relativistic_z(p, t)
+
     def test_momentum_sphere_factor_is_extensive_only(self):
         p = OscillatorParams(m=1.0, omega=1.0)
         t = natural_state()
@@ -227,6 +235,18 @@ class TestGFunction:
                     + 2.0 * x * x * sf.bessel_k_scaled(1.0, x).value)
         assert g_scaled / k1_scaled == pytest.approx(1.0, abs=5e-3)
 
+    @pytest.mark.parametrize("z", [0.5, 1.0, 10.0])
+    def test_radial_integral_rescales_the_shared_quadrature(self, z):
+        with memo_scope():
+            res = cg.relativistic_radial_integral(z)
+            scaled = memo.current()[(cg._relativistic_radial_scaled, z)]
+        s = math.exp(-z)
+        assert res.value.hex() == (scaled.value * s).hex()
+        assert res.abs_error_estimate.hex() == (scaled.abs_error_estimate * s).hex()
+        assert (res.evaluations, res.converged) == (scaled.evaluations, scaled.converged)
+        # the unscaled quadrature agrees to rounding
+        assert res.value == pytest.approx(cg.sinh2_cosh_integral(z).value, rel=1e-13)
+
     def test_derivatives(self):
         h = 1e-6
         for z in (0.7, 1.5, 4.0):
@@ -320,10 +340,11 @@ class TestAverageEnergy:
             handed = cg.average_energy_classical(p, t)
         assert handed == cg.average_energy_classical(p, t)
 
-    def test_classical_point_runs_four_quadratures_for_the_row(self, monkeypatch):
-        # F(x) comes from the f_function row and the e^z-scaled kinetic
-        # integral from the relativistic_harmonic_partition_z2 row; the row
-        # itself runs F'(x), the cosh^2 moment and the two position integrals
+    def test_classical_point_runs_three_quadratures_for_the_row(self, monkeypatch):
+        # F(x) comes from the f_function row, the e^z-scaled kinetic integral
+        # from the relativistic_harmonic_partition_z2 row and the position
+        # norm from the vibrational_partition row; the row itself runs F'(x),
+        # the cosh^2 moment and the potential moment
         inside = []
         calls = []
         row = cg.average_energy_classical
@@ -348,13 +369,14 @@ class TestAverageEnergy:
             rows, _ = cli._classical_point(cfg, 1.3)
             reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
         assert reports[-1].quantity_name == "average_energy_classical"
-        assert len(calls) == 4
+        assert len(calls) == 3
 
-    @pytest.mark.parametrize("T, want", [(0.1, 10), (1.3, 8)])
+    @pytest.mark.parametrize("T, want", [(0.1, 8), (1.3, 6)])
     def test_classical_point_computes_each_shared_value_once(self, monkeypatch, T, want):
-        # K_0(z), K_1(z), F(x), the printed F(x) and the e^z-scaled kinetic
-        # integral are computed once per temperature. At T = 0.1 (z = 10)
-        # bessel_k takes its quadrature branch, and specfun's calls count too
+        # K_0(z), K_1(z), F(x), the printed F(x), the e^z-scaled kinetic
+        # integral and the position norm are computed once per temperature:
+        # six quadratures. At T = 0.1 (z = 10) bessel_k takes its quadrature
+        # branch for K_0 and K_1, and specfun's calls count too
         calls = []
         quad = integrate_semi_infinite
 
@@ -370,6 +392,46 @@ class TestAverageEnergy:
             reports = [cli._row(T, name, thunk) for name, thunk in rows]
         assert len(reports) == 6 and Status.ERROR not in {r.status for r in reports}
         assert len(calls) == want
+
+    @pytest.mark.parametrize("T", [0.1, 1.3])
+    def test_g_function_oracle_is_the_shared_scaled_integral(self, T):
+        # e^{-z} times the e^z-scaled kinetic integral of the memo scope, which
+        # relativistic_harmonic_partition_z2 and average_energy_classical hold
+        cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+        z = cg.relativistic_z(cfg.oscillator, ThermalState.from_temperature(T))
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, T)
+            reports = {name: cli._row(T, name, thunk) for name, thunk in rows}
+            scaled = memo.current()[(cg._relativistic_radial_scaled, z)]
+        want = scaled.value * math.exp(-z) * z**3
+        assert reports["g_function"].oracle.hex() == want.hex()
+
+    def test_vibrational_row_and_average_energy_share_the_position_norm(self, monkeypatch):
+        # one scope, one quadrature: the vibrational_partition row holds the
+        # average energy's norm int r^2 e^{-beta V(r)} dr, rescaled to r
+        held = {}
+
+        def recording(real):
+            def record(name, *args, **kwargs):
+                held[name] = kwargs["quadratures"] if "quadratures" in kwargs else args[5]
+                return real(name, *args, **kwargs)
+            return record
+
+        monkeypatch.setattr(cli, "compare", recording(cli.compare))
+        monkeypatch.setattr(cg, "compare", recording(cg.compare))
+        cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+        t = ThermalState.from_temperature(1.3)
+        a2, a4, scale = cg._position_weight(cfg.oscillator, t.beta)
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, 1.3)
+            for name, thunk in rows:
+                cli._row(1.3, name, thunk)
+            norm = memo.current()[(cg._position_integral, a2, a4, scale, 1e-11)]
+        name = "int r^2 e^{-beta V(r)} dr"
+        assert held["average_energy_classical"][name] is norm
+        assert held["vibrational_partition"][name] == QuadratureResult(
+            norm.value * scale, norm.abs_error_estimate * scale,
+            norm.evaluations, norm.converged)
 
     def test_unconverged_quadrature_is_error(self, monkeypatch):
         # a 15-evaluation budget leaves every quadrature at one panel

@@ -230,6 +230,25 @@ class TestClassicalCommand:
             ("ERROR", f"evaluation failure: (2 pi T/(w sqrt(m)))^3 overflows at T={t!r}, "
                       "omega=1.0, m=1.0") for t in (1e150, 1e200)]
 
+    def test_an_extreme_frequency_names_each_overflow(self, tmp_path):
+        # w^2 = 1e400 leaves double range although m w^2 = 1e200 does not,
+        # and z = m/T underflows to 0 at T = 1e308
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"oscillator": {"m": 1e-200, "omega": 1e200, "lam": 0.5},
+                                   "thermal_grid": [1.0, 1e308]}))
+        assert run(["classical", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        reports = json.loads((tmp_path / "out/classical_reports.json").read_text())
+        assert [r["status"] for r in reports] == ["ERROR"] * 12
+        assert not any("(34," in r["provenance"] or "requires x > 0" in r["provenance"]
+                       for r in reports)
+        w2 = "evaluation failure: beta m w^2 / 2: w^2 overflows at omega=1e+200"
+        z0 = "evaluation failure: z = m/T = 0.0 leaves double range at m=1e-200, T=1e+308"
+        one, hot = ({r["quantity_name"]: r["provenance"] for r in reports[k:k + 6]}
+                    for k in (0, 6))
+        for prov in (one, hot):
+            assert prov["harmonic_partition_z1"] == prov["vibrational_partition"] == w2
+        assert hot["relativistic_harmonic_partition_z2"] == hot["g_function"] == z0
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"options": {"not_a_flag": 1}}))
@@ -592,7 +611,7 @@ class TestMemoScopes:
         assert one == two
         assert one[1] == one[2] and one[1][1] > 0
         if command == "classical":
-            assert one == [(0.1, 10), (1.3, 8), (1.3, 8)]
+            assert one == [(0.1, 8), (1.3, 6), (1.3, 6)]
 
     @pytest.mark.parametrize("command", ["classical", "quantum"])
     def test_no_scope_outlives_main(self, tmp_path, command):
