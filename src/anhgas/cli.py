@@ -1,10 +1,11 @@
 """Command-line surface: config ingestion, temperature sweeps, CSV/JSON
 emission, and the literal-vs-oracle verification matrix.
 
-Output determinism is part of the contract: grid points are computed in a
-thread pool, each in its own memo scope (anhgas.memo), but written strictly in
+Output determinism is part of the contract: grid points are computed one after
+another on one thread, each in its own memo scope (anhgas.memo), and written in
 input order; floats have 17 significant digits, and a fixed seed pins the Monte
-Carlo rows, so reruns and thread-count changes are byte-identical.
+Carlo rows, so reruns are byte-identical. The sweeps' --threads is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -28,8 +27,6 @@ from .memo import memo_scope, shared_value
 from .oracles import IntegrandError, integrate_semi_infinite, metropolis_expectation
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
-
-THREADS_ENV = "ANHGAS_THREADS"
 
 CSV_HEADER = "T,quantity,literal,oracle,rel_dev,status"
 
@@ -118,21 +115,6 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
-
-
-def _ordered_parallel(fn: Callable, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8", newline="\n")
 
@@ -195,24 +177,21 @@ def _row(temperature: float, name: str,
                             {"T": temperature})
 
 
-def _sweep(cfg: RunConfig, point: Callable, threads: int, out_dir: Path,
-           stem: str) -> tuple[int, list]:
+def _sweep(cfg: RunConfig, point: Callable, out_dir: Path, stem: str) -> tuple[int, list]:
     """Run point(cfg, T), which returns its rows as (name, thunk) and its
     extra samples, in one memo scope per grid point. Write every row, in input
     order, to <stem>.csv and <stem>_reports.json; return the code and samples."""
-
-    def run(temperature: float):
+    rows, samples = [], []
+    for temperature in cfg.thermal_grid:
         with memo_scope():
-            rows, samples = point(cfg, temperature)
-            return [(temperature, name, _row(temperature, name, thunk))
-                    for name, thunk in rows], samples
-
-    results = _ordered_parallel(run, cfg.thermal_grid, threads)
-    rows = [row for point_rows, _ in results for row in point_rows]
+            point_rows, point_samples = point(cfg, temperature)
+            rows += [(temperature, name, _row(temperature, name, thunk))
+                     for name, thunk in point_rows]
+        samples += point_samples
     reports = [rep for _, _, rep in rows]
     _write_lines(out_dir / f"{stem}.csv", [CSV_HEADER, *(_csv_line(*row) for row in rows)])
     _write_reports_json(out_dir / f"{stem}_reports.json", reports)
-    return _exit_code(reports), [s for _, samples in results for s in samples]
+    return _exit_code(reports), samples
 
 
 def _classical_point(cfg: RunConfig, temperature: float):
@@ -258,9 +237,9 @@ def _classical_point(cfg: RunConfig, temperature: float):
     return rows, []
 
 
-def cmd_classical(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_classical(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _sweep(cfg, _classical_point, threads, out_dir, "classical")[0]
+    return _sweep(cfg, _classical_point, out_dir, "classical")[0]
 
 
 def _quantum_point(cfg: RunConfig, temperature: float):
@@ -290,7 +269,7 @@ def _quantum_point(cfg: RunConfig, temperature: float):
     return rows, [(temperature, y, qg.massless_integrand(y, d, d.y_star)) for y in ys]
 
 
-def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def cmd_quantum(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     p = cfg.oscillator
 
@@ -308,7 +287,7 @@ def cmd_quantum(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         lines.append(",".join((str(n), *map(_field, (lit, gen, abs(lit - gen))))))
     _write_lines(out_dir / "spectrum.csv", lines)
 
-    code, spectral = _sweep(cfg, _quantum_point, threads, out_dir, "quantum")
+    code, spectral = _sweep(cfg, _quantum_point, out_dir, "quantum")
     _write_lines(out_dir / "spectral_density.csv",
                  ["T,y,integrand", *(",".join(map(_fmt, s)) for s in spectral)])
     return code
@@ -495,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--only", type=str, default=None,
                             choices=["specfun", "oracles", "classical", "quantum"])
         else:
-            sp.add_argument("--threads", type=int, default=None)
+            sp.add_argument("--threads", type=int, default=None,
+                            help="accepted and ignored; sweeps run on one thread")
     se = sub.add_parser("specfun-eval")
     se.add_argument("function", type=str)
     se.add_argument("values", type=float, nargs="*")
@@ -515,9 +495,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         out_dir = Path(args.out)
         if args.command == "classical":
-            return cmd_classical(cfg, out_dir, _thread_count(args))
+            return cmd_classical(cfg, out_dir)
         if args.command == "quantum":
-            return cmd_quantum(cfg, out_dir, _thread_count(args))
+            return cmd_quantum(cfg, out_dir)
         return cmd_verify(cfg, out_dir, only=args.only)
     except (ValueError, KeyError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"config or input error: {exc}", file=sys.stderr)

@@ -1,31 +1,31 @@
 """One memo scope for shared values: inside ``with memo_scope():``, shared_value(fn,
 *args) computes fn(*args) once under the key (fn, *args), so reuse changes no bit.
-A ContextVar holds the scope, so each thread of the sweeps' pool has its own."""
+Sweeps run on one thread, so a module global holds the innermost scope."""
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 
-_MEMO: ContextVar[dict | None] = ContextVar("anhgas_memo", default=None)
+_memo: dict | None = None
 
 
 @contextmanager
 def memo_scope():
     """A fresh memo for the block; the enclosing one returns after it."""
-    token = _MEMO.set({})
+    global _memo
+    outer, _memo = _memo, {}
     try:
         yield
     finally:
-        _MEMO.reset(token)
+        _memo = outer
 
 
 def current() -> dict | None:
     """The memo of the innermost open scope, or None outside every scope."""
-    return _MEMO.get()
+    return _memo
 
 
 def shared_value(fn, *args):
     """fn(*args), computed once per scope; outside every scope, on each call."""
-    memo = _MEMO.get()
+    memo = _memo
     if memo is None:
         return fn(*args)
     key = (fn, *args)

@@ -371,6 +371,8 @@ def energy_density_massless(
             "y_cut": y_cut,
             "y_star": d.y_star,
             "value_other_cutoff": other_val,
+            # both 0.0: the mode sum underflowed, and the PASS compares nothing
+            **({"underflow": True} if literal == oracle == 0.0 else {}),
         },
         quadratures=quads,
     )

@@ -142,15 +142,30 @@ class TestRunConfig:
         parsed = json.loads(out)
         assert set(parsed["options"]) == set(cli._DEFAULT_OPTIONS)
 
-    def test_thread_count_env_override(self, monkeypatch):
-        import argparse
+    def test_thread_inputs_are_inert(self, monkeypatch, tmp_path):
+        # --threads and ANHGAS_THREADS are accepted and ignored: a sweep
+        # starts no thread and writes the bytes of a plain run
+        grids = {"classical": [0.1, 1.0, 5.0], "quantum": [1.0, 2.0, 3.0]}
+        for command, grid in grids.items():
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
+                                       "thermal_grid": grid}))
+            assert run([command, "--config", str(cfg),
+                        "--out", str(tmp_path / command / "plain")]) == 2
 
-        args = argparse.Namespace(threads=None)
-        monkeypatch.setenv(cli.THREADS_ENV, "5")
-        assert cli._thread_count(args) == 5
-        monkeypatch.delenv(cli.THREADS_ENV)
-        assert cli._thread_count(args) == 1
-        assert cli._thread_count(argparse.Namespace(threads=3)) == 3
+        def refuse(thread):
+            raise RuntimeError(f"a sweep started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setenv("ANHGAS_THREADS", "5")
+        for command in grids:
+            plain, inert = tmp_path / command / "plain", tmp_path / command / "inert"
+            assert run([command, "--config", str(tmp_path / f"{command}.json"),
+                        "--out", str(inert), "--threads", "8"]) == 2
+            names = sorted(f.name for f in plain.iterdir())
+            assert names == sorted(f.name for f in inert.iterdir())
+            for name in names:
+                assert (inert / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 class TestClassicalCommand:
@@ -578,21 +593,18 @@ class TestMemoScopes:
     ])
     def test_each_grid_point_computes_its_own_shared_values(self, monkeypatch, tmp_path,
                                                             command, grid):
-        # quadratures counted per grid point, in the thread that runs it: a
-        # repeated temperature reuses nothing from its twin, and no count
-        # depends on the thread count
-        local = threading.local()
+        # quadratures counted per grid point: a repeated temperature reuses
+        # nothing from its twin, and no count depends on --threads
         cells = []
         point = getattr(cli, f"_{command}_point")
         quad = oracles.integrate_semi_infinite
 
         def counted_point(cfg, temperature):
-            local.cell = [temperature, 0]
-            cells.append(local.cell)
+            cells.append([temperature, 0])
             return point(cfg, temperature)
 
         def counted_quad(*args, **kwargs):
-            local.cell[1] += 1
+            cells[-1][1] += 1
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(cli, f"_{command}_point", counted_point)
@@ -649,9 +661,11 @@ def test_non_finite_values_are_null_and_empty(tmp_path, command, raw):
 
 
 def _modules_loaded_by(code: str) -> str:
-    # numpy and mpmath in sys.modules after running code in a fresh interpreter
+    # numpy, mpmath and the thread-pool and context-variable modules in
+    # sys.modules after running code in a fresh interpreter
     src = Path(cli.__file__).resolve().parents[1]
-    probe = f"import sys\n{code}\nprint(sorted({{'numpy', 'mpmath'}} & set(sys.modules)))"
+    unused = {"numpy", "mpmath", "concurrent.futures", "contextvars"}
+    probe = f"import sys\n{code}\nprint(sorted({unused!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
@@ -660,18 +674,19 @@ def _modules_loaded_by(code: str) -> str:
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # numpy is imported only by the diagonalization, Metropolis and
-    # matrix-element functions that use it
+    # matrix-element functions that use it; the CLI imports no thread pool
     assert _modules_loaded_by("import anhgas.cli") == "[]"
 
 
 def test_the_sweeps_leave_numpy_unloaded(tmp_path):
     # the spectrum table's level shifts come from closed-form ladder
-    # elements, so neither sweep loads numpy
+    # elements, so neither sweep loads numpy; --threads 2 loads no pool
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
                                "thermal_grid": [1.0, 2.0]}))
     code = "\n".join(
-        f"anhgas.cli.main(['{cmd}', '--config', {str(cfg)!r}, '--out', {str(tmp_path / cmd)!r}])"
+        f"anhgas.cli.main(['{cmd}', '--config', {str(cfg)!r}, '--out', {str(tmp_path / cmd)!r},"
+        " '--threads', '2'])"
         for cmd in ("quantum", "classical"))
     assert _modules_loaded_by(f"import anhgas.cli\n{code}") == "[]"
     assert (tmp_path / "quantum" / "spectrum.csv").exists()
@@ -695,7 +710,7 @@ class TestVerifyCommand:
             run(["verify", "--only", "nonsense", "--out", str(tmp_path)])
 
     def test_takes_no_thread_count(self, tmp_path):
-        # verify runs serially; only the sweeps take --threads
+        # only the sweeps accept --threads, which they ignore
         with pytest.raises(SystemExit):
             run(["verify", "--threads", "2", "--out", str(tmp_path)])
 

@@ -345,6 +345,18 @@ class TestMasslessEnergyDensity:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] == 0.0
 
+    def test_an_underflowed_pass_is_marked(self):
+        # above y_cut = 40000 the mode sum underflows: literal = oracle = 0.0
+        # stays PASS but says so; the y_star row's 4.45e-80 is a value
+        p = OscillatorParams(m=1.0, omega=1.0, lam=1e-4, mu=10.0)
+        kappa, star = (qg.energy_density_massless(p, t_of(2.5), c)
+                       for c in ("kappa_literal", "y_star"))
+        assert kappa.options_used["y_cut"] == pytest.approx(40000.0)
+        assert kappa.literal == kappa.oracle == 0.0 and kappa.status is Status.PASS
+        assert kappa.options_used["underflow"] is True
+        assert star.literal == pytest.approx(4.45e-80, rel=1e-3)
+        assert star.status is Status.PASS and "underflow" not in star.options_used
+
     def test_the_exp_map_evaluation_budget(self):
         # the stretched exp map turns the e^-y tail into a vanishing (1-t)^L
         # factor; unstretched, this integral took 1005 evaluations
