@@ -25,17 +25,13 @@ __all__ = [
     "harmonic_partition_z1_report",
     "relativistic_harmonic_partition_z2",
     "f_oracle",
-    "f_oracle_from_params",
     "f_closed_form",
     "f_derivative",
     "g_function",
     "g_function_corrected",
     "g_function_derivative",
     "position_radial_integral",
-    "log_momentum_radial_integral",
-    "sinh2_integral",
-    "sinh2_cosh_integral",
-    "relativistic_radial_integral",
+    "kinetic_radial_integral",
     "anharmonic_relativistic_partition",
     "average_energy_classical",
     "average_energy_quadrature",
@@ -123,11 +119,7 @@ def _radial_gaussian_integral(c: float) -> QuadratureResult:
         cube = (1.0 / math.sqrt(c)) ** 3
     except (OverflowError, ZeroDivisionError):
         raise OverflowError(f"int r^2 e^(-c r^2) dr: c^(-3/2) overflows at c={c!r}") from None
-    res = _UNIT_RADIAL_GAUSSIAN
-    return QuadratureResult(
-        res.value * cube, res.abs_error_estimate * cube,
-        res.evaluations, res.converged,
-    )
+    return _UNIT_RADIAL_GAUSSIAN.scaled(cube)
 
 
 def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
@@ -146,7 +138,7 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> 
         * bracket
     )
 
-    mom = shared_value(_relativistic_radial_scaled, z)  # e^z int sinh^2 cosh e^{-z cosh}
+    mom = shared_value(_kinetic_scaled, z, 1.0)  # e^z int sinh^2 cosh e^{-z cosh}
     pos = _radial_gaussian_integral(0.5 * t.beta * p.m * w2)
     kin = 4.0 * math.pi * p.m ** 3 * mom.value * math.exp(-z)
     oracle = kin * (4.0 * math.pi * pos.value) / _TWO_PI ** 6
@@ -190,20 +182,19 @@ def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
     return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e)) * k
 
 
-def _kinetic_integral(z: float, k: float, shift: float = 0.0) -> QuadratureResult:
-    # int_0^inf sinh^2 t cosh^k t exp(-z (cosh t - shift)) dt; shift = 1 is
-    # the e^z-scaled form, safe for any z > 0
+def _kinetic_scaled(z: float, k: float) -> QuadratureResult:
+    # e^z int_0^inf sinh^2 t cosh^k t exp(-z cosh t) dt, safe for any z > 0
     exp, cosh, log1p, log_weight = math.exp, math.cosh, math.log1p, _log_sinh2_cosh
 
     def f(t: float) -> float:
         if t <= 0.0 or t > 350.0:
             return 0.0
         if t < 1e-8:
-            e = log_weight(t, k) - z * (cosh(t) - shift)
+            e = log_weight(t, k) - z * (cosh(t) - 1.0)
         else:   # _log_sinh2_cosh inlined, operation for operation
             e2 = exp(-2.0 * t)
             e = (2.0 * (t - _LN2 + log1p(-e2)) + (t - _LN2 + log1p(e2)) * k
-                 - z * (cosh(t) - shift))
+                 - z * (cosh(t) - 1.0))
         return exp(e) if e > -745.0 else 0.0
 
     try:
@@ -212,41 +203,14 @@ def _kinetic_integral(z: float, k: float, shift: float = 0.0) -> QuadratureResul
         raise OverflowError(f"sinh^2 t cosh^{k:g} t e^(-z cosh t) overflows at z={z!r}") from None
 
 
-def sinh2_integral(z: float) -> QuadratureResult:
-    """int_0^inf sinh^2 t exp(-z cosh t) dt by quadrature (= K_1(z)/z)."""
-    return _kinetic_integral(z, 0.0)
-
-
-def sinh2_cosh_integral(z: float) -> QuadratureResult:
-    """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt by quadrature
-    (= g_function_corrected(z) / z^3)."""
-    return _kinetic_integral(z, 1.0)
-
-
-def _relativistic_radial_scaled(z: float) -> QuadratureResult:
-    # e^z int_0^inf sinh^2 t cosh t exp(-z cosh t) dt
-    return _kinetic_integral(z, 1.0, 1.0)
-
-
-def relativistic_radial_integral(z: float) -> QuadratureResult:
-    """int_0^inf sinh^2 t cosh t exp(-z cosh t) dt as e^{-z} times the
-    e^z-scaled quadrature, which one memo scope shares with
+def kinetic_radial_integral(z: float, k: float) -> QuadratureResult:
+    """int_0^inf sinh^2 t cosh^k t exp(-z cosh t) dt (k = 0: K_1(z)/z; k = 1:
+    g_function_corrected(z)/z^3) as e^{-z} times the e^z-scaled quadrature;
+    at k = 1 one memo scope shares that quadrature with
     relativistic_harmonic_partition_z2 and average_energy_classical."""
-    res = shared_value(_relativistic_radial_scaled, z)
-    scale = math.exp(-z)
-    return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
-                            res.evaluations, res.converged)
-
-
-def _log_momentum(p: OscillatorParams, beta: float) -> tuple[float, QuadratureResult]:
-    # ln of 4 pi int p^2 exp(-beta sqrt(m^2 + p^2)) dp, with its quadrature
-    mom = _relativistic_radial_scaled(beta * p.m)
-    return math.log(4.0 * math.pi * p.m ** 3) - beta * p.m + math.log(mom.value), mom
-
-
-def log_momentum_radial_integral(p: OscillatorParams, beta: float) -> float:
-    """ln of 4 pi int p^2 exp(-beta c sqrt(m^2 c^2 + p^2)) dp."""
-    return _log_momentum(p, beta)[0]
+    if not z > 0.0:
+        raise ValueError(f"the kinetic radial integral requires z > 0, got z={z!r}")
+    return shared_value(_kinetic_scaled, z, k).scaled(math.exp(-z))
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +244,6 @@ def f_oracle(x: float, rel_tol: float = 1e-12) -> QuadratureResult:
     (m, w, lam, T) realization of the same x reduces to this integral.
     """
     return _quartic_gaussian(x, rel_tol, False)
-
-
-def f_oracle_from_params(p: OscillatorParams, t: ThermalState) -> float:
-    """F evaluated through one concrete (m, w, lam, T) realization.
-
-    Runs the raw radial quadrature for that parameter set and divides by
-    (kT/lam)^(3/4); realizations of the same x must agree to ~1e-9.
-    """
-    return position_radial_integral(p, t).value / (t.T / p.lam) ** 0.75
 
 
 def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, float]:
@@ -328,9 +283,7 @@ def position_radial_integral(p: OscillatorParams, t: ThermalState,
     """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature,
     a memo.shared_value: at rel_tol=1e-11 it is average_energy_classical's norm."""
     a2, a4, scale = _position_weight(p, t.beta)
-    res = shared_value(_position_integral, a2, a4, scale, rel_tol)
-    return QuadratureResult(res.value * scale, res.abs_error_estimate * scale,
-                            res.evaluations, res.converged)
+    return shared_value(_position_integral, a2, a4, scale, rel_tol).scaled(scale)
 
 
 def f_closed_form(x: float) -> float:
@@ -396,7 +349,8 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
     f_q = f_oracle(x)
     literal = a0 * f_q.value * g_function(z)
 
-    log_kin, mom = _log_momentum(p, t.beta)
+    mom = shared_value(_kinetic_scaled, z, 1.0)
+    log_kin = math.log(4.0 * math.pi * p.m ** 3) - z + math.log(mom.value)
     pos = position_radial_integral(p, t)
     oracle = 1.0 / _TWO_PI ** 6 * math.exp(log_kin) * 4.0 * math.pi * pos.value
     return compare(
@@ -420,9 +374,8 @@ def _average_energy_moments(
     a2, a4, scale = _position_weight(p, t.beta)
     potential = (0.5 * p.m * p.omega**2, p.lam)
     quads = {
-        "int sinh^2 s cosh^2 s e^{-z cosh s} ds": _kinetic_integral(z, 2.0, 1.0),
-        "int sinh^2 s cosh s e^{-z cosh s} ds":
-            shared_value(_relativistic_radial_scaled, z),
+        "int sinh^2 s cosh^2 s e^{-z cosh s} ds": _kinetic_scaled(z, 2.0),
+        "int sinh^2 s cosh s e^{-z cosh s} ds": shared_value(_kinetic_scaled, z, 1.0),
         "int r^2 V(r) e^{-beta V(r)} dr":
             _position_integral(a2, a4, scale, 1e-11, potential),
         "int r^2 e^{-beta V(r)} dr": shared_value(_position_integral, a2, a4, scale, 1e-11),

@@ -217,7 +217,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
 
     def g_function():
         z = cg.relativistic_z(p, t)
-        g_q = cg.relativistic_radial_integral(z)
+        g_q = cg.kinetic_radial_integral(z, 1.0)
         return compare("g_function", cg.g_function(z), g_q.value * z**3, 1e-6,
                        "printed Bessel combination vs its defining integral", {"z": z},
                        {"int sinh^2 s cosh s e^{-z cosh s} ds": g_q})
@@ -342,12 +342,12 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
 
     # --- classical --------------------------------------------------------
     for z in (0.5, 1.0, 2.0, 5.0):
-        qv = cg.sinh2_integral(z).value
+        qv = cg.kinetic_radial_integral(z, 0.0).value
         add("classical", f"sinh-squared identity z={z}",
             compare(f"int sinh^2 e^-zcosh, z={z}", qv,
                     sf.bessel_k(1.0, z).value / z, 1e-8,
                     "kinetic radial integral reduces to K_1(z)/z"))
-        qc = cg.sinh2_cosh_integral(z).value
+        qc = cg.kinetic_radial_integral(z, 1.0).value
         add("classical", f"energy-weighted corollary z={z}",
             compare(f"int sinh^2 cosh e^-zcosh, z={z}", qc,
                     cg.g_function_corrected(z) / z**3, 1e-8,

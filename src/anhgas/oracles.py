@@ -41,6 +41,12 @@ class QuadratureResult:
     evaluations: int
     converged: bool
 
+    def scaled(self, factor: float) -> QuadratureResult:
+        """factor times the integral: the value and error estimate scale,
+        the evaluation count and convergence carry over."""
+        return QuadratureResult(self.value * factor, self.abs_error_estimate * factor,
+                                self.evaluations, self.converged)
+
 
 @dataclass(frozen=True)
 class SeriesTruncation:

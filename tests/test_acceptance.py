@@ -89,8 +89,9 @@ def test_criterion_3_vibrational_closed_form():
     values = []
     for (m, omega) in ((1.0, 1.0), (4.0, 0.5), (0.3, 2.0)):
         lam = m * m * omega**4 / (64.0 * x * x)
-        values.append(cg.f_oracle_from_params(
-            OscillatorParams(m=m, omega=omega, lam=lam), t))
+        # F through this (m, w, lam, T): the radial quadrature over (T/lam)^(3/4)
+        values.append(cg.position_radial_integral(
+            OscillatorParams(m=m, omega=omega, lam=lam), t).value / (t.T / lam) ** 0.75)
     assert max(values) - min(values) <= 1e-9 * min(values)
 
     assert cg.f_oracle(0.0).value == pytest.approx(math.gamma(0.75) / 4.0, rel=1e-9)

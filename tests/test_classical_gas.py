@@ -45,10 +45,22 @@ def richardson_average_energy(p, t, log_extensive=0.0):
     is ln of a beta-independent factor such as a formal volume."""
     def log_z(b):
         state = ThermalState(T=1.0 / b, beta=b)
-        return (log_extensive + cg.log_momentum_radial_integral(p, b)
+        return (log_extensive + math.log(4.0 * math.pi * p.m ** 3)
+                + math.log(cg.kinetic_radial_integral(b * p.m, 1.0).value)
                 + math.log(cg.position_radial_integral(p, state).value))
 
     return -richardson_derivative(log_z, t.beta, 1e-3 * t.beta)
+
+
+def unscaled_sinh2_cosh(z):
+    """int_0^inf sinh^2 s cosh s e^{-z cosh s} ds, quadrature of the unscaled integrand."""
+    def f(s):
+        if s <= 0.0 or s > 350.0:
+            return 0.0
+        e = 2.0 * cg._log_sinh(s) + cg._log_cosh(s) - z * math.cosh(s)
+        return math.exp(e) if e > -745.0 else 0.0
+
+    return integrate_semi_infinite(f, 0.0, rel_tol=1e-12).value
 
 
 class TestHarmonicPartition:
@@ -151,7 +163,8 @@ class TestQuarticGaussianF:
         for (m, omega) in ((1.0, 1.0), (4.0, 0.5), (0.3, 2.0)):
             lam = m * m * omega**4 / (64.0 * x * x)
             p = OscillatorParams(m=m, omega=omega, lam=lam)
-            values.append(cg.f_oracle_from_params(p, t))
+            # F through this (m, w, lam, T): the radial quadrature over (T/lam)^(3/4)
+            values.append(cg.position_radial_integral(p, t).value / (t.T / lam) ** 0.75)
         spread = max(values) - min(values)
         assert spread <= 1e-9 * min(values)
         assert values[0] == pytest.approx(cg.f_oracle(x).value, rel=1e-9)
@@ -211,13 +224,7 @@ class TestGFunction:
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0])
     def test_defining_integral_pins_the_corrected_combination(self, z):
-        def f(s):
-            if s <= 0.0 or s > 350.0:
-                return 0.0
-            e = 2.0 * cg._log_sinh(s) + cg._log_cosh(s) - z * math.cosh(s)
-            return math.exp(e) if e > -745.0 else 0.0
-
-        quad = integrate_semi_infinite(f, 0.0, rel_tol=1e-12).value
+        quad = unscaled_sinh2_cosh(z)
         assert cg.g_function_corrected(z) / z**3 == pytest.approx(quad, rel=1e-8)
         if z != 1.0:
             # the printed power placement misses the same integral
@@ -238,14 +245,26 @@ class TestGFunction:
     @pytest.mark.parametrize("z", [0.5, 1.0, 10.0])
     def test_radial_integral_rescales_the_shared_quadrature(self, z):
         with memo_scope():
-            res = cg.relativistic_radial_integral(z)
-            scaled = memo.current()[(cg._relativistic_radial_scaled, z)]
+            res = cg.kinetic_radial_integral(z, 1.0)
+            scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)]
         s = math.exp(-z)
         assert res.value.hex() == (scaled.value * s).hex()
         assert res.abs_error_estimate.hex() == (scaled.abs_error_estimate * s).hex()
         assert (res.evaluations, res.converged) == (scaled.evaluations, scaled.converged)
         # the unscaled quadrature agrees to rounding
-        assert res.value == pytest.approx(cg.sinh2_cosh_integral(z).value, rel=1e-13)
+        assert res.value == pytest.approx(unscaled_sinh2_cosh(z), rel=1e-13)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("z", [math.nan, 0.0, -1.0])
+    def test_kinetic_integral_refuses_a_nonpositive_z(self, z, k, monkeypatch):
+        # no integral exists there: refused before any quadrature, not a
+        # converged 0.0 (NaN) or an unconverged magnitude (z = 0)
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(cg, "integrate_semi_infinite", no_quadrature)
+        with pytest.raises(ValueError, match=rf"requires z > 0, got z={z!r}$"):
+            cg.kinetic_radial_integral(z, k)
 
     def test_derivatives(self):
         h = 1e-6
@@ -402,7 +421,7 @@ class TestAverageEnergy:
         with memo_scope():
             rows, _ = cli._classical_point(cfg, T)
             reports = {name: cli._row(T, name, thunk) for name, thunk in rows}
-            scaled = memo.current()[(cg._relativistic_radial_scaled, z)]
+            scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)]
         want = scaled.value * math.exp(-z) * z**3
         assert reports["g_function"].oracle.hex() == want.hex()
 

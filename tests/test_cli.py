@@ -705,6 +705,18 @@ class TestVerifyCommand:
         assert "[FLAGGED] quantum: cubic second-order shift n=0" in out
         assert "[PASS] quantum: blackbody limit" in out
 
+    def test_kinetic_identity_rows_pass_at_rounding(self):
+        # e^{-z} times the scaled kinetic quadrature; the reference literals
+        # come from the unscaled quadrature, so the two agree to rounding
+        ref_file = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "verify-seed1.json"
+        ref = {row[0]: row[1] for row in json.loads(ref_file.read_text())["rows"]}
+        rows = [(f"{section}: {name}", rep) for section, name, rep in cli._verify_rows(RunConfig())
+                if name.startswith(("sinh-squared identity", "energy-weighted corollary"))]
+        assert len(rows) == 8
+        for name, rep in rows:
+            assert rep.status is Status.PASS and rep.rel_dev <= 1e-15, name
+            assert rep.literal == pytest.approx(ref[name], rel=1e-14, abs=0.0), name
+
     def test_unknown_section_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["verify", "--only", "nonsense", "--out", str(tmp_path)])

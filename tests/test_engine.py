@@ -469,12 +469,14 @@ class TestClassicalHelpersMatchReference:
 
     @pytest.mark.parametrize("z", [0.03, 0.5, 1.0, 2.0, 5.0, 40.0])
     def test_kinetic_integrals(self, z):
-        want = integrate_semi_infinite(lambda s: _sinh2_weight(s, z), 0.0, rel_tol=1e-11)
-        assert bits(cg.sinh2_integral(z)) == bits(want)
-        want = integrate_semi_infinite(lambda s: _sinh_cosh_weight(s, z), 0.0, rel_tol=1e-11)
-        assert bits(cg.sinh2_cosh_integral(z)) == bits(want)
-        assert bits(cg._relativistic_radial_scaled(z)) == bits(
-            _reference_relativistic_radial_scaled(z))
+        # e^{-z} times the scaled quadrature matches the unscaled one to
+        # rounding, with the same evaluations
+        for k, weight in ((0.0, _sinh2_weight), (1.0, _sinh_cosh_weight)):
+            want = integrate_semi_infinite(lambda s: weight(s, z), 0.0, rel_tol=1e-11)
+            got = cg.kinetic_radial_integral(z, k)
+            assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+            assert (got.evaluations, got.converged) == (want.evaluations, want.converged)
+        assert bits(cg._kinetic_scaled(z, 1.0)) == bits(_reference_relativistic_radial_scaled(z))
 
     @pytest.mark.parametrize("m, omega, lam, T", OSCILLATOR_GRID)
     def test_position_radial_integral(self, m, omega, lam, T):

@@ -106,6 +106,10 @@ class TestQuadrature:
         res = oc.integrate_finite(math.sin, 0.0, math.pi)
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
+    def test_scaled_keeps_the_record(self):
+        res = oc.QuadratureResult(3.0, 1e-12, 105, False)
+        assert res.scaled(0.5) == oc.QuadratureResult(1.5, 5e-13, 105, False)
+
 
 class TestDiagonalization:
     def test_diagonal_input_is_exact(self):
