@@ -454,13 +454,13 @@ def _gamma_tail_integral(power: float, decay: float, y0: float) -> float:
         return math.exp(math.lgamma(a) - a * math.log(decay))
     x = decay * y0
     # Gamma(a, x) = e^{-x/2} x^{(a-1)/2} W_{(a-1)/2, a/2}(x)
-    log_w, sign = sf.log_whittaker_w(0.5 * (a - 1.0), 0.5 * a, x)
+    log_w = sf.log_whittaker_w(0.5 * (a - 1.0), 0.5 * a, x).value
     log_val = -0.5 * x + 0.5 * (a - 1.0) * math.log(x) + log_w - a * math.log(decay)
     if log_val > 705.0:
         raise sf.SpecialFunctionOverflow(
             f"series term magnitude exp({log_val:.1f}) overflows"
         )
-    return sign * math.exp(log_val)
+    return math.exp(log_val)
 
 
 def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
@@ -519,14 +519,14 @@ def whittaker_series_term_printed(i: int, j: int, n: int, d: DimensionlessCoupli
              kap: float, mu: float, z: float) -> float:
         if coeff == 0.0:
             return 0.0
-        log_w, sign = sf.log_whittaker_w(kap, mu, z)
+        log_w = sf.log_whittaker_w(kap, mu, z).value
         log_mag = (math.log(abs(coeff)) + n_pow * math.log(n_pow_base)
                    + arg_pow * math.log(arg_pow_base) + expo + log_w)
         if log_mag > 705.0:
             raise sf.SpecialFunctionOverflow(
                 f"printed term magnitude exp({log_mag:.1f}) overflows"
             )
-        return math.copysign(math.exp(log_mag), coeff) * sign
+        return math.copysign(math.exp(log_mag), coeff)
 
     def block(base: float, arg: float) -> float:
         # base is n for the first block, n+1 for the second; the second

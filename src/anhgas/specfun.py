@@ -1,7 +1,9 @@
 """Self-contained special functions used by the gas modules.
 
 Modified Bessel K of real order (fractional orders are first-class),
-its derivative, Whittaker W, and the upper incomplete gamma function.
+its derivative, the upper incomplete gamma function, and Whittaker W on
+its incomplete-gamma family mu = +-(kappa + 1/2), the one the series
+terms use, where W_{kappa,mu}(z) = e^{z/2} z^-kappa Gamma(2 kappa + 1, z).
 Each function has one implementation, in log space, so callers can
 multiply huge exponentials by tiny function values without overflow
 (DLMF 10.40, 8.11); the value and e^x-scaled forms exponentiate it.
@@ -51,6 +53,8 @@ _NU_MAX = 50.0
 _NEAR_INT = 1e-3          # fractional orders closer than this to an integer
 _INT_SNAP = 1e-11         # ...and closer than this are treated as integers
 _LOG_HUGE = 700.0         # ln of the unscaled overflow threshold
+_W_PARAM_MAX = 60.0       # |kappa|, |mu| bound of whittaker_w
+_GAMMA_A_MIN = -2.0 * _W_PARAM_MAX   # lowest Gamma(a, x) order: W's b - 1 = 2 mu
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -71,9 +75,7 @@ class SpecialFunctionResult:
 
     ``method`` records which evaluation branch produced the value:
     one of ``series``, ``asymptotic``, ``quadrature``, ``recurrence``,
-    ``continued_fraction`` (the Lentz fraction for Gamma(a, x)), or
-    ``mpmath`` for a Whittaker W outside the closed-form U cases, which
-    ``mpmath.hyperu`` evaluates.
+    or ``continued_fraction`` (the Lentz fraction for Gamma(a, x)).
     """
 
     value: float
@@ -258,10 +260,10 @@ def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
     )
 
 
-def _exp_result(log_res: SpecialFunctionResult, what: str, shift: float = 0.0,
-                sign: float = 1.0) -> SpecialFunctionResult:
-    """sign * exp(log_res.value + shift), its absolute log error carried over
-    as a relative one; raises SpecialFunctionOverflow outside double range."""
+def _exp_result(log_res: SpecialFunctionResult, what: str,
+                shift: float = 0.0) -> SpecialFunctionResult:
+    """exp(log_res.value + shift), its absolute log error carried over as a
+    relative one; raises SpecialFunctionOverflow outside double range."""
     lv = log_res.value + shift
     if lv == -math.inf:                 # an exact zero
         return SpecialFunctionResult(0.0, 1e-300, log_res.method)
@@ -269,7 +271,7 @@ def _exp_result(log_res: SpecialFunctionResult, what: str, shift: float = 0.0,
         raise SpecialFunctionOverflow(f"{what} leaves double range; use its log variant")
     v = math.exp(lv)
     return SpecialFunctionResult(
-        sign * v, v * (log_res.abs_error_estimate + 2e-16 * abs(lv)), log_res.method
+        v, v * (log_res.abs_error_estimate + 2e-16 * abs(lv)), log_res.method
     )
 
 
@@ -352,7 +354,7 @@ def _upper_cf(a: float, x: float) -> float:
 
 
 def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
-    """ln Gamma(a, x) for any real a when x > 0, and for a > 0 when x = 0.
+    """ln Gamma(a, x) for finite a >= -120 when x > 0, and for a > 0 when x = 0.
 
     Orders a <= 0 are the extension the mode-series terms need, where the
     orders run through negative integers; Gamma(a, x) is always positive.
@@ -360,6 +362,11 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
     if not (x > 0.0 or (x == 0.0 and a > 0.0)):
         raise SpecialFunctionDomainError(
             f"log_upper_incomplete_gamma needs x > 0, or x = 0 < a; got a={a}, x={x}")
+    if not _GAMMA_A_MIN <= a < math.inf:
+        # the downward recurrence below takes about -a steps
+        raise SpecialFunctionRangeError(
+            f"log_upper_incomplete_gamma order a={a} outside the supported "
+            f"[{_GAMMA_A_MIN:g}, inf)")
     if x == 0.0:
         v = math.lgamma(a)
         return SpecialFunctionResult(v, 4e-16 * abs(v) + 1e-16, "series")
@@ -425,75 +432,30 @@ def exp1(x: float) -> float:
 # Whittaker W
 # ---------------------------------------------------------------------------
 
-def _kummer_u_log(a: float, b: float, z: float) -> tuple[float, float, str]:
-    """Confluent hypergeometric U(a, b, z) as (ln|U|, sign, method), z > 0.
+def log_whittaker_w(kappa: float, mu: float, z: float) -> SpecialFunctionResult:
+    """ln W_{kappa,mu}(z) on its incomplete-gamma family mu = +-(kappa + 1/2).
 
-    Closed forms cover a = 0, a = 1 and non-positive-integer a (the cases
-    the series terms generate); anything else goes to mpmath.
+    W is even in mu; with m = kappa + 1/2 it is e^{-z/2} z^{m+1/2} U(1, 1+2m, z),
+    and U(1, b, z) = e^z z^{1-b} Gamma(b-1, z) (DLMF 13.18(ii)), so W is
+    positive and the Gamma branch that ran is W's. Any other (kappa, mu)
+    is a SpecialFunctionRangeError. The one branch dispatch for W:
+    whittaker_w exponentiates its result.
     """
-    if a == 0.0:
-        return 0.0, 1.0, "series"
-    if a == 1.0:
-        # U(1, b, z) = e^z z^(1-b) Gamma(b-1, z)
-        g = log_upper_incomplete_gamma(b - 1.0, z)
-        return z + (1.0 - b) * math.log(z) + g.value, 1.0, g.method
-    if a < 0.0 and abs(a - round(a)) < 1e-12:
-        # polynomial case: U(-n, b, z) = (-1)^n sum_k C(n,k) (b+k)_(n-k) (-z)^k
-        n = int(round(-a))
-        total = 0.0
-        for k in range(n + 1):
-            poch = 1.0
-            for j in range(n - k):
-                poch *= b + k + j
-            total += math.comb(n, k) * poch * (-z) ** k
-        total *= (-1.0) ** n
-        if total == 0.0:
-            return -math.inf, 1.0, "series"
-        return math.log(abs(total)), math.copysign(1.0, total), "series"
-    import mpmath as _mp
-
-    with _mp.workdps(30):
-        u = _mp.hyperu(a, b, z)
-        if u == 0:
-            return -math.inf, 1.0, "mpmath"
-        return float(_mp.log(abs(u))), 1.0 if u > 0 else -1.0, "mpmath"
-
-
-def _whittaker_params(kappa: float, mu: float) -> tuple[float, float, float]:
-    """Pick the mu sign (W is even in mu) whose U parameters are cheapest.
-
-    Returns (a, b, mu_used): prefer the orientation that lands on the
-    closed-form U cases (a = 0, a = 1, or a a non-positive integer).
-    """
-    candidates = []
-    for m_ in (mu, -mu):
-        a = m_ - kappa + 0.5
-        b = 1.0 + 2.0 * m_
-        closed = a == 0.0 or a == 1.0 or (a < 0.0 and abs(a - round(a)) < 1e-12)
-        candidates.append((not closed, m_ < 0.0, a, b, m_))
-    candidates.sort()
-    _, _, a, b, m_ = candidates[0]
-    return a, b, m_
-
-
-def _log_w(kappa: float, mu: float, z: float) -> tuple[float, float, str]:
-    # (ln |W_{kappa,mu}(z)|, sign, method) through the U connection
     if not (z > 0.0):
         raise SpecialFunctionDomainError(f"Whittaker W requires z > 0, got {z}")
-    a, b, mu_used = _whittaker_params(kappa, mu)
-    log_u, sign, method = _kummer_u_log(a, b, z)
-    return -0.5 * z + (mu_used + 0.5) * math.log(z) + log_u, sign, method
+    m = mu if mu - kappa + 0.5 == 1.0 else -mu
+    if max(abs(kappa), abs(mu)) > _W_PARAM_MAX or m - kappa + 0.5 != 1.0:
+        raise SpecialFunctionRangeError(
+            f"whittaker_w({kappa}, {mu}, .): only the incomplete-gamma family "
+            f"mu = +-(kappa + 1/2) with |kappa|, |mu| <= {_W_PARAM_MAX:g} is evaluated")
+    b = 1.0 + 2.0 * m
+    g = log_upper_incomplete_gamma(b - 1.0, z)
+    return SpecialFunctionResult(
+        -0.5 * z + (m + 0.5) * math.log(z) + (z + (1.0 - b) * math.log(z) + g.value),
+        1e-13, g.method,
+    )
 
 
 def whittaker_w(kappa: float, mu: float, z: float) -> SpecialFunctionResult:
-    """W_{kappa,mu}(z) through the U connection, z > 0, |kappa|,|mu| <= 60."""
-    if abs(kappa) > 60.0 or abs(mu) > 60.0:
-        raise SpecialFunctionRangeError("whittaker_w parameters outside supported range")
-    log_w, sign, method = _log_w(kappa, mu, z)
-    return _exp_result(SpecialFunctionResult(log_w, 1e-13, method),
-                       f"whittaker_w({kappa}, {mu}, {z})", sign=sign)
-
-
-def log_whittaker_w(kappa: float, mu: float, z: float) -> tuple[float, float]:
-    """(ln |W_{kappa,mu}(z)|, sign)."""
-    return _log_w(kappa, mu, z)[:2]
+    """W_{kappa,mu}(z) for z > 0, |kappa|,|mu| <= 60 and mu = +-(kappa + 1/2)."""
+    return _exp_result(log_whittaker_w(kappa, mu, z), f"whittaker_w({kappa}, {mu}, {z})")

@@ -693,6 +693,23 @@ def test_the_sweeps_leave_numpy_unloaded(tmp_path):
     assert (tmp_path / "classical" / "classical.csv").exists()
 
 
+def test_verify_and_specfun_eval_run_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: with its import blocked, verify
+    # exits 2 (FLAGGED rows by design) and each specfun-eval entry exits 0
+    args = {"bessel_k": ["0.25", "2"], "bessel_k_derivative": ["0.25", "2"],
+            "log_bessel_k": ["50", "1e-6"], "whittaker_w": ["1.5", "2", "1"],
+            "upper_incomplete_gamma": ["4", "1"], "log_upper_incomplete_gamma": ["-2.5", "0.5"]}
+    assert set(args) == set(cli._SPECFUN_TABLE)
+    calls = [["verify", "--out", str(tmp_path)]] + [
+        ["specfun-eval", name, *values] for name, values in args.items()]
+    probe = ("import sys\nsys.modules['mpmath'] = None\nimport anhgas.cli\n"
+             f"print([anhgas.cli.main(argv) for argv in {calls!r}])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == str([2] + [0] * len(args))
+
+
 class TestVerifyCommand:
     def test_clean_sections_exit_zero(self, tmp_path):
         assert run(["verify", "--only", "oracles", "--out", str(tmp_path)]) == 0
@@ -744,9 +761,20 @@ class TestSpecfunEval:
         assert payload["value"] == pytest.approx(0.11537827684086016, rel=1e-12)
 
     def test_whittaker_names_the_branch_that_ran(self, capsys):
-        # W_{-2,1/2} lands on U(3, 2, .), which has no closed form here
-        assert run(["specfun-eval", "whittaker_w", "-2", "0.5", "0.8"]) == 0
-        assert json.loads(capsys.readouterr().out)["method"] == "mpmath"
+        # W_{-5,-9/2}(0.04) is e^{0.02} 0.04^5 Gamma(-9, 0.04), from the
+        # downward recurrence; W_{-2,1/2} is off the incomplete-gamma family
+        assert run(["specfun-eval", "whittaker_w", "-5", "-4.5", "0.04"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "recurrence"
+        assert run(["specfun-eval", "whittaker_w", "-2", "0.5", "0.8"]) == 1
+        assert "family" in capsys.readouterr().err
+
+    def test_gamma_order_floor_is_one_line_and_exit_one(self, capsys):
+        # refused before the recurrence takes its first of ~1e300 steps
+        assert run(["specfun-eval", "log_upper_incomplete_gamma", "--", "-1e300", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specfun-eval error: ")
+        assert "outside the supported" in captured.err and captured.err.count("\n") == 1
 
     def test_wrong_arity(self, capsys):
         assert run(["specfun-eval", "bessel_k", "1.0"]) == 1

@@ -222,6 +222,18 @@ class TestUpperIncompleteGamma:
         assert sf.log_upper_incomplete_gamma(3.0, 200.0).method == "continued_fraction"
         assert sf.log_upper_incomplete_gamma(-2.5, 0.5).method == "recurrence"
 
+    def test_order_floor(self):
+        # the downward recurrence takes about -a steps: an order below -120
+        # (2|mu| at W's |mu| <= 60) is refused before the first one, and so
+        # is an order that is not a number or infinite
+        for a in (-1e300, -math.inf, -120.5, math.nan, math.inf):
+            with memo.memo_scope():
+                with pytest.raises(sf.SpecialFunctionRangeError, match="outside the supported"):
+                    sf.log_upper_incomplete_gamma(a, 0.5)
+                assert memo.current() == {}
+        assert sf.log_upper_incomplete_gamma(-120.0, 0.5).value == pytest.approx(
+            float(mpmath.log(mpmath.gammainc(-120, 0.5))), rel=1e-12)
+
     def test_exp1(self):
         for x in (0.05, 0.8, 1.0, 3.0, 25.0):
             assert sf.exp1(x) == pytest.approx(float(mpmath.e1(x)), rel=1e-12)
@@ -307,24 +319,36 @@ class TestIncompleteGammaSeriesMemo:
 
 
 class TestWhittakerW:
+    # W is evaluated on its incomplete-gamma family mu = +-(kappa + 1/2) only;
+    # every other (kappa, mu) is refused with a message that names the family
+
     def test_incomplete_gamma_anchor(self):
         # Gamma(4, 1) = e^{-1/2} W_{3/2, 2}(1)
         got = math.exp(-0.5) * sf.whittaker_w(1.5, 2.0, 1.0).value
         assert got == pytest.approx(16.0 / math.e, rel=1e-12)
 
     def test_vanishing_first_parameter_is_elementary(self):
-        # kappa = mu + 1/2 puts U at its unit value
+        # kappa = |mu| + 1/2 puts U at its unit value, an elementary W, but
+        # off the family: refused
         for mu in (0.0, 0.5, 2.0, -1.5):
             for z in (0.3, 1.0, 6.0):
-                got = sf.whittaker_w(abs(mu) + 0.5, mu, z).value
-                want = math.exp(-z / 2.0) * z ** (abs(mu) + 0.5)
-                assert got == pytest.approx(want, rel=1e-13)
+                with pytest.raises(sf.SpecialFunctionRangeError, match="family"):
+                    sf.whittaker_w(abs(mu) + 0.5, mu, z)
 
     @pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 3.5, 5.0])
     @pytest.mark.parametrize("b", [-2.5, -0.5, 1.0, 2.5, 4.0])
     @pytest.mark.parametrize("z", [0.4, 1.1, 3.0, 7.5, 16.0])
     def test_grid_against_u_integral_representation(self, a, b, z):
-        # U(a,b,z) = (1/Gamma(a)) int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt
+        # U(a,b,z) = (1/Gamma(a)) int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt;
+        # W_{kappa,mu} with mu = (b-1)/2, kappa = mu + 1/2 - a is on the family
+        # when a = 1, or when a = b (Kummer: U(a, a, z) = z^{1-a} U(1, 2-a, z))
+        mu = 0.5 * (b - 1.0)
+        kappa = mu + 0.5 - a
+        if a != 1.0 and a != b:
+            with pytest.raises(sf.SpecialFunctionRangeError, match="family"):
+                sf.whittaker_w(kappa, mu, z)
+            return
+
         def integrand(t):
             if t <= 0.0:
                 return 0.0
@@ -333,8 +357,6 @@ class TestWhittakerW:
 
         u_oracle = integrate_semi_infinite(integrand, 0.0, rel_tol=1e-12).value \
             / math.gamma(a)
-        mu = 0.5 * (b - 1.0)
-        kappa = mu + 0.5 - a
         got = sf.whittaker_w(kappa, mu, z).value
         want = math.exp(-0.5 * z) * z ** (mu + 0.5) * u_oracle
         assert got == pytest.approx(want, rel=1e-8)
@@ -348,27 +370,29 @@ class TestWhittakerW:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_log_variant(self):
-        # U cases: polynomial, generic (mpmath), a = 1 through Gamma(-9, 0.04)
-        for (k, m, z), method in (((0.3, 1.2, 2.5), "series"),
-                                  ((-2.0, 0.5, 0.8), "mpmath"),
-                                  ((-5.0, -4.5, 0.04), "recurrence"),
+        # the value is the exponential of the one log route, and both name
+        # the Gamma branch that ran: Gamma(-9, 0.04) and Gamma(4, 1)
+        for (k, m, z), method in (((-5.0, -4.5, 0.04), "recurrence"),
                                   ((1.5, 2.0, 1.0), "series")):
             got = sf.whittaker_w(k, m, z)
-            lg, sign = sf.log_whittaker_w(k, m, z)
-            assert got.value == sign * math.exp(lg)
-            assert got.method == method
+            lg = sf.log_whittaker_w(k, m, z)
+            assert got.value == math.exp(lg.value)
+            assert got.method == lg.method == method
 
     def test_domain_error_and_overflow_signal(self):
         with pytest.raises(sf.SpecialFunctionDomainError):
             sf.whittaker_w(1.0, 1.0, 0.0)
         with pytest.raises(sf.SpecialFunctionOverflow):
-            # huge mu at tiny z drives z^(mu + 1/2) out of double range
-            sf.whittaker_w(-20.0, 55.0, 1e-14)
-        lg, sign = sf.log_whittaker_w(-20.0, 55.0, 1e-14)
-        assert sign == 1.0 and math.isfinite(lg)
+            # huge mu at tiny z drives z^(-kappa) Gamma(2 kappa + 1, z) out of
+            # double range
+            sf.whittaker_w(54.5, 55.0, 1e-14)
+        assert sf.log_whittaker_w(54.5, 55.0, 1e-14).value == pytest.approx(2162.49, abs=0.01)
+        with pytest.raises(sf.SpecialFunctionRangeError, match="60"):
+            sf.whittaker_w(60.5, 61.0, 1.0)
 
     def test_error_estimates_are_honest(self):
-        for (k, m, z) in ((0.3, 1.2, 2.5), (1.5, 2.0, 1.0), (-2.0, 0.5, 0.8)):
+        for (k, m, z) in ((1.5, 2.0, 1.0), (-5.0, -4.5, 0.04), (0.5, -1.0, 3.0),
+                          (-20.0, 19.5, 0.7), (54.5, 55.0, 20.0)):
             got = sf.whittaker_w(k, m, z)
             ref = float(mpmath.whitw(k, m, z))
             assert abs(got.value - ref) <= 10.0 * got.abs_error_estimate
