@@ -87,15 +87,14 @@ _WG = (
 
 
 def _gk15(f: Callable[[float], float], lo: float, hi: float,
-          transform: str | None = None, a: float = 0.0,
-          scale: float = 1.0) -> tuple[float, float]:
+          transform: str | None = None, a: float = 0.0) -> tuple[float, float]:
     """One Gauss-Kronrod panel on [lo, hi]; returns (K15 value, error estimate).
 
     With a ``transform`` the panel lies in (0, 1) and f is integrated over
     [a, inf) through that map, applied here at each node: ``rational`` is
-    y = a + t/w with Jacobian 1/w^2, ``exp`` is y = a - scale ln w with
-    Jacobian scale/w, where w = 1 - t.  The nodes are written out (no loop, no wrapper
-    call per node): the centre, then the seven -/+ pairs from the
+    y = a + t/w with Jacobian 1/w^2, ``exp`` is y = a - ln w with
+    Jacobian 1/w, where w = 1 - t.  The nodes are written out (no loop, no
+    wrapper call per node): the centre, then the seven -/+ pairs from the
     outermost in, and K15 and G7 accumulate in that order.  NaN is looked
     for once per panel, in the K15 sum.  A node at t = 1, where y = inf,
     raises a ValueError that names the map and the panel.  Written out
@@ -136,23 +135,23 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float,
                 l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
                 r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
             else:
-                # y = a - scale ln w with dy = scale dt/w
+                # y = a - ln w with dy = dt/w
                 log = math.log
-                fc = f(a - scale * log(w := 1.0 - mid)) * scale / w
-                l0 = f(a - scale * log(w := 1.0 - (mid - d0))) * scale / w
-                r0 = f(a - scale * log(w := 1.0 - (mid + d0))) * scale / w
-                l1 = f(a - scale * log(w := 1.0 - (mid - d1))) * scale / w
-                r1 = f(a - scale * log(w := 1.0 - (mid + d1))) * scale / w
-                l2 = f(a - scale * log(w := 1.0 - (mid - d2))) * scale / w
-                r2 = f(a - scale * log(w := 1.0 - (mid + d2))) * scale / w
-                l3 = f(a - scale * log(w := 1.0 - (mid - d3))) * scale / w
-                r3 = f(a - scale * log(w := 1.0 - (mid + d3))) * scale / w
-                l4 = f(a - scale * log(w := 1.0 - (mid - d4))) * scale / w
-                r4 = f(a - scale * log(w := 1.0 - (mid + d4))) * scale / w
-                l5 = f(a - scale * log(w := 1.0 - (mid - d5))) * scale / w
-                r5 = f(a - scale * log(w := 1.0 - (mid + d5))) * scale / w
-                l6 = f(a - scale * log(w := 1.0 - (mid - d6))) * scale / w
-                r6 = f(a - scale * log(w := 1.0 - (mid + d6))) * scale / w
+                fc = f(a - log(w := 1.0 - mid)) / w
+                l0 = f(a - log(w := 1.0 - (mid - d0))) / w
+                r0 = f(a - log(w := 1.0 - (mid + d0))) / w
+                l1 = f(a - log(w := 1.0 - (mid - d1))) / w
+                r1 = f(a - log(w := 1.0 - (mid + d1))) / w
+                l2 = f(a - log(w := 1.0 - (mid - d2))) / w
+                r2 = f(a - log(w := 1.0 - (mid + d2))) / w
+                l3 = f(a - log(w := 1.0 - (mid - d3))) / w
+                r3 = f(a - log(w := 1.0 - (mid + d3))) / w
+                l4 = f(a - log(w := 1.0 - (mid - d4))) / w
+                r4 = f(a - log(w := 1.0 - (mid + d4))) / w
+                l5 = f(a - log(w := 1.0 - (mid - d5))) / w
+                r5 = f(a - log(w := 1.0 - (mid + d5))) / w
+                l6 = f(a - log(w := 1.0 - (mid - d6))) / w
+                r6 = f(a - log(w := 1.0 - (mid + d6))) / w
         except (ValueError, ZeroDivisionError) as exc:
             # at a node t = 1 the map itself fails, in this frame: ln 0 or
             # t/0.  Anything raised inside f, or with no node at t = 1,
@@ -191,14 +190,13 @@ def _adaptive(
     max_evals: int,
     transform: str | None = None,
     a: float = 0.0,
-    scale: float = 1.0,
 ) -> QuadratureResult:
     """Adaptive bisection of [lo, hi] with _gk15 panels: split the panel
     with the largest error estimate until the budget, the tolerance or
     float resolution stops it, then re-sum the panels in sorted order."""
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
-    val, err = _gk15(f, lo, hi, transform, a, scale)
+    val, err = _gk15(f, lo, hi, transform, a)
     heap: list[tuple[float, float, float, float, float]] = [(-err, lo, hi, val, err)]
     total, total_err = val, err
     evals = 15
@@ -209,8 +207,8 @@ def _adaptive(
             # interval at float resolution; keep its estimate
             heapq.heappush(heap, (0.0, p_lo, p_hi, v, e))
             break
-        v1, e1 = _gk15(f, p_lo, midpoint, transform, a, scale)
-        v2, e2 = _gk15(f, midpoint, p_hi, transform, a, scale)
+        v1, e1 = _gk15(f, p_lo, midpoint, transform, a)
+        v2, e2 = _gk15(f, midpoint, p_hi, transform, a)
         evals += 30
         total += v1 + v2 - v
         total_err += e1 + e2 - e
@@ -243,18 +241,19 @@ def integrate_semi_infinite(
     abs_tol: float = 1e-300,
     transform: str = "rational",
     max_evals: int = 200_000,
-    scale: float = 1.0,
 ) -> QuadratureResult:
     """Integral of f over [a, inf).
 
     The interval is first mapped onto (0, 1); ``rational`` uses
-    y = a + t/(1-t), ``exp`` uses y = a - scale ln(1-t) (only it takes
-    ``scale``), which reaches y = a + 36.7 scale and turns an e^{-y} tail into
-    (1-t)^scale.  The two must agree within tolerances (transform invariance).
+    y = a + t/(1-t), ``exp`` uses y = a - ln(1-t), which stops at y = a + 36.7,
+    where t rounds to 1.  Both maps are in units of y: an integrand of
+    another width, or with an edge at a, is integrated over a coordinate
+    its caller chooses (y = y0 + L s, with the Jacobian L in the integrand).
+    The two maps must agree within tolerances (transform invariance).
     """
     if transform not in ("rational", "exp"):
         raise ValueError(f"unknown transform {transform!r}")
-    return _adaptive(f, 0.0, 1.0, rel_tol, abs_tol, max_evals, transform, a, scale)
+    return _adaptive(f, 0.0, 1.0, rel_tol, abs_tol, max_evals, transform, a)
 
 
 # ---------------------------------------------------------------------------

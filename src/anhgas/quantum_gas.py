@@ -308,9 +308,10 @@ def _density_prefactor(t: ThermalState) -> float:
     return t.T**4 / math.pi**2
 
 
-def _exp_map_scale(d: DimensionlessCouplings) -> float:
+def _width(d: DimensionlessCouplings) -> float:
     # 4 times the width (8 a_B)^(1/3), where the mode-sum weight peaks (as 2 a_B^(1/3),
-    # which cannot overflow): the exp map's e^{-y} tail then vanishes as (1-t)^4 or faster
+    # which cannot overflow): the density coordinates run in units of it, so the exp
+    # map's e^{-y} tail vanishes as (1-t)^4 or faster
     return 4.0 * max(1.0, 2.0 * d.a_B ** (1.0 / 3.0))
 
 
@@ -324,10 +325,12 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
 
 def _massless_integral(d: DimensionlessCouplings, lower: float, transform: str,
                        series_tol: float) -> QuadratureResult:
-    # lower = max(cut, y_star): the integrand vanishes at or below it, so it stands in for the cut
+    # over y = lower + L s, lower = max(cut, y_star): the integrand vanishes at or
+    # below it, so it stands in for the cut
+    width = _width(d)
     return integrate_semi_infinite(
-        lambda y: massless_integrand(y, d, lower, series_tol),
-        lower, rel_tol=_DENSITY_REL_TOL, transform=transform, scale=_exp_map_scale(d),
+        lambda s: massless_integrand(lower + width * s, d, lower, series_tol) * width,
+        0.0, rel_tol=_DENSITY_REL_TOL, transform=transform,
     )
 
 
@@ -341,7 +344,10 @@ def energy_density_massless(
     display is treated as a sign slip; the positive form diverges).
     Literal and oracle integrate the same mode sum under two maps and
     tolerances, so they check the quadrature, not the mode sum; the other
-    cutoff convention's value is echoed in options_used.
+    cutoff convention's value is echoed in options_used. Both integrate
+    over y = lower + L s, lower = max(cut, y_star) and L = 4 max(1, 2 a_B^(1/3))
+    the width of the mode-sum weight, so both maps reach its e^{-y} tail
+    at any temperature.
 
     Each integral is a memo.shared_value. At kappa^2 <= 1/3 both cuts
     resolve to y_star, the other cut's integral is the literal's, and the
@@ -387,6 +393,10 @@ def energy_density_massive(
     The printed square root uses (kT/Mc^2)^2 y - 1, linear in y; the
     corrected mode squares the whole combination.  Both are computed and
     paired; an unreachable window yields a FLAGGED zero, not a crash.
+    Each integral runs over v, y = lower + L v^2, lower the largest of the
+    radicand's zero, the cut and y_star, and L = 4 max(1, 2 a_B^(1/3)):
+    where lower is the radicand's zero, the square root vanishes like
+    sqrt(y - lower), which is linear in v, so the integrand is smooth there.
     """
     if mass_gas <= 0.0:
         raise ValueError(f"gas mass must be positive, got {mass_gas}")
@@ -394,24 +404,25 @@ def energy_density_massive(
     y_cut = _resolve_cut(d, cutoff_convention)
     q = t.T / mass_gas
     pref = mass_gas * t.T / (2.0 * math.pi**2)
+    width = _width(d)
 
     def run(mode: str, transform: str) -> QuadratureResult:
         y_min = 1.0 / q**2 if mode == "printed" else 1.0 / q
         lower = max(y_min, y_cut, d.y_star)
 
-        def f(y: float) -> float:
+        def f(v: float) -> float:
+            y = lower + width * v * v
             rad = q * q * y - 1.0 if mode == "printed" else (q * y) ** 2 - 1.0
             if rad <= 0.0:
                 return 0.0
-            # mean * y * sqrt(radicand); zero outside the window
-            return massless_integrand(y, d, y_cut) / y * math.sqrt(rad)
+            # mean * y * sqrt(radicand) * dy/dv; zero outside the window
+            return massless_integrand(y, d, y_cut) / y * math.sqrt(rad) * (2.0 * width * v)
 
-        return integrate_semi_infinite(f, lower, rel_tol=_DENSITY_REL_TOL,
-                                       transform=transform, scale=_exp_map_scale(d))
+        return integrate_semi_infinite(f, 0.0, rel_tol=_DENSITY_REL_TOL, transform=transform)
 
-    quads = {"printed-radicand density integral": run("printed", "rational"),
-             "dispersion density integral, rational map": run("dispersion", "rational"),
-             "dispersion density integral, exp map": run("dispersion", "exp")}
+    quads = {"printed-radicand density integral over v": run("printed", "rational"),
+             "dispersion density integral over v, rational map": run("dispersion", "rational"),
+             "dispersion density integral over v, exp map": run("dispersion", "exp")}
     literal, corrected, dual = (pref * q.value for q in quads.values())
     rep = compare(
         "energy_density_massive",

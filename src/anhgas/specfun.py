@@ -450,9 +450,12 @@ def log_whittaker_w(kappa: float, mu: float, z: float) -> SpecialFunctionResult:
             f"mu = +-(kappa + 1/2) with |kappa|, |mu| <= {_W_PARAM_MAX:g} is evaluated")
     b = 1.0 + 2.0 * m
     g = log_upper_incomplete_gamma(b - 1.0, z)
+    lz = math.log(z)
+    # the Gamma branch's error, plus the rounding of the four log terms added to it
+    rounding = 4e-16 * (1.5 * z + (abs(m + 0.5) + abs(1.0 - b)) * abs(lz) + abs(g.value))
     return SpecialFunctionResult(
-        -0.5 * z + (m + 0.5) * math.log(z) + (z + (1.0 - b) * math.log(z) + g.value),
-        1e-13, g.method,
+        -0.5 * z + (m + 0.5) * lz + (z + (1.0 - b) * lz + g.value),
+        g.abs_error_estimate + rounding, g.method,
     )
 
 

@@ -352,15 +352,16 @@ class TestQuantumCommand:
 
     def test_a_failing_convention_errors_only_its_own_row(self, tmp_path, monkeypatch):
         # at T = 0.01 the kappa_literal oracle integral (exp map above the cut
-        # 3 kappa^2 = 50) is made to raise; the y_star row is unaffected
-        real = qg.integrate_semi_infinite
+        # 3 kappa^2 = 50) is made to raise; the y_star row, which integrates
+        # above that cut too but under the rational map, is unaffected
+        real = qg._massless_integral
 
-        def failing(f, a, *args, **kwargs):
-            if kwargs.get("transform") == "exp" and a == 50.0:
+        def failing(d, lower, transform, series_tol):
+            if transform == "exp" and lower == 50.0:
                 raise ValueError("exp map failure above the kappa_literal cut")
-            return real(f, a, *args, **kwargs)
+            return real(d, lower, transform, series_tol)
 
-        monkeypatch.setattr(qg, "integrate_semi_infinite", failing)
+        monkeypatch.setattr(qg, "_massless_integral", failing)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
@@ -377,10 +378,20 @@ class TestQuantumCommand:
                                             "above the kappa_literal cut")
 
     def test_quadrature_failures_error_with_their_cause(self, tmp_path, monkeypatch):
-        # with the exp map unscaled, every density integral at T = 0.05 puts
-        # a node at t = 1, where y = inf, because the mode-sum weight reaches
-        # past y = 36.7; each row is ERROR with a report that names that failure
-        monkeypatch.setattr(qg, "_exp_map_scale", lambda d: 1.0)
+        # with the massless coordinate unscaled (y = lower + s), its exp map at
+        # T = 0.05 puts a node at t = 1, where y = inf, because the mode-sum
+        # weight reaches past y = 36.7.  The massive coordinate y = lower + v^2
+        # reaches y = lower + 1350 before t rounds to 1, so its integrand is made
+        # to return NaN past v = 1.  Each row is ERROR and names its failure
+        monkeypatch.setattr(qg, "_width", lambda d: 1.0)
+        real = qg.integrate_semi_infinite
+
+        def nan_in_massive(f, a, **kwargs):
+            if f.__qualname__.startswith("energy_density_massive."):
+                return real(lambda v: math.nan if v > 1.0 else f(v), a, **kwargs)
+            return real(f, a, **kwargs)
+
+        monkeypatch.setattr(qg, "integrate_semi_infinite", nan_in_massive)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
@@ -394,27 +405,30 @@ class TestQuantumCommand:
         assert rows == [f"0.050000000000000003,{n},,,,ERROR" for n in names]
         reports = json.loads((out / "quantum_reports.json").read_text())
         assert [r["quantity_name"] for r in reports] == names
-        for r in reports:
-            assert r["status"] == "ERROR"
+        assert all(r["status"] == "ERROR" for r in reports)
+        for r in reports[:2]:
             assert r["provenance"].startswith("evaluation failure: the exp map of [")
             assert "put a node at t = 1" in r["provenance"]
+        assert reports[2]["provenance"].startswith(
+            "evaluation failure: integrand returned NaN at ")
 
     def test_low_temperatures_have_values(self, tmp_path):
-        # the mode-sum weight peaks near y = (8 a_B)^(1/3): 29 at T = 0.05
-        # and 72 at T = 0.02, which the exp map reaches once it is stretched
-        # to that width; the two maps of each massless row then agree
+        # the mode-sum weight peaks near y = (8 a_B)^(1/3): 29 at T = 0.05,
+        # 72 at T = 0.02 and 290 at T = 0.005, which both maps reach over
+        # y = lower + L s, L four times that width; the two maps of each
+        # massless row then agree
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
-            "thermal_grid": [0.01, 0.02, 0.05, 0.1],
+            "thermal_grid": [0.005, 0.01, 0.02, 0.05, 0.1],
         }))
         out = tmp_path / "out"
         assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 2
         reports = json.loads((out / "quantum_reports.json").read_text())
-        assert len(reports) == 12
+        assert len(reports) == 15
         assert all(r["status"] != "ERROR" for r in reports)
         massless = [r for r in reports if r["quantity_name"].startswith("energy_density_massless")]
-        assert len(massless) == 8
+        assert len(massless) == 10
         for r in massless:
             assert r["status"] == "PASS" and r["oracle"] > 0.0 and r["rel_dev"] <= 1e-8
 
@@ -438,9 +452,9 @@ class TestQuantumCommand:
             "energy_density_massless[kappa_literal]": ["int y^2 <E>(y) dy, rational map",
                                                        "int y^2 <E>(y) dy, exp map",
                                                        "int y^2 <E>(y) dy above the y_star cut"],
-            "energy_density_massive": ["printed-radicand density integral",
-                                       "dispersion density integral, rational map",
-                                       "dispersion density integral, exp map"],
+            "energy_density_massive": ["printed-radicand density integral over v",
+                                       "dispersion density integral over v, rational map",
+                                       "dispersion density integral over v, exp map"],
             "series_energy_density": ["int y^2 <f e^-f> (1 - e^-y) dy"],
         }
         rows = [line.split(",")[1] for line in
@@ -641,8 +655,8 @@ def _refuse(constant):
 
 
 @pytest.mark.parametrize("command, raw", [
-    # at T = 0.005 the rational map's literal integrals do not converge
-    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [0.005, 0.05, 0.1],
+    # at T = 1e300 the powers of T in a_A and a_B overflow: ERROR rows
+    ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300, 0.05, 0.1],
                  "options": {"cutoff_convention": "kappa_literal"}}),
     ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1.0, 1e300]}),
 ])

@@ -72,19 +72,21 @@ class TestQuadrature:
         assert abs(combo.value - want) <= 10.0 * tol + 1e-12
 
     def test_a_scaled_exp_map_reaches_a_wide_tail(self):
-        # int_a^inf y^2 e^{-y/60} dy: unscaled, t rounds to 1 at y = a + 36.7,
-        # well inside the weight; the map y = a - 60 ln(1-t) reaches it
+        # int_1^inf y^2 e^{-y/60} dy: over y, t rounds to 1 at y = 1 + 36.7,
+        # well inside the weight; over the caller's coordinate y = 1 + 60 s
+        # the exp map reaches it
         def f(y):
             return y * y * math.exp(-y / 60.0) if y < 4e4 else 0.0
 
         with pytest.raises(ValueError, match="put a node at t = 1"):
             oc.integrate_semi_infinite(f, 1.0, transform="exp")
-        res = oc.integrate_semi_infinite(f, 1.0, transform="exp", scale=60.0)
+        res = oc.integrate_semi_infinite(lambda s: f(1.0 + 60.0 * s) * 60.0, 0.0,
+                                         transform="exp")
         want = 60.0 * math.exp(-1.0 / 60.0) * (1.0 + 2.0 * 60.0 + 2.0 * 60.0**2)
         assert res.converged and res.value == pytest.approx(want, rel=1e-10)
+        # the rational map reaches any y, so it needs no coordinate
         rational = oc.integrate_semi_infinite(f, 1.0, transform="rational")
-        # the rational map ignores scale
-        assert oc.integrate_semi_infinite(f, 1.0, scale=60.0) == rational
+        assert rational.converged and rational.value == pytest.approx(want, rel=1e-10)
 
     def test_nan_aborts_with_location(self):
         def f(y):

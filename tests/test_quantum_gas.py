@@ -358,14 +358,26 @@ class TestMasslessEnergyDensity:
         assert star.status is Status.PASS and "underflow" not in star.options_used
 
     def test_the_exp_map_evaluation_budget(self):
-        # the stretched exp map turns the e^-y tail into a vanishing (1-t)^L
-        # factor; unstretched, this integral took 1005 evaluations
+        # over y = lower + L s the exp map turns the e^-y tail into a vanishing
+        # (1-t)^L factor; over y itself, this integral took 1005 evaluations
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
         with memo_scope():
             qg.energy_density_massless(p, t_of(1.0))
             # keys are (qg._massless_integral, d, lower, transform, series_tol)
             (exp_map,) = [q for key, q in memo.current().items() if key[3] == "exp"]
         assert exp_map.converged and exp_map.evaluations <= 400
+        # the same floats as when the engine applied L: y = a - L ln w and
+        # f L / w are the same operations, done in the integrand
+        assert (float.hex(exp_map.value), float.hex(exp_map.abs_error_estimate),
+                exp_map.evaluations) == ("0x1.5bf49ba31dfc7p+2", "0x1.e0a2b92c09000p-29", 165)
+
+    def test_both_maps_converge_at_t_0_005(self):
+        # over y itself the rational map of the literal did not converge here
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
+        for cut in ("y_star", "kappa_literal"):
+            rep = qg.energy_density_massless(p, t_of(0.005), cut)
+            assert rep.status is Status.PASS
+            assert rep.literal == pytest.approx(8.5262e-190, rel=1e-4)
 
     def test_cubic_alone_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, mu=0.1)
@@ -424,6 +436,63 @@ class TestMassiveEnergyDensity:
         rep = qg.energy_density_massive(p, 1.0, t_of(1.0))
         dual = rep.options_used["corrected_dual_transform"]
         assert rep.oracle == pytest.approx(dual, rel=1e-7)
+
+    @staticmethod
+    def recorded(monkeypatch):
+        # the QuadratureResult of every density quadrature, in call order
+        real = qg.integrate_semi_infinite
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(qg, "integrate_semi_infinite", recording)
+        return results
+
+    @staticmethod
+    def y_space_reference(p, mass, t, cut, mode):
+        # the same integral over y = lower + L s, an affine coordinate: the sqrt
+        # edge at lower stays, and bisection alone resolves it
+        d = qg.dimensionless_couplings(p, t)
+        y_cut = qg._resolve_cut(d, cut)
+        q = t.T / mass
+        lower = max(1.0 / q**2 if mode == "printed" else 1.0 / q, y_cut, d.y_star)
+        width = qg._width(d)
+
+        def f(s):
+            y = lower + width * s
+            rad = q * q * y - 1.0 if mode == "printed" else (q * y) ** 2 - 1.0
+            if rad <= 0.0:
+                return 0.0
+            return qg.massless_integrand(y, d, y_cut) / y * math.sqrt(rad) * width
+
+        res = integrate_semi_infinite(f, 0.0, rel_tol=1e-13)
+        assert res.converged
+        return res.value
+
+    @pytest.mark.parametrize("temperature", [0.005, 0.05, 0.5, 3.0, 30.0, 100.0])
+    @pytest.mark.parametrize("cut", ["y_star", "kappa_literal"])
+    @pytest.mark.parametrize("mass", [0.1, 1.0, 10.0])
+    def test_the_v_coordinate_matches_y_space(self, mass, cut, temperature, monkeypatch):
+        # y = lower + L v^2 takes the sqrt edge out of the integrand; the value
+        # stays that of the integral over y
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
+        t = t_of(temperature)
+        results = self.recorded(monkeypatch)
+        qg.energy_density_massive(p, mass, t, cut)
+        assert len(results) == 3
+        for res, mode in zip(results, ("printed", "dispersion", "dispersion")):
+            want = self.y_space_reference(p, mass, t, cut, mode)
+            assert res.converged
+            assert res.value == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_the_v_coordinate_evaluation_budget(self, monkeypatch):
+        # over y each of these took 405 to 495 evaluations, refining toward the edge
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
+        results = self.recorded(monkeypatch)
+        qg.energy_density_massive(p, 1.0, t_of(1.0))
+        assert [r.evaluations <= 300 and r.converged for r in results] == [True] * 3
 
     def test_printed_vs_corrected_deviation_is_reported(self):
         # the printed radicand is linear in y, the corrected one quadratic;

@@ -390,6 +390,14 @@ class TestWhittakerW:
         with pytest.raises(sf.SpecialFunctionRangeError, match="60"):
             sf.whittaker_w(60.5, 61.0, 1.0)
 
+    def test_the_log_error_carries_the_gamma_branch(self):
+        # W_{-5,-9/2}(0.04) = e^{0.02} 0.04^5 Gamma(-9, 0.04): the recurrence's
+        # own estimate, 2.9e-12, bounds W's from below
+        g = sf.log_upper_incomplete_gamma(-9.0, 0.04)
+        lg = sf.log_whittaker_w(-5.0, -4.5, 0.04)
+        assert g.abs_error_estimate > 2e-12
+        assert lg.abs_error_estimate >= g.abs_error_estimate
+
     def test_error_estimates_are_honest(self):
         for (k, m, z) in ((1.5, 2.0, 1.0), (-5.0, -4.5, 0.04), (0.5, -1.0, 3.0),
                           (-20.0, 19.5, 0.7), (54.5, 55.0, 20.0)):
