@@ -1,11 +1,12 @@
 """Command-line surface: config ingestion, temperature sweeps, CSV/JSON
 emission, and the literal-vs-oracle verification matrix.
 
-Output determinism is part of the contract: grid points are computed one after
-another on one thread, each in its own memo scope (anhgas.memo), and written in
-input order; floats have 17 significant digits, and a fixed seed pins the Monte
-Carlo rows, so reruns are byte-identical. The sweeps' --threads is accepted and
-ignored.
+Each sweep and verify row is a thunk run by one row runner, _row, which turns an
+evaluation failure into an ERROR row. Grid points run one after another on one
+thread, each in its own memo scope (anhgas.memo); verify runs its rows, or with
+--only one section's, in one scope. Rows are written in input order, floats have
+17 significant digits and a fixed seed pins the Monte Carlo row, so reruns are
+byte-identical. The sweeps' --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ def _positive_number(path: str, value) -> float:
     return float(value)
 
 
+def _seed(value) -> int:
+    # a JSON integer >= 0: not a bool, a float or a string
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"options.seed: must be an integer >= 0, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Serializable run description; round-trips losslessly through JSON."""
@@ -88,6 +96,7 @@ class RunConfig:
             raise ValueError("options.cutoff_convention: must be 'y_star' or "
                              f"'kappa_literal', got {opts['cutoff_convention']!r}")
         _positive_number("options.massive_gas_mass", opts["massive_gas_mass"])
+        _seed(opts["seed"])
         fields = {f.name for f in dataclasses.fields(OscillatorParams)}
         for name, val in raw.get("oscillator", {}).items():
             if name not in fields:
@@ -152,18 +161,18 @@ def _exit_code(reports: Iterable[ComparisonReport]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweeps: each grid point declares its rows as (name, thunk)
+# the row runner, and sweeps: each grid point declares its rows as (name, thunk)
 # ---------------------------------------------------------------------------
 
-# what makes one row ERROR instead of ending the sweep
+# what makes one row ERROR instead of ending the run
 _ROW_FAILURES = (ValueError, ArithmeticError, IntegrandError)
 
 
-def _row(temperature: float, name: str,
+def _row(options_used: dict, name: str,
          thunk: Callable[[], ComparisonReport] | str) -> ComparisonReport:
-    """The report of one sweep row: the thunk's, or an ERROR report that
-    names the failure the thunk raised. A row declared with a reason in
-    place of a thunk is SKIPPED, and its report gives the reason."""
+    """The report of one sweep or verify row: the thunk's, or an ERROR report that
+    names the failure the thunk raised. A row declared with a reason in place of a
+    thunk is SKIPPED; both kinds carry the caller's options_used."""
     status, provenance = Status.SKIPPED, thunk
     if callable(thunk):
         try:
@@ -173,8 +182,7 @@ def _row(temperature: float, name: str,
                      else "evaluation failure")
             status, provenance = Status.ERROR, f"{cause}: {exc}"
     nan = math.nan
-    return ComparisonReport(name, nan, nan, nan, nan, status, provenance, 0.0,
-                            {"T": temperature})
+    return ComparisonReport(name, nan, nan, nan, nan, status, provenance, 0.0, options_used)
 
 
 def _sweep(cfg: RunConfig, point: Callable, out_dir: Path, stem: str) -> tuple[int, list]:
@@ -185,7 +193,7 @@ def _sweep(cfg: RunConfig, point: Callable, out_dir: Path, stem: str) -> tuple[i
     for temperature in cfg.thermal_grid:
         with memo_scope():
             point_rows, point_samples = point(cfg, temperature)
-            rows += [(temperature, name, _row(temperature, name, thunk))
+            rows += [(temperature, name, _row({"T": temperature}, name, thunk))
                      for name, thunk in point_rows]
         samples += point_samples
     reports = [rep for _, _, rep in rows]
@@ -297,116 +305,99 @@ def cmd_quantum(cfg: RunConfig, out_dir: Path) -> int:
 # verification matrix
 # ---------------------------------------------------------------------------
 
-def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, ComparisonReport]]:
-    """The fixed matrix of desk-scale identity checks, grouped by section."""
-    seed = int(cfg.options["seed"])
-    rows: list[tuple[str, str, ComparisonReport]] = []
-
-    def add(section: str, name: str, rep: ComparisonReport):
-        rows.append((section, name, rep))
-
-    # --- specfun ----------------------------------------------------------
-    half = sf.bessel_k(0.5, 1.0).value
-    add("specfun", "half-integer closed form",
-        compare("bessel_k(1/2,1)", half, math.sqrt(math.pi / 2.0) * math.exp(-1.0),
-                1e-12, "half-integer order reduces to an elementary function"))
-    add("specfun", "three-term recurrence",
-        compare("bessel_k(9/4,3) via recurrence",
-                sf.bessel_k(0.25, 3.0).value
-                + 2.0 * 1.25 / 3.0 * sf.bessel_k(1.25, 3.0).value,
-                sf.bessel_k(2.25, 3.0).value, 1e-9,
-                "adjacent-order recurrence consistency"))
-    add("specfun", "upper incomplete gamma",
-        compare("Gamma(4,1)", sf.upper_incomplete_gamma(4.0, 1.0).value,
-                16.0 / math.e, 1e-12, "finite-sum closed form"))
-    w = sf.whittaker_w(1.5, 2.0, 1.0).value
-    add("specfun", "Whittaker-gamma identity",
-        compare("Gamma(4,1) via W", math.exp(-0.5) * w, 16.0 / math.e, 1e-9,
-                "incomplete gamma expressed through Whittaker W"))
-
-    # --- oracles ----------------------------------------------------------
-    q = integrate_semi_infinite(lambda y: y**3 * math.exp(-y) if y < 700 else 0.0, 0.0)
-    add("oracles", "gamma integral",
-        compare("int y^3 e^-y", q.value, 6.0, 1e-10, "factorial integral"))
-    q = integrate_semi_infinite(
-        lambda y: y**3 / math.expm1(y) if 0.0 < y < 700.0 else 0.0, 0.0)
-    add("oracles", "zeta integral",
-        compare("int y^3/(e^y-1)", q.value, math.pi**4 / 15.0, 1e-10,
-                "Bose integral in closed form"))
-    mc = metropolis_expectation(lambda x: -0.5 * x * x, lambda x: x * x,
-                                1.2, 20000, 2000, seed=seed)
-    add("oracles", "Metropolis Gaussian variance",
-        compare("<x^2> under exp(-x^2/2)", mc.mean, 1.0,
-                3.0 * mc.std_error, "Gaussian second moment",
-                {"std_error": mc.std_error, "acceptance": mc.acceptance_rate}))
-
-    # --- classical --------------------------------------------------------
-    for z in (0.5, 1.0, 2.0, 5.0):
-        qv = cg.kinetic_radial_integral(z, 0.0).value
-        add("classical", f"sinh-squared identity z={z}",
-            compare(f"int sinh^2 e^-zcosh, z={z}", qv,
-                    sf.bessel_k(1.0, z).value / z, 1e-8,
-                    "kinetic radial integral reduces to K_1(z)/z"))
-        qc = cg.kinetic_radial_integral(z, 1.0).value
-        add("classical", f"energy-weighted corollary z={z}",
-            compare(f"int sinh^2 cosh e^-zcosh, z={z}", qc,
-                    cg.g_function_corrected(z) / z**3, 1e-8,
-                    "one z-derivative of the kinetic radial integral"))
-    add("classical", "quartic limit of F",
-        compare("F(0)", cg.f_oracle(0.0).value, math.gamma(0.75) / 4.0, 1e-9,
-                "pure-quartic Gaussian integral"))
-    add("classical", "closed form for F vs oracle",
-        compare("f_closed_form(1)", cg.f_closed_form(1.0), cg.f_oracle(1.0).value,
-                1e-6, "printed closed form against the defining integral"))
+def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, Callable[[], ComparisonReport]]]:
+    """The fixed matrix of desk-scale identity checks, in print order, as
+    (section, name, thunk) rows; building it computes nothing."""
     p_nat = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
-    t_nat = ThermalState.from_temperature(1.0)
-    add("classical", "harmonic partition vs phase-space quadrature",
-        cg.harmonic_partition_z1_report(p_nat, t_nat))
-    add("classical", "relativistic harmonic partition",
-        cg.relativistic_harmonic_partition_z2(p_nat, t_nat))
-    add("classical", "anharmonic partition dual route",
-        cg.anharmonic_relativistic_partition(p_nat, t_nat))
-    add("classical", "average energy dual route",
-        cg.average_energy_classical(p_nat, t_nat))
-
-    # --- quantum ----------------------------------------------------------
-    p_q = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
-    add("quantum", "quartic first-order shift n=0",
-        qg.perturbative_shift(0, p_q, "first"))
-    p_c = OscillatorParams(m=1.0, omega=1.0, mu=1e-2)
-    add("quantum", "cubic second-order shift n=0",
-        qg.perturbative_shift(0, p_c, "second"))
-    d_test = qg.DimensionlessCouplings.from_values(-1.0, 3.0)
-    add("quantum", "positivity cutoff root",
-        compare("y_star for (-1, 3)", d_test.y_star, 1.0, 1e-10,
-                "closed-form cutoff vs bracketed root"))
-    t1 = ThermalState.from_temperature(1.0)
     p_free = OscillatorParams(m=1.0, omega=1.0)
-    bb = qg.energy_density_massless(p_free, t1)
-    add("quantum", "blackbody limit",
-        compare("energy density at zero couplings", bb.literal,
-                qg.blackbody_energy_density(t1), 1e-8,
-                "uncoupled mode sum collapses to the blackbody integral"))
-    t2 = ThermalState.from_temperature(2.0)
-    add("quantum", "T^4 scaling",
-        compare("density(2T)/density(T)",
-                qg.energy_density_massless(p_free, t2).literal
-                / bb.literal, 16.0, 1e-10, "quartic temperature scaling"))
-    p_s = OscillatorParams(m=1.0, omega=1.0, lam=4e-4 / 3.0,
-                           mu=4.0 * math.sqrt(0.4e-4))
-    add("quantum", "series vs quadrature",
-        qg.series_energy_density(p_s, t1))
-    return rows
+    t1 = ThermalState.from_temperature(1.0)
+
+    def metropolis():
+        mc = metropolis_expectation(lambda x: -0.5 * x * x, lambda x: x * x,
+                                    1.2, 20000, 2000, seed=cfg.options["seed"])
+        return compare("<x^2> under exp(-x^2/2)", mc.mean, 1.0, 3.0 * mc.std_error,
+                       "Gaussian second moment",
+                       {"std_error": mc.std_error, "acceptance": mc.acceptance_rate})
+
+    def kinetic(z: float):
+        return [
+            ("classical", f"sinh-squared identity z={z}", lambda: compare(
+                f"int sinh^2 e^-zcosh, z={z}", cg.kinetic_radial_integral(z, 0.0).value,
+                sf.bessel_k(1.0, z).value / z, 1e-8,
+                "kinetic radial integral reduces to K_1(z)/z")),
+            ("classical", f"energy-weighted corollary z={z}", lambda: compare(
+                f"int sinh^2 cosh e^-zcosh, z={z}", cg.kinetic_radial_integral(z, 1.0).value,
+                cg.g_function_corrected(z) / z**3, 1e-8,
+                "one z-derivative of the kinetic radial integral")),
+        ]
+
+    def free_density(T: float) -> float:
+        # the blackbody and T^4 rows share these quadratures through the memo scope
+        return qg.energy_density_massless(p_free, ThermalState.from_temperature(T)).literal
+
+    return [
+        ("specfun", "half-integer closed form", lambda: compare(
+            "bessel_k(1/2,1)", sf.bessel_k(0.5, 1.0).value,
+            math.sqrt(math.pi / 2.0) * math.exp(-1.0), 1e-12,
+            "half-integer order reduces to an elementary function")),
+        ("specfun", "three-term recurrence", lambda: compare(
+            "bessel_k(9/4,3) via recurrence",
+            sf.bessel_k(0.25, 3.0).value + 2.0 * 1.25 / 3.0 * sf.bessel_k(1.25, 3.0).value,
+            sf.bessel_k(2.25, 3.0).value, 1e-9, "adjacent-order recurrence consistency")),
+        ("specfun", "upper incomplete gamma", lambda: compare(
+            "Gamma(4,1)", sf.upper_incomplete_gamma(4.0, 1.0).value, 16.0 / math.e, 1e-12,
+            "finite-sum closed form")),
+        ("specfun", "Whittaker-gamma identity", lambda: compare(
+            "Gamma(4,1) via W", math.exp(-0.5) * sf.whittaker_w(1.5, 2.0, 1.0).value,
+            16.0 / math.e, 1e-9, "incomplete gamma expressed through Whittaker W")),
+        ("oracles", "gamma integral", lambda: compare(
+            "int y^3 e^-y", integrate_semi_infinite(
+                lambda y: y**3 * math.exp(-y) if y < 700 else 0.0, 0.0).value,
+            6.0, 1e-10, "factorial integral")),
+        ("oracles", "zeta integral", lambda: compare(
+            "int y^3/(e^y-1)", integrate_semi_infinite(
+                lambda y: y**3 / math.expm1(y) if 0.0 < y < 700.0 else 0.0, 0.0).value,
+            math.pi**4 / 15.0, 1e-10, "Bose integral in closed form")),
+        ("oracles", "Metropolis Gaussian variance", metropolis),
+        *(row for z in (0.5, 1.0, 2.0, 5.0) for row in kinetic(z)),
+        ("classical", "quartic limit of F", lambda: compare(
+            "F(0)", cg.f_oracle(0.0).value, math.gamma(0.75) / 4.0, 1e-9,
+            "pure-quartic Gaussian integral")),
+        ("classical", "closed form for F vs oracle", lambda: compare(
+            "f_closed_form(1)", cg.f_closed_form(1.0), cg.f_oracle(1.0).value, 1e-6,
+            "printed closed form against the defining integral")),
+        *(("classical", name, functools.partial(report, p_nat, t1)) for name, report in (
+            ("harmonic partition vs phase-space quadrature", cg.harmonic_partition_z1_report),
+            ("relativistic harmonic partition", cg.relativistic_harmonic_partition_z2),
+            ("anharmonic partition dual route", cg.anharmonic_relativistic_partition),
+            ("average energy dual route", cg.average_energy_classical))),
+        ("quantum", "quartic first-order shift n=0", lambda: qg.perturbative_shift(
+            0, OscillatorParams(m=1.0, omega=1.0, lam=1e-3), "first")),
+        ("quantum", "cubic second-order shift n=0", lambda: qg.perturbative_shift(
+            0, OscillatorParams(m=1.0, omega=1.0, mu=1e-2), "second")),
+        ("quantum", "positivity cutoff root", lambda: compare(
+            "y_star for (-1, 3)", qg.DimensionlessCouplings.from_values(-1.0, 3.0).y_star,
+            1.0, 1e-10, "closed-form cutoff vs bracketed root")),
+        ("quantum", "blackbody limit", lambda: compare(
+            "energy density at zero couplings", free_density(1.0),
+            qg.blackbody_energy_density(t1), 1e-8,
+            "uncoupled mode sum collapses to the blackbody integral")),
+        ("quantum", "T^4 scaling", lambda: compare(
+            "density(2T)/density(T)", free_density(2.0) / free_density(1.0), 16.0, 1e-10,
+            "quartic temperature scaling")),
+        ("quantum", "series vs quadrature", lambda: qg.series_energy_density(
+            OscillatorParams(m=1.0, omega=1.0, lam=4e-4 / 3.0, mu=4.0 * math.sqrt(0.4e-4)),
+            t1)),
+    ]
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, only: str | None = None) -> int:
+    """Run the matrix's rows, or only those of section `only`, in one memo
+    scope; print each and write verify_matrix.txt and verify_reports.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _verify_rows(cfg)
-    if only:
-        rows = [r for r in rows if r[0] == only]
-        if not rows:
-            print(f"no verification rows in section {only!r}", file=sys.stderr)
-            return 1
+    with memo_scope():
+        rows = [(section, name, _row({}, name, thunk))
+                for section, name, thunk in _verify_rows(cfg) if only in (None, section)]
     reports = [rep for _, _, rep in rows]
     lines = [f"[{rep.status.value}] {section}: {name} rel_dev={_fmt(rep.rel_dev)}"
              for section, name, rep in rows]
@@ -471,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--print-config", action="store_true")
         if name == "verify":
             sp.add_argument("--seed", type=int, default=None)
-            sp.add_argument("--only", type=str, default=None,
-                            choices=["specfun", "oracles", "classical", "quantum"])
+            sections = dict.fromkeys(row[0] for row in _verify_rows(RunConfig()))
+            sp.add_argument("--only", type=str, default=None, choices=list(sections))
         else:
             sp.add_argument("--threads", type=int, default=None,
                             help="accepted and ignored; sweeps run on one thread")
@@ -489,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.command == "verify" and args.seed is not None:
-            cfg.options["seed"] = args.seed
+            cfg.options["seed"] = _seed(args.seed)
         if args.print_config:
             sys.stdout.write(cfg.dumps())
             return 0

@@ -392,7 +392,9 @@ def energy_density_massive(
 
     The printed square root uses (kT/Mc^2)^2 y - 1, linear in y; the
     corrected mode squares the whole combination.  Both are computed and
-    paired; an unreachable window yields a FLAGGED zero, not a crash.
+    paired.  Where both are 0 the mode-sum weight underflowed, since the
+    window [lower, inf) is never empty: the row is FLAGGED and marked
+    "underflow": true, the massless rows' mark.
     Each integral runs over v, y = lower + L v^2, lower the largest of the
     radicand's zero, the cut and y_star, and L = 4 max(1, 2 a_B^(1/3)):
     where lower is the radicand's zero, the square root vanishes like
@@ -439,7 +441,7 @@ def energy_density_massive(
     )
     if literal == 0.0 and corrected == 0.0:
         rep = replace(rep, status=Status.FLAGGED,
-                      options_used={**rep.options_used, "window": "empty"})
+                      options_used={**rep.options_used, "underflow": True})
     return rep
 
 

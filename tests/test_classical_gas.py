@@ -386,7 +386,7 @@ class TestAverageEnergy:
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         with memo_scope():      # the scope cli._sweep opens for one grid point
             rows, _ = cli._classical_point(cfg, 1.3)
-            reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
+            reports = [cli._row({"T": 1.3}, name, thunk) for name, thunk in rows]
         assert reports[-1].quantity_name == "average_energy_classical"
         assert len(calls) == 3
 
@@ -408,7 +408,7 @@ class TestAverageEnergy:
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         with memo_scope():
             rows, _ = cli._classical_point(cfg, T)
-            reports = [cli._row(T, name, thunk) for name, thunk in rows]
+            reports = [cli._row({"T": T}, name, thunk) for name, thunk in rows]
         assert len(reports) == 6 and Status.ERROR not in {r.status for r in reports}
         assert len(calls) == want
 
@@ -420,7 +420,7 @@ class TestAverageEnergy:
         z = cg.relativistic_z(cfg.oscillator, ThermalState.from_temperature(T))
         with memo_scope():
             rows, _ = cli._classical_point(cfg, T)
-            reports = {name: cli._row(T, name, thunk) for name, thunk in rows}
+            reports = {name: cli._row({"T": T}, name, thunk) for name, thunk in rows}
             scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)]
         want = scaled.value * math.exp(-z) * z**3
         assert reports["g_function"].oracle.hex() == want.hex()
@@ -444,7 +444,7 @@ class TestAverageEnergy:
         with memo_scope():
             rows, _ = cli._classical_point(cfg, 1.3)
             for name, thunk in rows:
-                cli._row(1.3, name, thunk)
+                cli._row({"T": 1.3}, name, thunk)
             norm = memo.current()[(cg._position_integral, a2, a4, scale, 1e-11)]
         name = "int r^2 e^{-beta V(r)} dr"
         assert held["average_energy_classical"][name] is norm
@@ -504,7 +504,7 @@ class TestAverageEnergy:
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         with memo_scope():
             rows, _ = cli._classical_point(cfg, 1.3)
-            reports = [cli._row(1.3, name, thunk) for name, thunk in rows]
+            reports = [cli._row({"T": 1.3}, name, thunk) for name, thunk in rows]
         assert [r.quantity_name for r in reports] == list(named)
         assert [r.status for r in reports] == [Status.ERROR] * len(named)
         for rep in reports:

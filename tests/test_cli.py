@@ -136,6 +136,23 @@ class TestRunConfig:
         assert capsys.readouterr().err == f"config or input error: unknown config key: {key}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, argv", [
+        ({"seed": 1.5}, []), ({"seed": True}, []), ({"seed": "7"}, []),
+        ({"seed": 1e300}, []), ({"seed": -1}, []), ({}, ["--seed", "-1"]),
+    ])
+    def test_a_seed_that_is_not_an_integer_at_least_zero_exits_one(self, tmp_path, capsys,
+                                                                   options, argv):
+        # a JSON integer >= 0, in the config or from --seed: not a bool, a float
+        # or a string, and refused before any row runs or any directory is made
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"options": options}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config or input error: options.seed: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_print_config_lists_every_flag(self, capsys, tmp_path):
         assert run(["verify", "--print-config"]) == 0
         out = capsys.readouterr().out
@@ -585,7 +602,7 @@ class TestRowRunner:
         def thunk():
             raise exc
 
-        rep = cli._row(2.0, "some_row", thunk)
+        rep = cli._row({"T": 2.0}, "some_row", thunk)
         assert (rep.quantity_name, rep.status, rep.provenance) == (
             "some_row", Status.ERROR, provenance)
         assert rep.options_used == {"T": 2.0}
@@ -597,7 +614,7 @@ class TestRowRunner:
             raise RuntimeError("mode sums did not converge")
 
         with pytest.raises(RuntimeError, match="did not converge"):
-            cli._row(1.0, "some_row", thunk)
+            cli._row({"T": 1.0}, "some_row", thunk)
 
 
 class TestMemoScopes:
@@ -707,6 +724,16 @@ def test_the_sweeps_leave_numpy_unloaded(tmp_path):
     assert (tmp_path / "classical" / "classical.csv").exists()
 
 
+def test_verify_sections_but_oracles_leave_numpy_unloaded(tmp_path):
+    # --only computes only its section, and only the oracles section's
+    # Metropolis row imports numpy
+    code = "\n".join(
+        f"anhgas.cli.main(['verify', '--only', '{section}', '--out', {str(tmp_path / section)!r}])"
+        for section in ("specfun", "classical", "quantum"))
+    assert _modules_loaded_by(f"import anhgas.cli\n{code}") == "[]"
+    assert (tmp_path / "quantum" / "verify_matrix.txt").exists()
+
+
 def test_verify_and_specfun_eval_run_without_mpmath(tmp_path):
     # mpmath is a test dependency only: with its import blocked, verify
     # exits 2 (FLAGGED rows by design) and each specfun-eval entry exits 0
@@ -722,6 +749,15 @@ def test_verify_and_specfun_eval_run_without_mpmath(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == str([2] + [0] * len(args))
+
+
+@pytest.fixture(scope="module")
+def full_verify(tmp_path_factory):
+    # the full matrix at the default seed: its lines and its strict-JSON reports
+    out = tmp_path_factory.mktemp("verify")
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    return ((out / "verify_matrix.txt").read_text(encoding="utf-8").splitlines(keepends=True),
+            json.loads((out / "verify_reports.json").read_text(), parse_constant=_refuse))
 
 
 class TestVerifyCommand:
@@ -741,12 +777,47 @@ class TestVerifyCommand:
         # come from the unscaled quadrature, so the two agree to rounding
         ref_file = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "verify-seed1.json"
         ref = {row[0]: row[1] for row in json.loads(ref_file.read_text())["rows"]}
-        rows = [(f"{section}: {name}", rep) for section, name, rep in cli._verify_rows(RunConfig())
+        rows = [(f"{section}: {name}", thunk())
+                for section, name, thunk in cli._verify_rows(RunConfig())
                 if name.startswith(("sinh-squared identity", "energy-weighted corollary"))]
         assert len(rows) == 8
         for name, rep in rows:
             assert rep.status is Status.PASS and rep.rel_dev <= 1e-15, name
             assert rep.literal == pytest.approx(ref[name], rel=1e-14, abs=0.0), name
+
+    @pytest.mark.parametrize("section, code", [
+        ("specfun", 0), ("oracles", 0), ("classical", 2), ("quantum", 2)])
+    def test_only_writes_its_sections_rows_of_the_full_matrix(self, tmp_path, full_verify,
+                                                               section, code):
+        lines, reports = full_verify
+        keep = [k for k, line in enumerate(lines) if line.split("] ", 1)[1].startswith(
+            f"{section}: ")]
+        assert run(["verify", "--only", section, "--out", str(tmp_path)]) == code
+        assert (tmp_path / "verify_matrix.txt").read_text(encoding="utf-8") == "".join(
+            lines[k] for k in keep)
+        assert json.loads((tmp_path / "verify_reports.json").read_text()) == [
+            reports[k] for k in keep]
+
+    @pytest.mark.parametrize("exc", [IntegrandError("NaN integrand at x=1"),
+                                     ValueError("no walk")])
+    def test_a_raising_row_is_an_error_row_and_the_matrix_goes_on(self, tmp_path, monkeypatch,
+                                                                 full_verify, exc):
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "metropolis_expectation", raising)
+        assert run(["verify", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "verify_matrix.txt").read_text(encoding="utf-8").splitlines(
+            keepends=True)
+        reports = json.loads((tmp_path / "verify_reports.json").read_text(),
+                             parse_constant=_refuse)
+        full_lines, full_reports = full_verify
+        k = next(k for k, line in enumerate(full_lines) if "Metropolis" in line)
+        assert lines[k] == "[ERROR] oracles: Metropolis Gaussian variance rel_dev=nan\n"
+        assert lines[:k] + lines[k + 1:] == full_lines[:k] + full_lines[k + 1:]
+        assert reports[:k] + reports[k + 1:] == full_reports[:k] + full_reports[k + 1:]
+        assert (reports[k]["status"], reports[k]["provenance"], reports[k]["options_used"]) == (
+            "ERROR", f"evaluation failure: {exc}", {})
 
     def test_unknown_section_fails(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -424,12 +424,14 @@ class TestMasslessEnergyDensity:
 
 
 class TestMassiveEnergyDensity:
-    def test_window_empty_flags_zero(self):
+    def test_an_underflowed_zero_is_flagged_and_marked(self):
+        # y_min = 1e12 at gas mass 1e6: the window [1e12, inf) is not empty, but
+        # the mode-sum weight underflows on it, so the row carries the massless mark
         p = OscillatorParams(m=1.0, omega=1.0, lam=1e-3)
         rep = qg.energy_density_massive(p, 1e6, t_of(1.0))
         assert rep.literal == 0.0 and rep.oracle == 0.0
         assert rep.status is Status.FLAGGED
-        assert rep.options_used.get("window") == "empty"
+        assert rep.options_used["underflow"] is True and "window" not in rep.options_used
 
     def test_corrected_mode_dual_transform(self):
         p = OscillatorParams(m=1.0, omega=1.0)
