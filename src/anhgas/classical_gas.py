@@ -163,8 +163,8 @@ def _log_sinh(x: float) -> float:
     return x - _LN2 + math.log1p(-math.exp(-2.0 * x))
 
 
-# specfun keeps its own copy: this one feeds the oracles, that one the
-# literal closed forms they check, so the two routes share no code
+# the oracles' log cosh; the literal closed forms they check reach K_nu
+# through specfun, which runs no quadrature and shares no code with them
 def _log_cosh(x: float) -> float:
     x = abs(x)
     return x - _LN2 + math.log1p(math.exp(-2.0 * x))

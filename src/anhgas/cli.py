@@ -377,7 +377,7 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, Callable[[], Comparison
             0, OscillatorParams(m=1.0, omega=1.0, mu=1e-2), "second")),
         ("quantum", "positivity cutoff root", lambda: compare(
             "y_star for (-1, 3)", qg.DimensionlessCouplings.from_values(-1.0, 3.0).y_star,
-            1.0, 1e-10, "closed-form cutoff vs bracketed root")),
+            1.0, 1e-10, "closed-form cutoff vs the exact root y* = 1 at kappa^2 = 1/3")),
         ("quantum", "blackbody limit", lambda: compare(
             "energy density at zero couplings", free_density(1.0),
             qg.blackbody_energy_density(t1), 1e-8,

@@ -8,14 +8,15 @@ Each function has one implementation, in log space, so callers can
 multiply huge exponentials by tiny function values without overflow
 (DLMF 10.40, 8.11); the value and e^x-scaled forms exponentiate it.
 
-Branch policy for K_nu:
+Branch policy for K_nu, on either side of x_c = 4:
 
-* ``x <= 4``    power series through the base orders in [0, 1] plus the
-                stable upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v;
-* large ``x``   the divergent asymptotic series, used only when its
-                terms provably shrink below machine precision;
-* otherwise     adaptive quadrature of int_0^inf exp(-x cosh t) cosh(vt) dt.
+* ``x <= 4``    power series through the base orders in [0, 1]; orders
+                within 1e-3 of an integer but not at it are refused,
+                since their series cancels;
+* ``x > 4``     Steed's continued fraction CF2 for the base orders in
+                [-1/2, 1/2], to the largest double.
 
+Both climb to nu by the stable upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v.
 Branch boundaries are covered by cross-branch consistency tests. In an open memo
 scope (anhgas.memo), ln Gamma(a, x) at integer a continues x's deepest recurrence.
 """
@@ -47,10 +48,9 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # branch boundaries for bessel_k
-_SERIES_X_MAX = 4.0
-_ASYM_X_MIN = 16.0
+_SERIES_X_MAX = 4.0       # x_c: the series at or below, CF2 above
 _NU_MAX = 50.0
-_NEAR_INT = 1e-3          # fractional orders closer than this to an integer
+_NEAR_INT = 1e-3          # orders closer than this to an integer are refused at x <= x_c,
 _INT_SNAP = 1e-11         # ...and closer than this are treated as integers
 _LOG_HUGE = 700.0         # ln of the unscaled overflow threshold
 _W_PARAM_MAX = 60.0       # |kappa|, |mu| bound of whittaker_w
@@ -74,8 +74,8 @@ class SpecialFunctionResult:
     """A function value with an honest absolute error estimate.
 
     ``method`` records which evaluation branch produced the value:
-    one of ``series``, ``asymptotic``, ``quadrature``, ``recurrence``,
-    or ``continued_fraction`` (the Lentz fraction for Gamma(a, x)).
+    one of ``series``, ``recurrence`` or ``continued_fraction`` (Steed's
+    CF2 for K_nu, the Lentz fraction for Gamma(a, x)).
     """
 
     value: float
@@ -146,9 +146,8 @@ def _k01_integer_series(x: float) -> tuple[float, float]:
 def _log_k_small(nu: float, x: float) -> tuple[float, str]:
     """ln K_nu(x) for 0 <= nu <= _NU_MAX and x <= _SERIES_X_MAX.
 
-    The pair (K_p, K_{p+1}) with p in [0, 1) is built by series, then the
-    upward ladder K_{v+1} = K_{v-1} + (2v/x) K_v runs in log space, which
-    is stable (all terms positive) and immune to overflow.
+    The pair (K_p, K_{p+1}) with p in [0, 1) is built by series, then
+    climbs the upward ladder.
     """
     m = round(nu)
     rho = nu - m
@@ -156,28 +155,69 @@ def _log_k_small(nu: float, x: float) -> tuple[float, str]:
         k0, k1 = _k01_integer_series(x)
         if m == 0 or m == 1:
             return math.log(k1 if m else k0), "series"
-        lo, hi = math.log(k0), math.log(k1)
-        order0, steps = 1.0, m - 1
-    else:
-        rho_hat = abs(rho)
-        l_a = math.log(_k_base_fractional(rho_hat, x))        # ln K_{rho_hat}
-        l_b = math.log(_k_base_fractional(1.0 - rho_hat, x))  # ln K_{1-rho_hat}
-        if rho > 0.0:
-            if m == 0:
-                return l_a, "series"
-            # K_{rho_hat - 1} = K_{1 - rho_hat} by symmetry
-            lo, hi = l_b, l_a
-            order0, steps = rho_hat, m
-        else:
-            if m == 1:
-                return l_b, "series"
-            lo, hi = l_a, l_b
-            order0, steps = 1.0 - rho_hat, m - 1
-    order = order0
+        return _ladder(math.log(k0), math.log(k1), 1.0, m - 1, x), "recurrence"
+    rho_hat = abs(rho)
+    l_a = math.log(_k_base_fractional(rho_hat, x))        # ln K_{rho_hat}
+    l_b = math.log(_k_base_fractional(1.0 - rho_hat, x))  # ln K_{1-rho_hat}
+    if rho > 0.0:
+        if m == 0:
+            return l_a, "series"
+        # K_{rho_hat - 1} = K_{1 - rho_hat} by symmetry
+        return _ladder(l_b, l_a, rho_hat, m, x), "recurrence"
+    if m == 1:
+        return l_b, "series"
+    return _ladder(l_a, l_b, 1.0 - rho_hat, m - 1, x), "recurrence"
+
+
+def _log_k_cf2(nu: float, x: float) -> float:
+    """ln K_nu(x) for 0 <= nu <= _NU_MAX and x > _SERIES_X_MAX.
+
+    Steed's evaluation of the continued fraction CF2 (Temme, J. Comput.
+    Phys. 19, 1975; Thompson & Barnett, J. Comput. Phys. 64, 1986) gives
+    K_mu and K_{mu+1} for mu = nu - round(nu), |mu| <= 1/2, with plain
+    arithmetic; then the pair climbs the upward ladder. It stops as soon
+    as a term is negligible, before the q_i, which grow like (2x)^i, can
+    overflow: at x > 1e17 that is the first term.
+    """
+    n = round(nu)
+    mu = nu - n
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)     # inf beyond 9e307, where d = h = 0 and s = 1 hold to rounding
+    d = h = delh = 1.0 / b
+    q1, q2 = 0.0, 1.0
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    i = 1
+    while abs(q * delh) > 1e-17 * s:
+        i += 1
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d_next = 1.0 / (b + a * d)
+        delh *= -a * d * d_next     # (b d_next - 1) delh, without its cancellation
+        d = d_next
+        h += delh
+        s += q * delh
+    # K_mu = sqrt(pi/2x) e^-x / s and K_{mu+1} = K_mu (mu + 1/2 + x - a1 h) / x
+    lk = 0.5 * (math.log(0.5 * math.pi) - math.log(x)) - x - math.log(s)
+    if n == 0:
+        return lk
+    return _ladder(lk, lk + math.log1p((mu + 0.5 - a1 * h) / x), mu + 1.0, n - 1, x)
+
+
+def _ladder(lo: float, hi: float, order: float, steps: int, x: float) -> float:
+    """ln K_{order+steps}(x) from lo = ln K_{order-1}, hi = ln K_order.
+
+    The upward ladder K_{v+1} = K_{v-1} + (2v/x) K_v runs in log space,
+    which is stable (all terms positive) and immune to overflow.
+    """
     for _ in range(steps):
         lo, hi = hi, _logaddexp(lo, math.log(2.0 * order / x) + hi)
         order += 1.0
-    return hi, "recurrence"
+    return hi
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -188,76 +228,33 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _k_asymptotic_scaled(nu: float, x: float) -> float | None:
-    # K_nu(x) e^x ~ sqrt(pi/2x) sum_k a_k(nu)/x^k; None if the series does
-    # not reach machine precision while still decreasing.
-    mu = 4.0 * nu * nu
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
-        if abs(term) >= prev:
-            return None
-        s += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * abs(s):
-            return math.sqrt(math.pi / (2.0 * x)) * s
-    return None
-
-
-# classical_gas keeps its own copy: this one feeds the literal closed
-# forms through K_nu, that one the oracles that check them
-def _log_cosh(u: float) -> float:
-    u = abs(u)
-    return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
-
-
-def _k_quadrature_scaled(nu: float, x: float) -> tuple[float, float]:
-    """K_nu(x) e^x by adaptive quadrature of the cosh representation."""
-    from .oracles import integrate_semi_infinite
-
-    def integrand(t: float) -> float:
-        # exp(-x (cosh t - 1)) cosh(nu t), assembled in log space
-        if t >= 350.0:
-            return 0.0
-        expo = _log_cosh(nu * t) - x * (math.cosh(t) - 1.0)
-        if expo < -745.0:
-            return 0.0
-        return math.exp(expo)
-
-    res = integrate_semi_infinite(integrand, 0.0, rel_tol=1e-12, abs_tol=1e-280)
-    return res.value, res.abs_error_estimate
-
-
 def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
-    """ln K_nu(x); never overflows on the supported (nu, x) region.
+    """ln K_nu(x) for |nu| <= 50 and finite x > 0; never overflows.
 
     The one branch dispatch for K: bessel_k and bessel_k_scaled
-    exponentiate its result.
+    exponentiate its result. At x <= 4 the series cancels for orders
+    near, but not at, an integer; that band is refused by name.
     """
-    if not (x > 0.0):
-        raise SpecialFunctionDomainError(f"bessel_k requires x > 0, got x={x!r}")
-    if abs(nu) > _NU_MAX:
+    if not (0.0 < x < math.inf):
+        raise SpecialFunctionDomainError(f"bessel_k requires x > 0 and finite, got x={x!r}")
+    if not abs(nu) <= _NU_MAX:
         raise SpecialFunctionRangeError(
             f"order |nu|={abs(nu)} outside supported range <= {_NU_MAX}"
         )
     nu = abs(nu)  # K_{-nu} = K_nu
-    if x <= _SERIES_X_MAX and not _INT_SNAP < abs(nu - round(nu)) < _NEAR_INT:
-        lk, method = _log_k_small(nu, x)
-        # the dominant small-x error is series cancellation, growing ~ e^(2x)
+    if x > _SERIES_X_MAX:
+        lk = _log_k_cf2(nu, x)
+        # rounding of the ln terms and of each ladder step
         return SpecialFunctionResult(
-            lk, 1e-15 * (1.0 + nu) + 5e-16 * math.exp(2.0 * x), method
-        )
-    scaled = _k_asymptotic_scaled(nu, x) if x >= _ASYM_X_MIN else None
-    if scaled is not None:
-        return SpecialFunctionResult(math.log(scaled) - x, 1e-14 * max(1.0, x), "asymptotic")
-    # near-integer fractional orders at small x come here too
-    val, err = _k_quadrature_scaled(nu, x)
-    return SpecialFunctionResult(
-        math.log(val) - x, (err / val) + 1e-15 * (abs(math.log(val)) + x),
-        "quadrature",
-    )
+            lk, 1e-15 * (1.0 + nu) + 4e-16 * x + 4e-16 * abs(lk), "continued_fraction")
+    if _INT_SNAP < abs(nu - round(nu)) < _NEAR_INT:
+        raise SpecialFunctionRangeError(
+            f"bessel_k({nu}, {x}): orders in the near-integer band {_INT_SNAP:g} < "
+            f"|nu - round(nu)| < {_NEAR_INT:g} are not evaluated at x <= "
+            f"{_SERIES_X_MAX:g}, where their series cancels")
+    lk, method = _log_k_small(nu, x)
+    # the dominant small-x error is series cancellation, growing ~ e^(2x)
+    return SpecialFunctionResult(lk, 1e-15 * (1.0 + nu) + 5e-16 * math.exp(2.0 * x), method)
 
 
 def _exp_result(log_res: SpecialFunctionResult, what: str,

@@ -390,12 +390,12 @@ class TestAverageEnergy:
         assert reports[-1].quantity_name == "average_energy_classical"
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("T, want", [(0.1, 8), (1.3, 6)])
+    @pytest.mark.parametrize("T, want", [(0.1, 6), (1.3, 6)])
     def test_classical_point_computes_each_shared_value_once(self, monkeypatch, T, want):
         # K_0(z), K_1(z), F(x), the printed F(x), the e^z-scaled kinetic
         # integral and the position norm are computed once per temperature:
-        # six quadratures. At T = 0.1 (z = 10) bessel_k takes its quadrature
-        # branch for K_0 and K_1, and specfun's calls count too
+        # six quadratures, on either side of bessel_k's x_c (z = 10 and
+        # 1/1.3), where K runs no quadrature
         calls = []
         quad = integrate_semi_infinite
 

@@ -617,6 +617,31 @@ class TestRowRunner:
             cli._row({"T": 1.0}, "some_row", thunk)
 
 
+def test_an_engine_defect_moves_the_bessel_rows(monkeypatch):
+    # the printed Bessel forms run on specfun, their oracles on the quadrature
+    # engine: an engine that returns 1.001 times each integral must show in
+    # every kinetic-identity row of verify and in the classical g_function
+    # and relativistic Z2 rows at T = 0.1 (z = 10)
+    quad = oracles.integrate_semi_infinite
+
+    def defective(*args, **kwargs):
+        return quad(*args, **kwargs).scaled(1.001)
+
+    for module in (oracles, cg):
+        monkeypatch.setattr(module, "integrate_semi_infinite", defective)
+    cfg = RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+    with memo.memo_scope():
+        kinetic = [cli._row({}, name, thunk) for _, name, thunk in cli._verify_rows(cfg)
+                   if name.startswith(("sinh-squared identity", "energy-weighted corollary"))]
+    with memo.memo_scope():
+        rows, _ = cli._classical_point(cfg, 0.1)
+        bessel = [cli._row({"T": 0.1}, name, thunk) for name, thunk in rows
+                  if name in ("g_function", "relativistic_harmonic_partition_z2")]
+    assert len(kinetic) == 8 and len(bessel) == 2
+    for report in kinetic + bessel:
+        assert report.rel_dev >= 5e-4, (report.quantity_name, report.rel_dev)
+
+
 class TestMemoScopes:
     @pytest.mark.parametrize("command, grid", [
         ("classical", [1.3, 0.1, 1.3]),
@@ -654,7 +679,7 @@ class TestMemoScopes:
         assert one == two
         assert one[1] == one[2] and one[1][1] > 0
         if command == "classical":
-            assert one == [(0.1, 8), (1.3, 6), (1.3, 6)]
+            assert one == [(0.1, 6), (1.3, 6), (1.3, 6)]
 
     @pytest.mark.parametrize("command", ["classical", "quantum"])
     def test_no_scope_outlives_main(self, tmp_path, command):

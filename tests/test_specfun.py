@@ -3,6 +3,10 @@ recurrence and symmetry properties, and honesty of the error estimates
 against high-precision re-evaluation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -57,11 +61,56 @@ class TestBesselK:
             return
         assert got.value == pytest.approx(mp_besselk(nu, x), rel=1e-10)
 
-    @pytest.mark.parametrize("x", [3.99, 4.01, 15.9, 16.1])
+    @pytest.mark.parametrize("x", [sf._SERIES_X_MAX - 0.01, sf._SERIES_X_MAX + 0.01])
     def test_cross_branch_boundaries(self, x):
-        # values straddling the branch switches must agree with the reference
+        # values straddling the switch from the series to CF2 must agree
+        # with the reference
         got = sf.bessel_k(0.25, x)
         assert got.value == pytest.approx(mp_besselk(0.25, x), rel=1e-11)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.999, 1.0, 1.25, 2.25, 7.5, 9.7, 30.0])
+    def test_continued_fraction_within_its_estimate(self, nu):
+        # from just above x_c to the largest double: a finite ln K whose
+        # true error, against 30 digits, is within the reported estimate
+        xc = sf._SERIES_X_MAX
+        xs = [xc * (1.0 + 1e-12), xc + 0.01, 4.5, 5.0, 6.5, 8.0, 10.0, 13.0, 16.0, 20.0,
+              31.9, 50.0, 100.0, 135.0, 270.0, 400.0, 700.0,
+              1e3, 1e8, 1e154, 1e205, 1e300, 1.7e308]
+        with mpmath.workdps(30):
+            for x in xs:
+                got = sf.log_bessel_k(nu, x)
+                assert got.method == "continued_fraction" and math.isfinite(got.value)
+                ref = mpmath.log(mpmath.besselk(nu, x))
+                assert abs(mpmath.mpf(got.value) - ref) <= got.abs_error_estimate, x
+
+    def test_values_beyond_double_range_are_named(self):
+        # the log route answers; the value form raises the named overflow
+        for nu, x in ((0.0, 1e3), (1.0, 1e300), (2.25, 1.7e308)):
+            assert math.isfinite(sf.log_bessel_k(nu, x).value)
+            with pytest.raises(sf.SpecialFunctionOverflow, match=r"bessel_k\("):
+                sf.bessel_k(nu, x)
+        with pytest.raises(sf.SpecialFunctionDomainError, match="finite"):
+            sf.log_bessel_k(0.0, math.inf)
+
+    def test_near_integer_band_above_x_c(self):
+        # refused at x <= x_c (test_scaled_and_log_variants_consistent),
+        # evaluated above it
+        got = sf.log_bessel_k(1.0005, 5.0)
+        assert got.method == "continued_fraction"
+        assert got.value == pytest.approx(float(mpmath.log(mpmath.besselk(1.0005, 5.0))),
+                                          rel=1e-14)
+
+    def test_specfun_loads_no_oracle(self):
+        # the printed closed forms run on specfun, their oracles on the
+        # quadrature engine: a fresh interpreter that imports specfun and
+        # evaluates K on both sides of x_c has not loaded the engine
+        src = Path(sf.__file__).resolve().parents[1]
+        probe = ("import sys, anhgas.specfun as sf\n"
+                 "for x in (1.0, 4.05, 10.0, 20.0): sf.bessel_k(0.0, x), sf.bessel_k(1.25, x)\n"
+                 "print('anhgas.oracles' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert out.stdout.strip() == "False"
 
     def test_symmetry_in_order(self):
         for nu in (0.25, 1.25, 7.4):
@@ -118,7 +167,7 @@ class TestBesselK:
         methods = {}
         for nu, x in ((0.25, 0.7), (1.0, 0.7), (3.5, 0.7), (3.5, 3.9), (0.25, 5.0),
                       (1.0, 5.0), (3.5, 12.0), (0.25, 120.0), (1.0, 120.0),
-                      (3.5, 120.0), (1.0005, 2.0), (2.9995, 0.5)):
+                      (3.5, 120.0)):
             lk = sf.log_bessel_k(nu, x)
             k = sf.bessel_k(nu, x)
             ks = sf.bessel_k_scaled(nu, x)
@@ -126,9 +175,13 @@ class TestBesselK:
             assert ks.value == math.exp(lk.value + x)
             assert k.method == ks.method == lk.method
             methods[(nu, x)] = lk.method
-        assert set(methods.values()) == {"series", "recurrence", "asymptotic", "quadrature"}
-        # the near-integer orders at small x take the quadrature branch
-        assert methods[(1.0005, 2.0)] == methods[(2.9995, 0.5)] == "quadrature"
+        assert set(methods.values()) == {"series", "recurrence", "continued_fraction"}
+        # the near-integer orders at small x, where the series cancels, are
+        # refused by name
+        for nu, x in ((1.0005, 2.0), (2.9995, 0.5)):
+            for f in (sf.log_bessel_k, sf.bessel_k, sf.bessel_k_scaled):
+                with pytest.raises(sf.SpecialFunctionRangeError, match="near-integer band"):
+                    f(nu, x)
 
 
 class TestBesselKDerivative:
