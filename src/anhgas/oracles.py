@@ -87,26 +87,25 @@ _WG = (
 
 
 def _gk15(f: Callable[[float], float], lo: float, hi: float,
-          transform: str | None = None, a: float = 0.0) -> tuple[float, float]:
+          a: float | None = None) -> tuple[float, float]:
     """One Gauss-Kronrod panel on [lo, hi]; returns (K15 value, error estimate).
 
-    With a ``transform`` the panel lies in (0, 1) and f is integrated over
-    [a, inf) through that map, applied here at each node: ``rational`` is
-    y = a + t/w with Jacobian 1/w^2, ``exp`` is y = a - ln w with
-    Jacobian 1/w, where w = 1 - t.  The nodes are written out (no loop, no
-    wrapper call per node): the centre, then the seven -/+ pairs from the
-    outermost in, and K15 and G7 accumulate in that order.  NaN is looked
-    for once per panel, in the K15 sum.  A node at t = 1, where y = inf,
-    raises a ValueError that names the map and the panel.  Written out
-    because a loop over the nodes with the same maps and float order made
-    the classical sweep about 1.36x slower.
+    With a lower limit ``a`` the panel lies in (0, 1) and f is integrated
+    over [a, inf) through the rational map y = a + t/w, w = 1 - t, with
+    Jacobian 1/w^2, applied here at each node.  The nodes are written out
+    (no loop, no wrapper call per node): the centre, then the seven -/+
+    pairs from the outermost in, and K15 and G7 accumulate in that order.
+    NaN is looked for once per panel, in the K15 sum.  A node at t = 1,
+    where y = inf, raises a ValueError that names the map and the panel.
+    Written out because a loop over the nodes with the same map and float
+    order made the classical sweep about 1.36x slower.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x0, x1, x2, x3, x4, x5, x6, _ = _XGK
     d0, d1, d2, d3 = half * x0, half * x1, half * x2, half * x3
     d4, d5, d6 = half * x4, half * x5, half * x6
-    if transform is None:
+    if a is None:
         fc = f(mid)
         l0, r0 = f(mid - d0), f(mid + d0)
         l1, r1 = f(mid - d1), f(mid + d1)
@@ -117,49 +116,28 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float,
         l6, r6 = f(mid - d6), f(mid + d6)
     else:
         try:
-            if transform == "rational":
-                # y = a + t/w with dy = dt/w^2
-                fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
-                l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
-                r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
-                l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
-                r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
-                l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
-                r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
-                l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
-                r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
-                l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
-                r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
-                l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
-                r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
-                l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
-                r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
-            else:
-                # y = a - ln w with dy = dt/w
-                log = math.log
-                fc = f(a - log(w := 1.0 - mid)) / w
-                l0 = f(a - log(w := 1.0 - (mid - d0))) / w
-                r0 = f(a - log(w := 1.0 - (mid + d0))) / w
-                l1 = f(a - log(w := 1.0 - (mid - d1))) / w
-                r1 = f(a - log(w := 1.0 - (mid + d1))) / w
-                l2 = f(a - log(w := 1.0 - (mid - d2))) / w
-                r2 = f(a - log(w := 1.0 - (mid + d2))) / w
-                l3 = f(a - log(w := 1.0 - (mid - d3))) / w
-                r3 = f(a - log(w := 1.0 - (mid + d3))) / w
-                l4 = f(a - log(w := 1.0 - (mid - d4))) / w
-                r4 = f(a - log(w := 1.0 - (mid + d4))) / w
-                l5 = f(a - log(w := 1.0 - (mid - d5))) / w
-                r5 = f(a - log(w := 1.0 - (mid + d5))) / w
-                l6 = f(a - log(w := 1.0 - (mid - d6))) / w
-                r6 = f(a - log(w := 1.0 - (mid + d6))) / w
-        except (ValueError, ZeroDivisionError) as exc:
-            # at a node t = 1 the map itself fails, in this frame: ln 0 or
-            # t/0.  Anything raised inside f, or with no node at t = 1,
-            # passes through unchanged
+            fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
+            l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
+            r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
+            l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
+            r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
+            l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
+            r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
+            l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
+            r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
+            l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
+            r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
+            l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
+            r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
+            l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
+            r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
+        except ZeroDivisionError as exc:
+            # a node at t = 1 fails in this frame (t/0); anything raised
+            # inside f, or with no node at t = 1, passes through unchanged
             if exc.__traceback__.tb_next is not None or mid + d0 < 1.0:
                 raise
             raise ValueError(
-                f"the {transform} map of [{a!r}, inf) put a node at t = 1, "
+                f"the rational map of [{a!r}, inf) put a node at t = 1, "
                 f"where y = inf, in the panel [{lo!r}, {hi!r}]"
             ) from exc
     s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
@@ -188,15 +166,14 @@ def _adaptive(
     rel_tol: float,
     abs_tol: float,
     max_evals: int,
-    transform: str | None = None,
-    a: float = 0.0,
+    a: float | None = None,
 ) -> QuadratureResult:
     """Adaptive bisection of [lo, hi] with _gk15 panels: split the panel
     with the largest error estimate until the budget, the tolerance or
     float resolution stops it, then re-sum the panels in sorted order."""
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
-    val, err = _gk15(f, lo, hi, transform, a)
+    val, err = _gk15(f, lo, hi, a)
     heap: list[tuple[float, float, float, float, float]] = [(-err, lo, hi, val, err)]
     total, total_err = val, err
     evals = 15
@@ -207,8 +184,8 @@ def _adaptive(
             # interval at float resolution; keep its estimate
             heapq.heappush(heap, (0.0, p_lo, p_hi, v, e))
             break
-        v1, e1 = _gk15(f, p_lo, midpoint, transform, a)
-        v2, e2 = _gk15(f, midpoint, p_hi, transform, a)
+        v1, e1 = _gk15(f, p_lo, midpoint, a)
+        v2, e2 = _gk15(f, midpoint, p_hi, a)
         evals += 30
         total += v1 + v2 - v
         total_err += e1 + e2 - e
@@ -239,21 +216,16 @@ def integrate_semi_infinite(
     a: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-300,
-    transform: str = "rational",
     max_evals: int = 200_000,
 ) -> QuadratureResult:
-    """Integral of f over [a, inf).
+    """Integral of f over [a, inf), mapped onto (0, 1) by y = a + t/(1-t).
 
-    The interval is first mapped onto (0, 1); ``rational`` uses
-    y = a + t/(1-t), ``exp`` uses y = a - ln(1-t), which stops at y = a + 36.7,
-    where t rounds to 1.  Both maps are in units of y: an integrand of
-    another width, or with an edge at a, is integrated over a coordinate
-    its caller chooses (y = y0 + L s, with the Jacobian L in the integrand).
-    The two maps must agree within tolerances (transform invariance).
+    The map is in units of y: an integrand of another width, with an edge
+    at a, or with a tail the map should reach another way, is integrated
+    over a coordinate its caller chooses, with the Jacobian in the
+    integrand (over [0, 1) by integrate_finite, for a map of its own).
     """
-    if transform not in ("rational", "exp"):
-        raise ValueError(f"unknown transform {transform!r}")
-    return _adaptive(f, 0.0, 1.0, rel_tol, abs_tol, max_evals, transform, a)
+    return _adaptive(f, 0.0, 1.0, rel_tol, abs_tol, max_evals, a)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import specfun as sf
 from .memo import memo_scope, shared_value
-from .oracles import QuadratureResult, SeriesTruncation, integrate_semi_infinite
+from .oracles import QuadratureResult, SeriesTruncation, integrate_finite, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
 
@@ -323,15 +323,25 @@ def _resolve_cut(d: DimensionlessCouplings, cutoff_convention: str) -> float:
     raise ValueError(f"unknown cutoff convention {cutoff_convention!r}")
 
 
-def _massless_integral(d: DimensionlessCouplings, lower: float, transform: str,
-                       series_tol: float) -> QuadratureResult:
-    # over y = lower + L s, lower = max(cut, y_star): the integrand vanishes at or
-    # below it, so it stands in for the cut
+def _massless_literal(d: DimensionlessCouplings, lower: float) -> QuadratureResult:
+    # over y = lower + L s; the integrand vanishes at or below lower = max(cut, y_star)
     width = _width(d)
     return integrate_semi_infinite(
-        lambda s: massless_integrand(lower + width * s, d, lower, series_tol) * width,
-        0.0, rel_tol=_DENSITY_REL_TOL, transform=transform,
-    )
+        lambda s: massless_integrand(lower + width * s, d, lower, 1e-12) * width,
+        0.0, rel_tol=_DENSITY_REL_TOL)
+
+
+def _massless_oracle(d: DimensionlessCouplings, lower: float) -> QuadratureResult:
+    # over t in [0, 1), y = lower - L ln(1 - t), dy = L dt/(1 - t): the e^{-y} tail
+    # becomes a vanishing (1 - t)^L factor, and y = inf at t = 1 is named, not ln 0
+    width = _width(d)
+
+    def f(t: float) -> float:
+        if (w := 1.0 - t) == 0.0:
+            raise ValueError(f"the exp map of [{lower!r}, inf) put a node at t = 1, where y = inf")
+        return massless_integrand(lower - width * math.log(w), d, lower, 5e-13) * width / w
+
+    return integrate_finite(f, 0.0, 1.0, rel_tol=_DENSITY_REL_TOL)
 
 
 def energy_density_massless(
@@ -342,12 +352,13 @@ def energy_density_massless(
 
     Boltzmann weights use exp(-f_n) throughout (the lone positive-exponent
     display is treated as a sign slip; the positive form diverges).
-    Literal and oracle integrate the same mode sum under two maps and
-    tolerances, so they check the quadrature, not the mode sum; the other
-    cutoff convention's value is echoed in options_used. Both integrate
-    over y = lower + L s, lower = max(cut, y_star) and L = 4 max(1, 2 a_B^(1/3))
-    the width of the mode-sum weight, so both maps reach its e^{-y} tail
-    at any temperature.
+    Literal and oracle integrate the same mode sum over two coordinates,
+    so they check the quadrature, not the mode sum; the other cutoff
+    convention's value is echoed in options_used. With lower = max(cut,
+    y_star) and L = 4 max(1, 2 a_B^(1/3)) the width of the mode-sum weight,
+    the literal runs over y = lower + L s under the engine's rational map,
+    the oracle over t in [0, 1) with y = lower - L ln(1 - t); both reach
+    its e^{-y} tail at any temperature.
 
     Each integral is a memo.shared_value. At kappa^2 <= 1/3 both cuts
     resolve to y_star, the other cut's integral is the literal's, and the
@@ -358,12 +369,12 @@ def energy_density_massless(
     pref = _density_prefactor(t)
     other = "kappa_literal" if cutoff_convention == "y_star" else "y_star"
     lower, other_lower = (max(cut, d.y_star) for cut in (y_cut, _resolve_cut(d, other)))
-    literal_q = shared_value(_massless_integral, d, lower, "rational", 1e-12)
+    literal_q = shared_value(_massless_literal, d, lower)
     name = "int y^2 <E>(y) dy"     # <E>(y): the mean mode energy
     quads = {f"{name}, rational map": literal_q,
-             f"{name}, exp map": shared_value(_massless_integral, d, lower, "exp", 5e-13),
+             f"{name}, exp map": shared_value(_massless_oracle, d, lower),
              f"{name} above the {other} cut": literal_q if other_lower == lower else
-             shared_value(_massless_integral, d, other_lower, "rational", 1e-12)}
+             shared_value(_massless_literal, d, other_lower)}
     literal, oracle, other_val = (pref * q.value for q in quads.values())
     return compare(
         "energy_density_massless",
@@ -391,11 +402,11 @@ def energy_density_massive(
     """Massive-gas energy density: printed radicand vs dispersion-corrected.
 
     The printed square root uses (kT/Mc^2)^2 y - 1, linear in y; the
-    corrected mode squares the whole combination.  Both are computed and
-    paired.  Where both are 0 the mode-sum weight underflowed, since the
-    window [lower, inf) is never empty: the row is FLAGGED and marked
-    "underflow": true, the massless rows' mark.
-    Each integral runs over v, y = lower + L v^2, lower the largest of the
+    corrected mode squares the whole combination.  A (T/M)^2 out of double
+    range raises an OverflowError naming T and M.  Where both are 0 the
+    mode-sum weight underflowed (the window [lower, inf) is never empty):
+    the row is FLAGGED and marked "underflow": true, the massless rows' mark.
+    Both integrals run over v, y = lower + L v^2, lower the largest of the
     radicand's zero, the cut and y_star, and L = 4 max(1, 2 a_B^(1/3)):
     where lower is the radicand's zero, the square root vanishes like
     sqrt(y - lower), which is linear in v, so the integrand is smooth there.
@@ -405,12 +416,16 @@ def energy_density_massive(
     d = dimensionless_couplings(p, t)
     y_cut = _resolve_cut(d, cutoff_convention)
     q = t.T / mass_gas
+    try:
+        if (printed_zero := 1.0 / q**2) == 0.0:     # the printed radicand's zero
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError(f"(T/M)^2 leaves double range at T={t.T!r}, M={mass_gas!r}") from None
     pref = mass_gas * t.T / (2.0 * math.pi**2)
     width = _width(d)
 
-    def run(mode: str, transform: str) -> QuadratureResult:
-        y_min = 1.0 / q**2 if mode == "printed" else 1.0 / q
-        lower = max(y_min, y_cut, d.y_star)
+    def run(mode: str) -> QuadratureResult:
+        lower = max(printed_zero if mode == "printed" else 1.0 / q, y_cut, d.y_star)
 
         def f(v: float) -> float:
             y = lower + width * v * v
@@ -420,23 +435,19 @@ def energy_density_massive(
             # mean * y * sqrt(radicand) * dy/dv; zero outside the window
             return massless_integrand(y, d, y_cut) / y * math.sqrt(rad) * (2.0 * width * v)
 
-        return integrate_semi_infinite(f, 0.0, rel_tol=_DENSITY_REL_TOL, transform=transform)
+        return integrate_semi_infinite(f, 0.0, rel_tol=_DENSITY_REL_TOL)
 
-    quads = {"printed-radicand density integral over v": run("printed", "rational"),
-             "dispersion density integral over v, rational map": run("dispersion", "rational"),
-             "dispersion density integral over v, exp map": run("dispersion", "exp")}
-    literal, corrected, dual = (pref * q.value for q in quads.values())
+    quads = {"printed-radicand density integral over v": run("printed"),
+             "dispersion density integral over v": run("dispersion")}
+    literal, corrected = (pref * q.value for q in quads.values())
     rep = compare(
         "energy_density_massive",
         literal,
         corrected,
         threshold=0.05,
         provenance="massive-gas density, printed radicand vs dispersion-corrected",
-        options_used={
-            "T": t.T, "mass_gas": mass_gas, "q": q,
-            "cutoff_convention": cutoff_convention,
-            "corrected_dual_transform": dual,
-        },
+        options_used={"T": t.T, "mass_gas": mass_gas, "q": q,
+                      "cutoff_convention": cutoff_convention},
         quadratures=quads,
     )
     if literal == 0.0 and corrected == 0.0:

@@ -1,5 +1,6 @@
 """CLI contract: config round-trip, CSV schema, exit codes, determinism."""
 
+import functools
 import json
 import math
 import os
@@ -368,17 +369,17 @@ class TestQuantumCommand:
         assert (out / "spectral_density.csv").read_text() == "T,y,integrand\n"
 
     def test_a_failing_convention_errors_only_its_own_row(self, tmp_path, monkeypatch):
-        # at T = 0.01 the kappa_literal oracle integral (exp map above the cut
-        # 3 kappa^2 = 50) is made to raise; the y_star row, which integrates
-        # above that cut too but under the rational map, is unaffected
-        real = qg._massless_integral
+        # at T = 0.01 the kappa_literal oracle integral (exp coordinate above
+        # the cut 3 kappa^2 = 50) is made to raise; the y_star row, which
+        # integrates above that cut too but as a literal, is unaffected
+        real = qg._massless_oracle
 
-        def failing(d, lower, transform, series_tol):
-            if transform == "exp" and lower == 50.0:
+        def failing(d, lower):
+            if lower == 50.0:
                 raise ValueError("exp map failure above the kappa_literal cut")
-            return real(d, lower, transform, series_tol)
+            return real(d, lower)
 
-        monkeypatch.setattr(qg, "_massless_integral", failing)
+        monkeypatch.setattr(qg, "_massless_oracle", failing)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
@@ -395,11 +396,12 @@ class TestQuantumCommand:
                                             "above the kappa_literal cut")
 
     def test_quadrature_failures_error_with_their_cause(self, tmp_path, monkeypatch):
-        # with the massless coordinate unscaled (y = lower + s), its exp map at
-        # T = 0.05 puts a node at t = 1, where y = inf, because the mode-sum
-        # weight reaches past y = 36.7.  The massive coordinate y = lower + v^2
-        # reaches y = lower + 1350 before t rounds to 1, so its integrand is made
-        # to return NaN past v = 1.  Each row is ERROR and names its failure
+        # with the oracle's exp coordinate unscaled (y = lower - ln(1 - t)), it
+        # puts a node at t = 1, where y = inf, at T = 0.05, because the mode-sum
+        # weight reaches past y = lower + 36.7.  The massive coordinate
+        # y = lower + v^2 reaches y = lower + 1350 before t rounds to 1, so its
+        # integrand is made to return NaN past v = 1.  Each row is ERROR and
+        # names its failure
         monkeypatch.setattr(qg, "_width", lambda d: 1.0)
         real = qg.integrate_semi_infinite
 
@@ -452,9 +454,9 @@ class TestQuantumCommand:
     def test_unconverged_quadratures_error_each_row(self, tmp_path, monkeypatch):
         # with a 15-evaluation budget no density quadrature converges; every
         # row, the series row's oracle included, is ERROR and names its integral
-        real = qg.integrate_semi_infinite
-        monkeypatch.setattr(qg, "integrate_semi_infinite",
-                            lambda *args, **kwargs: real(*args, **kwargs, max_evals=15))
+        for integrator in ("integrate_semi_infinite", "integrate_finite"):
+            monkeypatch.setattr(qg, integrator, functools.partial(getattr(qg, integrator),
+                                                                  max_evals=15))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1},
@@ -470,8 +472,7 @@ class TestQuantumCommand:
                                                        "int y^2 <E>(y) dy, exp map",
                                                        "int y^2 <E>(y) dy above the y_star cut"],
             "energy_density_massive": ["printed-radicand density integral over v",
-                                       "dispersion density integral over v, rational map",
-                                       "dispersion density integral over v, exp map"],
+                                       "dispersion density integral over v"],
             "series_energy_density": ["int y^2 <f e^-f> (1 - e^-y) dy"],
         }
         rows = [line.split(",")[1] for line in
@@ -505,6 +506,25 @@ def test_an_overflowing_power_names_its_expression(tmp_path, command, raw):
             if command == "classical" else "a_A = -mu^2/(16 m^3 T^5), a_B = 3 lam/(4 m^2 T^3)")
     n_named = sum(want in p for p in provenance)
     assert n_named == (9 if command == "classical" else len(provenance))
+
+
+@pytest.mark.parametrize("mass", [1e-200, 1e200])
+def test_an_extreme_gas_mass_names_t_over_m_squared(tmp_path, mass):
+    # (T/M)^2 overflows at M = 1e-200 and underflows to 0 at M = 1e200: the
+    # massive row is ERROR and names the expression, not an errno or a 1/0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1.0],
+                               "options": {"massive_gas_mass": mass}}))
+    out = tmp_path / "out"
+    assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
+    rows = (out / "quantum.csv").read_text().splitlines()[1:]
+    assert rows[2] == "1,energy_density_massive,,,,ERROR"
+    assert [r.rsplit(",", 1)[1] for r in rows[:2]] == ["PASS", "PASS"]
+    text = (out / "quantum_reports.json").read_text()
+    assert "Numerical result out of range" not in text and "division by zero" not in text
+    reports = json.loads(text)
+    assert reports[2]["provenance"] == ("evaluation failure: (T/M)^2 leaves double range "
+                                        f"at T=1.0, M={mass!r}")
 
 
 @pytest.mark.parametrize("command, raw, n_rows", [

@@ -10,7 +10,8 @@ import pytest
 from anhgas import memo
 from anhgas import quantum_gas as qg
 from anhgas.memo import memo_scope
-from anhgas.oracles import SeriesTruncation, diagonalize_truncated, integrate_semi_infinite
+from anhgas.oracles import (SeriesTruncation, diagonalize_truncated, integrate_finite,
+                            integrate_semi_infinite)
 from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
 
@@ -358,16 +359,17 @@ class TestMasslessEnergyDensity:
         assert star.status is Status.PASS and "underflow" not in star.options_used
 
     def test_the_exp_map_evaluation_budget(self):
-        # over y = lower + L s the exp map turns the e^-y tail into a vanishing
+        # over y = lower - L ln(1 - t) the e^-y tail becomes a vanishing
         # (1-t)^L factor; over y itself, this integral took 1005 evaluations
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
         with memo_scope():
             qg.energy_density_massless(p, t_of(1.0))
-            # keys are (qg._massless_integral, d, lower, transform, series_tol)
-            (exp_map,) = [q for key, q in memo.current().items() if key[3] == "exp"]
+            # keys are (qg._massless_oracle, d, lower)
+            (exp_map,) = [q for key, q in memo.current().items()
+                          if key[0] is qg._massless_oracle]
         assert exp_map.converged and exp_map.evaluations <= 400
-        # the same floats as when the engine applied L: y = a - L ln w and
-        # f L / w are the same operations, done in the integrand
+        # the same floats as when the engine applied the exp map and L: the
+        # oracle's integrand does the same operations
         assert (float.hex(exp_map.value), float.hex(exp_map.abs_error_estimate),
                 exp_map.evaluations) == ("0x1.5bf49ba31dfc7p+2", "0x1.e0a2b92c09000p-29", 165)
 
@@ -395,14 +397,18 @@ class TestMasslessEnergyDensity:
         d = qg.dimensionless_couplings(p, t)
         shared = 3.0 * d.kappa_sq <= d.y_star
         assert shared == (mu == 0.1)
-        real = qg.integrate_semi_infinite
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(real):
+            def count(*args, **kwargs):
+                calls.append(args[1])
+                return real(*args, **kwargs)
+            return count
 
-        monkeypatch.setattr(qg, "integrate_semi_infinite", counting)
+        # the literal's integrals run on the rational map, the oracle's on
+        # its own exp coordinate
+        for integrator in ("integrate_semi_infinite", "integrate_finite"):
+            monkeypatch.setattr(qg, integrator, counting(getattr(qg, integrator)))
         separate = [qg.energy_density_massless(p, t, cutoff_convention=c)
                     for c in ("y_star", "kappa_literal")]
         assert len(calls) == (4 if shared else 6)
@@ -434,10 +440,29 @@ class TestMassiveEnergyDensity:
         assert rep.options_used["underflow"] is True and "window" not in rep.options_used
 
     def test_corrected_mode_dual_transform(self):
+        # the dispersion density integrated over v in the exp coordinate,
+        # v = -ln(1 - t), dv = dt/(1 - t), where the row uses the rational map
         p = OscillatorParams(m=1.0, omega=1.0)
-        rep = qg.energy_density_massive(p, 1.0, t_of(1.0))
-        dual = rep.options_used["corrected_dual_transform"]
-        assert rep.oracle == pytest.approx(dual, rel=1e-7)
+        t = t_of(1.0)
+        mass = 1.0
+        rep = qg.energy_density_massive(p, mass, t)
+        assert "corrected_dual_transform" not in rep.options_used
+        d = qg.dimensionless_couplings(p, t)
+        q, width = t.T / mass, qg._width(d)
+        lower = max(1.0 / q, d.y_star)       # the y_star cut
+
+        def f(v):
+            y = lower + width * v * v
+            rad = (q * y) ** 2 - 1.0
+            if rad <= 0.0:
+                return 0.0
+            return qg.massless_integrand(y, d, d.y_star) / y * math.sqrt(rad) * (2.0 * width * v)
+
+        res = integrate_finite(lambda s: f(-math.log(1.0 - s)) / (1.0 - s), 0.0, 1.0,
+                               rel_tol=1e-9)
+        assert res.converged
+        pref = mass * t.T / (2.0 * math.pi**2)
+        assert rep.oracle == pytest.approx(pref * res.value, rel=1e-8)
 
     @staticmethod
     def recorded(monkeypatch):
@@ -483,8 +508,8 @@ class TestMassiveEnergyDensity:
         t = t_of(temperature)
         results = self.recorded(monkeypatch)
         qg.energy_density_massive(p, mass, t, cut)
-        assert len(results) == 3
-        for res, mode in zip(results, ("printed", "dispersion", "dispersion")):
+        assert len(results) == 2
+        for res, mode in zip(results, ("printed", "dispersion")):
             want = self.y_space_reference(p, mass, t, cut, mode)
             assert res.converged
             assert res.value == pytest.approx(want, rel=1e-10, abs=0.0)
@@ -494,7 +519,16 @@ class TestMassiveEnergyDensity:
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
         results = self.recorded(monkeypatch)
         qg.energy_density_massive(p, 1.0, t_of(1.0))
-        assert [r.evaluations <= 300 and r.converged for r in results] == [True] * 3
+        assert [r.evaluations <= 300 and r.converged for r in results] == [True] * 2
+
+    @pytest.mark.parametrize("mass", [1e-200, 1e200])
+    def test_an_extreme_gas_mass_names_t_over_m_squared(self, mass):
+        # (T/M)^2 overflows at M = 1e-200 and underflows to 0 at M = 1e200; the
+        # error names the expression and its T and M, not an errno or a 1/0
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5, mu=0.1)
+        with pytest.raises(OverflowError) as got:
+            qg.energy_density_massive(p, mass, t_of(1.0))
+        assert str(got.value) == f"(T/M)^2 leaves double range at T=1.0, M={mass!r}"
 
     def test_printed_vs_corrected_deviation_is_reported(self):
         # the printed radicand is linear in y, the corrected one quadratic;
