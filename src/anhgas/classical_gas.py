@@ -14,7 +14,7 @@ import math
 
 from . import specfun as sf
 from .memo import shared_value
-from .oracles import QuadratureResult, integrate_semi_infinite
+from .oracles import QuadratureResult, QuadratureResults, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, compare
 
@@ -138,7 +138,7 @@ def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> 
         * bracket
     )
 
-    mom = shared_value(_kinetic_scaled, z, 1.0)  # e^z int sinh^2 cosh e^{-z cosh}
+    mom = shared_value(_kinetic_scaled, z, 1.0)[0]  # e^z int sinh^2 cosh e^{-z cosh}
     pos = _radial_gaussian_integral(0.5 * t.beta * p.m * w2)
     kin = 4.0 * math.pi * p.m ** 3 * mom.value * math.exp(-z)
     oracle = kin * (4.0 * math.pi * pos.value) / _TWO_PI ** 6
@@ -182,20 +182,25 @@ def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
     return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e)) * k
 
 
-def _kinetic_scaled(z: float, k: float) -> QuadratureResult:
-    # e^z int_0^inf sinh^2 t cosh^k t exp(-z cosh t) dt, safe for any z > 0
+def _kinetic_scaled(z: float, k: float) -> QuadratureResults:
+    # e^z int_0^inf sinh^2 t cosh^j t e^(-z cosh t) dt, j = k, k + 1, one pass, any z > 0;
+    # weight k + 1 is weight k times cosh t: no second exp, no overflow error to void k
     exp, cosh, log1p, log_weight = math.exp, math.cosh, math.log1p, _log_sinh2_cosh
 
-    def f(t: float) -> float:
+    def f(t: float) -> tuple[float, float]:
         if t <= 0.0 or t > 350.0:
-            return 0.0
+            return 0.0, 0.0
+        c = cosh(t)
         if t < 1e-8:
-            e = log_weight(t, k) - z * (cosh(t) - 1.0)
+            e = log_weight(t, k) - z * (c - 1.0)
         else:   # _log_sinh2_cosh inlined, operation for operation
             e2 = exp(-2.0 * t)
             e = (2.0 * (t - _LN2 + log1p(-e2)) + (t - _LN2 + log1p(e2)) * k
-                 - z * (cosh(t) - 1.0))
-        return exp(e) if e > -745.0 else 0.0
+                 - z * (c - 1.0))
+        if e > -745.0:
+            w = exp(e)
+            return w, w * c
+        return 0.0, 0.0
 
     try:
         return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
@@ -205,45 +210,45 @@ def _kinetic_scaled(z: float, k: float) -> QuadratureResult:
 
 def kinetic_radial_integral(z: float, k: float) -> QuadratureResult:
     """int_0^inf sinh^2 t cosh^k t exp(-z cosh t) dt (k = 0: K_1(z)/z; k = 1:
-    g_function_corrected(z)/z^3) as e^{-z} times the e^z-scaled quadrature;
-    at k = 1 one memo scope shares that quadrature with
+    g_function_corrected(z)/z^3) as e^{-z} times component 0 of the e^z-scaled
+    (k, k + 1) pass; at k = 1 one memo scope shares that pass with
     relativistic_harmonic_partition_z2 and average_energy_classical."""
     if not z > 0.0:
         raise ValueError(f"the kinetic radial integral requires z > 0, got z={z!r}")
-    return shared_value(_kinetic_scaled, z, k).scaled(math.exp(-z))
+    return shared_value(_kinetic_scaled, z, k)[0].scaled(math.exp(-z))
 
 
 # ---------------------------------------------------------------------------
 # the quartic-Gaussian function F and its companion G
 # ---------------------------------------------------------------------------
 
-def _quartic_gaussian(x: float, rel_tol: float, quartic: bool) -> QuadratureResult:
-    # int_0^inf u^2 [u^2 if quartic] exp(-4x u^2 - u^4) du, over w = c u
+def _quartic_gaussian(x: float, rel_tol: float) -> QuadratureResults:
+    # F(x) and -F'(x)/4 = int_0^inf u^2 [1, u^2] exp(-4x u^2 - u^4) du, one pass over w = c u
     if x < 0.0:
         raise ValueError(f"F requires x >= 0, got {x}")
     c = math.sqrt(math.sqrt(1.0 + (4.0 * x) ** 2))  # conditioning scale
     m4x = -4.0 * x
     exp = math.exp
 
-    def f(w: float) -> float:
+    def f(w: float) -> tuple[float, float]:
         uu = w / c
         e = m4x * uu * uu - uu**4
         v = uu * uu * exp(e) if e > -745.0 else 0.0
-        return v * uu * uu if quartic else v
+        return v, v * uu * uu
 
     res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
-    return QuadratureResult(res.value / c, res.abs_error_estimate / c,
-                            res.evaluations, res.converged)
+    return QuadratureResults(QuadratureResult(r.value / c, r.abs_error_estimate / c,
+                                              r.evaluations, r.converged) for r in res)
 
 
 def f_oracle(x: float, rel_tol: float = 1e-12) -> QuadratureResult:
     """Scale-invariant normal form F(x) = int_0^inf u^2 exp(-4x u^2 - u^4) du,
-    with its quadrature record.
+    with its quadrature record: component 0 of the shared (F, F') pass.
 
     This is the operational definition of the vibrational closed form: any
     (m, w, lam, T) realization of the same x reduces to this integral.
     """
-    return _quartic_gaussian(x, rel_tol, False)
+    return shared_value(_quartic_gaussian, x, rel_tol)[0]
 
 
 def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, float]:
@@ -255,22 +260,20 @@ def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, fl
     return a2, a4, scale
 
 
-def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
-                       potential: tuple[float, float] | None = None) -> QuadratureResult:
-    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [V(r)] dv over r = v * scale, with
-    # V(r) = h2 r^2 + lam r^4 for potential = (h2, lam); the integral over r
-    # is scale times this one
-    neg_a2 = -a2
-    exp = math.exp
-    h2, lam = potential or (0.0, 0.0)
+def _position_integral(p: OscillatorParams, beta: float, rel_tol: float) -> QuadratureResults:
+    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [1, V(r)] dv, r = v * scale, in one pass;
+    # the integrals over r are scale times these
+    a2, a4, scale = _position_weight(p, beta)
+    neg_a2, h2, lam, exp = -a2, 0.5 * p.m * p.omega**2, p.lam, math.exp
 
-    def f(v: float) -> float:
+    def f(v: float) -> tuple[float, float]:
         r = v * scale
-        e = neg_a2 * r * r - a4 * r**4
+        r4 = r**4
+        e = neg_a2 * r * r - a4 * r4
         if not e > -745.0:
-            return 0.0
+            return 0.0, 0.0
         w = r * r * exp(e)
-        return w if potential is None else w * (h2 * r * r + lam * r**4)
+        return w, w * (h2 * r * r + lam * r4)
 
     try:
         return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
@@ -280,10 +283,10 @@ def _position_integral(a2: float, a4: float, scale: float, rel_tol: float,
 
 def position_radial_integral(p: OscillatorParams, t: ThermalState,
                              rel_tol: float = 1e-12) -> QuadratureResult:
-    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr by quadrature,
-    a memo.shared_value: at rel_tol=1e-11 it is average_energy_classical's norm."""
-    a2, a4, scale = _position_weight(p, t.beta)
-    return shared_value(_position_integral, a2, a4, scale, rel_tol).scaled(scale)
+    """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr: component 0 of
+    the shared (norm, <V> moment) pass; at rel_tol=1e-11, the average energy's."""
+    scale = _position_weight(p, t.beta)[2]
+    return shared_value(_position_integral, p, t.beta, rel_tol)[0].scaled(scale)
 
 
 def f_closed_form(x: float) -> float:
@@ -305,8 +308,8 @@ def f_closed_form(x: float) -> float:
 
 
 def f_derivative(x: float) -> float:
-    """F'(x) = -4 int_0^inf u^4 exp(-4x u^2 - u^4) du, by its own quadrature."""
-    return -4.0 * _quartic_gaussian(x, 1e-12, True).value
+    """F'(x) = -4 int_0^inf u^4 exp(-4x u^2 - u^4) du: f_oracle's pass, component 1."""
+    return -4.0 * shared_value(_quartic_gaussian, x, 1e-12)[1].value
 
 
 def g_function(x: float) -> float:
@@ -349,7 +352,7 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
     f_q = f_oracle(x)
     literal = a0 * f_q.value * g_function(z)
 
-    mom = shared_value(_kinetic_scaled, z, 1.0)
+    mom = shared_value(_kinetic_scaled, z, 1.0)[0]
     log_kin = math.log(4.0 * math.pi * p.m ** 3) - z + math.log(mom.value)
     pos = position_radial_integral(p, t)
     oracle = 1.0 / _TWO_PI ** 6 * math.exp(log_kin) * 4.0 * math.pi * pos.value
@@ -369,19 +372,17 @@ def anharmonic_relativistic_partition(p: OscillatorParams, t: ThermalState) -> C
 def _average_energy_moments(
     p: OscillatorParams, t: ThermalState,
 ) -> tuple[float, dict[str, QuadratureResult]]:
-    # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four quadratures
+    # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four integrals
     z = relativistic_z(p, t)
-    a2, a4, scale = _position_weight(p, t.beta)
-    potential = (0.5 * p.m * p.omega**2, p.lam)
+    norm_k, moment_k = shared_value(_kinetic_scaled, z, 1.0)
+    norm_p, moment_p = shared_value(_position_integral, p, t.beta, 1e-11)
     quads = {
-        "int sinh^2 s cosh^2 s e^{-z cosh s} ds": _kinetic_scaled(z, 2.0),
-        "int sinh^2 s cosh s e^{-z cosh s} ds": shared_value(_kinetic_scaled, z, 1.0),
-        "int r^2 V(r) e^{-beta V(r)} dr":
-            _position_integral(a2, a4, scale, 1e-11, potential),
-        "int r^2 e^{-beta V(r)} dr": shared_value(_position_integral, a2, a4, scale, 1e-11),
+        "int sinh^2 s cosh^2 s e^{-z cosh s} ds": moment_k,
+        "int sinh^2 s cosh s e^{-z cosh s} ds": norm_k,
+        "int r^2 V(r) e^{-beta V(r)} dr": moment_p,
+        "int r^2 e^{-beta V(r)} dr": norm_p,
     }
-    num_k, den_k, num_p, den_p = (q.value for q in quads.values())
-    return p.m * num_k / den_k + num_p / den_p, quads
+    return p.m * moment_k.value / norm_k.value + moment_p.value / norm_p.value, quads
 
 
 def average_energy_quadrature(p: OscillatorParams, t: ThermalState) -> float:
@@ -431,20 +432,19 @@ def average_energy_classical(p: OscillatorParams, t: ThermalState) -> Comparison
     """Printed average-energy formula vs the moment ratios of
     average_energy_quadrature.
 
-    The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G.  An
-    unconverged quadrature on either side makes the report ERROR.
-    F(x), K_0(z), K_1(z), the scaled kinetic integral and the position norm go
-    through memo.shared_value.
+    The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G, from the
+    e^z-scaled K_0, K_1, where e^z cancels.  An unconverged quadrature on
+    either side makes the report ERROR.  All of it is memo.shared_value.
     """
     kt = t.T
     x = coupling_x(p, t)
     z = relativistic_z(p, t)
-    f_q = shared_value(f_oracle, x)
-    fp_q = _quartic_gaussian(x, 1e-12, True)               # F'(x) = -4 fp_q
+    f_q, fp_q = shared_value(_quartic_gaussian, x, 1e-12)     # F'(x) = -4 fp_q
+    k0, k1 = (shared_value(sf.bessel_k_scaled, nu, z).value for nu in (0.0, 1.0))
     literal = (
         0.75 * kt
         + math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * 4.0 * fp_q.value / f_q.value
-        - p.m * g_function_derivative(z) / g_function(z)
+        - p.m * (k0 * (1.0 - 2.0 * z * z) + z * k1) / (z * k0 + 2.0 * z * z * k1)
     )
     oracle, moments = _average_energy_moments(p, t)
     quadratures = {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,

@@ -217,7 +217,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
 
     def f_function():
         x = cg.coupling_x(p, t)
-        f_q = shared_value(cg.f_oracle, x)
+        f_q = cg.f_oracle(x)
         return compare("f_function", shared_value(cg.f_closed_form, x), f_q.value, 1e-6,
                        "printed quartic-Gaussian closed form vs defining integral",
                        {"x": x},

@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "QuadratureResult",
+    "QuadratureResults",
     "SeriesTruncation",
     "McEstimate",
     "IntegrandError",
@@ -46,6 +47,17 @@ class QuadratureResult:
         the evaluation count and convergence carry over."""
         return QuadratureResult(self.value * factor, self.abs_error_estimate * factor,
                                 self.evaluations, self.converged)
+
+
+class QuadratureResults(tuple):
+    """A QuadratureResult per component of a tuple integrand, from one pass:
+    the pass's evaluation count, converged only if every component is."""
+
+    evaluations = property(lambda self: self[0].evaluations)
+    converged = property(lambda self: all(r.converged for r in self))
+
+    def scaled(self, factor: float) -> QuadratureResults:
+        return QuadratureResults(r.scaled(factor) for r in self)
 
 
 @dataclass(frozen=True)
@@ -86,20 +98,18 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], float], lo: float, hi: float,
-          a: float | None = None) -> tuple[float, float]:
-    """One Gauss-Kronrod panel on [lo, hi]; returns (K15 value, error estimate).
-
-    With a lower limit ``a`` the panel lies in (0, 1) and f is integrated
-    over [a, inf) through the rational map y = a + t/w, w = 1 - t, with
-    Jacobian 1/w^2, applied here at each node.  The nodes are written out
-    (no loop, no wrapper call per node): the centre, then the seven -/+
-    pairs from the outermost in, and K15 and G7 accumulate in that order.
-    NaN is looked for once per panel, in the K15 sum.  A node at t = 1,
-    where y = inf, raises a ValueError that names the map and the panel.
-    Written out because a loop over the nodes with the same map and float
-    order made the classical sweep about 1.36x slower.
-    """
+def _gk15(f: Callable[[float], float | tuple[float, ...]], lo: float, hi: float,
+          a: float | None = None):
+    """One Gauss-Kronrod panel on [lo, hi]; returns (K15 value, error estimate), or
+    for an f that returns a tuple of floats, a list of each, per component and
+    bit for bit that component's float panel.  With a lower limit ``a`` the panel
+    lies in (0, 1) and f is integrated over [a, inf) through the rational map
+    y = a + t/w, w = 1 - t: each node keeps its w^2 (1 without the map) to divide
+    every component by.  The nodes are written out (a loop over them made the
+    classical sweep 1.36x slower): the centre, then the seven -/+ pairs from the
+    outermost in, K15 and G7 accumulating in that order.  NaN is looked for in
+    each K15 sum; a node at t = 1, where y = inf, is a ValueError naming the map
+    and the panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x0, x1, x2, x3, x4, x5, x6, _ = _XGK
@@ -114,23 +124,25 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float,
         l4, r4 = f(mid - d4), f(mid + d4)
         l5, r5 = f(mid - d5), f(mid + d5)
         l6, r6 = f(mid - d6), f(mid + d6)
+        jc = jl0 = jr0 = jl1 = jr1 = jl2 = jr2 = jl3 = jr3 = 1.0
+        jl4 = jr4 = jl5 = jr5 = jl6 = jr6 = 1.0
     else:
         try:
-            fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
-            l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
-            r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
-            l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
-            r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
-            l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
-            r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
-            l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
-            r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
-            l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
-            r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
-            l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
-            r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
-            l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
-            r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
+            fc, jc = f(a + mid / (w := 1.0 - mid)), w * w
+            l0, jl0 = f(a + (t := mid - d0) / (w := 1.0 - t)), w * w
+            r0, jr0 = f(a + (t := mid + d0) / (w := 1.0 - t)), w * w
+            l1, jl1 = f(a + (t := mid - d1) / (w := 1.0 - t)), w * w
+            r1, jr1 = f(a + (t := mid + d1) / (w := 1.0 - t)), w * w
+            l2, jl2 = f(a + (t := mid - d2) / (w := 1.0 - t)), w * w
+            r2, jr2 = f(a + (t := mid + d2) / (w := 1.0 - t)), w * w
+            l3, jl3 = f(a + (t := mid - d3) / (w := 1.0 - t)), w * w
+            r3, jr3 = f(a + (t := mid + d3) / (w := 1.0 - t)), w * w
+            l4, jl4 = f(a + (t := mid - d4) / (w := 1.0 - t)), w * w
+            r4, jr4 = f(a + (t := mid + d4) / (w := 1.0 - t)), w * w
+            l5, jl5 = f(a + (t := mid - d5) / (w := 1.0 - t)), w * w
+            r5, jr5 = f(a + (t := mid + d5) / (w := 1.0 - t)), w * w
+            l6, jl6 = f(a + (t := mid - d6) / (w := 1.0 - t)), w * w
+            r6, jr6 = f(a + (t := mid + d6) / (w := 1.0 - t)), w * w
         except ZeroDivisionError as exc:
             # a node at t = 1 fails in this frame (t/0); anything raised
             # inside f, or with no node at t = 1, passes through unchanged
@@ -140,44 +152,61 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float,
                 f"the rational map of [{a!r}, inf) put a node at t = 1, "
                 f"where y = inf, in the panel [{lo!r}, {hi!r}]"
             ) from exc
-    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    if one := type(fc) is not tuple:    # one component; indexing beats zipping the nodes
+        fc, l0, r0, l1, r1, l2, r2 = (fc,), (l0,), (r0,), (l1,), (r1,), (l2,), (r2,)
+        l3, r3, l4, r4, l5, r5, l6, r6 = (l3,), (r3,), (l4,), (r4,), (l5,), (r5,), (l6,), (r6,)
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
     g0, g1, g2, g3 = _WG
-    kron = (k7 * fc + k0 * (l0 + r0) + k1 * s1 + k2 * (l2 + r2) + k3 * s3
-            + k4 * (l4 + r4) + k5 * s5 + k6 * (l6 + r6))
-    gauss = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
-    if kron != kron:
-        # a NaN node poisons the sum; name the first one (an inf - inf
-        # cancellation has no NaN node and returns the NaN estimate)
-        nodes = (mid, mid - d0, mid + d0, mid - d1, mid + d1, mid - d2, mid + d2,
-                 mid - d3, mid + d3, mid - d4, mid + d4, mid - d5, mid + d5,
-                 mid - d6, mid + d6)
-        fx = (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6)
-        for x, v in zip(nodes, fx):
-            if v != v:
-                raise IntegrandError(f"integrand returned NaN at {x!r}")
-    return kron * half, abs(kron - gauss) * half
+    vals, errs = [], []
+    for i in range(len(fc)):
+        c, s1, s3 = fc[i] / jc, l1[i] / jl1 + r1[i] / jr1, l3[i] / jl3 + r3[i] / jr3
+        s5 = l5[i] / jl5 + r5[i] / jr5
+        kron = (k7 * c + k0 * (l0[i] / jl0 + r0[i] / jr0) + k1 * s1
+                + k2 * (l2[i] / jl2 + r2[i] / jr2) + k3 * s3 + k4 * (l4[i] / jl4 + r4[i] / jr4)
+                + k5 * s5 + k6 * (l6[i] / jl6 + r6[i] / jr6))
+        gauss = g3 * c + g0 * s1 + g1 * s3 + g2 * s5
+        if kron != kron:
+            # a NaN node poisons the sum; name the first one (an inf - inf
+            # cancellation has no NaN node and returns the NaN estimate)
+            xs = [mid] + [mid + s * d for d in (d0, d1, d2, d3, d4, d5, d6) for s in (-1.0, 1.0)]
+            for x, v in zip(xs, (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6)):
+                if v[i] != v[i]:
+                    raise IntegrandError(f"integrand returned NaN at {x!r}")
+        vals.append(kron * half)
+        errs.append(abs(kron - gauss) * half)
+    return (vals[0], errs[0]) if one else (vals, errs)
 
 
 def _adaptive(
-    f: Callable[[float], float],
+    f: Callable[[float], float | tuple[float, ...]],
     lo: float,
     hi: float,
     rel_tol: float,
     abs_tol: float,
     max_evals: int,
     a: float | None = None,
-) -> QuadratureResult:
-    """Adaptive bisection of [lo, hi] with _gk15 panels: split the panel
-    with the largest error estimate until the budget, the tolerance or
-    float resolution stops it, then re-sum the panels in sorted order."""
+) -> QuadratureResult | QuadratureResults:
+    """Adaptive bisection of [lo, hi] with _gk15 panels, one pass for all components
+    of f: split the panel of largest priority (its estimate e for a float f, else
+    max_i e_i / s_i with s_i = max(|first-panel value_i|, abs_tol / rel_tol)) until
+    each component meets max(abs_tol, rel_tol |value_i|), or the budget or float
+    resolution stops it, then re-sum each component's panels in sorted order."""
     if not (rel_tol > 0.0 and abs_tol > 0.0):
         raise ValueError("tolerances must be positive")
     val, err = _gk15(f, lo, hi, a)
-    heap: list[tuple[float, float, float, float, float]] = [(-err, lo, hi, val, err)]
-    total, total_err = val, err
+    if one := type(val) is float:
+        val, err = [val], [err]
+    scales = [max(abs_tol / rel_tol, abs(v)) for v in val]
+
+    def priority(e: list[float]) -> float:
+        return e[0] if one else max([ei / s for ei, s in zip(e, scales)])
+
+    heap: list[tuple] = [(-priority(err), lo, hi, val, err)]
+    total, total_err = val[:], err[:]
+    parts = range(len(val))
     evals = 15
-    while total_err > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
+    unmet = any(total_err[i] > max(abs_tol, rel_tol * abs(total[i])) for i in parts)
+    while unmet and evals + 30 <= max_evals:
         neg, p_lo, p_hi, v, e = heapq.heappop(heap)
         midpoint = 0.5 * (p_lo + p_hi)
         if midpoint == p_lo or midpoint == p_hi:
@@ -186,38 +215,44 @@ def _adaptive(
             break
         v1, e1 = _gk15(f, p_lo, midpoint, a)
         v2, e2 = _gk15(f, midpoint, p_hi, a)
+        if one:
+            v1, e1, v2, e2 = [v1], [e1], [v2], [e2]
         evals += 30
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, p_lo, midpoint, v1, e1))
-        heapq.heappush(heap, (-e2, midpoint, p_hi, v2, e2))
+        unmet = False
+        for i in parts:
+            t = total[i] = total[i] + (v1[i] + v2[i] - v[i])
+            te = total_err[i] = total_err[i] + (e1[i] + e2[i] - e[i])
+            unmet = unmet or te > max(abs_tol, rel_tol * abs(t))
+        heapq.heappush(heap, (-priority(e1), p_lo, midpoint, v1, e1))
+        heapq.heappush(heap, (-priority(e2), midpoint, p_hi, v2, e2))
     # re-sum in a fixed order for reproducibility and to refresh the error
     panels = sorted((p_lo, p_hi, v, e) for _, p_lo, p_hi, v, e in heap)
-    total = math.fsum(p[2] for p in panels)
-    total_err = math.fsum(p[3] for p in panels)
-    converged = total_err <= max(abs_tol, rel_tol * abs(total))
-    return QuadratureResult(total, total_err, evals, converged)
+    results = QuadratureResults(
+        QuadratureResult(value, error, evals, error <= max(abs_tol, rel_tol * abs(value)))
+        for value, error in ((math.fsum(p[2][i] for p in panels),
+                              math.fsum(p[3][i] for p in panels)) for i in parts))
+    return results[0] if one else results
 
 
 def integrate_finite(
-    f: Callable[[float], float],
+    f: Callable[[float], float | tuple[float, ...]],
     a: float,
     b: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-300,
     max_evals: int = 200_000,
-) -> QuadratureResult:
-    """Adaptive bisection with Gauss-Kronrod panels on [a, b]."""
+) -> QuadratureResult | QuadratureResults:
+    """Adaptive Gauss-Kronrod on [a, b]; a tuple integrand gives QuadratureResults."""
     return _adaptive(f, a, b, rel_tol, abs_tol, max_evals)
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable[[float], float | tuple[float, ...]],
     a: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-300,
     max_evals: int = 200_000,
-) -> QuadratureResult:
+) -> QuadratureResult | QuadratureResults:
     """Integral of f over [a, inf), mapped onto (0, 1) by y = a + t/(1-t).
 
     The map is in units of y: an integrand of another width, with an edge

@@ -58,12 +58,17 @@ def compare(
     options_used: dict | None = None,
     quadratures: Mapping[str, Any] | None = None,
 ) -> ComparisonReport:
-    """PASS iff rel_dev <= threshold; ERROR if non-finite or a named quadrature is unconverged."""
+    """PASS iff rel_dev <= threshold; ERROR if non-finite, or if a named quadrature
+    is unconverged or its error estimate exceeds threshold |value| (then named)."""
     opts = dict(options_used or {})
-    unconverged = [name for name, q in (quadratures or {}).items() if not q.converged]
-    if unconverged:
-        provenance = f"{provenance}; unconverged quadrature: {'; '.join(unconverged)}"
-    if unconverged or not (math.isfinite(literal) and math.isfinite(oracle)):
+    quads = (quadratures or {}).items()
+    unconverged = [name for name, q in quads if not q.converged]
+    loose = [name for name, q in quads
+             if q.converged and not q.abs_error_estimate <= threshold * abs(q.value)]
+    for why, names in (("unconverged quadrature", unconverged),
+                       ("error estimate above threshold", loose)):
+        provenance += f"; {why}: {'; '.join(names)}" if names else ""
+    if unconverged or loose or not (math.isfinite(literal) and math.isfinite(oracle)):
         return ComparisonReport(
             quantity_name, literal, oracle, math.nan, math.nan,
             Status.ERROR, provenance, threshold, opts,

@@ -9,7 +9,7 @@ import pytest
 from anhgas import classical_gas as cg
 from anhgas import cli, memo, oracles
 from anhgas.memo import memo_scope, shared_value
-from anhgas.oracles import QuadratureResult, integrate_semi_infinite
+from anhgas.oracles import QuadratureResult, QuadratureResults, integrate_semi_infinite
 from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
 
@@ -248,7 +248,7 @@ class TestGFunction:
     def test_radial_integral_rescales_the_shared_quadrature(self, z):
         with memo_scope():
             res = cg.kinetic_radial_integral(z, 1.0)
-            scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)]
+            scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)][0]   # of the (1, 2) pass
         s = math.exp(-z)
         assert res.value.hex() == (scaled.value * s).hex()
         assert res.abs_error_estimate.hex() == (scaled.abs_error_estimate * s).hex()
@@ -361,11 +361,12 @@ class TestAverageEnergy:
             handed = cg.average_energy_classical(p, t)
         assert handed == cg.average_energy_classical(p, t)
 
-    def test_classical_point_runs_three_quadratures_for_the_row(self, monkeypatch):
-        # F(x) comes from the f_function row, the e^z-scaled kinetic integral
-        # from the relativistic_harmonic_partition_z2 row and the position
-        # norm from the vibrational_partition row; the row itself runs F'(x),
-        # the cosh^2 moment and the potential moment
+    def test_classical_point_runs_no_quadrature_for_the_row(self, monkeypatch):
+        # F(x) and F'(x) come from the f_function row's (F, F') pass, the
+        # e^z-scaled kinetic integral and its cosh^2 moment from the
+        # relativistic_harmonic_partition_z2 row's pass, and the position
+        # norm and its potential moment from the vibrational_partition row's
+        # pass; the row itself runs none
         inside = []
         calls = []
         row = cg.average_energy_classical
@@ -390,14 +391,14 @@ class TestAverageEnergy:
             rows, _ = cli._classical_point(cfg, 1.3)
             reports = [cli._row({"T": 1.3}, name, thunk) for name, thunk in rows]
         assert reports[-1].quantity_name == "average_energy_classical"
-        assert len(calls) == 3
+        assert len(calls) == 0
 
-    @pytest.mark.parametrize("T, want", [(0.1, 6), (1.3, 6)])
+    @pytest.mark.parametrize("T, want", [(0.1, 3), (1.3, 3)])
     def test_classical_point_computes_each_shared_value_once(self, monkeypatch, T, want):
-        # K_0(z), K_1(z), F(x), the printed F(x), the e^z-scaled kinetic
-        # integral and the position norm are computed once per temperature:
-        # six quadratures, on either side of bessel_k's x_c (z = 10 and
-        # 1/1.3), where K runs no quadrature
+        # K_0(z), K_1(z), the printed F(x) and the three quadrature passes,
+        # (F, F'), the e^z-scaled kinetic pair and the position pair, are
+        # computed once per temperature: three quadratures, on either side of
+        # bessel_k's x_c (z = 10 and 1/1.3), where K runs no quadrature
         calls = []
         quad = integrate_semi_infinite
 
@@ -423,7 +424,7 @@ class TestAverageEnergy:
         with memo_scope():
             rows, _ = cli._classical_point(cfg, T)
             reports = {name: cli._row({"T": T}, name, thunk) for name, thunk in rows}
-            scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)]
+            scaled = memo.current()[(cg._kinetic_scaled, z, 1.0)][0]
         want = scaled.value * math.exp(-z) * z**3
         assert reports["g_function"].oracle.hex() == want.hex()
 
@@ -442,12 +443,12 @@ class TestAverageEnergy:
         monkeypatch.setattr(cg, "compare", recording(cg.compare))
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         t = ThermalState.from_temperature(1.3)
-        a2, a4, scale = cg._position_weight(cfg.oscillator, t.beta)
+        scale = cg._position_weight(cfg.oscillator, t.beta)[2]
         with memo_scope():
             rows, _ = cli._classical_point(cfg, 1.3)
             for name, thunk in rows:
                 cli._row({"T": 1.3}, name, thunk)
-            norm = memo.current()[(cg._position_integral, a2, a4, scale, 1e-11)]
+            norm = memo.current()[(cg._position_integral, cfg.oscillator, t.beta, 1e-11)][0]
         name = "int r^2 e^{-beta V(r)} dr"
         assert held["average_energy_classical"][name] is norm
         assert held["vibrational_partition"][name] == QuadratureResult(
@@ -473,12 +474,13 @@ class TestAverageEnergy:
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         t = natural_state()
         x = cg.coupling_x(p, t)
-        good = cg.f_oracle(x)
+        good, fp_q = cg._quartic_gaussian(x, 1e-12)
         bad = QuadratureResult(good.value, 1.0, 15, False)
 
         def report_with(f_q):
+            # the (F, F') pass with the given F
             with memo_scope():
-                memo.current()[(cg.f_oracle, x)] = f_q
+                memo.current()[(cg._quartic_gaussian, x, 1e-12)] = QuadratureResults((f_q, fp_q))
                 return cg.average_energy_classical(p, t)
 
         rep = report_with(bad)
@@ -571,3 +573,44 @@ class TestAverageEnergy:
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.0)
         with pytest.raises(ValueError, match="quartic"):
             cg.average_energy_classical(p, natural_state())
+
+
+class TestAverageEnergyAtLowTemperature:
+    # z = m/T = 1000 and 833: K_0(z) and K_1(z) leave double range, but the
+    # printed G'(z)/G(z) is formed from the e^z-scaled K_nu, where e^z cancels
+    CFG = {"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1}}
+
+    @pytest.mark.parametrize("T, literal, oracle", [
+        (0.001, 0.99999354792335393, 1.0029945471728718),
+        (0.0012, 0.99999075685511751, 1.0035921955580445),
+    ])
+    def test_the_average_energy_has_values(self, T, literal, oracle):
+        cfg = cli.RunConfig.from_dict(self.CFG)
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, T)
+            reports = {name: cli._row({"T": T}, name, thunk) for name, thunk in rows}
+        rep = reports["average_energy_classical"]
+        assert rep.status is Status.FLAGGED
+        assert rep.literal == pytest.approx(literal, rel=1e-12)
+        assert rep.oracle == pytest.approx(oracle, rel=1e-12)
+        assert rep.rel_dev == pytest.approx(abs(literal - oracle) / oracle, rel=1e-9)
+        # the printed G(z) and the relativistic Z_2 print K_0(z) itself, about
+        # e^-1000, which no double holds: they stay ERROR and say so
+        for name in ("g_function", "relativistic_harmonic_partition_z2"):
+            assert reports[name].status is Status.ERROR
+            assert "leaves double range" in reports[name].provenance
+
+    @pytest.mark.parametrize("T", [0.1, 0.7, 1.3, 5.0])
+    def test_the_scaled_ratio_is_the_unscaled_one(self, T):
+        # where K_0 and K_1 are representable, -m G'/G from the scaled K_nu
+        # is the printed G_derivative / G to rounding
+        p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
+        t = ThermalState.from_temperature(T)
+        z = cg.relativistic_z(p, t)
+        rep = cg.average_energy_classical(p, t)
+        x = cg.coupling_x(p, t)
+        f_q, fp_q = cg._quartic_gaussian(x, 1e-12)
+        unscaled = (0.75 * t.T + math.sqrt(p.m**2 * p.omega**4 * t.T / (256.0 * p.lam))
+                    * 4.0 * fp_q.value / f_q.value
+                    - p.m * cg.g_function_derivative(z) / cg.g_function(z))
+        assert rep.literal == pytest.approx(unscaled, rel=1e-14)

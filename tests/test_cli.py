@@ -699,7 +699,7 @@ class TestMemoScopes:
         assert one == two
         assert one[1] == one[2] and one[1][1] > 0
         if command == "classical":
-            assert one == [(0.1, 6), (1.3, 6), (1.3, 6)]
+            assert one == [(0.1, 3), (1.3, 3), (1.3, 3)]
 
     @pytest.mark.parametrize("command", ["classical", "quantum"])
     def test_no_scope_outlives_main(self, tmp_path, command):
