@@ -26,20 +26,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "PositivityWindowError",
-    "DimensionlessCouplings",
-    "position_power_matrix",
-    "oscillator_hamiltonian",
-    "literal_shift",
-    "rspt_shift",
-    "perturbative_shift",
-    "dimensionless_couplings",
-    "massless_integrand",
-    "energy_density_massless",
-    "energy_density_massive",
-    "whittaker_series_term",
-    "whittaker_series_term_printed",
-    "series_energy_density",
+    "PositivityWindowError", "DimensionlessCouplings",
+    "position_power_matrix", "oscillator_hamiltonian",
+    "literal_shift", "rspt_shift", "perturbative_shift", "dimensionless_couplings",
+    "massless_integrand", "energy_density_massless", "energy_density_massive",
+    "whittaker_series_term", "whittaker_series_term_printed", "series_energy_density",
     "blackbody_energy_density",
 ]
 
@@ -402,8 +393,9 @@ def energy_density_massive(
     """Massive-gas energy density: printed radicand vs dispersion-corrected.
 
     The printed square root uses (kT/Mc^2)^2 y - 1, linear in y; the
-    corrected mode squares the whole combination.  A (T/M)^2 out of double
-    range raises an OverflowError naming T and M.  Where both are 0 the
+    corrected mode squares the whole combination.  A (T/M)^2, or a radicand
+    (q y)^2 where the weight is not 0, out of double range raises an
+    OverflowError naming T and M.  Where both are 0 the
     mode-sum weight underflowed (the window [lower, inf) is never empty):
     the row is FLAGGED and marked "underflow": true, the massless rows' mark.
     Both integrals run over v, y = lower + L v^2, lower the largest of the
@@ -429,11 +421,18 @@ def energy_density_massive(
 
         def f(v: float) -> float:
             y = lower + width * v * v
-            rad = q * q * y - 1.0 if mode == "printed" else (q * y) ** 2 - 1.0
-            if rad <= 0.0:
+            # 0 where the mode-sum weight is 0, before the radicand overflows there
+            if (weight := massless_integrand(y, d, y_cut)) == 0.0:
                 return 0.0
-            # mean * y * sqrt(radicand) * dy/dv; zero outside the window
-            return massless_integrand(y, d, y_cut) / y * math.sqrt(rad) * (2.0 * width * v)
+            try:
+                rad = q * q * y - 1.0 if mode == "printed" else (q * y) ** 2 - 1.0
+                if rad == math.inf:
+                    raise OverflowError
+            except OverflowError:
+                raise OverflowError(f"(q y)^2 leaves double range at T={t.T!r}, M={mass_gas!r}, "
+                                    f"y={y!r}") from None
+            # mean * y * sqrt(radicand) * dy/dv
+            return weight / y * math.sqrt(rad) * (2.0 * width * v) if rad > 0.0 else 0.0
 
         return integrate_semi_infinite(f, 0.0, rel_tol=_DENSITY_REL_TOL)
 
@@ -465,26 +464,25 @@ def _line_powers(i: int, j: int) -> tuple[float, float, float]:
     return (-2.0 - 4.0 * i - 2.0 * j, -4.0 * i - 2.0 * j, 3.0 - 4.0 * i - 2.0 * j)
 
 
-def _gamma_tail_integral(power: float, decay: float, y0: float) -> float:
-    """int_{y0}^inf y^power e^{-decay y} dy via the Whittaker connection.
+class _TailIntegrals(dict):
+    """int_{y0}^inf y^power e^{-decay y} dy = Gamma(power+1, decay y0) / decay^(power+1)
+    by power, each formed on first use from ln Gamma on decay*y0's incomplete-gamma
+    ladder and exponentiated once; the log form keeps huge magnitudes finite."""
 
-    Equal to Gamma(power+1, decay*y0) / decay^(power+1); the log-scaled
-    Whittaker route keeps huge magnitudes finite.
-    """
-    a = power + 1.0
-    if y0 <= 0.0:
-        if a <= 0.0:
+    def __init__(self, decay: float, y0: float):
+        super().__init__()
+        self.log_decay = math.log(decay)
+        self.ladder = sf.GammaLadder(decay * y0) if y0 > 0.0 else None
+
+    def __missing__(self, power: float) -> float:
+        a = power + 1.0
+        if self.ladder is None and a <= 0.0:
             raise ValueError("tail integral diverges at the origin for power <= -1")
-        return math.exp(math.lgamma(a) - a * math.log(decay))
-    x = decay * y0
-    # Gamma(a, x) = e^{-x/2} x^{(a-1)/2} W_{(a-1)/2, a/2}(x)
-    log_w = sf.log_whittaker_w(0.5 * (a - 1.0), 0.5 * a, x).value
-    log_val = -0.5 * x + 0.5 * (a - 1.0) * math.log(x) + log_w - a * math.log(decay)
-    if log_val > 705.0:
-        raise sf.SpecialFunctionOverflow(
-            f"series term magnitude exp({log_val:.1f}) overflows"
-        )
-    return math.exp(log_val)
+        log_val = (self.ladder(a) if self.ladder else math.lgamma(a)) - a * self.log_decay
+        if log_val > 705.0:
+            raise sf.SpecialFunctionOverflow(f"series term magnitude exp({log_val:.1f}) overflows")
+        val = self[power] = math.exp(log_val)
+        return val
 
 
 def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
@@ -506,16 +504,11 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
     c1 = d.a_A * (n * n + 6.0 * n)
     c2 = d.a_B * (2.0 * n * n + 2.0 * n)
     c3 = float(n)
-
-    def assemble(decay: float) -> float:
-        total = 0.0
-        for coeff, power in ((c1, p1), (c2, p2), (c3, p3)):
-            if coeff == 0.0:
-                continue
-            total += coeff * shared_value(_gamma_tail_integral, power, decay, y0)
-        return total
-
-    return assemble(float(n)), assemble(float(n + 1))
+    f = shared_value(_TailIntegrals, float(n), y0)
+    g = shared_value(_TailIntegrals, float(n + 1), y0)
+    # a zero coefficient's tail is never formed: at y0 = 0 it may diverge
+    return ((c1 * f[p1] if c1 else 0.0) + (c2 * f[p2] if c2 else 0.0) + c3 * f[p3],
+            (c1 * g[p1] if c1 else 0.0) + (c2 * g[p2] if c2 else 0.0) + c3 * g[p3])
 
 
 def whittaker_series_term_printed(i: int, j: int, n: int, d: DimensionlessCouplings
@@ -651,8 +644,8 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
 
     A tail integral depends only on (power, decay): the power only on
     2i + j, and decay n + 1 serves the g-term at n and the f-term at n + 1,
-    so each distinct one is computed once per call, in a memo scope of its
-    own; so is each argument's incomplete-gamma recurrence beneath them.
+    so each decay's tails, and their argument's ladder, live once per call
+    in a memo scope of its own.
     """
     with memo_scope():
         total = 0.0

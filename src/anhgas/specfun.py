@@ -17,8 +17,8 @@ Branch policy for K_nu, on either side of x_c = 4:
                 [-1/2, 1/2], to the largest double.
 
 Both climb to nu by the stable upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v.
-Branch boundaries are covered by cross-branch consistency tests. In an open memo
-scope (anhgas.memo), ln Gamma(a, x) at integer a continues x's deepest recurrence.
+Branch boundaries are covered by cross-branch consistency tests. A GammaLadder
+holds one x's orders a <= 0 of ln Gamma(a, x), walked down once from E_1(x).
 """
 
 from __future__ import annotations
@@ -26,23 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import memo
-
 __all__ = [
-    "SpecialFunctionResult",
-    "SpecialFunctionDomainError",
-    "SpecialFunctionRangeError",
+    "SpecialFunctionResult", "SpecialFunctionDomainError", "SpecialFunctionRangeError",
     "SpecialFunctionOverflow",
-    "bessel_k",
-    "bessel_k_scaled",
-    "log_bessel_k",
-    "bessel_k_derivative",
+    "bessel_k", "bessel_k_scaled", "log_bessel_k", "bessel_k_derivative",
     "bessel_k_derivative_scaled",
-    "whittaker_w",
-    "log_whittaker_w",
-    "upper_incomplete_gamma",
-    "log_upper_incomplete_gamma",
-    "exp1",
+    "whittaker_w", "log_whittaker_w",
+    "upper_incomplete_gamma", "log_upper_incomplete_gamma", "GammaLadder", "exp1",
 ]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -55,6 +45,7 @@ _INT_SNAP = 1e-11         # ...and closer than this are treated as integers
 _LOG_HUGE = 700.0         # ln of the unscaled overflow threshold
 _W_PARAM_MAX = 60.0       # |kappa|, |mu| bound of whittaker_w
 _GAMMA_A_MIN = -2.0 * _W_PARAM_MAX   # lowest Gamma(a, x) order: W's b - 1 = 2 mu
+_GAMMA_LADDER_X_MAX = 4.0   # x_c: orders a <= 0 walk down below it, take the fraction above
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -350,11 +341,48 @@ def _upper_cf(a: float, x: float) -> float:
     )
 
 
+class GammaLadder:
+    """ln Gamma(a, x) at one x > 0 by order a >= -120, as log_upper_incomplete_gamma.
+
+    Below x_c = 4 the orders a = top - k <= 0, top in [0, 1), come from one walk
+    Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^-x) / (a-1) down from Gamma(top, x),
+    E_1(x) at top = 0, as deep as the deepest order asked so far. Other orders
+    take that function's series or Lentz fraction."""
+
+    def __init__(self, x: float, top: float = 0.0):
+        self.x, self.top, self.logs = x, top, []     # logs[k] = ln Gamma(top - k, x)
+
+    def __call__(self, a: float) -> float:
+        x, top, logs = self.x, self.top, self.logs
+        if a > 0.0 or x >= _GAMMA_LADDER_X_MAX:
+            return log_upper_incomplete_gamma(a, x).value
+        if not a >= _GAMMA_A_MIN:
+            raise SpecialFunctionRangeError(
+                f"incomplete gamma order a={a} outside the supported [{_GAMMA_A_MIN:g}, inf)")
+        if (k := round(top - a)) < len(logs):
+            return logs[k]
+        if not logs:
+            logs.append(log_upper_incomplete_gamma(top, x).value if top else math.log(exp1(x)))
+        lg, cur, lx = logs[-1], top - (len(logs) - 1), math.log(x)
+        while len(logs) <= k:
+            cur -= 1.0
+            l_pow = cur * lx - x            # ln(x^cur e^-x)
+            # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
+            if l_pow >= lg:
+                lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
+            else:
+                # only possible through rounding at the crossover; fall back
+                lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+            logs.append(lg)
+        return lg
+
+
 def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
     """ln Gamma(a, x) for finite a >= -120 when x > 0, and for a > 0 when x = 0.
 
     Orders a <= 0 are the extension the mode-series terms need, where the
     orders run through negative integers; Gamma(a, x) is always positive.
+    Below x_c they are a GammaLadder's with top = a + ceil(-a).
     """
     if not (x > 0.0 or (x == 0.0 and a > 0.0)):
         raise SpecialFunctionDomainError(
@@ -370,34 +398,13 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
     if a > 0.0 and x < a + 1.0:
         v = math.lgamma(a) + math.log1p(-_lower_p_series(a, x))
         return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "series")
-    if a > 0.0 or x >= 1.5:
+    if a > 0.0 or x >= _GAMMA_LADDER_X_MAX:
         v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
         return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "continued_fraction")
-    # downward recurrence Gamma(a-1,x) = (Gamma(a,x) - x^(a-1) e^-x) / (a-1) from the
-    # first order in (0, 1]; from order 1 (every integer a) the chain starts one step
-    # down, at E_1(x) = Gamma(0, x), so chain[k] holds order top - from_e1 - k. In an
-    # open memo scope an integer a goes on from the deepest order kept there under x
-    integer = a == math.floor(a)
-    n_steps = int(math.ceil(-a)) + integer
-    top = a + n_steps
-    from_e1 = top == 1.0
-    chains = memo.current() if integer else None
-    chain = chains.setdefault(x, []) if chains is not None else []
-    if not chain:
-        chain.append(math.log(exp1(x)) if from_e1 else log_upper_incomplete_gamma(top, x).value)
-    lg = chain[min(n_steps - from_e1, len(chain) - 1)]
-    cur = top - from_e1 - (len(chain) - 1)
-    lx = math.log(x)
-    for _ in range(n_steps - from_e1 + 1 - len(chain)):
-        cur -= 1.0
-        l_pow = cur * lx - x            # ln(x^cur e^-x)
-        # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
-        if l_pow >= lg:
-            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
-        else:
-            # only possible through rounding at the crossover; fall back
-            lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
-        chain.append(lg)
+    # an integer order's walk starts at E_1 = Gamma(0, x), and so does an order
+    # within rounding of 0, where a + ceil(-a) rounds to 1
+    n_steps = math.ceil(-a) + (a == math.floor(a))
+    lg = GammaLadder(x, (a + math.ceil(-a)) % 1.0)(a)
     return SpecialFunctionResult(lg, 1e-14 * (1 + n_steps) * max(1.0, abs(lg)), "recurrence")
 
 

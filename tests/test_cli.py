@@ -527,6 +527,30 @@ def test_an_extreme_gas_mass_names_t_over_m_squared(tmp_path, mass):
                                         f"at T=1.0, M={mass!r}")
 
 
+@pytest.mark.parametrize("mass", [1e-148, 1e-152])
+def test_a_tiny_gas_mass_gives_a_value_or_names_the_radicand(tmp_path, mass):
+    # the massive integrand returns 0 where the mode-sum weight is 0 before it
+    # forms the radicand, which overflowed there (an errno message at 1e-148, an
+    # inf times 0 and a NaN integrand at 1e-152); a radicand that overflows where
+    # the weight is not 0 is an ERROR naming (q y)^2 with T and M
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1.0],
+                               "options": {"massive_gas_mass": mass}}))
+    out = tmp_path / "out"
+    code = run(["quantum", "--config", str(cfg), "--out", str(out)])
+    text = (out / "quantum_reports.json").read_text()
+    assert "Numerical result out of range" not in text and "NaN" not in text
+    massive = json.loads(text)[2]
+    assert massive["quantity_name"] == "energy_density_massive"
+    if mass == 1e-148:
+        assert code == 2 and massive["status"] == "FLAGGED"
+        assert 0.0 < massive["literal"] < massive["oracle"] < math.inf
+    else:
+        assert code == 1 and massive["status"] == "ERROR"
+        assert massive["provenance"].startswith(
+            "evaluation failure: (q y)^2 leaves double range at T=1.0, M=1e-152, y=")
+
+
 @pytest.mark.parametrize("command, raw, n_rows", [
     ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, 6),
     ("quantum", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e300]}, 4),

@@ -602,17 +602,19 @@ class TestSeriesTerms:
         with pytest.raises(ValueError, match="n = 1"):
             qg.whittaker_series_term(0, 0, 0, self.d, y0=self.y0)
 
-    def test_triple_sum_memo_is_exact_and_saves_calls(self, monkeypatch):
+    def test_triple_sum_memo_is_exact_and_saves_ladder_walks(self, monkeypatch):
+        # each incomplete-gamma ladder walk starts at E_1(x): term by term, every
+        # decay's tails walk their own ladder; in the sum's scope, one per x below x_c
         from anhgas import specfun as sf
 
         calls = [0]
-        log_w = sf.log_whittaker_w
+        exp1 = sf.exp1
 
-        def counting(*args):
+        def counting(x):
             calls[0] += 1
-            return log_w(*args)
+            return exp1(x)
 
-        monkeypatch.setattr(sf, "log_whittaker_w", counting)
+        monkeypatch.setattr(sf, "exp1", counting)
         d, y0 = self.d, self.y0
         trunc = SeriesTruncation(n_max=6, i_max=2, j_max=2)
         direct = 0.0
@@ -634,7 +636,8 @@ class TestSeriesTerms:
         direct_calls, calls[0] = calls[0], 0
         total, _, _ = qg._triple_sum(d, trunc, y0)
         assert total == direct
-        assert calls[0] < direct_calls / 2
+        below_x_c = sum(decay * y0 < 4.0 for decay in range(1, trunc.n_max + 2))
+        assert calls[0] == below_x_c < direct_calls / 2
         assert memo.current() is None   # the memo lives for one call only
 
     def test_triple_sum_walks_each_gamma_chain_once(self, monkeypatch):

@@ -321,9 +321,9 @@ def _parent_log_gamma_recurrence(a, x):
 
 
 class TestIncompleteGammaSeriesMemo:
-    # x on the series (x < a + 1), continued-fraction (x >= 1.5) and E_1
-    # (x <= 1, and 1 < x < 1.5 through the fraction) sides
-    XS = (0.03, 0.2, 0.7, 1.0, 1.2, 1.49, 1.5, 2.0, 7.0, 40.0)
+    # x on the series (x < a + 1), continued-fraction (x >= x_c = 4) and E_1
+    # (x <= 1, and 1 < x < x_c through the fraction) sides of the ladder
+    XS = (0.03, 0.2, 0.7, 1.0, 1.2, 1.49, 1.5, 2.0, 3.99, 4.0, 7.0, 40.0)
     ORDERS = [float(a) for a in range(4, -26, -1)]
 
     @staticmethod
@@ -332,16 +332,17 @@ class TestIncompleteGammaSeriesMemo:
             return {q: sf.log_upper_incomplete_gamma(*q) for q in queries}
 
     @pytest.mark.parametrize("deepest_first", [False, True])
-    def test_scoped_chain_is_bit_identical(self, deepest_first):
+    def test_ladder_is_bit_identical_to_the_scalar_function(self, deepest_first):
+        # whatever order is asked first, a ladder's entries are the scalar
+        # function's, and below x_c its orders a <= 0 are the old recurrence's
         orders = self.ORDERS[::-1] if deepest_first else self.ORDERS
-        got = self._scoped([(a, x) for x in self.XS for a in orders])
-        for (a, x), res in got.items():
-            alone = sf.log_upper_incomplete_gamma(a, x)
-            assert res.value.hex() == alone.value.hex(), (a, x)
-            assert res == alone
-            if a <= 0.0 and x < 1.5:
-                assert res.value.hex() == _parent_log_gamma_recurrence(a, x).hex()
-        assert memo.current() is None
+        for x in self.XS:
+            ladder = sf.GammaLadder(x)
+            for a in orders:
+                got = ladder(a)
+                assert got.hex() == sf.log_upper_incomplete_gamma(a, x).value.hex(), (a, x)
+                if a <= 0.0 and x < 4.0:
+                    assert got.hex() == _parent_log_gamma_recurrence(a, x).hex(), (a, x)
 
     @pytest.mark.parametrize("a", [-0.4, -2.5, -7.3, -19.75, -1e-17])
     def test_non_integer_orders_keep_their_start(self, a):
@@ -351,12 +352,25 @@ class TestIncompleteGammaSeriesMemo:
             assert sf.log_upper_incomplete_gamma(a, x).value.hex() == want
             assert self._scoped([(a, x)])[(a, x)].value.hex() == want
 
-    def test_each_chain_is_walked_once(self, monkeypatch):
+    def test_each_ladder_walks_e1_once(self, monkeypatch):
         calls = []
         exp1 = sf.exp1
         monkeypatch.setattr(sf, "exp1", lambda x: calls.append(x) or exp1(x))
-        self._scoped([(a, x) for x in (0.2, 1.2) for a in (-3.0, -19.0, 0.0, -7.0)])
-        assert sorted(calls) == [0.2, 1.2]
+        for x in (0.2, 1.2, 3.9):
+            ladder = sf.GammaLadder(x)
+            for a in (-3.0, -19.0, 0.0, -7.0, -120.0, -1.0):
+                ladder(a)
+        assert calls == [0.2, 1.2, 3.9]
+        # at and above x_c every order takes the continued fraction
+        sf.GammaLadder(4.0)(-3.0)
+        assert calls == [0.2, 1.2, 3.9]
+
+    def test_ladder_refuses_orders_below_its_floor(self):
+        ladder = sf.GammaLadder(0.5)
+        for a in (-120.5, -1e300, -math.inf, math.nan):
+            with pytest.raises(sf.SpecialFunctionRangeError, match="outside the supported"):
+                ladder(a)
+        assert ladder(-120.0) == sf.log_upper_incomplete_gamma(-120.0, 0.5).value
 
     def test_integer_chains_start_at_e1(self, monkeypatch):
         # an integer order's chain is seeded at E_1(x), so no lnGamma(1, x)
@@ -369,6 +383,20 @@ class TestIncompleteGammaSeriesMemo:
         assert calls == []
         sf.log_upper_incomplete_gamma(-2.5, 0.7)     # seeded at Gamma(0.5, 0.7)
         assert calls == [0.7]
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.04, 1.49, 1.5, 3.999, 4.001, 7.0, 35.0])
+def test_ladder_truth_table(x):
+    # integer orders 4 ... -120 on both sides of x_c = 4 against 30 digits; an
+    # absolute error in ln Gamma of 5e-14, plus two ulps of the value, since at
+    # x = 1e-3 |ln Gamma(-120, x)| is about 830, where one ulp is 1.1e-13
+    ladder = sf.GammaLadder(x)
+    with mpmath.workdps(30):
+        for a in range(4, -121, -1):
+            want = float(mpmath.log(mpmath.gammainc(a, x)))
+            got = ladder(float(a))
+            assert abs(got - want) <= 5e-14 + 2.0 * math.ulp(want), (a, x)
+            assert got.hex() == sf.log_upper_incomplete_gamma(float(a), x).value.hex(), (a, x)
 
 
 class TestWhittakerW:
