@@ -26,15 +26,12 @@ __all__ = [
     "relativistic_harmonic_partition_z2",
     "f_oracle",
     "f_closed_form",
-    "f_derivative",
     "g_function",
     "g_function_corrected",
-    "g_function_derivative",
     "position_radial_integral",
     "kinetic_radial_integral",
     "anharmonic_relativistic_partition",
     "average_energy_classical",
-    "average_energy_quadrature",
     "average_energy_metropolis",
 ]
 
@@ -222,7 +219,7 @@ def kinetic_radial_integral(z: float, k: float) -> QuadratureResult:
 # the quartic-Gaussian function F and its companion G
 # ---------------------------------------------------------------------------
 
-def _quartic_gaussian(x: float, rel_tol: float) -> QuadratureResults:
+def _quartic_gaussian(x: float) -> QuadratureResults:
     # F(x) and -F'(x)/4 = int_0^inf u^2 [1, u^2] exp(-4x u^2 - u^4) du, one pass over w = c u
     if x < 0.0:
         raise ValueError(f"F requires x >= 0, got {x}")
@@ -236,19 +233,19 @@ def _quartic_gaussian(x: float, rel_tol: float) -> QuadratureResults:
         v = uu * uu * exp(e) if e > -745.0 else 0.0
         return v, v * uu * uu
 
-    res = integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+    res = integrate_semi_infinite(f, 0.0, rel_tol=1e-12)
     return QuadratureResults(QuadratureResult(r.value / c, r.abs_error_estimate / c,
                                               r.evaluations, r.converged) for r in res)
 
 
-def f_oracle(x: float, rel_tol: float = 1e-12) -> QuadratureResult:
+def f_oracle(x: float) -> QuadratureResult:
     """Scale-invariant normal form F(x) = int_0^inf u^2 exp(-4x u^2 - u^4) du,
     with its quadrature record: component 0 of the shared (F, F') pass.
 
     This is the operational definition of the vibrational closed form: any
     (m, w, lam, T) realization of the same x reduces to this integral.
     """
-    return shared_value(_quartic_gaussian, x, rel_tol)[0]
+    return shared_value(_quartic_gaussian, x)[0]
 
 
 def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, float]:
@@ -260,7 +257,7 @@ def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, fl
     return a2, a4, scale
 
 
-def _position_integral(p: OscillatorParams, beta: float, rel_tol: float) -> QuadratureResults:
+def _position_integral(p: OscillatorParams, beta: float) -> QuadratureResults:
     # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [1, V(r)] dv, r = v * scale, in one pass;
     # the integrals over r are scale times these
     a2, a4, scale = _position_weight(p, beta)
@@ -276,17 +273,16 @@ def _position_integral(p: OscillatorParams, beta: float, rel_tol: float) -> Quad
         return w, w * (h2 * r * r + lam * r4)
 
     try:
-        return integrate_semi_infinite(f, 0.0, rel_tol=rel_tol)
+        return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
     except OverflowError:
         raise OverflowError(f"a4 r^4 overflows in e^(-a2 r^2 - a4 r^4) at a4={a4!r}") from None
 
 
-def position_radial_integral(p: OscillatorParams, t: ThermalState,
-                             rel_tol: float = 1e-12) -> QuadratureResult:
+def position_radial_integral(p: OscillatorParams, t: ThermalState) -> QuadratureResult:
     """int_0^inf r^2 exp(-beta m w^2 r^2 / 2 - beta lam r^4) dr: component 0 of
-    the shared (norm, <V> moment) pass; at rel_tol=1e-11, the average energy's."""
+    the (norm, <V> moment) pass that the average energy shares."""
     scale = _position_weight(p, t.beta)[2]
-    return shared_value(_position_integral, p, t.beta, rel_tol)[0].scaled(scale)
+    return shared_value(_position_integral, p, t.beta)[0].scaled(scale)
 
 
 def f_closed_form(x: float) -> float:
@@ -307,11 +303,6 @@ def f_closed_form(x: float) -> float:
              + 2.0 * x * sx * kp_scaled)
 
 
-def f_derivative(x: float) -> float:
-    """F'(x) = -4 int_0^inf u^4 exp(-4x u^2 - u^4) du: f_oracle's pass, component 1."""
-    return -4.0 * shared_value(_quartic_gaussian, x, 1e-12)[1].value
-
-
 def g_function(x: float) -> float:
     """The printed companion function G(x) = x K_0(x) + 2 x^2 K_1(x)."""
     if not (x > 0.0):
@@ -327,12 +318,6 @@ def g_function_corrected(x: float) -> float:
     if not (x > 0.0):
         raise ValueError(f"g_function_corrected requires x > 0, got {x}")
     return x * x * sf.bessel_k(0.0, x).value + 2.0 * x * sf.bessel_k(1.0, x).value
-
-
-def g_function_derivative(x: float) -> float:
-    """d/dx of the printed G, via Bessel recurrences: K0 (1 - 2x^2) + x K1."""
-    k0, k1 = (shared_value(sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
-    return k0 * (1.0 - 2.0 * x * x) + x * k1
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +360,7 @@ def _average_energy_moments(
     # <H> = -d(ln Z)/d(beta) = <m c^2 cosh s> + <V(r)>, and its four integrals
     z = relativistic_z(p, t)
     norm_k, moment_k = shared_value(_kinetic_scaled, z, 1.0)
-    norm_p, moment_p = shared_value(_position_integral, p, t.beta, 1e-11)
+    norm_p, moment_p = shared_value(_position_integral, p, t.beta)
     quads = {
         "int sinh^2 s cosh^2 s e^{-z cosh s} ds": moment_k,
         "int sinh^2 s cosh s e^{-z cosh s} ds": norm_k,
@@ -383,11 +368,6 @@ def _average_energy_moments(
         "int r^2 e^{-beta V(r)} dr": norm_p,
     }
     return p.m * moment_k.value / norm_k.value + moment_p.value / norm_p.value, quads
-
-
-def average_energy_quadrature(p: OscillatorParams, t: ThermalState) -> float:
-    """<H> as weighted quadrature ratios: relativistic kinetic + vibrational."""
-    return _average_energy_moments(p, t)[0]
 
 
 def average_energy_metropolis(
@@ -429,17 +409,17 @@ def average_energy_metropolis(
 
 
 def average_energy_classical(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
-    """Printed average-energy formula vs the moment ratios of
-    average_energy_quadrature.
+    """Printed average-energy formula vs the moment ratio <m c^2 cosh s> + <V(r)>.
 
-    The printed kinetic term -m c^2 G'(z)/G(z) uses the printed G, from the
-    e^z-scaled K_0, K_1, where e^z cancels.  An unconverged quadrature on
-    either side makes the report ERROR.  All of it is memo.shared_value.
+    The printed kinetic term -m c^2 G'(z)/G(z), the one home of the printed
+    G'(z) = K_0 (1 - 2z^2) + z K_1, is formed from the e^z-scaled K_0, K_1,
+    where e^z cancels.  An unconverged quadrature on either side makes the
+    report ERROR.  All of it is memo.shared_value.
     """
     kt = t.T
     x = coupling_x(p, t)
     z = relativistic_z(p, t)
-    f_q, fp_q = shared_value(_quartic_gaussian, x, 1e-12)     # F'(x) = -4 fp_q
+    f_q, fp_q = shared_value(_quartic_gaussian, x)     # F'(x) = -4 fp_q
     k0, k1 = (shared_value(sf.bessel_k_scaled, nu, z).value for nu in (0.0, 1.0))
     literal = (
         0.75 * kt

@@ -207,7 +207,7 @@ def _classical_point(cfg: RunConfig, temperature: float):
     t = ThermalState.from_temperature(temperature)
 
     def vibrational():
-        pos = cg.position_radial_integral(p, t, rel_tol=1e-11)  # the average energy's norm
+        pos = cg.position_radial_integral(p, t)     # the average energy's norm
         f_literal = shared_value(cg.f_closed_form, cg.coupling_x(p, t))
         return compare("vibrational_partition",
                        4.0 * math.pi * (t.T / p.lam) ** 0.75 * f_literal,

@@ -26,7 +26,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "diagonalize_truncated",
-    "diagonalize_converged",
     "metropolis_expectation",
 ]
 
@@ -96,6 +95,7 @@ _WG = (
     0.1294849661688697, 0.2797053914892767,
     0.3818300505051189, 0.4179591836734694,
 )
+_ABS_TOL = 1e-300   # the absolute floor of every tolerance test: a zero integral converges
 
 
 def _gk15(f: Callable[[float], float | tuple[float, ...]], lo: float, hi: float,
@@ -182,21 +182,20 @@ def _adaptive(
     lo: float,
     hi: float,
     rel_tol: float,
-    abs_tol: float,
     max_evals: int,
     a: float | None = None,
 ) -> QuadratureResult | QuadratureResults:
     """Adaptive bisection of [lo, hi] with _gk15 panels, one pass for all components
     of f: split the panel of largest priority (its estimate e for a float f, else
-    max_i e_i / s_i with s_i = max(|first-panel value_i|, abs_tol / rel_tol)) until
-    each component meets max(abs_tol, rel_tol |value_i|), or the budget or float
+    max_i e_i / s_i with s_i = max(|first-panel value_i|, _ABS_TOL / rel_tol)) until
+    each component meets max(_ABS_TOL, rel_tol |value_i|), or the budget or float
     resolution stops it, then re-sum each component's panels in sorted order."""
-    if not (rel_tol > 0.0 and abs_tol > 0.0):
-        raise ValueError("tolerances must be positive")
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
     val, err = _gk15(f, lo, hi, a)
     if one := type(val) is float:
         val, err = [val], [err]
-    scales = [max(abs_tol / rel_tol, abs(v)) for v in val]
+    scales = [max(_ABS_TOL / rel_tol, abs(v)) for v in val]
 
     def priority(e: list[float]) -> float:
         return e[0] if one else max([ei / s for ei, s in zip(e, scales)])
@@ -205,7 +204,7 @@ def _adaptive(
     total, total_err = val[:], err[:]
     parts = range(len(val))
     evals = 15
-    unmet = any(total_err[i] > max(abs_tol, rel_tol * abs(total[i])) for i in parts)
+    unmet = any(total_err[i] > max(_ABS_TOL, rel_tol * abs(total[i])) for i in parts)
     while unmet and evals + 30 <= max_evals:
         neg, p_lo, p_hi, v, e = heapq.heappop(heap)
         midpoint = 0.5 * (p_lo + p_hi)
@@ -222,13 +221,13 @@ def _adaptive(
         for i in parts:
             t = total[i] = total[i] + (v1[i] + v2[i] - v[i])
             te = total_err[i] = total_err[i] + (e1[i] + e2[i] - e[i])
-            unmet = unmet or te > max(abs_tol, rel_tol * abs(t))
+            unmet = unmet or te > max(_ABS_TOL, rel_tol * abs(t))
         heapq.heappush(heap, (-priority(e1), p_lo, midpoint, v1, e1))
         heapq.heappush(heap, (-priority(e2), midpoint, p_hi, v2, e2))
     # re-sum in a fixed order for reproducibility and to refresh the error
     panels = sorted((p_lo, p_hi, v, e) for _, p_lo, p_hi, v, e in heap)
     results = QuadratureResults(
-        QuadratureResult(value, error, evals, error <= max(abs_tol, rel_tol * abs(value)))
+        QuadratureResult(value, error, evals, error <= max(_ABS_TOL, rel_tol * abs(value)))
         for value, error in ((math.fsum(p[2][i] for p in panels),
                               math.fsum(p[3][i] for p in panels)) for i in parts))
     return results[0] if one else results
@@ -239,18 +238,16 @@ def integrate_finite(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 1e-300,
     max_evals: int = 200_000,
 ) -> QuadratureResult | QuadratureResults:
     """Adaptive Gauss-Kronrod on [a, b]; a tuple integrand gives QuadratureResults."""
-    return _adaptive(f, a, b, rel_tol, abs_tol, max_evals)
+    return _adaptive(f, a, b, rel_tol, max_evals)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float | tuple[float, ...]],
     a: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 1e-300,
     max_evals: int = 200_000,
 ) -> QuadratureResult | QuadratureResults:
     """Integral of f over [a, inf), mapped onto (0, 1) by y = a + t/(1-t).
@@ -260,7 +257,7 @@ def integrate_semi_infinite(
     over a coordinate its caller chooses, with the Jacobian in the
     integrand (over [0, 1) by integrate_finite, for a map of its own).
     """
-    return _adaptive(f, 0.0, 1.0, rel_tol, abs_tol, max_evals, a)
+    return _adaptive(f, 0.0, 1.0, rel_tol, max_evals, a)
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +281,6 @@ def diagonalize_truncated(h: np.ndarray, k: int) -> np.ndarray:
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-12 * scale")
     return np.linalg.eigvalsh(h)[:k]
-
-
-def diagonalize_converged(
-    build: Callable[[int], np.ndarray],
-    k: int,
-    n_start: int = 200,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Double the basis, up to 2000 states, until the k lowest eigenvalues
-    drift by at most 1e-8 relative.
-
-    Returns (eigenvalues, per-eigenvalue converged flags, basis size used).
-    """
-    import numpy as np
-
-    drift_tol, n_cap = 1e-8, 2000
-    n = n_start
-    vals = diagonalize_truncated(build(n), k)
-    while 2 * n <= n_cap:
-        n *= 2
-        new = diagonalize_truncated(build(n), k)
-        drift = np.abs(new - vals) / np.maximum(np.abs(new), 1e-300)
-        vals = new
-        if np.all(drift <= drift_tol):
-            return vals, np.ones(k, dtype=bool), n
-    new = diagonalize_truncated(build(min(2 * n, n_cap)), k) if n < n_cap else vals
-    drift = np.abs(new - vals) / np.maximum(np.abs(new), 1e-300)
-    return new, drift <= drift_tol, min(2 * n, n_cap)
 
 
 # ---------------------------------------------------------------------------

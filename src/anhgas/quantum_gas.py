@@ -30,7 +30,7 @@ __all__ = [
     "position_power_matrix", "oscillator_hamiltonian",
     "literal_shift", "rspt_shift", "perturbative_shift", "dimensionless_couplings",
     "massless_integrand", "energy_density_massless", "energy_density_massive",
-    "whittaker_series_term", "whittaker_series_term_printed", "series_energy_density",
+    "whittaker_series_term", "series_energy_density",
     "blackbody_energy_density",
 ]
 
@@ -179,11 +179,6 @@ class DimensionlessCouplings:
     a_B: float
     kappa_sq: float
     y_star: float
-
-    def f_n(self, y: float, n: np.ndarray | float):
-        return (self.a_A * (n * n + 6.0 * n) / y**4
-                + self.a_B * (2.0 * n * n + 2.0 * n) / y**2
-                + n * y)
 
     @classmethod
     def from_values(cls, a_A: float, a_B: float) -> "DimensionlessCouplings":
@@ -490,11 +485,11 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
     """Corrected series term pair (f_term, g_term) at indices (i, j, n).
 
     f_term collects the three tail integrals with decay n, g_term the same
-    with decay n+1; their coefficient polynomials stay in n.  The printed
-    blocks carry three typos (an exponential shifted to n+1, one power
-    factor left at n, and a swapped index in the last exponent); this
-    function evaluates the oracle-pinned corrected form, while
-    whittaker_series_term_printed reproduces the typeset one.
+    with decay n+1; their coefficient polynomials stay in n.  Each tail is an
+    incomplete gamma from its argument's GammaLadder, not Whittaker W.  The
+    printed blocks, W functions with three typos (an exponential shifted to
+    n+1, one power factor left at n, and a swapped index in the last exponent),
+    are not evaluated; this is the oracle-pinned corrected form.
     """
     if n < 1:
         raise ValueError(f"series terms start at n = 1, got {n}")
@@ -509,58 +504,6 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
     # a zero coefficient's tail is never formed: at y0 = 0 it may diverge
     return ((c1 * f[p1] if c1 else 0.0) + (c2 * f[p2] if c2 else 0.0) + c3 * f[p3],
             (c1 * g[p1] if c1 else 0.0) + (c2 * g[p2] if c2 else 0.0) + c3 * g[p3])
-
-
-def whittaker_series_term_printed(i: int, j: int, n: int, d: DimensionlessCouplings
-                                  ) -> tuple[float, float]:
-    """The two printed three-line blocks evaluated verbatim.
-
-    First block (argument 3 n kappa^2) and second block (argument
-    3 (n+1) kappa^2), both with the typeset exponential
-    e^{-(3/2)(n+1) kappa^2}, the second block's first-line power factor
-    (3 n kappa^2)^(-1-2i-j), and the last-line exponent -4+4j+2j.
-    """
-    if n < 1:
-        raise ValueError(f"series terms start at n = 1, got {n}")
-    if d.kappa_sq <= 0.0:
-        raise ValueError("printed blocks need kappa_sq > 0")
-    k2 = d.kappa_sq
-    x_n = 3.0 * n * k2
-    x_n1 = 3.0 * (n + 1.0) * k2
-    expo = -1.5 * (n + 1.0) * k2
-    c_a = d.a_A * (n * n + 6.0 * n)
-    c_b = d.a_B * (2.0 * n * n + 2.0 * n)
-
-    def line(coeff: float, n_pow_base: float, n_pow: float,
-             arg_pow_base: float, arg_pow: float,
-             kap: float, mu: float, z: float) -> float:
-        if coeff == 0.0:
-            return 0.0
-        log_w = sf.log_whittaker_w(kap, mu, z).value
-        log_mag = (math.log(abs(coeff)) + n_pow * math.log(n_pow_base)
-                   + arg_pow * math.log(arg_pow_base) + expo + log_w)
-        if log_mag > 705.0:
-            raise sf.SpecialFunctionOverflow(
-                f"printed term magnitude exp({log_mag:.1f}) overflows"
-            )
-        return math.copysign(math.exp(log_mag), coeff)
-
-    def block(base: float, arg: float) -> float:
-        # base is n for the first block, n+1 for the second; the second
-        # block's first line keeps the typeset (3 n kappa^2) power factor
-        l1 = line(c_a, base, 1.0 + 4.0 * i + 2.0 * j,
-                  x_n, -(1.0 + 2.0 * i + j),
-                  -(1.0 + 2.0 * i + j), -(1.0 + 4.0 * i + 2.0 * j) / 2.0, arg)
-        l2 = line(c_b, base, -1.0 + 4.0 * i + 2.0 * j,
-                  arg, -(2.0 * i + j),
-                  -(2.0 * i + j), -(-1.0 + 4.0 * i + 2.0 * j) / 2.0, arg)
-        l3 = line(float(n), base, -4.0 + 4.0 * j + 2.0 * j,
-                  arg, -(-3.0 + 4.0 * i + 2.0 * j) / 2.0,
-                  -(-3.0 + 4.0 * i + 2.0 * j) / 2.0,
-                  -(-4.0 + 4.0 * i + 2.0 * j) / 2.0, arg)
-        return l1 + l2 + l3
-
-    return block(float(n), x_n), block(float(n + 1), x_n1)
 
 
 def series_energy_density(

@@ -2,8 +2,8 @@
 
 Modified Bessel K of real order (fractional orders are first-class),
 its derivative, the upper incomplete gamma function, and Whittaker W on
-its incomplete-gamma family mu = +-(kappa + 1/2), the one the series
-terms use, where W_{kappa,mu}(z) = e^{z/2} z^-kappa Gamma(2 kappa + 1, z).
+its incomplete-gamma family mu = +-(kappa + 1/2), for verify's identity
+row and specfun-eval, where W_{kappa,mu}(z) = e^{z/2} z^-kappa Gamma(2 kappa + 1, z).
 Each function has one implementation, in log space, so callers can
 multiply huge exponentials by tiny function values without overflow
 (DLMF 10.40, 8.11); the value and e^x-scaled forms exponentiate it.
@@ -46,6 +46,7 @@ _LOG_HUGE = 700.0         # ln of the unscaled overflow threshold
 _W_PARAM_MAX = 60.0       # |kappa|, |mu| bound of whittaker_w
 _GAMMA_A_MIN = -2.0 * _W_PARAM_MAX   # lowest Gamma(a, x) order: W's b - 1 = 2 mu
 _GAMMA_LADDER_X_MAX = 4.0   # x_c: orders a <= 0 walk down below it, take the fraction above
+_GAMMA_AMP_MAX = 1e4        # largest rounding amplification an incomplete-gamma route may carry
 
 
 class SpecialFunctionDomainError(ValueError):
@@ -347,10 +348,10 @@ class GammaLadder:
     Below x_c = 4 the orders a = top - k <= 0, top in [0, 1), come from one walk
     Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^-x) / (a-1) down from Gamma(top, x),
     E_1(x) at top = 0, as deep as the deepest order asked so far. Other orders
-    take that function's series or Lentz fraction."""
+    take that function's series or Lentz fraction. A caller may hand it its first logs."""
 
-    def __init__(self, x: float, top: float = 0.0):
-        self.x, self.top, self.logs = x, top, []     # logs[k] = ln Gamma(top - k, x)
+    def __init__(self, x: float, top: float = 0.0, *start: float):
+        self.x, self.top, self.logs = x, top, list(start)   # logs[k] = ln Gamma(top - k, x)
 
     def __call__(self, a: float) -> float:
         x, top, logs = self.x, self.top, self.logs
@@ -368,11 +369,7 @@ class GammaLadder:
             cur -= 1.0
             l_pow = cur * lx - x            # ln(x^cur e^-x)
             # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
-            if l_pow >= lg:
-                lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
-            else:
-                # only possible through rounding at the crossover; fall back
-                lg = math.log((math.exp(lg) - math.exp(l_pow)) / cur)
+            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
             logs.append(lg)
         return lg
 
@@ -382,7 +379,9 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
 
     Orders a <= 0 are the extension the mode-series terms need, where the
     orders run through negative integers; Gamma(a, x) is always positive.
-    Below x_c they are a GammaLadder's with top = a + ceil(-a).
+    Below x_c they are a GammaLadder's with top = a + ceil(-a). A route whose
+    cancellation amplifies rounding more than 1e4-fold is refused; below that,
+    the estimate carries the amplification (Gautschi, ACM TOMS 5(4), 1979).
     """
     if not (x > 0.0 or (x == 0.0 and a > 0.0)):
         raise SpecialFunctionDomainError(
@@ -395,17 +394,29 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
     if x == 0.0:
         v = math.lgamma(a)
         return SpecialFunctionResult(v, 4e-16 * abs(v) + 1e-16, "series")
-    if a > 0.0 and x < a + 1.0:
-        v = math.lgamma(a) + math.log1p(-_lower_p_series(a, x))
-        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "series")
-    if a > 0.0 or x >= _GAMMA_LADDER_X_MAX:
-        v = -x + a * math.log(x) + math.log(_upper_cf(a, x))
-        return SpecialFunctionResult(v, 1e-14 * max(1.0, abs(v)), "continued_fraction")
-    # an integer order's walk starts at E_1 = Gamma(0, x), and so does an order
-    # within rounding of 0, where a + ceil(-a) rounds to 1
-    n_steps = math.ceil(-a) + (a == math.floor(a))
-    lg = GammaLadder(x, (a + math.ceil(-a)) % 1.0)(a)
-    return SpecialFunctionResult(lg, 1e-14 * (1 + n_steps) * max(1.0, abs(lg)), "recurrence")
+    ladder = a <= 0.0 and x < _GAMMA_LADDER_X_MAX
+    top = (a + math.ceil(-a)) % 1.0 if ladder else a
+    if ladder and not top:
+        v, method = math.log(exp1(x)), "recurrence"
+    elif x < top + 1.0:
+        v, method = math.lgamma(top) + math.log1p(-_lower_p_series(top, x)), "series"
+    else:
+        v, method = -x + top * math.log(x) + math.log(_upper_cf(top, x)), "continued_fraction"
+    # v carries units roundings of 1e-14 |v|; 1 - P amplifies P's by Gamma(a) / Gamma(a, x)
+    units = math.exp(math.lgamma(top) - v) if method == "series" else 1.0
+    if ladder:
+        walk, lx, method = GammaLadder(x, top, v), math.log(x), "recurrence"
+        for k in range(1, round(top - a) + 1):
+            r = math.exp(v - (top - k) * lx + x)     # Gamma(c+1, x) / (x^c e^-x), c = top - k
+            # the step to c amplifies the error of Gamma(c+1, x) by r / (1 - r), adds a rounding
+            units = 1.0 + (units + 1.0) * r / (1.0 - r) if r < 1.0 else math.inf
+            if not units <= _GAMMA_AMP_MAX:
+                break
+            v = walk(top - k)
+    if not units <= _GAMMA_AMP_MAX:
+        raise SpecialFunctionRangeError(f"log_upper_incomplete_gamma({a}, {x}): its {method} "
+                                        f"route amplifies rounding {units:.3g}-fold, > 1e4")
+    return SpecialFunctionResult(v, 1e-14 * units * max(1.0, abs(v)), method)
 
 
 def upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
@@ -437,13 +448,13 @@ def exp1(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def log_whittaker_w(kappa: float, mu: float, z: float) -> SpecialFunctionResult:
-    """ln W_{kappa,mu}(z) on its incomplete-gamma family mu = +-(kappa + 1/2).
+    """ln W_{kappa,mu}(z) on its incomplete-gamma family mu = +-(kappa + 1/2), for
+    verify's identity row and specfun-eval; the triple series does not use W.
 
     W is even in mu; with m = kappa + 1/2 it is e^{-z/2} z^{m+1/2} U(1, 1+2m, z),
     and U(1, b, z) = e^z z^{1-b} Gamma(b-1, z) (DLMF 13.18(ii)), so W is
-    positive and the Gamma branch that ran is W's. Any other (kappa, mu)
-    is a SpecialFunctionRangeError. The one branch dispatch for W:
-    whittaker_w exponentiates its result.
+    positive and the Gamma branch that ran is W's. Any other (kappa, mu) is a
+    SpecialFunctionRangeError; whittaker_w exponentiates the result.
     """
     if not (z > 0.0):
         raise SpecialFunctionDomainError(f"Whittaker W requires z > 0, got {z}")

@@ -922,13 +922,19 @@ class TestSpecfunEval:
         assert run(["specfun-eval", "whittaker_w", "-2", "0.5", "0.8"]) == 1
         assert "family" in capsys.readouterr().err
 
-    def test_gamma_order_floor_is_one_line_and_exit_one(self, capsys):
+    @pytest.mark.parametrize("argv, cause", [
         # refused before the recurrence takes its first of ~1e300 steps
-        assert run(["specfun-eval", "log_upper_incomplete_gamma", "--", "-1e300", "0.5"]) == 1
+        (["log_upper_incomplete_gamma", "--", "-1e300", "0.5"], "outside the supported"),
+        # the series' 1 - P cancels, and the ladder's step from a top near 1
+        (["upper_incomplete_gamma", "1e-13", "1"], "series route amplifies rounding"),
+        (["log_upper_incomplete_gamma", "--", "-1e-10", "1"], "recurrence route amplifies"),
+    ])
+    def test_gamma_refusals_are_one_line_and_exit_one(self, capsys, argv, cause):
+        assert run(["specfun-eval", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("specfun-eval error: ")
-        assert "outside the supported" in captured.err and captured.err.count("\n") == 1
+        assert cause in captured.err and captured.err.count("\n") == 1
 
     def test_wrong_arity(self, capsys):
         assert run(["specfun-eval", "bessel_k", "1.0"]) == 1

@@ -160,16 +160,6 @@ class TestDiagonalization:
         v2 = oc.diagonalize_truncated(h2, 6)
         assert np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1.0)) < 1e-10
 
-    def test_convergence_doubling(self):
-        from anhgas import quantum_gas as qg
-        from anhgas.params import OscillatorParams
-
-        p = OscillatorParams(m=1.0, omega=1.0, lam=4e-3)
-        vals, flags, used = oc.diagonalize_converged(
-            lambda n: qg.oscillator_hamiltonian(n, p), 4, n_start=100)
-        assert flags.all()
-        assert used <= 400
-
 
 class TestMetropolis:
     def test_gaussian_variance(self):

@@ -291,6 +291,26 @@ class TestUpperIncompleteGamma:
         for x in (0.05, 0.8, 1.0, 3.0, 25.0):
             assert sf.exp1(x) == pytest.approx(float(mpmath.e1(x)), rel=1e-12)
 
+    # where a route cancels, the series' 1 - P at small a or the ladder's first step
+    # from a top near 1, an order is refused by name or its estimate holds the error
+    REFUSED = {(1e-13, 0.1), (1e-13, 1.0), (1e-8, 0.1), (1e-8, 1.0),
+               (-1e-16, 0.1), (-1e-16, 1.0), (-1e-16, 3.9), (-1e-10, 0.1), (-1e-10, 1.0),
+               (-1e-10, 3.9), (-1.0 + 1e-12, 0.1), (-1.0 + 1e-12, 1.0)}
+
+    @pytest.mark.parametrize("a", [1e-13, 1e-8, 1e-3, -1e-16, -1e-10, -1.0 + 1e-12])
+    @pytest.mark.parametrize("x", [0.1, 1.0, 3.9])
+    def test_cancelling_routes_are_refused_or_within_their_estimate(self, a, x):
+        routes = [sf.log_upper_incomplete_gamma] + [sf.upper_incomplete_gamma] * (a > 0.0)
+        if (a, x) in self.REFUSED:
+            for route in routes:
+                with pytest.raises(sf.SpecialFunctionRangeError, match="amplifies rounding"):
+                    route(a, x)
+            return
+        want = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x))
+        for route, ref in zip(routes, (mpmath.log(want), want)):
+            got = route(a, x)
+            assert abs(mpmath.mpf(got.value) - ref) <= got.abs_error_estimate, route
+
     def test_error_estimates_are_honest(self):
         for a in (0.2, 4.0, 17.3, 35.0, 80.0):
             for x in (1e-4, 2.3, 30.0, 80.0, 200.0):
@@ -473,10 +493,12 @@ class TestWhittakerW:
 
     def test_the_log_error_carries_the_gamma_branch(self):
         # W_{-5,-9/2}(0.04) = e^{0.02} 0.04^5 Gamma(-9, 0.04): the recurrence's
-        # own estimate, 2.9e-12, bounds W's from below
+        # own estimate bounds W's from below; at x = 0.04 each ladder step damps
+        # the error it inherits about 100-fold, so the walk carries about one
+        # rounding unit, 1e-14 |ln Gamma| = 2.7e-13
         g = sf.log_upper_incomplete_gamma(-9.0, 0.04)
         lg = sf.log_whittaker_w(-5.0, -4.5, 0.04)
-        assert g.abs_error_estimate > 2e-12
+        assert 2e-13 < g.abs_error_estimate < 3e-13
         assert lg.abs_error_estimate >= g.abs_error_estimate
 
     def test_error_estimates_are_honest(self):

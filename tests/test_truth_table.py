@@ -56,8 +56,8 @@ def passes(T):
     z, x = cg.relativistic_z(P, t), cg.coupling_x(P, t)
     return {
         "kinetic (cosh, cosh^2)": (cg._kinetic_scaled(z, 1.0), kinetic_truth(z)),
-        "quartic (F, -F'/4)": (cg._quartic_gaussian(x, 1e-12), quartic_truth(x)),
-        "position (norm, <V> moment)": (cg._position_integral(P, t.beta, 1e-11),
+        "quartic (F, -F'/4)": (cg._quartic_gaussian(x), quartic_truth(x)),
+        "position (norm, <V> moment)": (cg._position_integral(P, t.beta),
                                         position_truth(t.beta)),
     }
 
