@@ -4,6 +4,8 @@ Sweeps run on one thread, so a module global holds the innermost scope."""
 
 from contextlib import contextmanager
 
+__all__ = ["memo_scope", "current", "shared_value"]
+
 _memo: dict | None = None
 
 

@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 __all__ = [
     "QuadratureResult",
     "QuadratureResults",
-    "SeriesTruncation",
     "McEstimate",
     "IntegrandError",
     "integrate_finite",
@@ -55,16 +54,6 @@ class QuadratureResults(tuple):
     evaluations = property(lambda self: self[0].evaluations)
     converged = property(lambda self: all(r.converged for r in self))
 
-    def scaled(self, factor: float) -> QuadratureResults:
-        return QuadratureResults(r.scaled(factor) for r in self)
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    n_max: int
-    i_max: int = 0
-    j_max: int = 0
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -96,6 +85,7 @@ _WG = (
     0.3818300505051189, 0.4179591836734694,
 )
 _ABS_TOL = 1e-300   # the absolute floor of every tolerance test: a zero integral converges
+_MAX_EVALS = 200_000    # the integrand evaluations one pass may spend
 
 
 def _gk15(f: Callable[[float], float | tuple[float, ...]], lo: float, hi: float,
@@ -182,14 +172,13 @@ def _adaptive(
     lo: float,
     hi: float,
     rel_tol: float,
-    max_evals: int,
     a: float | None = None,
 ) -> QuadratureResult | QuadratureResults:
     """Adaptive bisection of [lo, hi] with _gk15 panels, one pass for all components
     of f: split the panel of largest priority (its estimate e for a float f, else
     max_i e_i / s_i with s_i = max(|first-panel value_i|, _ABS_TOL / rel_tol)) until
-    each component meets max(_ABS_TOL, rel_tol |value_i|), or the budget or float
-    resolution stops it, then re-sum each component's panels in sorted order."""
+    each component meets max(_ABS_TOL, rel_tol |value_i|), or the _MAX_EVALS budget or
+    float resolution stops it, then re-sum each component's panels in sorted order."""
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     val, err = _gk15(f, lo, hi, a)
@@ -205,7 +194,7 @@ def _adaptive(
     parts = range(len(val))
     evals = 15
     unmet = any(total_err[i] > max(_ABS_TOL, rel_tol * abs(total[i])) for i in parts)
-    while unmet and evals + 30 <= max_evals:
+    while unmet and evals + 30 <= _MAX_EVALS:
         neg, p_lo, p_hi, v, e = heapq.heappop(heap)
         midpoint = 0.5 * (p_lo + p_hi)
         if midpoint == p_lo or midpoint == p_hi:
@@ -238,26 +227,25 @@ def integrate_finite(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    max_evals: int = 200_000,
 ) -> QuadratureResult | QuadratureResults:
-    """Adaptive Gauss-Kronrod on [a, b]; a tuple integrand gives QuadratureResults."""
-    return _adaptive(f, a, b, rel_tol, max_evals)
+    """Adaptive Gauss-Kronrod on [a, b] in at most _MAX_EVALS evaluations; a tuple
+    integrand gives QuadratureResults."""
+    return _adaptive(f, a, b, rel_tol)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float | tuple[float, ...]],
     a: float,
     rel_tol: float = 1e-10,
-    max_evals: int = 200_000,
 ) -> QuadratureResult | QuadratureResults:
-    """Integral of f over [a, inf), mapped onto (0, 1) by y = a + t/(1-t).
+    """Integral of f over [a, inf) through y = a + t/(1-t), in at most _MAX_EVALS evaluations.
 
     The map is in units of y: an integrand of another width, with an edge
     at a, or with a tail the map should reach another way, is integrated
     over a coordinate its caller chooses, with the Jacobian in the
     integrand (over [0, 1) by integrate_finite, for a map of its own).
     """
-    return _adaptive(f, 0.0, 1.0, rel_tol, max_evals, a)
+    return _adaptive(f, 0.0, 1.0, rel_tol, a)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import specfun as sf
 from .memo import memo_scope, shared_value
-from .oracles import QuadratureResult, SeriesTruncation, integrate_finite, integrate_semi_infinite
+from .oracles import QuadratureResult, integrate_finite, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, Status, compare
 
@@ -42,6 +42,8 @@ class PositivityWindowError(ValueError):
 _DENSITY_REL_TOL = 1e-9     # of every energy-density quadrature
 # largest a_B at which the triple series replaces the occupation denominator
 SERIES_MAX_A_B = 0.1
+# the triple series' truncation box: n <= _N_MAX, i <= _I_MAX, j <= _J_MAX
+_N_MAX, _I_MAX, _J_MAX = 50, 3, 3
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +510,6 @@ def whittaker_series_term(i: int, j: int, n: int, d: DimensionlessCouplings,
 
 def series_energy_density(
     p: OscillatorParams, t: ThermalState,
-    trunc: SeriesTruncation | None = None,
     cutoff_convention: str = "y_star",
 ) -> ComparisonReport:
     """Triple-series energy density vs denominator-replaced quadrature.
@@ -516,7 +517,8 @@ def series_energy_density(
     Valid in the small-coupling regime where the occupation denominator
     can be replaced by 1/(1 - e^-y); enforced via a_B <= SERIES_MAX_A_B.
     The series telescopes the replacement exactly: each n contributes tail
-    integrals with decay n minus the same with decay n+1.
+    integrals with decay n minus the same with decay n+1.  It is summed over
+    the box (n, i, j) <= (_N_MAX, _I_MAX, _J_MAX), which options_used echoes.
     """
     d = dimensionless_couplings(p, t)
     if d.a_B > SERIES_MAX_A_B:
@@ -524,12 +526,12 @@ def series_energy_density(
             f"a_B={d.a_B:.3g} outside the denominator-replacement regime "
             f"(<= {SERIES_MAX_A_B})"
         )
-    trunc = trunc or SeriesTruncation(n_max=50, i_max=3, j_max=3)
     y0 = _resolve_cut(d, cutoff_convention)
     pref = _density_prefactor(t)
+    box = {"n_max": _N_MAX, "i_max": _I_MAX, "j_max": _J_MAX}
 
     try:
-        value, tail, box_ok = _triple_sum(d, trunc, y0)
+        value, tail, box_ok = _triple_sum(d, y0)
     except sf.SpecialFunctionOverflow as exc:
         # a term magnitude left double range; report it, do not crash
         return ComparisonReport(
@@ -537,8 +539,7 @@ def series_energy_density(
             Status.ERROR,
             "triple tail-integral series vs denominator-replaced quadrature",
             0.01,
-            {"T": t.T, "overflow": str(exc), "y0": y0,
-             "n_max": trunc.n_max, "i_max": trunc.i_max, "j_max": trunc.j_max},
+            {"T": t.T, "overflow": str(exc), "y0": y0, **box},
         )
     literal = pref * value
 
@@ -557,7 +558,7 @@ def series_energy_density(
         provenance="triple tail-integral series vs denominator-replaced quadrature",
         options_used={
             "T": t.T,
-            "n_max": trunc.n_max, "i_max": trunc.i_max, "j_max": trunc.j_max,
+            **box,
             "tail_estimate": pref * tail,
             "y0": y0,
             "cutoff_convention": cutoff_convention,
@@ -581,9 +582,9 @@ def _geometric_tail(last: float, prev: float) -> tuple[float, bool]:
     return abs(last) * r / (1.0 - r), True
 
 
-def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
-                y0: float) -> tuple[float, float, bool]:
-    """(value, tail_estimate, box_converged) of the truncated triple sum.
+def _triple_sum(d: DimensionlessCouplings, y0: float) -> tuple[float, float, bool]:
+    """(value, tail_estimate, box_converged) of the triple sum over the box
+    (n, i, j) <= (_N_MAX, _I_MAX, _J_MAX).
 
     A tail integral depends only on (power, decay): the power only on
     2i + j, and decay n + 1 serves the g-term at n and the f-term at n + 1,
@@ -598,18 +599,14 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
         box_ok = True
         expand_i = d.a_A != 0.0
         expand_j = d.a_B != 0.0
-        for n in range(1, trunc.n_max + 1):
+        for n in range(1, _N_MAX + 1):
             shell = 0.0
             log_afac = math.log(abs(d.a_A) * (n * n + 6.0 * n)) if expand_i else -math.inf
             log_bfac = math.log(d.a_B * (2.0 * n * n + 2.0 * n)) if expand_j else -math.inf
-            i_layers = [0.0] * (trunc.i_max + 1)
-            j_layers = [0.0] * (trunc.j_max + 1)
-            for i in range(trunc.i_max + 1):
-                if not expand_i and i > 0:
-                    break
-                for j in range(trunc.j_max + 1):
-                    if not expand_j and j > 0:
-                        break
+            i_layers = [0.0] * (_I_MAX + 1)
+            j_layers = [0.0] * (_J_MAX + 1)
+            for i in range(_I_MAX + 1 if expand_i else 1):
+                for j in range(_J_MAX + 1 if expand_j else 1):
                     if i == 0 and j == 0:
                         c = 1.0
                     else:
@@ -628,20 +625,19 @@ def _triple_sum(d: DimensionlessCouplings, trunc: SeriesTruncation,
                     j_layers[j] += abs(piece)
             total += shell
             floor = 1e-13 * max(abs(total), 1e-300)   # noise-scale layers are benign
-            if expand_i and trunc.i_max >= 1:
-                t, ok = _geometric_tail(i_layers[-1], i_layers[-2])
-                tail_ij += t
-                box_ok = box_ok and (ok or i_layers[-1] <= floor)
-            elif expand_i:
-                box_ok = False     # i-expansion truncated at its first term
-            if expand_j and trunc.j_max >= 1:
-                t, ok = _geometric_tail(j_layers[-1], j_layers[-2])
-                tail_ij += t
-                box_ok = box_ok and (ok or j_layers[-1] <= floor)
-            elif expand_j:
-                box_ok = False
+            for expand, layers in ((expand_i, i_layers), (expand_j, j_layers)):
+                if expand:
+                    t, ok = _geometric_tail(layers[-1], layers[-2])
+                    tail_ij += t
+                    box_ok = box_ok and (ok or layers[-1] <= floor)
             if shell_prev is not None:
                 t, ok = _geometric_tail(shell, shell_prev)
+                if ok and t:
+                    # the shells fall off like n^-p (p = 4 at zero coupling), more
+                    # slowly than any fixed ratio: bound the rest by the integral
+                    # test, |s_n| n/(p - 1) with p from the last two shells
+                    p = math.log(abs(shell_prev / shell)) / math.log(n / (n - 1.0))
+                    t = max(t, abs(shell) * n / (p - 1.0) if p > 1.0 else math.inf)
                 if ok or abs(shell) <= floor:
                     tail_n = t if ok else abs(shell)
                 elif n > 4:

@@ -347,8 +347,9 @@ class GammaLadder:
 
     Below x_c = 4 the orders a = top - k <= 0, top in [0, 1), come from one walk
     Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^-x) / (a-1) down from Gamma(top, x),
-    E_1(x) at top = 0, as deep as the deepest order asked so far. Other orders
-    take that function's series or Lentz fraction. A caller may hand it its first logs."""
+    E_1(x) at top = 0, as deep as the deepest order asked so far; an order off that
+    ladder is refused. Other orders take that function's series or Lentz fraction.
+    A caller may hand it its first logs."""
 
     def __init__(self, x: float, top: float = 0.0, *start: float):
         self.x, self.top, self.logs = x, top, list(start)   # logs[k] = ln Gamma(top - k, x)
@@ -360,7 +361,9 @@ class GammaLadder:
         if not a >= _GAMMA_A_MIN:
             raise SpecialFunctionRangeError(
                 f"incomplete gamma order a={a} outside the supported [{_GAMMA_A_MIN:g}, inf)")
-        if (k := round(top - a)) < len(logs):
+        if abs(top - a - (k := round(top - a))) > 1e-12 * (1.0 - a):
+            raise SpecialFunctionRangeError(f"order a={a} is off the ladder {top} - k at x={x}")
+        if k < len(logs):
             return logs[k]
         if not logs:
             logs.append(log_upper_incomplete_gamma(top, x).value if top else math.log(exp1(x)))

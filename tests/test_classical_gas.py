@@ -1,7 +1,6 @@
 """Classical-gas checks: printed formulas against their quadrature
 oracles, limit behavior, and the documented FLAGGED deviations."""
 
-import functools
 import math
 
 import pytest
@@ -292,8 +291,7 @@ class TestAnharmonicPartition:
     def test_unconverged_quadratures_are_named(self, monkeypatch):
         # a 15-evaluation budget leaves all three quadratures unconverged;
         # their rel_dev, 0.044, would read FLAGGED without the names
-        monkeypatch.setattr(cg, "integrate_semi_infinite",
-                            functools.partial(integrate_semi_infinite, max_evals=15))
+        monkeypatch.setattr(oracles, "_MAX_EVALS", 15)
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         rep = cg.anharmonic_relativistic_partition(p, natural_state())
         assert rep.status is Status.ERROR
@@ -456,8 +454,7 @@ class TestAverageEnergy:
         # a 15-evaluation budget leaves every quadrature at one panel
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
         t = natural_state()
-        monkeypatch.setattr(cg, "integrate_semi_infinite",
-                            functools.partial(integrate_semi_infinite, max_evals=15))
+        monkeypatch.setattr(oracles, "_MAX_EVALS", 15)
         rep = cg.average_energy_classical(p, t)
         assert rep.status is Status.ERROR
         assert math.isfinite(rep.literal) and math.isfinite(rep.oracle)
@@ -489,8 +486,7 @@ class TestAverageEnergy:
     def test_classical_point_names_every_unconverged_quadrature(self, monkeypatch):
         # with a 15-evaluation budget and an unconverged unit Gaussian, no
         # row of a temperature may PASS or FLAG on an unconverged oracle
-        monkeypatch.setattr(cg, "integrate_semi_infinite",
-                            functools.partial(integrate_semi_infinite, max_evals=15))
+        monkeypatch.setattr(oracles, "_MAX_EVALS", 15)
         unit = cg._UNIT_RADIAL_GAUSSIAN
         monkeypatch.setattr(cg, "_UNIT_RADIAL_GAUSSIAN",
                             QuadratureResult(unit.value, 1.0, 15, False))

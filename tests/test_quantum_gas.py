@@ -3,6 +3,7 @@ diagonalization, the positivity cutoff, mode sums, energy densities, and
 the triple-series terms against their tail-integral oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ import pytest
 from anhgas import memo
 from anhgas import quantum_gas as qg
 from anhgas.memo import memo_scope
-from anhgas.oracles import (SeriesTruncation, diagonalize_truncated, integrate_finite,
-                            integrate_semi_infinite)
+from anhgas.oracles import diagonalize_truncated, integrate_finite, integrate_semi_infinite
 from anhgas.params import OscillatorParams, ThermalState
 from anhgas.reports import Status
 
@@ -611,14 +611,14 @@ class TestSeriesTerms:
 
         monkeypatch.setattr(sf, "exp1", counting)
         d, y0 = self.d, self.y0
-        trunc = SeriesTruncation(n_max=6, i_max=2, j_max=2)
+        n_max, i_max, j_max = 6, 2, 2
         direct = 0.0
-        for n in range(1, trunc.n_max + 1):
+        for n in range(1, n_max + 1):
             log_afac = math.log(abs(d.a_A) * (n * n + 6.0 * n))
             log_bfac = math.log(d.a_B * (2.0 * n * n + 2.0 * n))
             shell = 0.0
-            for i in range(trunc.i_max + 1):
-                for j in range(trunc.j_max + 1):
+            for i in range(i_max + 1):
+                for j in range(j_max + 1):
                     c = 1.0
                     if i or j:
                         log_c = (i * log_afac + j * log_bfac
@@ -629,9 +629,10 @@ class TestSeriesTerms:
                     shell += c * (f_t - g_t)
             direct += shell
         direct_calls, calls[0] = calls[0], 0
-        total, _, _ = qg._triple_sum(d, trunc, y0)
+        with mock.patch.multiple(qg, _N_MAX=n_max, _I_MAX=i_max, _J_MAX=j_max):
+            total, _, _ = qg._triple_sum(d, y0)
         assert total == direct
-        below_x_c = sum(decay * y0 < 4.0 for decay in range(1, trunc.n_max + 2))
+        below_x_c = sum(decay * y0 < 4.0 for decay in range(1, n_max + 2))
         assert calls[0] == below_x_c < direct_calls / 2
         assert memo.current() is None   # the memo lives for one call only
 
@@ -645,8 +646,7 @@ class TestSeriesTerms:
         calls = []
         exp1 = sf.exp1
         monkeypatch.setattr(sf, "exp1", lambda x: calls.append(x) or exp1(x))
-        trunc = SeriesTruncation(n_max=50, i_max=3, j_max=3)
-        qg._triple_sum(d, trunc, d.y_star)
+        qg._triple_sum(d, d.y_star)
         assert len(calls) > 20
         assert len(set(calls)) == len(calls)     # at most one E_1 per argument
 
@@ -657,19 +657,25 @@ class TestSeriesTerms:
         with memo_scope():
             enclosing = memo.current()
             with pytest.raises(sf.SpecialFunctionOverflow):
-                qg._triple_sum(d, SeriesTruncation(n_max=50, i_max=3, j_max=3), d.y_star)
+                qg._triple_sum(d, d.y_star)
             assert memo.current() is enclosing
         assert memo.current() is None
 
 
 class TestSeriesEnergyDensity:
-    def test_blackbody_collapse(self):
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
+    def test_blackbody_tail_estimate_bounds_the_truncation(self, temperature):
+        # at zero coupling the series sums to pi^2 T^4/15, and its shells fall
+        # off like n^-4: the tail estimate must cover the dropped remainder
+        # without overstating it twofold
         p = OscillatorParams(m=1.0, omega=1.0)
-        rep = qg.series_energy_density(
-            p, t_of(1.0), trunc=SeriesTruncation(n_max=2000, i_max=0, j_max=0))
-        want = math.pi**2 / 15.0
-        assert rep.literal == pytest.approx(want, rel=1e-9)
+        rep = qg.series_energy_density(p, t_of(temperature))
+        dropped = math.pi**2 * temperature**4 / 15.0 - rep.literal
+        assert dropped <= rep.options_used["tail_estimate"] <= 2.0 * dropped
+        assert rep.options_used["box_converged"]
         assert rep.status is Status.PASS
+        assert (rep.options_used["n_max"], rep.options_used["i_max"],
+                rep.options_used["j_max"]) == (50, 3, 3)
 
     @pytest.mark.parametrize("a_b", [1e-3, 1e-4])
     def test_matches_denominator_replaced_quadrature(self, a_b):
@@ -683,11 +689,11 @@ class TestSeriesEnergyDensity:
     def test_box_doubling_within_tail(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=4e-3 / 3.0,
                              mu=4.0 * math.sqrt(0.4e-3))
-        rep = qg.series_energy_density(
-            p, t_of(1.0), trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
-        rep2 = qg.series_energy_density(
-            p, t_of(1.0), trunc=SeriesTruncation(n_max=100, i_max=6, j_max=6))
-        assert abs(rep2.literal - rep.literal) <= rep.options_used["tail_estimate"]
+        rep = qg.series_energy_density(p, t_of(1.0))
+        with mock.patch.multiple(qg, _N_MAX=100, _I_MAX=6, _J_MAX=6):
+            rep2 = qg.series_energy_density(p, t_of(1.0))
+        assert rep2.options_used["n_max"] == 100
+        assert 0.0 < abs(rep2.literal - rep.literal) <= rep.options_used["tail_estimate"]
 
     def test_oversized_coupling_rejected(self):
         p = OscillatorParams(m=1.0, omega=1.0, lam=1.0)
@@ -697,8 +703,8 @@ class TestSeriesEnergyDensity:
     def test_undersized_box_is_flagged_not_wrong(self):
         # strong couplings break the expansion; the report must say so
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.05, mu=0.3)
-        rep = qg.series_energy_density(
-            p, t_of(1.0), trunc=SeriesTruncation(n_max=30, i_max=2, j_max=2))
+        with mock.patch.multiple(qg, _N_MAX=30, _I_MAX=2, _J_MAX=2):
+            rep = qg.series_energy_density(p, t_of(1.0))
         if rep.status is Status.FLAGGED:
             assert not rep.options_used["box_converged"] or rep.rel_dev > 0.01
         else:
@@ -716,8 +722,7 @@ class TestSeriesEnergyDensity:
 
         p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * 0.1 / 3.0,
                              mu=4.0 * math.sqrt(1e-40))
-        rep = qg.series_energy_density(
-            p, t_of(1.0), trunc=SeriesTruncation(n_max=50, i_max=3, j_max=3))
+        rep = qg.series_energy_density(p, t_of(1.0))
         assert rep.status is Status.ERROR
         assert "overflow" in rep.options_used
 

@@ -392,6 +392,15 @@ class TestIncompleteGammaSeriesMemo:
                 ladder(a)
         assert ladder(-120.0) == sf.log_upper_incomplete_gamma(-120.0, 0.5).value
 
+    def test_ladder_refuses_orders_off_its_ladder(self):
+        # a ladder holds the orders top - k only; rounding -2.5 onto the
+        # integer ladder gave ln Gamma(-2, 0.5) = -0.1206 for ln Gamma(-2.5, 0.5)
+        for top, a in ((0.0, -2.5), (0.5, -3.0), (0.0, -1e-6)):
+            with pytest.raises(sf.SpecialFunctionRangeError, match="off the ladder"):
+                sf.GammaLadder(0.5, top)(a)
+        assert sf.GammaLadder(0.5, 0.5)(-2.5) == sf.log_upper_incomplete_gamma(-2.5, 0.5).value
+        assert sf.GammaLadder(0.5, 0.5)(-2.5) == pytest.approx(0.0700, abs=1e-4)
+
     def test_integer_chains_start_at_e1(self, monkeypatch):
         # an integer order's chain is seeded at E_1(x), so no lnGamma(1, x)
         # from the lower series is formed, scoped or not

@@ -7,12 +7,13 @@ entry. A name only tests call is either a row to add or code to delete; the
 few that stay are declared below with their reason.
 """
 
+import inspect
 import json
 import sys
 
-from anhgas import classical_gas, cli, oracles, params, quantum_gas, reports, specfun
+from anhgas import classical_gas, cli, memo, oracles, params, quantum_gas, reports, specfun
 
-LIBRARY = (specfun, oracles, params, reports, classical_gas, quantum_gas)
+LIBRARY = (specfun, oracles, params, reports, classical_gas, quantum_gas, memo)
 
 # test support, reached by no command
 DECLARED = {
@@ -25,8 +26,8 @@ DECLARED = {
         "the Hamiltonian that acceptance criteria 5-6 diagonalize",
     "quantum_gas.position_power_matrix":
         "the x^k matrices of that Hamiltonian",
-    "oracles.QuadratureResults.scaled":
-        "the engine-defect injection of tests/test_cli.py",
+    "memo.current":
+        "the innermost scope's memo, through which tests read and seed memo entries",
 }
 
 # one call per specfun-eval entry, each inside its supported domain
@@ -40,7 +41,8 @@ SPECFUN_ARGS = {
 def _public_code(mod) -> dict:
     """Qualified name -> code object of each function in mod.__all__ and each
     method that a class in mod.__all__ defines in mod (generated methods, such
-    as a dataclass's __init__, live elsewhere and are not counted)."""
+    as a dataclass's __init__, live elsewhere and are not counted); a decorated
+    function counts as the function it wraps."""
     short = mod.__name__.rsplit(".", 1)[1]
     found = {}
     for name in mod.__all__:
@@ -54,7 +56,7 @@ def _public_code(mod) -> dict:
                 if code is not None and code.co_filename == mod.__file__:
                     found[f"{short}.{name}.{attr}"] = code
         elif callable(obj):
-            found[f"{short}.{name}"] = obj.__code__
+            found[f"{short}.{name}"] = inspect.unwrap(obj).__code__
     return found
 
 
