@@ -634,10 +634,10 @@ def _triple_sum(d: DimensionlessCouplings, y0: float) -> tuple[float, float, boo
                 t, ok = _geometric_tail(shell, shell_prev)
                 if ok and t:
                     # the shells fall off like n^-p (p = 4 at zero coupling), more
-                    # slowly than any fixed ratio: bound the rest by the integral
-                    # test, |s_n| n/(p - 1) with p from the last two shells
+                    # slowly than any fixed ratio: bound the rest by the integral test,
+                    # |s_n| n/(p - 1) with p from the last two shells (>= geometric)
                     p = math.log(abs(shell_prev / shell)) / math.log(n / (n - 1.0))
-                    t = max(t, abs(shell) * n / (p - 1.0) if p > 1.0 else math.inf)
+                    t = abs(shell) * n / (p - 1.0) if p > 1.0 else math.inf
                 if ok or abs(shell) <= floor:
                     tail_n = t if ok else abs(shell)
                 elif n > 4:

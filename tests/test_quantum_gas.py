@@ -663,6 +663,16 @@ class TestSeriesTerms:
 
 
 class TestSeriesEnergyDensity:
+    def test_blackbody_collapse(self):
+        # at zero coupling only the i = j = 0 layer is summed, so a box with
+        # no i or j layers and 2000 shells reaches pi^2/15 at T = 1
+        p = OscillatorParams(m=1.0, omega=1.0)
+        with mock.patch.multiple(qg, _N_MAX=2000, _I_MAX=0, _J_MAX=0):
+            rep = qg.series_energy_density(p, t_of(1.0))
+        assert rep.options_used["n_max"] == 2000
+        assert rep.literal == pytest.approx(math.pi**2 / 15.0, rel=1e-9)
+        assert rep.status is Status.PASS
+
     @pytest.mark.parametrize("temperature", [0.5, 1.0, 3.0])
     def test_blackbody_tail_estimate_bounds_the_truncation(self, temperature):
         # at zero coupling the series sums to pi^2 T^4/15, and its shells fall
