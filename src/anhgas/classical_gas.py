@@ -11,6 +11,7 @@ the point of the dual-route design.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import specfun as sf
 from .memo import shared_value
@@ -122,7 +123,7 @@ def _radial_gaussian_integral(c: float) -> QuadratureResult:
 def relativistic_harmonic_partition_z2(p: OscillatorParams, t: ThermalState) -> ComparisonReport:
     """Closed form of the relativistic harmonic partition function vs quadrature."""
     z = relativistic_z(p, t)
-    k0, k1 = (shared_value(sf.bessel_k, nu, z).value for nu in (0.0, 1.0))
+    k0, k1 = _bessel_k01(z)
     try:
         bracket = (1.0 / z) * k0 + 2.0 / z**2 * k1
     except ZeroDivisionError:
@@ -200,9 +201,14 @@ def _kinetic_scaled(z: float, k: float) -> QuadratureResults:
         return 0.0, 0.0
 
     try:
-        return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+        res = integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
     except OverflowError:
         raise OverflowError(f"sinh^2 t cosh^{k:g} t e^(-z cosh t) overflows at z={z!r}") from None
+    if not res[0].value > 0.0:
+        # the weight is about 1/sqrt(z) wide, and at large z no node lands in it
+        raise ArithmeticError(f"e^z int sinh^2 t cosh^{k:g} t e^(-z cosh t) dt came out 0 at "
+                              f"z={z!r}: no quadrature node fell in its weight")
+    return res
 
 
 def kinetic_radial_integral(z: float, k: float) -> QuadratureResult:
@@ -286,28 +292,44 @@ def position_radial_integral(p: OscillatorParams, t: ThermalState) -> Quadrature
 
 
 def f_closed_form(x: float) -> float:
-    """The printed closed form for F, evaluated verbatim.
+    """The printed closed form for F, -(K/(4 sqrt x) + 2 x^{3/2} (K + K')) e^{2x^2}
+    with K = K_{1/4}(w), w = 2x^2, from one K pass at (1/4, w).
 
-    Known to exceed the defining integral by a constant factor; callers
-    wanting the trusted value use f_oracle.  Internally uses scaled Bessel
-    values so the e^{2x^2} prefactor never overflows.
+    With K' = K (1/(4w) - 1 - t), t = K_{5/4}/K_{1/4} - 1, it is exactly
+    e^w K (2wt - 1) / (2 sqrt x): no K + K' is left to cancel, and e^w K never
+    overflows. It is 4 times the defining integral wherever it evaluates;
+    callers wanting the trusted value use f_oracle. As x -> 0, 2wt - 1
+    cancels, by about 0.75/x; where that amplifies rounding more than
+    1e4-fold (x below about 7.5e-5) it raises an ArithmeticError that says so.
     """
     if not (x > 0.0):
         raise ValueError(f"f_closed_form requires x > 0, got {x}")
     w = 2.0 * x * x
-    k_scaled = sf.bessel_k_scaled(0.25, w).value          # e^{2x^2} K_{1/4}(2x^2)
-    kp_scaled = sf.bessel_k_derivative_scaled(0.25, w).value
-    sx = math.sqrt(x)
-    return -((1.0 / (4.0 * sx)) * k_scaled
-             + 2.0 * x * sx * k_scaled
-             + 2.0 * x * sx * kp_scaled)
+    lks, t = sf.bessel_k_pair(0.25, w)
+    two_wt = 2.0 * w * t
+    if abs(two_wt) > 1e4 * abs(two_wt - 1.0):
+        raise ArithmeticError(f"F's printed closed form cancels at x={x!r}: 2wt - 1 with "
+                              f"2wt = {two_wt!r} amplifies rounding more than 1e4-fold")
+    return math.exp(lks.value) * (two_wt - 1.0) / (2.0 * math.sqrt(x))
+
+
+def _bessel_k01(z: float) -> tuple[float, float]:
+    """K_0(z) and K_1(z) = K_0(z) (1 + t) from the memo scope's one K pass at (0, z);
+    an OverflowError where either leaves double range."""
+    lks, t = shared_value(sf.bessel_k_pair, 0.0, z)
+    k0 = math.exp(lks.value - z)
+    k1 = k0 * (1.0 + t)
+    if not (k0 >= sys.float_info.min and k1 < math.inf):
+        raise OverflowError(f"K_0(z) = e^{lks.value - z:.6g} or K_1(z) leaves double range "
+                            f"at z={z!r}")
+    return k0, k1
 
 
 def g_function(x: float) -> float:
     """The printed companion function G(x) = x K_0(x) + 2 x^2 K_1(x)."""
     if not (x > 0.0):
         raise ValueError(f"g_function requires x > 0, got {x}")
-    k0, k1 = (shared_value(sf.bessel_k, nu, x).value for nu in (0.0, 1.0))
+    k0, k1 = _bessel_k01(x)
     return x * k0 + 2.0 * x * x * k1
 
 
@@ -317,7 +339,8 @@ def g_function_corrected(x: float) -> float:
     its two powers swapped."""
     if not (x > 0.0):
         raise ValueError(f"g_function_corrected requires x > 0, got {x}")
-    return x * x * sf.bessel_k(0.0, x).value + 2.0 * x * sf.bessel_k(1.0, x).value
+    k0, k1 = _bessel_k01(x)
+    return x * x * k0 + 2.0 * x * k1
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +435,20 @@ def average_energy_classical(p: OscillatorParams, t: ThermalState) -> Comparison
     """Printed average-energy formula vs the moment ratio <m c^2 cosh s> + <V(r)>.
 
     The printed kinetic term -m c^2 G'(z)/G(z), the one home of the printed
-    G'(z) = K_0 (1 - 2z^2) + z K_1, is formed from the e^z-scaled K_0, K_1,
-    where e^z cancels.  An unconverged quadrature on either side makes the
-    report ERROR.  All of it is memo.shared_value.
+    G'(z) = K_0 (1 - 2z^2) + z K_1, needs only K_1/K_0 = 1 + t from the memo
+    scope's K pass at (0, z): K_0 cancels, so the row keeps its values where
+    K_0 itself leaves double range (z = 1000).  An unconverged quadrature on
+    either side makes the report ERROR.  All of it is memo.shared_value.
     """
     kt = t.T
     x = coupling_x(p, t)
     z = relativistic_z(p, t)
     f_q, fp_q = shared_value(_quartic_gaussian, x)     # F'(x) = -4 fp_q
-    k0, k1 = (shared_value(sf.bessel_k_scaled, nu, z).value for nu in (0.0, 1.0))
+    k1_k0 = 1.0 + shared_value(sf.bessel_k_pair, 0.0, z)[1]     # K_1(z) / K_0(z)
     literal = (
         0.75 * kt
         + math.sqrt(p.m**2 * p.omega**4 * kt / (256.0 * p.lam)) * 4.0 * fp_q.value / f_q.value
-        - p.m * (k0 * (1.0 - 2.0 * z * z) + z * k1) / (z * k0 + 2.0 * z * z * k1)
+        - p.m * ((1.0 - 2.0 * z * z) + z * k1_k0) / (z + 2.0 * z * z * k1_k0)
     )
     oracle, moments = _average_energy_moments(p, t)
     quadratures = {"F(x) = int u^2 e^{-4x u^2 - u^4} du": f_q,

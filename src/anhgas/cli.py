@@ -148,11 +148,10 @@ def _json_value(value):
 
 
 def _write_reports_json(path: Path, reports: list[ComparisonReport]) -> None:
-    payload = [_json_value(r.to_dict()) for r in reports]
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_fmt) + "\n",
-        encoding="utf-8", newline="\n",
-    )
+    # one report per line: json.dumps with an indent bypasses CPython's C encoder
+    lines = (json.dumps(_json_value(r.to_dict()), sort_keys=True, allow_nan=False,
+                        default=_fmt) for r in reports)
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8", newline="\n")
 
 
 def _exit_code(reports: Iterable[ComparisonReport]) -> int:

@@ -6,17 +6,20 @@ its incomplete-gamma family mu = +-(kappa + 1/2), for verify's identity
 row and specfun-eval, where W_{kappa,mu}(z) = e^{z/2} z^-kappa Gamma(2 kappa + 1, z).
 Each function has one implementation, in log space, so callers can
 multiply huge exponentials by tiny function values without overflow
-(DLMF 10.40, 8.11); the value and e^x-scaled forms exponentiate it.
+(DLMF 10.40, 8.11); the value forms exponentiate it. K's one pass,
+bessel_k_pair, gives ln(e^x K_nu) and t = K_{nu+1}/K_nu - 1 together: the
+log, the value and the derivative K' = K (nu/x - 1 - t) all read it.
 
-Branch policy for K_nu, on either side of x_c = 4:
+Branch policy for K_nu, on either side of x_c = 2:
 
-* ``x <= 4``    power series through the base orders in [0, 1]; orders
-                within 1e-3 of an integer but not at it are refused,
-                since their series cancels;
-* ``x > 4``     Steed's continued fraction CF2 for the base orders in
+* ``x <= 2``    power series for the base pair (K_0, K_1) or (K_p, K_{1-p}),
+                p in (0, 1); orders within 1e-3 of an integer but not at it
+                are refused, since their series cancels;
+* ``x > 2``     Steed's continued fraction CF2 for the base orders in
                 [-1/2, 1/2], to the largest double.
 
-Both climb to nu by the stable upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v.
+Both climb to nu by the upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v,
+carried as (ln K, t) with positive terms.
 Branch boundaries are covered by cross-branch consistency tests. A GammaLadder
 holds one x's orders a <= 0 of ln Gamma(a, x), walked down once from E_1(x).
 """
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 __all__ = [
     "SpecialFunctionResult", "SpecialFunctionDomainError", "SpecialFunctionRangeError",
     "SpecialFunctionOverflow",
-    "bessel_k", "bessel_k_scaled", "log_bessel_k", "bessel_k_derivative",
-    "bessel_k_derivative_scaled",
+    "bessel_k_pair", "bessel_k", "log_bessel_k", "bessel_k_derivative",
     "whittaker_w", "log_whittaker_w",
     "upper_incomplete_gamma", "log_upper_incomplete_gamma", "GammaLadder", "exp1",
 ]
@@ -38,7 +40,7 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # branch boundaries for bessel_k
-_SERIES_X_MAX = 4.0       # x_c: the series at or below, CF2 above
+_SERIES_X_MAX = 2.0       # x_c: the series at or below, CF2 above (Numerical Recipes' bessik)
 _NU_MAX = 50.0
 _NEAR_INT = 1e-3          # orders closer than this to an integer are refused at x <= x_c,
 _INT_SNAP = 1e-11         # ...and closer than this are treated as integers
@@ -135,44 +137,30 @@ def _k01_integer_series(x: float) -> tuple[float, float]:
     return k0, k1
 
 
-def _log_k_small(nu: float, x: float) -> tuple[float, str]:
-    """ln K_nu(x) for 0 <= nu <= _NU_MAX and x <= _SERIES_X_MAX.
+def _k_series(nu: float, x: float) -> tuple[float, float, float]:
+    """(p, ln(e^x K_p(x)), t_p) at the base order p = nu - m in [0, 1), x <= _SERIES_X_MAX.
 
-    The pair (K_p, K_{p+1}) with p in [0, 1) is built by series, then
-    climbs the upward ladder.
+    Integer orders take the pair (K_0, K_1), the others (K_p, K_{1-p}); either way
+    K_{p+1} = K_{1-p} + (2p/x) K_p gives t_p = K_{p+1}/K_p - 1.
     """
-    m = round(nu)
-    rho = nu - m
-    if abs(rho) <= _INT_SNAP:
-        k0, k1 = _k01_integer_series(x)
-        if m == 0 or m == 1:
-            return math.log(k1 if m else k0), "series"
-        return _ladder(math.log(k0), math.log(k1), 1.0, m - 1, x), "recurrence"
-    rho_hat = abs(rho)
-    l_a = math.log(_k_base_fractional(rho_hat, x))        # ln K_{rho_hat}
-    l_b = math.log(_k_base_fractional(1.0 - rho_hat, x))  # ln K_{1-rho_hat}
-    if rho > 0.0:
-        if m == 0:
-            return l_a, "series"
-        # K_{rho_hat - 1} = K_{1 - rho_hat} by symmetry
-        return _ladder(l_b, l_a, rho_hat, m, x), "recurrence"
-    if m == 1:
-        return l_b, "series"
-    return _ladder(l_a, l_b, 1.0 - rho_hat, m - 1, x), "recurrence"
+    if abs(nu - round(nu)) <= _INT_SNAP:
+        p, (k, k_mirror) = 0.0, _k01_integer_series(x)
+    else:
+        p = nu - math.floor(nu)
+        k, k_mirror = _k_base_fractional(p, x), _k_base_fractional(1.0 - p, x)
+    return p, math.log(k) + x, k_mirror / k + 2.0 * p / x - 1.0
 
 
-def _log_k_cf2(nu: float, x: float) -> float:
-    """ln K_nu(x) for 0 <= nu <= _NU_MAX and x > _SERIES_X_MAX.
+def _k_cf2(nu: float, x: float) -> tuple[float, float, float]:
+    """(mu, ln(e^x K_mu(x)), t_mu) for mu = nu - round(nu) in [-1/2, 1/2], x > _SERIES_X_MAX.
 
     Steed's evaluation of the continued fraction CF2 (Temme, J. Comput.
     Phys. 19, 1975; Thompson & Barnett, J. Comput. Phys. 64, 1986) gives
-    K_mu and K_{mu+1} for mu = nu - round(nu), |mu| <= 1/2, with plain
-    arithmetic; then the pair climbs the upward ladder. It stops as soon
-    as a term is negligible, before the q_i, which grow like (2x)^i, can
-    overflow: at x > 1e17 that is the first term.
+    e^x K_mu and K_{mu+1}/K_mu - 1 with plain arithmetic and no cancellation.
+    It stops as soon as a term is negligible, before the q_i, which grow
+    like (2x)^i, can overflow: at x > 1e17 that is the first term.
     """
-    n = round(nu)
-    mu = nu - n
+    mu = nu - round(nu)
     a1 = 0.25 - mu * mu
     b = 2.0 * (1.0 + x)     # inf beyond 9e307, where d = h = 0 and s = 1 hold to rounding
     d = h = delh = 1.0 / b
@@ -193,39 +181,19 @@ def _log_k_cf2(nu: float, x: float) -> float:
         d = d_next
         h += delh
         s += q * delh
-    # K_mu = sqrt(pi/2x) e^-x / s and K_{mu+1} = K_mu (mu + 1/2 + x - a1 h) / x
-    lk = 0.5 * (math.log(0.5 * math.pi) - math.log(x)) - x - math.log(s)
-    if n == 0:
-        return lk
-    return _ladder(lk, lk + math.log1p((mu + 0.5 - a1 * h) / x), mu + 1.0, n - 1, x)
+    # e^x K_mu = sqrt(pi/2x) / s and K_{mu+1}/K_mu = 1 + (mu + 1/2 - a1 h) / x
+    return mu, 0.5 * (math.log(0.5 * math.pi) - math.log(x)) - math.log(s), (mu + 0.5 - a1 * h) / x
 
 
-def _ladder(lo: float, hi: float, order: float, steps: int, x: float) -> float:
-    """ln K_{order+steps}(x) from lo = ln K_{order-1}, hi = ln K_order.
+def bessel_k_pair(nu: float, x: float) -> tuple[SpecialFunctionResult, float]:
+    """One pass of K_nu at x, |nu| <= 50 and finite x > 0: ln(e^x K_nu(x)), with
+    its absolute error estimate and branch, and t = K_{nu+1}(x)/K_nu(x) - 1.
 
-    The upward ladder K_{v+1} = K_{v-1} + (2v/x) K_v runs in log space,
-    which is stable (all terms positive) and immune to overflow.
-    """
-    for _ in range(steps):
-        lo, hi = hi, _logaddexp(lo, math.log(2.0 * order / x) + hi)
-        order += 1.0
-    return hi
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    if a == -math.inf:
-        return a
-    return a + math.log1p(math.exp(b - a))
-
-
-def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
-    """ln K_nu(x) for |nu| <= 50 and finite x > 0; never overflows.
-
-    The one branch dispatch for K: bessel_k and bessel_k_scaled
-    exponentiate its result. At x <= 4 the series cancels for orders
-    near, but not at, an integer; that band is refused by name.
+    The one branch dispatch for K; every other K function reads this pass. The
+    base order's pair climbs to nu by the upward ladder K_{v+1} = K_{v-1} +
+    (2v/x) K_v, carried as (ln K, t), whose terms are positive. At x <= 2 the
+    series cancels for orders near, but not at, an integer; that band is refused
+    by name.
     """
     if not (0.0 < x < math.inf):
         raise SpecialFunctionDomainError(f"bessel_k requires x > 0 and finite, got x={x!r}")
@@ -235,25 +203,43 @@ def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
         )
     nu = abs(nu)  # K_{-nu} = K_nu
     if x > _SERIES_X_MAX:
-        lk = _log_k_cf2(nu, x)
-        # rounding of the ln terms and of each ladder step
-        return SpecialFunctionResult(
-            lk, 1e-15 * (1.0 + nu) + 4e-16 * x + 4e-16 * abs(lk), "continued_fraction")
-    if _INT_SNAP < abs(nu - round(nu)) < _NEAR_INT:
+        base, lk, t = _k_cf2(nu, x)
+    elif _INT_SNAP < abs(nu - round(nu)) < _NEAR_INT:
         raise SpecialFunctionRangeError(
             f"bessel_k({nu}, {x}): orders in the near-integer band {_INT_SNAP:g} < "
             f"|nu - round(nu)| < {_NEAR_INT:g} are not evaluated at x <= "
             f"{_SERIES_X_MAX:g}, where their series cancels")
-    lk, method = _log_k_small(nu, x)
-    # the dominant small-x error is series cancellation, growing ~ e^(2x)
-    return SpecialFunctionResult(lk, 1e-15 * (1.0 + nu) + 5e-16 * math.exp(2.0 * x), method)
+    else:
+        base, lk, t = _k_series(nu, x)
+    steps = round(nu - base)
+    for v in range(1, steps + 1):
+        lk += math.log1p(t)
+        t = 2.0 * (base + v) / x - t / (1.0 + t)
+    # rounding of the ln terms and of each ladder step
+    err = 1e-15 * (1.0 + nu) + 4e-16 * abs(lk)
+    if x > _SERIES_X_MAX:
+        method = "continued_fraction"
+    else:   # I_{-p} - I_p cancels by about e^(2x) / sin(pi p)
+        err += 1e-15 * math.exp(2.0 * x) / (math.sin(math.pi * base) if base else 1.0)
+        method = "recurrence" if steps else "series"
+    return SpecialFunctionResult(lk, err, method), t
 
 
-def _exp_result(log_res: SpecialFunctionResult, what: str,
-                shift: float = 0.0) -> SpecialFunctionResult:
-    """exp(log_res.value + shift), its absolute log error carried over as a
-    relative one; raises SpecialFunctionOverflow outside double range."""
-    lv = log_res.value + shift
+def _log_k(lks: SpecialFunctionResult, x: float) -> SpecialFunctionResult:
+    # ln K_nu(x) from the pass's ln(e^x K_nu(x)), with the subtraction's rounding
+    lk = lks.value - x
+    return SpecialFunctionResult(lk, lks.abs_error_estimate + 2.2e-16 * abs(lk), lks.method)
+
+
+def log_bessel_k(nu: float, x: float) -> SpecialFunctionResult:
+    """ln K_nu(x) for |nu| <= 50 and finite x > 0: the pass minus x; never overflows."""
+    return _log_k(bessel_k_pair(nu, x)[0], x)
+
+
+def _exp_result(log_res: SpecialFunctionResult, what: str) -> SpecialFunctionResult:
+    """exp(log_res.value), its absolute log error carried over as a relative
+    one; raises SpecialFunctionOverflow outside double range."""
+    lv = log_res.value
     if lv == -math.inf:                 # an exact zero
         return SpecialFunctionResult(0.0, 1e-300, log_res.method)
     if abs(lv) > _LOG_HUGE:
@@ -262,11 +248,6 @@ def _exp_result(log_res: SpecialFunctionResult, what: str,
     return SpecialFunctionResult(
         v, v * (log_res.abs_error_estimate + 2e-16 * abs(lv)), log_res.method
     )
-
-
-def bessel_k_scaled(nu: float, x: float) -> SpecialFunctionResult:
-    """K_nu(x) * e^x, the overflow-tamed form used in closed formulas."""
-    return _exp_result(log_bessel_k(nu, x), f"bessel_k_scaled({nu}, {x})", shift=x)
 
 
 def bessel_k(nu: float, x: float) -> SpecialFunctionResult:
@@ -278,24 +259,17 @@ def bessel_k(nu: float, x: float) -> SpecialFunctionResult:
     return _exp_result(log_bessel_k(nu, x), f"bessel_k({nu}, {x})")
 
 
-def _k_derivative(k, nu: float, x: float) -> SpecialFunctionResult:
-    # K'_nu = -(K_{nu-1} + K_{nu+1}) / 2, with k = bessel_k or bessel_k_scaled
-    a = k(abs(nu) - 1.0, x)
-    b = k(abs(nu) + 1.0, x)
-    return SpecialFunctionResult(
-        -0.5 * (a.value + b.value),
-        0.5 * (a.abs_error_estimate + b.abs_error_estimate), "recurrence",
-    )
-
-
 def bessel_k_derivative(nu: float, x: float) -> SpecialFunctionResult:
-    """K'_nu(x) via the recurrence K'_nu = -(K_{nu-1} + K_{nu+1}) / 2."""
-    return _k_derivative(bessel_k, nu, x)
-
-
-def bessel_k_derivative_scaled(nu: float, x: float) -> SpecialFunctionResult:
-    """K'_nu(x) * e^x (always negative for x > 0)."""
-    return _k_derivative(bessel_k_scaled, nu, x)
+    """K'_nu(x) = K_nu(x) (|nu|/x - 1 - t) (DLMF 10.29.2), from one pass; always negative."""
+    lks, t = bessel_k_pair(nu, x)
+    lk = _log_k(lks, x)
+    d = 1.0 + t - abs(nu) / x               # -K'/K > 0
+    # t's absolute error is about (1 + t) times the log's; d carries it relative to itself
+    d_err = ((1.0 + t) * lks.abs_error_estimate + 4e-16 * (1.0 + t + abs(nu) / x)) / d
+    log_mag = SpecialFunctionResult(lk.value + math.log(d), lk.abs_error_estimate + d_err,
+                                    lk.method)
+    mag = _exp_result(log_mag, f"bessel_k_derivative({nu}, {x})")
+    return SpecialFunctionResult(-mag.value, mag.abs_error_estimate, mag.method)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ oracles, limit behavior, and the documented FLAGGED deviations."""
 
 import math
 
+import mpmath
 import pytest
 
 from anhgas import classical_gas as cg
 from anhgas import cli, memo, oracles
+from anhgas import specfun as sf
 from anhgas.memo import memo_scope, shared_value
 from anhgas.oracles import QuadratureResult, QuadratureResults, integrate_semi_infinite
 from anhgas.params import OscillatorParams, ThermalState
@@ -187,10 +189,40 @@ class TestQuarticGaussianF:
         assert closed / oracle == pytest.approx(4.0, rel=1e-9)
 
     def test_closed_form_survives_large_x(self):
-        # e^{2x^2} overflow region handled through scaled Bessel values
+        # e^{2x^2} overflow region handled through the pass's scaled log
         got = cg.f_closed_form(25.0)
         assert math.isfinite(got)
         assert got == pytest.approx(4.0 * cg.f_oracle(25.0).value, rel=1e-8)
+
+    @pytest.mark.parametrize("x", [0.0625, 1.5, 30.0, 1e3, 1e4, 1e8])
+    def test_printed_closed_form_against_high_precision(self, x):
+        # the printed -(K/(4 sqrt x) + 2 x^{3/2} (K + K')) e^{2x^2}, K = K_{1/4}(2x^2),
+        # with K' = -(K_{-3/4} + K_{5/4})/2 (DLMF 10.29.1), at digits enough for
+        # K + K', which cancels by about 2x^2
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(x)
+            w = 2 * xm * xm
+            k = mpmath.besselk(0.25, w)
+            kp = -(mpmath.besselk(-0.75, w) + mpmath.besselk(1.25, w)) / 2
+            want = -(k / (4 * mpmath.sqrt(xm)) + 2 * xm ** 1.5 * (k + kp)) * mpmath.exp(w)
+            assert abs(cg.f_closed_form(x) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-20])
+    def test_printed_closed_form_refuses_its_cancellation(self, x):
+        # 2wt - 1 amplifies rounding by about 0.75/x; at x = 1e-20 it is exactly 0
+        with pytest.raises(ArithmeticError, match="cancels at x=.*more than 1e4-fold"):
+            cg.f_closed_form(x)
+
+    def test_printed_closed_form_is_four_times_f_at_x_1e4(self):
+        # omega = 100 at T = 1/32 gives x = 1e4 (z = 32), where the parent's
+        # K + K' cancelled to -4 times F; both rows that print F read 4
+        cfg = cli.RunConfig.from_dict({"oscillator": {"omega": 100.0, "lam": 0.5, "mu": 0.1}})
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, 0.03125)
+            reports = {name: cli._row({"T": 0.03125}, name, thunk) for name, thunk in rows}
+        assert reports["f_function"].options_used["x"] == 1e4
+        for name in ("f_function", "vibrational_partition"):
+            assert reports[name].literal / reports[name].oracle == pytest.approx(4.0, rel=1e-12)
 
     def test_derivative_at_zero_is_minus_gamma_five_quarters(self):
         # F^(k+1)(0) = (-4)^(k+1) Gamma((5 + 2k)/4) / 4; a difference
@@ -237,14 +269,17 @@ class TestGFunction:
             assert cg.g_function(z) == pytest.approx(cg.g_function_corrected(z))
 
     def test_printed_large_x_normalization(self):
-        # the printed combination is dominated by 2 x^2 K_1
-        from anhgas import specfun as sf
-
+        # the printed combination is dominated by 2 x^2 K_1 ~ 2 x^2 sqrt(pi/2x) e^-x
         x = 200.0
         k1_scaled = 2.0 * x * x * math.sqrt(math.pi / (2.0 * x))
-        g_scaled = (x * sf.bessel_k_scaled(0.0, x).value
-                    + 2.0 * x * x * sf.bessel_k_scaled(1.0, x).value)
-        assert g_scaled / k1_scaled == pytest.approx(1.0, abs=5e-3)
+        assert cg.g_function(x) * math.exp(x) / k1_scaled == pytest.approx(1.0, abs=5e-3)
+
+    def test_a_kinetic_pass_that_finds_no_weight_is_named(self):
+        # at z = 1e8 the weight, about 1/sqrt(z) wide, falls between the nodes:
+        # a converged 0 where the integral is about 1.25e-12, refused by name
+        with memo_scope():
+            with pytest.raises(ArithmeticError, match="came out 0 at z=100000000.0"):
+                cg.kinetic_radial_integral(1e8, 1.0)
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 10.0])
     def test_radial_integral_rescales_the_shared_quadrature(self, z):
@@ -411,6 +446,28 @@ class TestAverageEnergy:
         assert len(calls) == want
 
     @pytest.mark.parametrize("T", [0.1, 1.3])
+    def test_classical_point_makes_two_k_passes(self, monkeypatch, T):
+        # G(z), Z_2 and <H> read K_0(z), K_1(z) from one pass at (0, z), and
+        # the printed F reads K_{1/4}, K_{5/4} and K' from one at (1/4, 2x^2);
+        # the parent made seven K passes here
+        calls = []
+        pair = sf.bessel_k_pair
+
+        def counted_pair(nu, x):
+            calls.append((nu, x))
+            return pair(nu, x)
+
+        monkeypatch.setattr(sf, "bessel_k_pair", counted_pair)
+        cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
+        t = ThermalState.from_temperature(T)
+        z, x = cg.relativistic_z(cfg.oscillator, t), cg.coupling_x(cfg.oscillator, t)
+        with memo_scope():
+            rows, _ = cli._classical_point(cfg, T)
+            reports = [cli._row({"T": T}, name, thunk) for name, thunk in rows]
+        assert Status.ERROR not in {r.status for r in reports}
+        assert sorted(calls) == [(0.0, z), (0.25, 2.0 * x * x)]
+
+    @pytest.mark.parametrize("T", [0.1, 1.3])
     def test_g_function_oracle_is_the_shared_scaled_integral(self, T):
         # e^{-z} times the e^z-scaled kinetic integral of the memo scope, which
         # relativistic_harmonic_partition_z2 and average_energy_classical hold
@@ -570,7 +627,7 @@ class TestAverageEnergy:
 
 class TestAverageEnergyAtLowTemperature:
     # z = m/T = 1000 and 833: K_0(z) and K_1(z) leave double range, but the
-    # printed G'(z)/G(z) is formed from the e^z-scaled K_nu, where e^z cancels
+    # printed G'(z)/G(z) needs only K_1/K_0 = 1 + t, where K_0 cancels
     CFG = {"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5, "mu": 0.1}}
 
     @pytest.mark.parametrize("T, literal, oracle", [
@@ -595,8 +652,8 @@ class TestAverageEnergyAtLowTemperature:
 
     @pytest.mark.parametrize("T", [0.1, 0.7, 1.3, 5.0])
     def test_the_kinetic_term_is_minus_m_dlnG_dz(self, T):
-        # where K_0 and K_1 are representable, the literal's -m G'(z)/G(z) from the
-        # scaled K_nu is -m d ln G/dz of the printed g_function, by a Richardson-
+        # where K_0 and K_1 are representable, the literal's -m G'(z)/G(z) from
+        # K_1/K_0 is -m d ln G/dz of the printed g_function, by a Richardson-
         # extrapolated central difference (within 5e-13 on these four points)
         p = OscillatorParams(m=1.0, omega=1.0, lam=0.5)
         t = ThermalState.from_temperature(T)

@@ -555,6 +555,8 @@ def test_a_tiny_gas_mass_gives_a_value_or_names_the_radicand(tmp_path, mass):
     ("quantum", {"oscillator": {"lam": 1e-320, "mu": 0.1}, "thermal_grid": [1.0]}, 4),
     # m^2 underflows to 0 in the spectrum table, whose fields are then empty
     ("quantum", {"oscillator": {"m": 1e-300, "lam": 0.5}, "thermal_grid": [1.0]}, 4),
+    # z = 1e8: the kinetic pass finds no weight, named, not a division by zero
+    ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e-8]}, 6),
 ])
 def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command, raw,
                                                       n_rows):
@@ -580,6 +582,23 @@ def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command,
         assert "nan" not in (out / "spectral_density.csv").read_text()
         assert "inf" not in (out / "spectrum.csv").read_text()
 
+
+def test_the_printed_f_names_its_cancellation(tmp_path, capsys):
+    # omega = 1e-10 gives x = 1e-20 at T = 1, where the printed F's 2wt - 1 is
+    # exactly 0: both rows that print F are ERROR and name the cancellation,
+    # where the parent wrote a FLAGGED 73728 against an oracle of 0.306
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oscillator": {"omega": 1e-10, "lam": 0.015625, "mu": 0.1},
+                               "thermal_grid": [1.0]}))
+    out = tmp_path / "out"
+    assert run(["classical", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    reports = {r["quantity_name"]: r for r in
+               json.loads((out / "classical_reports.json").read_text())}
+    for name in ("vibrational_partition", "f_function"):
+        assert reports[name]["status"] == "ERROR"
+        assert reports[name]["provenance"].startswith(
+            "evaluation failure: F's printed closed form cancels at x=1.0000000000000001e-20")
 
 @pytest.mark.parametrize("oscillator", [
     # the generic second-order shift overflows at omega = 1e-100

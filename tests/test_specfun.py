@@ -31,10 +31,28 @@ class TestBesselK:
         assert got.value == pytest.approx(want, rel=1e-12)
 
     def test_large_x_asymptotic_leading_order(self):
+        # e^x K_0(x) ~ sqrt(pi/2x) and K_1/K_0 - 1 ~ 1/(2x) (DLMF 10.40.2)
         x = 600.0
         lead = math.sqrt(math.pi / (2.0 * x))
-        got = sf.bessel_k_scaled(0.0, x)
-        assert got.value / lead == pytest.approx(1.0, rel=1e-3)
+        lks, t = sf.bessel_k_pair(0.0, x)
+        assert math.exp(lks.value) / lead == pytest.approx(1.0, rel=1e-3)
+        assert 2.0 * x * t == pytest.approx(1.0, rel=1e-3)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.25, 7.3, 50.0])
+    def test_pass_against_high_precision(self, nu):
+        # the one pass, on both branches and across x_c = 2: ln(e^x K) within
+        # its estimate and t = K_{nu+1}/K_nu - 1 within 1e-13, against mpmath
+        # with working digits enough to hold x + ln K
+        for x in (0.03, 0.5, 1.0, 1.5, 2.0, 2.01, 2.5, 3.9, 4.1, 10.0, 33.0, 1e3, 1e10,
+                  1e17, 1e300):
+            lks, t = sf.bessel_k_pair(nu, x)
+            assert lks.method == ("continued_fraction" if x > sf._SERIES_X_MAX else
+                                  "series" if nu < 1.0 else "recurrence")
+            with mpmath.workdps(40 + max(0, int(math.log10(x)))):
+                k = mpmath.besselk(nu, x)
+                ref_t = mpmath.besselk(nu + 1, x) / k - 1
+                assert abs(lks.value - (mpmath.log(k) + x)) <= lks.abs_error_estimate, x
+                assert abs(t - ref_t) <= 1e-13 * ref_t, x
 
     def test_quarter_order_against_integral_representation(self):
         # independent oracle: int_0^inf exp(-x cosh t) cosh(nu t) dt
@@ -93,7 +111,7 @@ class TestBesselK:
             sf.log_bessel_k(0.0, math.inf)
 
     def test_near_integer_band_above_x_c(self):
-        # refused at x <= x_c (test_scaled_and_log_variants_consistent),
+        # refused at x <= x_c (test_every_k_form_reads_the_one_pass),
         # evaluated above it
         got = sf.log_bessel_k(1.0005, 5.0)
         assert got.method == "continued_fraction"
@@ -154,32 +172,35 @@ class TestBesselK:
 
     def test_error_estimates_are_honest(self):
         # refined evaluation must sit within 10x the reported estimate,
-        # including the cancellation-limited series edge at x ~ 4
+        # including the cancellation-limited series edge at x_c = 2
         for nu in (0.0, 0.25, 1.25, 9.7):
             for x in (0.2, 2.0, 3.999, 8.0, 40.0):
                 got = sf.bessel_k(nu, x)
                 ref = mp_besselk(nu, x)
                 assert abs(got.value - ref) <= 10.0 * got.abs_error_estimate
 
-    def test_scaled_and_log_variants_consistent(self):
-        # log_bessel_k is the one route: the value and scaled forms are its
-        # exponential, bit for bit, on every branch
+    def test_every_k_form_reads_the_one_pass(self):
+        # bessel_k_pair is the one route: ln K is its log minus x, K the
+        # exponential of that, bit for bit, and K' = K (nu/x - 1 - t), on
+        # every branch
         methods = {}
-        for nu, x in ((0.25, 0.7), (1.0, 0.7), (3.5, 0.7), (3.5, 3.9), (0.25, 5.0),
+        for nu, x in ((0.25, 0.7), (1.0, 0.7), (3.5, 0.7), (3.5, 1.9), (0.25, 2.5),
                       (1.0, 5.0), (3.5, 12.0), (0.25, 120.0), (1.0, 120.0),
                       (3.5, 120.0)):
+            lks, t = sf.bessel_k_pair(nu, x)
             lk = sf.log_bessel_k(nu, x)
             k = sf.bessel_k(nu, x)
-            ks = sf.bessel_k_scaled(nu, x)
+            kp = sf.bessel_k_derivative(nu, x)
+            assert lk.value == lks.value - x
             assert k.value == math.exp(lk.value)
-            assert ks.value == math.exp(lk.value + x)
-            assert k.method == ks.method == lk.method
+            assert kp.value == pytest.approx(k.value * (nu / x - 1.0 - t), rel=1e-15)
+            assert k.method == kp.method == lk.method == lks.method
             methods[(nu, x)] = lk.method
         assert set(methods.values()) == {"series", "recurrence", "continued_fraction"}
         # the near-integer orders at small x, where the series cancels, are
         # refused by name
         for nu, x in ((1.0005, 2.0), (2.9995, 0.5)):
-            for f in (sf.log_bessel_k, sf.bessel_k, sf.bessel_k_scaled):
+            for f in (sf.bessel_k_pair, sf.log_bessel_k, sf.bessel_k, sf.bessel_k_derivative):
                 with pytest.raises(sf.SpecialFunctionRangeError, match="near-integer band"):
                     f(nu, x)
 
