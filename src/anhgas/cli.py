@@ -72,11 +72,7 @@ class RunConfig:
     options: dict = field(default_factory=lambda: dict(_DEFAULT_OPTIONS))
 
     def to_dict(self) -> dict:
-        return {
-            "oscillator": dataclasses.asdict(self.oscillator),
-            "thermal_grid": list(self.thermal_grid),
-            "options": dict(self.options),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -321,13 +317,14 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, Callable[[], Comparison
     def kinetic(z: float):
         return [
             ("classical", f"sinh-squared identity z={z}", lambda: compare(
-                f"int sinh^2 e^-zcosh, z={z}", cg.kinetic_radial_integral(z, 0.0).value,
-                sf.bessel_k(1.0, z).value / z, 1e-8,
-                "kinetic radial integral reduces to K_1(z)/z")),
+                f"int sinh^2 e^-zcosh, z={z}", (q := cg.kinetic_radial_integral(z, 0.0)).value,
+                sf.bessel_k(1.0, z).value / z, 1e-8, "kinetic radial integral reduces to "
+                "K_1(z)/z", quadratures={"int sinh^2 s e^{-z cosh s} ds": q})),
             ("classical", f"energy-weighted corollary z={z}", lambda: compare(
-                f"int sinh^2 cosh e^-zcosh, z={z}", cg.kinetic_radial_integral(z, 1.0).value,
-                cg.g_function_corrected(z) / z**3, 1e-8,
-                "one z-derivative of the kinetic radial integral")),
+                f"int sinh^2 cosh e^-zcosh, z={z}",
+                (q := cg.kinetic_radial_integral(z, 1.0)).value,
+                cg.g_function_corrected(z) / z**3, 1e-8, "one z-derivative of the kinetic "
+                "radial integral", quadratures={"int sinh^2 s cosh s e^{-z cosh s} ds": q})),
         ]
 
     def free_density(T: float) -> float:
@@ -350,21 +347,23 @@ def _verify_rows(cfg: RunConfig) -> list[tuple[str, str, Callable[[], Comparison
             "Gamma(4,1) via W", math.exp(-0.5) * sf.whittaker_w(1.5, 2.0, 1.0).value,
             16.0 / math.e, 1e-9, "incomplete gamma expressed through Whittaker W")),
         ("oracles", "gamma integral", lambda: compare(
-            "int y^3 e^-y", integrate_semi_infinite(
-                lambda y: y**3 * math.exp(-y) if y < 700 else 0.0, 0.0).value,
-            6.0, 1e-10, "factorial integral")),
+            "int y^3 e^-y", (q := integrate_semi_infinite(
+                lambda y: y**3 * math.exp(-y) if y < 700 else 0.0, 0.0)).value,
+            6.0, 1e-10, "factorial integral", quadratures={"int y^3 e^-y dy": q})),
         ("oracles", "zeta integral", lambda: compare(
-            "int y^3/(e^y-1)", integrate_semi_infinite(
-                lambda y: y**3 / math.expm1(y) if 0.0 < y < 700.0 else 0.0, 0.0).value,
-            math.pi**4 / 15.0, 1e-10, "Bose integral in closed form")),
+            "int y^3/(e^y-1)", (q := integrate_semi_infinite(
+                lambda y: y**3 / math.expm1(y) if 0.0 < y < 700.0 else 0.0, 0.0)).value,
+            math.pi**4 / 15.0, 1e-10, "Bose integral in closed form",
+            quadratures={"int y^3/(e^y-1) dy": q})),
         ("oracles", "Metropolis Gaussian variance", metropolis),
         *(row for z in (0.5, 1.0, 2.0, 5.0) for row in kinetic(z)),
         ("classical", "quartic limit of F", lambda: compare(
-            "F(0)", cg.f_oracle(0.0).value, math.gamma(0.75) / 4.0, 1e-9,
-            "pure-quartic Gaussian integral")),
+            "F(0)", (q := cg.f_oracle(0.0)).value, math.gamma(0.75) / 4.0, 1e-9,
+            "pure-quartic Gaussian integral", quadratures={"F(0) = int u^2 e^{-u^4} du": q})),
         ("classical", "closed form for F vs oracle", lambda: compare(
-            "f_closed_form(1)", cg.f_closed_form(1.0), cg.f_oracle(1.0).value, 1e-6,
-            "printed closed form against the defining integral")),
+            "f_closed_form(1)", cg.f_closed_form(1.0), (q := cg.f_oracle(1.0)).value, 1e-6,
+            "printed closed form against the defining integral",
+            quadratures={"F(1) = int u^2 e^{-4u^2 - u^4} du": q})),
         *(("classical", name, functools.partial(report, p_nat, t1)) for name, report in (
             ("harmonic partition vs phase-space quadrature", cg.harmonic_partition_z1_report),
             ("relativistic harmonic partition", cg.relativistic_harmonic_partition_z2),

@@ -36,17 +36,7 @@ class ComparisonReport:
     options_used: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "quantity_name": self.quantity_name,
-            "literal": self.literal,
-            "oracle": self.oracle,
-            "abs_dev": self.abs_dev,
-            "rel_dev": self.rel_dev,
-            "status": self.status.value,
-            "provenance": self.provenance,
-            "threshold": self.threshold,
-            "options_used": self.options_used,
-        }
+        return {**vars(self), "status": self.status.value}
 
 
 def compare(

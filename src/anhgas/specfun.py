@@ -20,8 +20,8 @@ Branch policy for K_nu, on either side of x_c = 2:
 
 Both climb to nu by the upward recurrence K_{v+1} = K_{v-1} + (2v/x) K_v,
 carried as (ln K, t) with positive terms.
-Branch boundaries are covered by cross-branch consistency tests. A GammaLadder
-holds one x's orders a <= 0 of ln Gamma(a, x), walked down once from E_1(x).
+Branch boundaries are covered by cross-branch consistency tests. GammaLadder's one
+downward walk gives every caller ln Gamma(a, x) at the orders a <= 0 below x = 4.
 """
 
 from __future__ import annotations
@@ -316,38 +316,61 @@ def _upper_cf(a: float, x: float) -> float:
     )
 
 
+def _log_gamma_direct(a: float, x: float) -> tuple[float, float, str]:
+    # (ln Gamma(a, x), its rounding amplification, branch) at x > 0 by the Lentz fraction,
+    # or by the lower series, whose 1 - P amplifies P's rounding by Gamma(a) / Gamma(a, x)
+    if x >= a + 1.0:
+        return -x + a * math.log(x) + math.log(_upper_cf(a, x)), 1.0, "continued_fraction"
+    v = math.lgamma(a) + math.log1p(-_lower_p_series(a, x))
+    if not (units := math.exp(math.lgamma(a) - v)) <= _GAMMA_AMP_MAX:
+        raise SpecialFunctionRangeError(f"log_upper_incomplete_gamma({a}, {x}): its series "
+                                        f"route amplifies rounding {units:.3g}-fold, > 1e4")
+    return v, units, "series"
+
+
 class GammaLadder:
     """ln Gamma(a, x) at one x > 0 by order a >= -120, as log_upper_incomplete_gamma.
 
     Below x_c = 4 the orders a = top - k <= 0, top in [0, 1), come from one walk
     Gamma(a-1, x) = (Gamma(a, x) - x^(a-1) e^-x) / (a-1) down from Gamma(top, x),
-    E_1(x) at top = 0, as deep as the deepest order asked so far; an order off that
-    ladder is refused. Other orders take that function's series or Lentz fraction.
-    A caller may hand it its first logs."""
+    E_1(x) at top = 0, as deep as the deepest order asked so far. Each log keeps its
+    rounding amplification beside it; the first step past 1e4, every order below it
+    and every order off the ladder are refused. Other orders take _log_gamma_direct."""
 
-    def __init__(self, x: float, top: float = 0.0, *start: float):
-        self.x, self.top, self.logs = x, top, list(start)   # logs[k] = ln Gamma(top - k, x)
+    def __init__(self, x: float, top: float = 0.0):
+        # logs[k] = ln Gamma(top - k, x), amps[k] its rounding amplification
+        self.x, self.top, self.logs, self.amps = x, top, [], []
 
     def __call__(self, a: float) -> float:
         x, top, logs = self.x, self.top, self.logs
-        if a > 0.0 or x >= _GAMMA_LADDER_X_MAX:
-            return log_upper_incomplete_gamma(a, x).value
-        if not a >= _GAMMA_A_MIN:
+        if not _GAMMA_A_MIN <= a < math.inf:    # the walk takes about -a steps
             raise SpecialFunctionRangeError(
                 f"incomplete gamma order a={a} outside the supported [{_GAMMA_A_MIN:g}, inf)")
+        if a > 0.0 or x >= _GAMMA_LADDER_X_MAX:
+            return _log_gamma_direct(a, x)[0]
         if abs(top - a - (k := round(top - a))) > 1e-12 * (1.0 - a):
             raise SpecialFunctionRangeError(f"order a={a} is off the ladder {top} - k at x={x}")
         if k < len(logs):
             return logs[k]
-        if not logs:
-            logs.append(log_upper_incomplete_gamma(top, x).value if top else math.log(exp1(x)))
-        lg, cur, lx = logs[-1], top - (len(logs) - 1), math.log(x)
+        if not logs:    # the start: E_1(x) at top = 0, else the series or the fraction
+            lg, units = _log_gamma_direct(top, x)[:2] if top else (math.log(exp1(x)), 1.0)
+            logs.append(lg)
+            self.amps.append(units)
+        lg, units, cur, lx = logs[-1], self.amps[-1], top - (len(logs) - 1), math.log(x)
         while len(logs) <= k:
             cur -= 1.0
             l_pow = cur * lx - x            # ln(x^cur e^-x)
+            r = math.exp(lg - l_pow)        # Gamma(cur+1, x) / (x^cur e^-x)
+            # the step amplifies the error of Gamma(cur+1, x) by r / (1 - r), adds a rounding
+            units = 1.0 + (units + 1.0) * r / (1.0 - r) if r < 1.0 else math.inf
+            if not units <= _GAMMA_AMP_MAX:
+                raise SpecialFunctionRangeError(f"log_upper_incomplete_gamma({a}, {x}): its "
+                                                f"recurrence route amplifies rounding "
+                                                f"{units:.3g}-fold, > 1e4")
             # Gamma(cur, x) = (x^cur e^-x - Gamma(cur+1, x)) / (-cur), both positive
-            lg = l_pow + math.log1p(-math.exp(lg - l_pow)) - math.log(-cur)
+            lg = l_pow + math.log1p(-r) - math.log(-cur)
             logs.append(lg)
+            self.amps.append(units)
         return lg
 
 
@@ -356,43 +379,26 @@ def log_upper_incomplete_gamma(a: float, x: float) -> SpecialFunctionResult:
 
     Orders a <= 0 are the extension the mode-series terms need, where the
     orders run through negative integers; Gamma(a, x) is always positive.
-    Below x_c they are a GammaLadder's with top = a + ceil(-a). A route whose
-    cancellation amplifies rounding more than 1e4-fold is refused; below that,
-    the estimate carries the amplification (Gautschi, ACM TOMS 5(4), 1979).
+    Below x_c they are one read of a GammaLadder with top = a + ceil(-a). A route
+    whose cancellation amplifies rounding more than 1e4-fold is refused; below
+    that, the estimate carries the amplification (Gautschi, ACM TOMS 5(4), 1979).
     """
     if not (x > 0.0 or (x == 0.0 and a > 0.0)):
         raise SpecialFunctionDomainError(
             f"log_upper_incomplete_gamma needs x > 0, or x = 0 < a; got a={a}, x={x}")
     if not _GAMMA_A_MIN <= a < math.inf:
-        # the downward recurrence below takes about -a steps
         raise SpecialFunctionRangeError(
             f"log_upper_incomplete_gamma order a={a} outside the supported "
             f"[{_GAMMA_A_MIN:g}, inf)")
     if x == 0.0:
         v = math.lgamma(a)
         return SpecialFunctionResult(v, 4e-16 * abs(v) + 1e-16, "series")
-    ladder = a <= 0.0 and x < _GAMMA_LADDER_X_MAX
-    top = (a + math.ceil(-a)) % 1.0 if ladder else a
-    if ladder and not top:
-        v, method = math.log(exp1(x)), "recurrence"
-    elif x < top + 1.0:
-        v, method = math.lgamma(top) + math.log1p(-_lower_p_series(top, x)), "series"
+    if a > 0.0 or x >= _GAMMA_LADDER_X_MAX:
+        v, units, method = _log_gamma_direct(a, x)
     else:
-        v, method = -x + top * math.log(x) + math.log(_upper_cf(top, x)), "continued_fraction"
-    # v carries units roundings of 1e-14 |v|; 1 - P amplifies P's by Gamma(a) / Gamma(a, x)
-    units = math.exp(math.lgamma(top) - v) if method == "series" else 1.0
-    if ladder:
-        walk, lx, method = GammaLadder(x, top, v), math.log(x), "recurrence"
-        for k in range(1, round(top - a) + 1):
-            r = math.exp(v - (top - k) * lx + x)     # Gamma(c+1, x) / (x^c e^-x), c = top - k
-            # the step to c amplifies the error of Gamma(c+1, x) by r / (1 - r), adds a rounding
-            units = 1.0 + (units + 1.0) * r / (1.0 - r) if r < 1.0 else math.inf
-            if not units <= _GAMMA_AMP_MAX:
-                break
-            v = walk(top - k)
-    if not units <= _GAMMA_AMP_MAX:
-        raise SpecialFunctionRangeError(f"log_upper_incomplete_gamma({a}, {x}): its {method} "
-                                        f"route amplifies rounding {units:.3g}-fold, > 1e4")
+        ladder = GammaLadder(x, (a + math.ceil(-a)) % 1.0)
+        v, units, method = ladder(a), ladder.amps[-1], "recurrence"
+    # v carries units roundings of 1e-14 |v|
     return SpecialFunctionResult(v, 1e-14 * units * max(1.0, abs(v)), method)
 
 

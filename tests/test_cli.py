@@ -1,11 +1,13 @@
 """CLI contract: config round-trip, CSV schema, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -463,11 +465,9 @@ class TestQuantumCommand:
         assert run(["quantum", "--config", str(cfg), "--out", str(out)]) == 1
         named = {
             "energy_density_massless[y_star]": ["int y^2 <E>(y) dy, rational map",
-                                                "int y^2 <E>(y) dy, exp map",
-                                                "int y^2 <E>(y) dy above the kappa_literal cut"],
+                                                "int y^2 <E>(y) dy, exp map"],
             "energy_density_massless[kappa_literal]": ["int y^2 <E>(y) dy, rational map",
-                                                       "int y^2 <E>(y) dy, exp map",
-                                                       "int y^2 <E>(y) dy above the y_star cut"],
+                                                       "int y^2 <E>(y) dy, exp map"],
             "energy_density_massive": ["printed-radicand density integral over v",
                                        "dispersion density integral over v"],
             "series_energy_density": ["int y^2 <f e^-f> (1 - e^-y) dy"],
@@ -906,6 +906,42 @@ class TestVerifyCommand:
         assert reports[:k] + reports[k + 1:] == full_reports[:k] + full_reports[k + 1:]
         assert (reports[k]["status"], reports[k]["provenance"], reports[k]["options_used"]) == (
             "ERROR", f"evaluation failure: {exc}", {})
+
+    def test_unconverged_row_quadratures_error_their_rows(self, tmp_path, monkeypatch,
+                                                          full_verify):
+        # the twelve rows that read a quadrature hand it to compare: with the same
+        # values, but unconverged, each is ERROR and names its integral, where the
+        # converged matrix has PASS (FLAGGED for F's printed closed form)
+        def unconverged(real):
+            return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs),
+                                                               converged=False)
+
+        monkeypatch.setattr(cli, "integrate_semi_infinite",
+                            unconverged(cli.integrate_semi_infinite))
+        monkeypatch.setattr(cli, "cg", types.SimpleNamespace(**{
+            **vars(cg), "kinetic_radial_integral": unconverged(cg.kinetic_radial_integral),
+            "f_oracle": unconverged(cg.f_oracle)}))
+        assert run(["verify", "--out", str(tmp_path)]) == 1
+        lines = (tmp_path / "verify_matrix.txt").read_text(encoding="utf-8").splitlines(
+            keepends=True)
+        reports = json.loads((tmp_path / "verify_reports.json").read_text(),
+                             parse_constant=_refuse)
+        full_lines, full_reports = full_verify
+        rows = ("gamma integral", "zeta integral", "sinh-squared identity",
+                "energy-weighted corollary", "quartic limit of F", "closed form for F vs oracle")
+        hit = [k for k, line in enumerate(full_lines)
+               if line.split(": ", 1)[1].startswith(rows)]
+        assert len(hit) == 12
+        for k, (line, rep, full_line) in enumerate(zip(lines, reports, full_lines)):
+            if k not in hit:
+                assert (line, rep) == (full_line, full_reports[k])
+                continue
+            assert full_line.startswith("[FLAGGED]" if "closed form for F" in line else "[PASS]")
+            assert line == "[ERROR]" + full_line.split("]", 1)[1].split(" rel_dev=")[0] \
+                + " rel_dev=nan\n"
+            head, _, names = rep["provenance"].partition("; unconverged quadrature: ")
+            assert head == full_reports[k]["provenance"] and names.startswith(
+                ("int ", "F(")), rep["provenance"]
 
     def test_unknown_section_fails(self, tmp_path):
         with pytest.raises(SystemExit):

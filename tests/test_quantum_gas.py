@@ -343,12 +343,15 @@ class TestMasslessEnergyDensity:
     def test_cutoff_conventions_converge_together(self):
         # the two lower-limit conventions differ only while 3 kappa^2 sits
         # above the root cutoff (kappa^2 > 1/3); shrinking couplings pull
-        # kappa^2 below that and the gap collapses to exactly zero
+        # kappa^2 below that and the gap between the two rows collapses to
+        # exactly zero
         gaps = []
         for eps in (0.25, 0.1, 0.08):
             p = OscillatorParams(m=1.0, omega=1.0, lam=2e-3 * eps, mu=0.3 * eps)
-            rep = qg.energy_density_massless(p, t_of(1.0))
-            gaps.append(abs(rep.literal - rep.options_used["value_other_cutoff"]))
+            star, kappa = (qg.energy_density_massless(p, t_of(1.0), c)
+                           for c in ("y_star", "kappa_literal"))
+            assert "value_other_cutoff" not in star.options_used
+            gaps.append(abs(star.literal - kappa.literal))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] == 0.0
 
@@ -415,9 +418,10 @@ class TestMasslessEnergyDensity:
         # its own exp coordinate
         for integrator in ("integrate_semi_infinite", "integrate_finite"):
             monkeypatch.setattr(qg, integrator, counting(getattr(qg, integrator)))
+        # each report integrates its own cut only: two integrals apiece
         separate = [qg.energy_density_massless(p, t, cutoff_convention=c)
                     for c in ("y_star", "kappa_literal")]
-        assert len(calls) == (4 if shared else 6)
+        assert len(calls) == 4
         calls.clear()
         with memo_scope():
             both = [qg.energy_density_massless(p, t, c) for c in ("y_star", "kappa_literal")]
@@ -722,8 +726,9 @@ class TestSeriesEnergyDensity:
 
     def test_overflowing_terms_reported_not_raised(self):
         # an absurd infrared ratio pushes term magnitudes past double range;
-        # the term evaluator signals, and the report records it instead of
-        # crashing
+        # the term evaluator and the series signal, and the CLI's row runner
+        # reports the row as ERROR instead of crashing
+        from anhgas import cli
         from anhgas import specfun as sf
 
         d = qg.DimensionlessCouplings.from_values(-1e-40, 0.1)
@@ -732,9 +737,12 @@ class TestSeriesEnergyDensity:
 
         p = OscillatorParams(m=1.0, omega=1.0, lam=4.0 * 0.1 / 3.0,
                              mu=4.0 * math.sqrt(1e-40))
-        rep = qg.series_energy_density(p, t_of(1.0))
+        with pytest.raises(sf.SpecialFunctionOverflow, match="overflows"):
+            qg.series_energy_density(p, t_of(1.0))
+        rep = cli._row({"T": 1.0}, "series_energy_density",
+                       lambda: qg.series_energy_density(p, t_of(1.0)))
         assert rep.status is Status.ERROR
-        assert "overflow" in rep.options_used
+        assert rep.provenance.startswith("evaluation failure: series term magnitude exp(")
 
     def test_oracle_stays_above_y_star_with_literal_cutoff(self):
         # kappa_literal puts y0 = 3 kappa^2 below y_star when kappa^2 < 1/3;

@@ -321,16 +321,28 @@ class TestUpperIncompleteGamma:
     @pytest.mark.parametrize("a", [1e-13, 1e-8, 1e-3, -1e-16, -1e-10, -1.0 + 1e-12])
     @pytest.mark.parametrize("x", [0.1, 1.0, 3.9])
     def test_cancelling_routes_are_refused_or_within_their_estimate(self, a, x):
+        # a GammaLadder read refuses what the scalar function refuses, with the same
+        # message and no math domain error from log1p (at (-1e-16, 1) the step's
+        # ratio rounds to 1), and elsewhere gives its value bit for bit
         routes = [sf.log_upper_incomplete_gamma] + [sf.upper_incomplete_gamma] * (a > 0.0)
+        ladder = sf.GammaLadder(x, (a + math.ceil(-a)) % 1.0 if a <= 0.0 else 0.0)
         if (a, x) in self.REFUSED:
             for route in routes:
                 with pytest.raises(sf.SpecialFunctionRangeError, match="amplifies rounding"):
                     route(a, x)
+            with pytest.raises(sf.SpecialFunctionRangeError) as refused:
+                ladder(a)
+            assert str(refused.value) == str(pytest.raises(
+                sf.SpecialFunctionRangeError, sf.log_upper_incomplete_gamma, a, x).value)
             return
         want = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x))
         for route, ref in zip(routes, (mpmath.log(want), want)):
             got = route(a, x)
             assert abs(mpmath.mpf(got.value) - ref) <= got.abs_error_estimate, route
+        lg = sf.log_upper_incomplete_gamma(a, x)
+        assert ladder(a).hex() == lg.value.hex()
+        if a <= 0.0 and x < 4.0:    # the estimate is the walk's amplification
+            assert lg.abs_error_estimate == 1e-14 * ladder.amps[-1] * max(1.0, abs(lg.value))
 
     def test_error_estimates_are_honest(self):
         for a in (0.2, 4.0, 17.3, 35.0, 80.0):
@@ -392,6 +404,7 @@ class TestIncompleteGammaSeriesMemo:
             want = _parent_log_gamma_recurrence(a, x).hex()
             assert sf.log_upper_incomplete_gamma(a, x).value.hex() == want
             assert self._scoped([(a, x)])[(a, x)].value.hex() == want
+            assert sf.GammaLadder(x, (a + math.ceil(-a)) % 1.0)(a).hex() == want
 
     def test_each_ladder_walks_e1_once(self, monkeypatch):
         calls = []
@@ -433,6 +446,22 @@ class TestIncompleteGammaSeriesMemo:
         assert calls == []
         sf.log_upper_incomplete_gamma(-2.5, 0.7)     # seeded at Gamma(0.5, 0.7)
         assert calls == [0.7]
+
+
+def test_the_walk_refuses_every_order_below_its_first_step_past_1e4():
+    # from a start near 1 the first step cancels: it and every deeper order are
+    # refused, on every later read too. Gamma(1e-6, 1e-4) by the series already
+    # amplifies rounding 1.2e5-fold, so the orders below it are refused, though
+    # the later steps would damp the start's error
+    for x, top in ((0.1, 1.0 - 1e-10), (3.9, 1.0 - 1e-10), (1e-4, 1e-6)):
+        ladder = sf.GammaLadder(x, top)
+        for k in (1, 5, 1, 3):
+            # the scalar function reads top - k from a ladder at this top as well
+            assert (top - k + math.ceil(k - top)) % 1.0 == pytest.approx(top, abs=1e-15)
+            with pytest.raises(sf.SpecialFunctionRangeError, match="amplifies rounding"):
+                ladder(top - k)
+            with pytest.raises(sf.SpecialFunctionRangeError, match="amplifies rounding"):
+                sf.log_upper_incomplete_gamma(top - k, x)
 
 
 @pytest.mark.parametrize("x", [1e-3, 0.04, 1.49, 1.5, 3.999, 4.001, 7.0, 35.0])
