@@ -15,7 +15,7 @@ import sys
 
 from . import specfun as sf
 from .memo import shared_value
-from .oracles import QuadratureResult, QuadratureResults, integrate_semi_infinite
+from .oracles import QuadratureResult, QuadratureResults, integrate_finite, integrate_semi_infinite
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, compare
 
@@ -161,18 +161,17 @@ def _log_sinh(x: float) -> float:
     return x - _LN2 + math.log1p(-math.exp(-2.0 * x))
 
 
-# the oracles' log cosh; the literal closed forms they check reach K_nu
-# through specfun, which runs no quadrature and shares no code with them
+# the oracles' log cosh, at x >= 0; the literal closed forms they check reach
+# K_nu through specfun, which runs no quadrature and shares no code with them
 def _log_cosh(x: float) -> float:
-    x = abs(x)
     return x - _LN2 + math.log1p(math.exp(-2.0 * x))
 
 
 def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
     """2 ln sinh t + k ln cosh t, bit for bit, from a single exp(-2t).
 
-    The log-weight of the relativistic kinetic integrals
-    int sinh^2 t cosh^k t exp(-z cosh t) dt.
+    The Metropolis kinetic chain's log-weight; the kinetic quadrature pass forms
+    its own from expm1(t), which keeps its digits at small t and large z.
     """
     if t < 1e-8:
         return 2.0 * _log_sinh(t) + _log_cosh(t) * k
@@ -181,33 +180,32 @@ def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
 
 
 def _kinetic_scaled(z: float, k: float) -> QuadratureResults:
-    # e^z int_0^inf sinh^2 t cosh^j t e^(-z cosh t) dt, j = k, k + 1, one pass, any z > 0;
-    # weight k + 1 is weight k times cosh t: no second exp, no overflow error to void k
-    exp, cosh, log1p, log_weight = math.exp, math.cosh, math.log1p, _log_sinh2_cosh
+    # e^z int_0^inf sinh^2 t cosh^j t e^(-z cosh t) dt, j = k, k + 1, one pass, any z > 0, on
+    # [0, top]: ln(sinh^2 t cosh^k t) <= (2 + k) t, so the weight is 0 past the fixed point of
+    # t = acosh(1 + d) = 2 asinh(sqrt(d/2)), d = (745 + (2 + k) t)/z; steps from 350 stay above it
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
+    top = 350.0
+    while (step := 2.0 * math.asinh(math.sqrt((745.0 + (2.0 + k) * top) / (2.0 * z)))) < top:
+        top = step
 
     def f(t: float) -> tuple[float, float]:
-        if t <= 0.0 or t > 350.0:
-            return 0.0, 0.0
-        c = cosh(t)
-        if t < 1e-8:
-            e = log_weight(t, k) - z * (c - 1.0)
-        else:   # _log_sinh2_cosh inlined, operation for operation
-            e2 = exp(-2.0 * t)
-            e = (2.0 * (t - _LN2 + log1p(-e2)) + (t - _LN2 + log1p(e2)) * k
-                 - z * (c - 1.0))
+        # from em = e^t - 1, so nothing cancels at small t or large z: cosh t - 1 = cm =
+        # em^2/(2 + 2 em), sinh t = em (1 + em/2)/(1 + em); weight k + 1 is weight k cosh t
+        em = expm1(t)
+        cm = em * em / (2.0 + 2.0 * em)
+        e = 2.0 * (log(em) + log1p(0.5 * em) - t) + log1p(cm) * k - z * cm
         if e > -745.0:
             w = exp(e)
-            return w, w * c
+            return w, w * (1.0 + cm)
         return 0.0, 0.0
 
     try:
-        res = integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+        res = integrate_finite(f, 0.0, top, rel_tol=1e-11)
     except OverflowError:
         raise OverflowError(f"sinh^2 t cosh^{k:g} t e^(-z cosh t) overflows at z={z!r}") from None
     if not res[0].value > 0.0:
-        # the weight is about 1/sqrt(z) wide, and at large z no node lands in it
-        raise ArithmeticError(f"e^z int sinh^2 t cosh^{k:g} t e^(-z cosh t) dt came out 0 at "
-                              f"z={z!r}: no quadrature node fell in its weight")
+        raise ArithmeticError(f"e^z int sinh^2 t cosh^{k:g} t e^(-z cosh t) dt underflows to 0 "
+                              f"at z={z!r}")
     return res
 
 
@@ -227,9 +225,10 @@ def kinetic_radial_integral(z: float, k: float) -> QuadratureResult:
 
 def _quartic_gaussian(x: float) -> QuadratureResults:
     # F(x) and -F'(x)/4 = int_0^inf u^2 [1, u^2] exp(-4x u^2 - u^4) du, one pass over w = c u
-    if x < 0.0:
-        raise ValueError(f"F requires x >= 0, got {x}")
-    c = math.sqrt(math.sqrt(1.0 + (4.0 * x) ** 2))  # conditioning scale
+    # up to where u^4 + 4x u^2 = 745, past which the integrand is 0
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"F requires a finite x >= 0, got {x}")
+    c = math.sqrt(math.hypot(1.0, 4.0 * x))  # conditioning scale
     m4x = -4.0 * x
     exp = math.exp
 
@@ -239,9 +238,9 @@ def _quartic_gaussian(x: float) -> QuadratureResults:
         v = uu * uu * exp(e) if e > -745.0 else 0.0
         return v, v * uu * uu
 
-    res = integrate_semi_infinite(f, 0.0, rel_tol=1e-12)
-    return QuadratureResults(QuadratureResult(r.value / c, r.abs_error_estimate / c,
-                                              r.evaluations, r.converged) for r in res)
+    top = c * math.sqrt(745.0 / (2.0 * x + math.hypot(2.0 * x, math.sqrt(745.0))))
+    res = integrate_finite(f, 0.0, top, rel_tol=1e-12)
+    return QuadratureResults(r.scaled(1.0 / c) for r in res)
 
 
 def f_oracle(x: float) -> QuadratureResult:
@@ -260,13 +259,16 @@ def _position_weight(p: OscillatorParams, beta: float) -> tuple[float, float, fl
     a2 = 0.5 * beta * p.m * _omega_squared(p, "beta m w^2 / 2")
     a4 = beta * p.lam
     scale = min(1.0 / math.sqrt(a2), a4 ** -0.25) if a4 > 0.0 else 1.0 / math.sqrt(a2)
+    if not scale > 0.0:     # a2 or a4 is inf: the weight has no width to integrate over
+        raise OverflowError(f"beta m w^2 / 2 = {a2!r} or beta lam = {a4!r} overflows")
     return a2, a4, scale
 
 
 def _position_integral(p: OscillatorParams, beta: float) -> QuadratureResults:
-    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [1, V(r)] dv, r = v * scale, in one pass;
-    # the integrals over r are scale times these
+    # int_0^inf r^2 exp(-a2 r^2 - a4 r^4) [1, V(r)] dv, r = v * scale, in one pass up to
+    # where a2 r^2 + a4 r^4 = 745, past which it is 0; the integrals over r are scale times these
     a2, a4, scale = _position_weight(p, beta)
+    top = math.sqrt(1490.0 / (a2 + math.hypot(a2, 2.0 * math.sqrt(745.0) * math.sqrt(a4)))) / scale
     neg_a2, h2, lam, exp = -a2, 0.5 * p.m * p.omega**2, p.lam, math.exp
 
     def f(v: float) -> tuple[float, float]:
@@ -279,7 +281,7 @@ def _position_integral(p: OscillatorParams, beta: float) -> QuadratureResults:
         return w, w * (h2 * r * r + lam * r4)
 
     try:
-        return integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+        return integrate_finite(f, 0.0, top, rel_tol=1e-11)
     except OverflowError:
         raise OverflowError(f"a4 r^4 overflows in e^(-a2 r^2 - a4 r^4) at a4={a4!r}") from None
 

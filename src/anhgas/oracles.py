@@ -93,13 +93,13 @@ def _gk15(f: Callable[[float], float | tuple[float, ...]], lo: float, hi: float,
     """One Gauss-Kronrod panel on [lo, hi]; returns (K15 value, error estimate), or
     for an f that returns a tuple of floats, a list of each, per component and
     bit for bit that component's float panel.  With a lower limit ``a`` the panel
-    lies in (0, 1) and f is integrated over [a, inf) through the rational map
-    y = a + t/w, w = 1 - t: each node keeps its w^2 (1 without the map) to divide
-    every component by.  The nodes are written out (a loop over them made the
-    classical sweep 1.36x slower): the centre, then the seven -/+ pairs from the
-    outermost in, K15 and G7 accumulating in that order.  NaN is looked for in
-    each K15 sum; a node at t = 1, where y = inf, is a ValueError naming the map
-    and the panel."""
+    lies in (0, 1) and a float f is integrated over [a, inf) through the rational
+    map y = a + t/w, w = 1 - t: each node divides its value by its own Jacobian
+    w^2, so a tuple f is a TypeError there.  The nodes are written out (a loop
+    over them made the classical sweep 1.36x slower): the centre, then the seven
+    -/+ pairs from the outermost in, K15 and G7 accumulating in that order.  NaN
+    is looked for in each K15 sum; a node at t = 1, where y = inf, is a
+    ValueError naming the map and the panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x0, x1, x2, x3, x4, x5, x6, _ = _XGK
@@ -114,25 +114,23 @@ def _gk15(f: Callable[[float], float | tuple[float, ...]], lo: float, hi: float,
         l4, r4 = f(mid - d4), f(mid + d4)
         l5, r5 = f(mid - d5), f(mid + d5)
         l6, r6 = f(mid - d6), f(mid + d6)
-        jc = jl0 = jr0 = jl1 = jr1 = jl2 = jr2 = jl3 = jr3 = 1.0
-        jl4 = jr4 = jl5 = jr5 = jl6 = jr6 = 1.0
     else:
         try:
-            fc, jc = f(a + mid / (w := 1.0 - mid)), w * w
-            l0, jl0 = f(a + (t := mid - d0) / (w := 1.0 - t)), w * w
-            r0, jr0 = f(a + (t := mid + d0) / (w := 1.0 - t)), w * w
-            l1, jl1 = f(a + (t := mid - d1) / (w := 1.0 - t)), w * w
-            r1, jr1 = f(a + (t := mid + d1) / (w := 1.0 - t)), w * w
-            l2, jl2 = f(a + (t := mid - d2) / (w := 1.0 - t)), w * w
-            r2, jr2 = f(a + (t := mid + d2) / (w := 1.0 - t)), w * w
-            l3, jl3 = f(a + (t := mid - d3) / (w := 1.0 - t)), w * w
-            r3, jr3 = f(a + (t := mid + d3) / (w := 1.0 - t)), w * w
-            l4, jl4 = f(a + (t := mid - d4) / (w := 1.0 - t)), w * w
-            r4, jr4 = f(a + (t := mid + d4) / (w := 1.0 - t)), w * w
-            l5, jl5 = f(a + (t := mid - d5) / (w := 1.0 - t)), w * w
-            r5, jr5 = f(a + (t := mid + d5) / (w := 1.0 - t)), w * w
-            l6, jl6 = f(a + (t := mid - d6) / (w := 1.0 - t)), w * w
-            r6, jr6 = f(a + (t := mid + d6) / (w := 1.0 - t)), w * w
+            fc = f(a + mid / (w := 1.0 - mid)) / (w * w)
+            l0 = f(a + (t := mid - d0) / (w := 1.0 - t)) / (w * w)
+            r0 = f(a + (t := mid + d0) / (w := 1.0 - t)) / (w * w)
+            l1 = f(a + (t := mid - d1) / (w := 1.0 - t)) / (w * w)
+            r1 = f(a + (t := mid + d1) / (w := 1.0 - t)) / (w * w)
+            l2 = f(a + (t := mid - d2) / (w := 1.0 - t)) / (w * w)
+            r2 = f(a + (t := mid + d2) / (w := 1.0 - t)) / (w * w)
+            l3 = f(a + (t := mid - d3) / (w := 1.0 - t)) / (w * w)
+            r3 = f(a + (t := mid + d3) / (w := 1.0 - t)) / (w * w)
+            l4 = f(a + (t := mid - d4) / (w := 1.0 - t)) / (w * w)
+            r4 = f(a + (t := mid + d4) / (w := 1.0 - t)) / (w * w)
+            l5 = f(a + (t := mid - d5) / (w := 1.0 - t)) / (w * w)
+            r5 = f(a + (t := mid + d5) / (w := 1.0 - t)) / (w * w)
+            l6 = f(a + (t := mid - d6) / (w := 1.0 - t)) / (w * w)
+            r6 = f(a + (t := mid + d6) / (w := 1.0 - t)) / (w * w)
         except ZeroDivisionError as exc:
             # a node at t = 1 fails in this frame (t/0); anything raised
             # inside f, or with no node at t = 1, passes through unchanged
@@ -149,11 +147,9 @@ def _gk15(f: Callable[[float], float | tuple[float, ...]], lo: float, hi: float,
     g0, g1, g2, g3 = _WG
     vals, errs = [], []
     for i in range(len(fc)):
-        c, s1, s3 = fc[i] / jc, l1[i] / jl1 + r1[i] / jr1, l3[i] / jl3 + r3[i] / jr3
-        s5 = l5[i] / jl5 + r5[i] / jr5
-        kron = (k7 * c + k0 * (l0[i] / jl0 + r0[i] / jr0) + k1 * s1
-                + k2 * (l2[i] / jl2 + r2[i] / jr2) + k3 * s3 + k4 * (l4[i] / jl4 + r4[i] / jr4)
-                + k5 * s5 + k6 * (l6[i] / jl6 + r6[i] / jr6))
+        c, s1, s3, s5 = fc[i], l1[i] + r1[i], l3[i] + r3[i], l5[i] + r5[i]
+        kron = (k7 * c + k0 * (l0[i] + r0[i]) + k1 * s1 + k2 * (l2[i] + r2[i]) + k3 * s3
+                + k4 * (l4[i] + r4[i]) + k5 * s5 + k6 * (l6[i] + r6[i]))
         gauss = g3 * c + g0 * s1 + g1 * s3 + g2 * s5
         if kron != kron:
             # a NaN node poisons the sum; name the first one (an inf - inf
@@ -234,16 +230,16 @@ def integrate_finite(
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float | tuple[float, ...]],
+    f: Callable[[float], float],
     a: float,
     rel_tol: float = 1e-10,
-) -> QuadratureResult | QuadratureResults:
-    """Integral of f over [a, inf) through y = a + t/(1-t), in at most _MAX_EVALS evaluations.
+) -> QuadratureResult:
+    """Integral of a float f over [a, inf) through y = a + t/(1-t); a tuple f is a TypeError.
 
-    The map is in units of y: an integrand of another width, with an edge
-    at a, or with a tail the map should reach another way, is integrated
-    over a coordinate its caller chooses, with the Jacobian in the
-    integrand (over [0, 1) by integrate_finite, for a map of its own).
+    The map is in units of y and built for tails like e^{-y}: an integrand of
+    another width, with an edge at a, with a tail the map should reach another
+    way, or with a finite support, is integrated over a coordinate its caller
+    chooses, with the Jacobian in the integrand, by integrate_finite.
     """
     return _adaptive(f, 0.0, 1.0, rel_tol, a)
 
@@ -303,15 +299,17 @@ def metropolis_expectation(
         raise ValueError(f"log_weight not finite at start point {x0}")
     accepted = 0
     values = np.empty(n_samples)
-    for i in range(total):
-        prop = x + steps[i]
-        lw_prop = log_weight(prop)
-        if lw_prop - lw > log_us[i]:
-            x = prop
-            lw = lw_prop
-            accepted += 1
-        if i >= burn_in:
-            values[i - burn_in] = observable(x)
+    for lo in range(0, total, 2048):    # as Python floats: numpy scalars make log_weight slow
+        draws = zip(steps[lo:lo + 2048].tolist(), log_us[lo:lo + 2048].tolist())
+        for i, (step, log_u) in enumerate(draws, lo):
+            prop = x + step
+            lw_prop = log_weight(prop)
+            if lw_prop - lw > log_u:
+                x = prop
+                lw = lw_prop
+                accepted += 1
+            if i >= burn_in:
+                values[i - burn_in] = observable(x)
     acc = accepted / total
     n_batches = 32
     usable = (n_samples // n_batches) * n_batches

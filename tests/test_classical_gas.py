@@ -139,6 +139,20 @@ class TestQuarticGaussianF:
     def test_pure_quartic_limit(self):
         assert cg.f_oracle(0.0).value == pytest.approx(math.gamma(0.75) / 4.0, rel=1e-9)
 
+    @pytest.mark.parametrize("x", [-1.0, math.inf, math.nan])
+    def test_f_oracle_refuses_x_off_its_domain(self, x):
+        # x = inf (lam = 1e-320 at m = w = T = 1) has no finite support to
+        # integrate over: refused by name, not a 0 or a NaN node
+        with pytest.raises(ValueError, match="F requires a finite x >= 0"):
+            cg.f_oracle(x)
+
+    def test_f_oracle_at_huge_x(self):
+        # F(x) = sqrt(pi) / (4 (4x)^{3/2}) (1 - 15/(64 x^2) + ...) as x -> inf; the
+        # conditioning scale and the cut take hypot, so x = 1e160 has both finite
+        res = cg.f_oracle(1e160)
+        assert res.converged
+        assert res.value == pytest.approx(math.sqrt(math.pi) / 4.0 * 4e160 ** -1.5, rel=1e-12)
+
     @pytest.mark.parametrize("x,golden", sorted(F_GOLDEN.items()))
     def test_golden_values(self, x, golden):
         res = cg.f_oracle(x)
@@ -274,12 +288,24 @@ class TestGFunction:
         k1_scaled = 2.0 * x * x * math.sqrt(math.pi / (2.0 * x))
         assert cg.g_function(x) * math.exp(x) / k1_scaled == pytest.approx(1.0, abs=5e-3)
 
-    def test_a_kinetic_pass_that_finds_no_weight_is_named(self):
-        # at z = 1e8 the weight, about 1/sqrt(z) wide, falls between the nodes:
-        # a converged 0 where the integral is about 1.25e-12, refused by name
+    @pytest.mark.parametrize("z", [1e6, 1e7, 1e8, 1e10, 1e14, 1e16])
+    def test_the_kinetic_pass_resolves_large_z(self, z):
+        # the weight is about 1/sqrt(z) wide: over its finite support, with
+        # cosh t - 1 and ln sinh t formed without cancelling (1e14, 1e16: the
+        # weight sits near t = 1e-7), each pass converges in 225 evaluations
+        # on e^z (z^2 K_0 + 2z K_1)/z^3, read from specfun's K pass
+        lks, t = sf.bessel_k_pair(0.0, z)
+        want = math.exp(lks.value) * (z * z + 2.0 * z * (1.0 + t)) / z**3
         with memo_scope():
-            with pytest.raises(ArithmeticError, match="came out 0 at z=100000000.0"):
-                cg.kinetic_radial_integral(1e8, 1.0)
+            res = cg._kinetic_scaled(z, 1.0)
+        assert res.converged and res.evaluations == 225
+        assert res[0].value == pytest.approx(want, rel=1e-12)
+
+    def test_a_kinetic_pass_that_underflows_is_named(self):
+        # e^z int sinh^2 t cosh t e^{-z cosh t} dt ~ sqrt(pi/2) z^{-3/2} = 1.25e-450
+        with memo_scope():
+            with pytest.raises(ArithmeticError, match="underflows to 0 at z=1e[+]300$"):
+                cg.kinetic_radial_integral(1e300, 1.0)
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 10.0])
     def test_radial_integral_rescales_the_shared_quadrature(self, z):
@@ -301,9 +327,19 @@ class TestGFunction:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("a quadrature ran")
 
-        monkeypatch.setattr(cg, "integrate_semi_infinite", no_quadrature)
+        monkeypatch.setattr(cg, "integrate_finite", no_quadrature)
         with pytest.raises(ValueError, match=rf"requires z > 0, got z={z!r}$"):
             cg.kinetic_radial_integral(z, k)
+
+
+class TestPositionWeight:
+    @pytest.mark.parametrize("m, lam, T", [(1e10, 0.5, 1e-300), (1.0, 1e300, 1e-10)])
+    def test_a_weight_without_width_is_refused(self, m, lam, T):
+        # beta m w^2 / 2 or beta lam overflows: the weight's width is 0, and
+        # the position pass is refused by name instead of returning 0
+        p = OscillatorParams(m=m, omega=1.0, lam=lam)
+        with pytest.raises(OverflowError, match=r"beta m w\^2 / 2 = .* or beta lam = .* overflows"):
+            cg.position_radial_integral(p, ThermalState.from_temperature(T))
 
 
 class TestAnharmonicPartition:
@@ -400,7 +436,7 @@ class TestAverageEnergy:
         inside = []
         calls = []
         row = cg.average_energy_classical
-        quad = cg.integrate_semi_infinite
+        quad = cg.integrate_finite
 
         def traced_row(*args, **kwargs):
             inside.append(True)
@@ -415,7 +451,7 @@ class TestAverageEnergy:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(cg, "average_energy_classical", traced_row)
-        monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
+        monkeypatch.setattr(cg, "integrate_finite", counted_quad)
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         with memo_scope():      # the scope cli._sweep opens for one grid point
             rows, _ = cli._classical_point(cfg, 1.3)
@@ -430,14 +466,14 @@ class TestAverageEnergy:
         # computed once per temperature: three quadratures, on either side of
         # bessel_k's x_c (z = 10 and 1/1.3), where K runs no quadrature
         calls = []
-        quad = integrate_semi_infinite
+        quad = oracles.integrate_finite
 
         def counted_quad(*args, **kwargs):
             calls.append(args)
             return quad(*args, **kwargs)
 
-        monkeypatch.setattr(cg, "integrate_semi_infinite", counted_quad)
-        monkeypatch.setattr(oracles, "integrate_semi_infinite", counted_quad)
+        monkeypatch.setattr(cg, "integrate_finite", counted_quad)
+        monkeypatch.setattr(oracles, "integrate_finite", counted_quad)
         cfg = cli.RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
         with memo_scope():
             rows, _ = cli._classical_point(cfg, T)

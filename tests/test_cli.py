@@ -555,7 +555,8 @@ def test_a_tiny_gas_mass_gives_a_value_or_names_the_radicand(tmp_path, mass):
     ("quantum", {"oscillator": {"lam": 1e-320, "mu": 0.1}, "thermal_grid": [1.0]}, 4),
     # m^2 underflows to 0 in the spectrum table, whose fields are then empty
     ("quantum", {"oscillator": {"m": 1e-300, "lam": 0.5}, "thermal_grid": [1.0]}, 4),
-    # z = 1e8: the kinetic pass finds no weight, named, not a division by zero
+    # z = 1e8: K_0(z) leaves double range, named, while the kinetic pass
+    # resolves its weight and the average energy PASSes (below)
     ("classical", {"oscillator": {"lam": 0.5, "mu": 0.1}, "thermal_grid": [1e-8]}, 6),
 ])
 def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command, raw,
@@ -570,7 +571,16 @@ def test_extreme_finite_config_ends_without_traceback(tmp_path, capsys, command,
     rows = (out / f"{command}.csv").read_text().splitlines()[1:]
     reports = json.loads((out / f"{command}_reports.json").read_text())
     assert len(reports) == len(rows) == n_rows
-    assert all(r["status"] != "PASS" for r in reports)
+    passes = [r["quantity_name"] for r in reports if r["status"] == "PASS"]
+    assert passes == (["average_energy_classical"] if raw["thermal_grid"] == [1e-8] else [])
+    if passes:
+        by_name = {r["quantity_name"]: r for r in reports}
+        for name in ("relativistic_harmonic_partition_z2", "g_function"):
+            assert by_name[name]["provenance"] == ("evaluation failure: K_0(z) = e^-1e+08 or "
+                                                   "K_1(z) leaves double range at z=100000000.0")
+        energy = by_name["average_energy_classical"]
+        assert energy["literal"] == pytest.approx(0.99999999999999944, rel=1e-13)
+        assert energy["oracle"] == pytest.approx(1.0000000299999994, rel=1e-13)
     errors = [r["provenance"] for r in reports if r["status"] == "ERROR"]
     # a classical row may also be ERROR on the quadrature it names
     assert errors and all(p.startswith("evaluation failure: ") or (
@@ -682,7 +692,7 @@ def test_an_engine_defect_moves_the_bessel_rows(monkeypatch):
     # engine: an engine that returns 1.001 times each integral must show in
     # every kinetic-identity row of verify and in the classical g_function
     # and relativistic Z2 rows at T = 0.1 (z = 10)
-    quad = oracles.integrate_semi_infinite
+    quad = oracles.integrate_finite
 
     def defective(*args, **kwargs):
         res = quad(*args, **kwargs)
@@ -691,7 +701,7 @@ def test_an_engine_defect_moves_the_bessel_rows(monkeypatch):
         return res.scaled(1.001)
 
     for module in (oracles, cg):
-        monkeypatch.setattr(module, "integrate_semi_infinite", defective)
+        monkeypatch.setattr(module, "integrate_finite", defective)
     cfg = RunConfig.from_dict({"oscillator": {"m": 1.0, "omega": 1.0, "lam": 0.5}})
     with memo.memo_scope():
         kinetic = [cli._row({}, name, thunk) for _, name, thunk in cli._verify_rows(cfg)
@@ -716,19 +726,22 @@ class TestMemoScopes:
         # nothing from its twin, and no count depends on --threads
         cells = []
         point = getattr(cli, f"_{command}_point")
-        quad = oracles.integrate_semi_infinite
 
         def counted_point(cfg, temperature):
             cells.append([temperature, 0])
             return point(cfg, temperature)
 
-        def counted_quad(*args, **kwargs):
-            cells[-1][1] += 1
-            return quad(*args, **kwargs)
+        def counted(quad):
+            def counted_quad(*args, **kwargs):
+                cells[-1][1] += 1
+                return quad(*args, **kwargs)
+            return counted_quad
 
         monkeypatch.setattr(cli, f"_{command}_point", counted_point)
-        for module in (cg, qg, oracles):
-            monkeypatch.setattr(module, "integrate_semi_infinite", counted_quad)
+        for name in ("integrate_finite", "integrate_semi_infinite"):
+            counted_quad = counted(getattr(oracles, name))
+            for module in (cg, qg, oracles):
+                monkeypatch.setattr(module, name, counted_quad)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"oscillator": {"lam": 0.5, "mu": 0.1},
                                    "thermal_grid": grid}))

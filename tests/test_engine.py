@@ -12,7 +12,10 @@ a caller that needs that map integrates.
 The classical helpers now read components of shared passes over tuple
 integrands, which refine for every component at once: they match the
 reference within 1e-13 relative, not bit for bit, and a pass takes fewer
-evaluations than the two scalar quadratures it replaces."""
+evaluations than the two scalar quadratures it replaces.  Each pass runs
+over its weight's finite support: past the cut its integrand is exactly 0,
+and it matches the pass over the rational map that it replaced within the
+two passes' estimates."""
 
 from __future__ import annotations
 
@@ -492,6 +495,16 @@ def paired(f, g):
     return lambda y: (f(y), g(y))
 
 
+def rational_coordinate(f, a):
+    """f over [a, inf) as an integrand over t in [0, 1): y = a + t/(1 - t),
+    dy = dt/(1 - t)^2, the engine's map; each component divided alike."""
+    def g(t):
+        w = 1.0 - t
+        values = f(a + t / w)
+        return tuple(v / (w * w) for v in values) if type(values) is tuple else values / (w * w)
+    return g
+
+
 class TestTupleIntegrands:
     """One pass over a tuple-valued integrand: the nodes are shared, the
     sums, estimates and convergence are per component."""
@@ -500,11 +513,10 @@ class TestTupleIntegrands:
         (math.exp, math.sin, 0.1, 0.9), (needle, math.cos, 0.3, 0.4), (step, needle, 0.0, 1.0),
     ])
     def test_panel_components_are_the_scalar_panels(self, f, g, lo, hi):
-        # bit for bit, without and with the rational map
-        for a in (None, 0.5):
-            vals, errs = oc._gk15(paired(f, g), lo, hi, a)
-            for i, h in enumerate((f, g)):
-                assert (vals[i], errs[i]) == oc._gk15(h, lo, hi, a)
+        # bit for bit; the rational map takes floats only (see below)
+        vals, errs = oc._gk15(paired(f, g), lo, hi)
+        for i, h in enumerate((f, g)):
+            assert (vals[i], errs[i]) == oc._gk15(h, lo, hi)
 
     @pytest.mark.parametrize("name", ["sin", "reversed", "needle"])
     def test_each_component_matches_its_scalar_pass(self, name):
@@ -522,7 +534,8 @@ class TestTupleIntegrands:
         def g(y):
             return f(y) / (1.0 + y)
 
-        pair = oc.integrate_semi_infinite(paired(f, g), a, **kw)
+        # the pair over the map's own coordinate, t in [0, 1), Jacobian written out
+        pair = oc.integrate_finite(rational_coordinate(paired(f, g), a), 0.0, 1.0, **kw)
         for got, h in zip(pair, (f, g)):
             want = oc.integrate_semi_infinite(h, a, **kw)
             assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
@@ -556,21 +569,31 @@ class TestTupleIntegrands:
         def bad(y):
             return math.nan if 0.36 < y < 0.3701 else needle(y)
 
-        integrate = ((lambda f: oc.integrate_semi_infinite(f, 0.0)) if semi_infinite
-                     else (lambda f: oc.integrate_finite(f, 0.0, 1.0)))
+        # [0, inf) through the rational map's coordinate, as a tuple integrand
+        # reaches it; the abscissa named is t
+        integrate = ((lambda f: oc.integrate_finite(rational_coordinate(f, 0.0), 0.0, 1.0))
+                     if semi_infinite else (lambda f: oc.integrate_finite(f, 0.0, 1.0)))
         with pytest.raises(IntegrandError) as want:
             integrate(bad)
         with pytest.raises(IntegrandError) as got:
             integrate(paired(needle, bad))
         assert str(got.value) == str(want.value)
 
-    def test_a_node_at_t_1_names_the_map_and_the_panel(self):
-        lo = 1.0 - 2.0**-50
-        with pytest.raises(ValueError) as got:
-            oc._gk15(paired(lambda y: math.exp(-y), lambda y: y * math.exp(-y)), lo, 1.0, 2.0)
-        assert type(got.value) is ValueError
-        assert str(got.value) == ("the rational map of [2.0, inf) put a node at t = 1, "
-                                  f"where y = inf, in the panel [{lo!r}, 1.0]")
+    @pytest.mark.parametrize("lo", [0.0, 1.0 - 2.0**-50])    # without and with a node at t = 1
+    def test_a_tuple_integrand_on_the_map_is_a_type_error(self, lo):
+        # each node divides its value by its own Jacobian, which a tuple refuses
+        # at the first node, before any node reaches t = 1
+        seen = []
+
+        def pair(y):
+            seen.append(y)
+            return math.exp(-y), y * math.exp(-y)
+
+        with pytest.raises(TypeError, match="tuple"):
+            oc._gk15(pair, lo, 1.0, 2.0)
+        with pytest.raises(TypeError, match="tuple"):
+            oc.integrate_semi_infinite(pair, 2.0)
+        assert len(seen) == 2
 
 
 class TestClassicalHelpersMatchReference:
@@ -649,3 +672,133 @@ class TestClassicalHelpersMatchReference:
         assert float.hex(x0) == float.hex(want_x0)
         for r in [-1.0, 0.0, 1e-3 * x0, 0.5 * x0, x0, 2.0 * x0, 7.0 * x0]:
             assert float.hex(logw(r)) == float.hex(want_logw(r))
+
+
+# ---------------------------------------------------------------------------
+# the classical passes over their weights' finite support
+# ---------------------------------------------------------------------------
+
+KINETIC_Z = [1e-3, 0.03, 0.125, 1.0, 5.0, 33.3, 1e3, 1e6, 1e8, 1e10]
+QUARTIC_X = [0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e160]
+# (m, omega, lam, beta): a2 = beta m w^2 / 2 from 5e-4 to 1e200, a4 = beta lam
+# from 0 to 1e300, so that either term sets the cut
+POSITION_WEIGHTS = [
+    (1.0, 1.0, 0.0, 1e-3), (1.0, 1.0, 0.5, 1.0), (0.5, 2.0, 0.01, 0.25), (3.0, 0.7, 4.0, 3.0),
+    (1.0, 1.0, 1e-4, 2e200), (1.0, 1.0, 0.5, 2e200), (1.0, 1.0, 1e300, 1.0), (1.0, 1.0, 0.0, 2e200),
+]
+
+
+def finite_pass(monkeypatch, run):
+    """run() with cg.integrate_finite recorded: (integrand, top of [0, top], result)."""
+    seen = []
+
+    def record(f, a, b, **kw):
+        seen.append((f, a, b))
+        return oc.integrate_finite(f, a, b, **kw)
+
+    monkeypatch.setattr(cg, "integrate_finite", record)
+    result = run()
+    [(f, a, top)] = seen
+    assert a == 0.0 and 0.0 < top < math.inf
+    return f, top, result
+
+
+def _mapped_kinetic(z: float, j: int) -> QuadratureResult:
+    # e^z int_0^inf sinh^2 t cosh^j t e^(-z cosh t) dt, the semi-infinite pass before the cut
+    def f(t: float) -> float:
+        if t <= 0.0 or t > 350.0:
+            return 0.0
+        e = 2.0 * cg._log_sinh(t) + cg._log_cosh(t) * j - z * (math.cosh(t) - 1.0)
+        return math.exp(e) if e > -745.0 else 0.0
+
+    return oc.integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+
+
+def _mapped_quartic(x: float, j: int) -> QuadratureResult:
+    # int_0^inf u^(2 + 2j) exp(-4x u^2 - u^4) du over w = c u, before the cut
+    c = math.sqrt(math.sqrt(1.0 + (4.0 * x) ** 2))
+
+    def f(w: float) -> float:
+        uu = w / c
+        e = -4.0 * x * uu * uu - uu**4
+        return uu * uu * math.exp(e) * (uu * uu) ** j if e > -745.0 else 0.0
+
+    res = oc.integrate_semi_infinite(f, 0.0, rel_tol=1e-12)
+    return QuadratureResult(res.value / c, res.abs_error_estimate / c, res.evaluations,
+                            res.converged)
+
+
+def _mapped_position_moment(p: OscillatorParams, beta: float) -> QuadratureResult:
+    # int_0^inf r^2 V(r) exp(-a2 r^2 - a4 r^4) dv, r = v * scale, before the cut
+    a2, a4, scale = cg._position_weight(p, beta)
+
+    def f(v: float) -> float:
+        r = v * scale
+        e = -a2 * r * r - a4 * r**4
+        if e <= -745.0:
+            return 0.0
+        return r * r * math.exp(e) * (0.5 * p.m * p.omega**2 * r * r + p.lam * r**4)
+
+    return oc.integrate_semi_infinite(f, 0.0, rel_tol=1e-11)
+
+
+def beyond(top: float, end: float = math.inf) -> list[float]:
+    # from just past the cut out to the range the semi-infinite pass reached
+    return [y for y in (top * (1.0 + s) for s in (1e-12, 1e-9, 1e-3, 0.1, 1.0, 9.0, 1e3, 1e6))
+            if y <= end] + ([end] if end < math.inf else [])
+
+
+class TestFiniteSupport:
+    """Each pass integrates over [0, top], past which its integrand is
+    exactly 0.0 already, and matches the semi-infinite pass it replaced
+    within the two passes' own estimates."""
+
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("z", KINETIC_Z)
+    def test_kinetic_integrand_is_zero_past_the_cut(self, monkeypatch, z, k):
+        f, top, res = finite_pass(monkeypatch, lambda: cg._kinetic_scaled(z, k))
+        assert res.converged and top <= 350.0
+        for t in beyond(top, 350.0):
+            assert f(t) == (0.0, 0.0), t
+
+    @pytest.mark.parametrize("x", QUARTIC_X)
+    def test_quartic_integrand_is_zero_past_the_cut(self, monkeypatch, x):
+        f, top, res = finite_pass(monkeypatch, lambda: cg._quartic_gaussian(x))
+        assert res.converged and res[0].value > 0.0
+        for w in beyond(top):
+            assert f(w) == (0.0, 0.0), w
+
+    @pytest.mark.parametrize("m, omega, lam, beta", POSITION_WEIGHTS)
+    def test_position_integrand_is_zero_past_the_cut(self, monkeypatch, m, omega, lam, beta):
+        p = OscillatorParams(m=m, omega=omega, lam=lam)
+        f, top, res = finite_pass(monkeypatch, lambda: cg._position_integral(p, beta))
+        assert res.converged and res[0].value > 0.0
+        for v in beyond(top):
+            assert f(v) == (0.0, 0.0), v
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("z", KINETIC_Z[:7])
+    def test_kinetic_pass_matches_the_semi_infinite_one(self, z, k):
+        for got, j in zip(cg._kinetic_scaled(z, float(k)), (k, k + 1)):
+            want = _mapped_kinetic(z, j)
+            assert want.converged
+            assert abs(got.value - want.value) <= got.abs_error_estimate + want.abs_error_estimate
+
+    @pytest.mark.parametrize("x", QUARTIC_X[:-1])
+    def test_quartic_pass_matches_the_semi_infinite_one(self, x):
+        for j, got in enumerate(cg._quartic_gaussian(x)):
+            want = _mapped_quartic(x, j)
+            assert want.converged
+            assert abs(got.value - want.value) <= got.abs_error_estimate + want.abs_error_estimate
+
+    @pytest.mark.parametrize("m, omega, lam, T", OSCILLATOR_GRID)
+    def test_position_pass_matches_the_semi_infinite_one(self, m, omega, lam, T):
+        p = OscillatorParams(m=m, omega=omega, lam=lam)
+        t = ThermalState.from_temperature(T)
+        norm, moment = cg._position_integral(p, t.beta)
+        scale = cg._position_weight(p, t.beta)[2]
+        wants = (_reference_position_radial_integral(p, t, NATURAL_UNITS, 1e-11).scaled(1 / scale),
+                 _mapped_position_moment(p, t.beta))
+        for got, want in zip((norm, moment), wants):
+            assert want.converged
+            assert abs(got.value - want.value) <= got.abs_error_estimate + want.abs_error_estimate
