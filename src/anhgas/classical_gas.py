@@ -167,16 +167,16 @@ def _log_cosh(x: float) -> float:
     return x - _LN2 + math.log1p(math.exp(-2.0 * x))
 
 
-def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
-    """2 ln sinh t + k ln cosh t, bit for bit, from a single exp(-2t).
+def _log_sinh2_cosh(t: float) -> float:
+    """2 ln sinh t + ln cosh t, bit for bit, from a single exp(-2t).
 
     The Metropolis kinetic chain's log-weight; the kinetic quadrature pass forms
     its own from expm1(t), which keeps its digits at small t and large z.
     """
     if t < 1e-8:
-        return 2.0 * _log_sinh(t) + _log_cosh(t) * k
+        return 2.0 * _log_sinh(t) + _log_cosh(t)
     e = math.exp(-2.0 * t)
-    return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e)) * k
+    return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e))
 
 
 def _kinetic_scaled(z: float, k: float) -> QuadratureResults:
