@@ -15,7 +15,8 @@ import sys
 
 from . import specfun as sf
 from .memo import shared_value
-from .oracles import QuadratureResult, QuadratureResults, integrate_finite, integrate_semi_infinite
+from .oracles import (_ABS_TOL, QuadratureResult, QuadratureResults, integrate_finite,
+                      integrate_semi_infinite)
 from .params import OscillatorParams, ThermalState
 from .reports import ComparisonReport, compare
 
@@ -167,25 +168,26 @@ def _log_cosh(x: float) -> float:
     return x - _LN2 + math.log1p(math.exp(-2.0 * x))
 
 
-def _log_sinh2_cosh(t: float) -> float:
-    """2 ln sinh t + ln cosh t, bit for bit, from a single exp(-2t).
+def _log_sinh2_cosh(t: float, k: float = 1.0) -> float:
+    """2 ln sinh t + k ln cosh t, bit for bit, from a single exp(-2t).
 
     The Metropolis kinetic chain's log-weight; the kinetic quadrature pass forms
     its own from expm1(t), which keeps its digits at small t and large z.
     """
     if t < 1e-8:
-        return 2.0 * _log_sinh(t) + _log_cosh(t)
+        return 2.0 * _log_sinh(t) + _log_cosh(t) * k
     e = math.exp(-2.0 * t)
-    return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e))
+    return 2.0 * (t - _LN2 + math.log1p(-e)) + (t - _LN2 + math.log1p(e)) * k
 
 
 def _kinetic_scaled(z: float, k: float) -> QuadratureResults:
     # e^z int_0^inf sinh^2 t cosh^j t e^(-z cosh t) dt, j = k, k + 1, one pass, any z > 0, on
-    # [0, top]: ln(sinh^2 t cosh^k t) <= (2 + k) t, so the weight is 0 past the fixed point of
-    # t = acosh(1 + d) = 2 asinh(sqrt(d/2)), d = (745 + (2 + k) t)/z; steps from 350 stay above it
+    # [0, top]: ln(sinh^2 t cosh^k t) <= (2 + max(k, 0)) t, so the weight is 0 past the fixed
+    # point of t = acosh(1 + d) = 2 asinh(sqrt(d/2)), d = (745 + (2 + max(k, 0)) t)/z; steps
+    # from 350 stay above it
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
-    top = 350.0
-    while (step := 2.0 * math.asinh(math.sqrt((745.0 + (2.0 + k) * top) / (2.0 * z)))) < top:
+    top, kp = 350.0, max(k, 0.0)
+    while (step := 2.0 * math.asinh(math.sqrt((745.0 + (2.0 + kp) * top) / (2.0 * z)))) < top:
         top = step
 
     def f(t: float) -> tuple[float, float]:
@@ -203,9 +205,9 @@ def _kinetic_scaled(z: float, k: float) -> QuadratureResults:
         res = integrate_finite(f, 0.0, top, rel_tol=1e-11)
     except OverflowError:
         raise OverflowError(f"sinh^2 t cosh^{k:g} t e^(-z cosh t) overflows at z={z!r}") from None
-    if not res[0].value > 0.0:
-        raise ArithmeticError(f"e^z int sinh^2 t cosh^{k:g} t e^(-z cosh t) dt underflows to 0 "
-                              f"at z={z!r}")
+    if not res[0].value > _ABS_TOL / 1e-11:     # else the absolute floor, not rel_tol, ended it
+        raise ArithmeticError(f"e^z int sinh^2 t cosh^{k:g} t e^(-z cosh t) dt = {res[0].value!r} "
+                              f"falls to the quadrature's absolute floor at z={z!r}")
     return res
 
 

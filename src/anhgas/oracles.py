@@ -299,17 +299,15 @@ def metropolis_expectation(
         raise ValueError(f"log_weight not finite at start point {x0}")
     accepted = 0
     values = np.empty(n_samples)
-    for lo in range(0, total, 2048):    # as Python floats: numpy scalars make log_weight slow
-        draws = zip(steps[lo:lo + 2048].tolist(), log_us[lo:lo + 2048].tolist())
-        for i, (step, log_u) in enumerate(draws, lo):
-            prop = x + step
-            lw_prop = log_weight(prop)
-            if lw_prop - lw > log_u:
-                x = prop
-                lw = lw_prop
-                accepted += 1
-            if i >= burn_in:
-                values[i - burn_in] = observable(x)
+    for i in range(total):
+        prop = x + steps[i]
+        lw_prop = log_weight(prop)
+        if lw_prop - lw > log_us[i]:
+            x = prop
+            lw = lw_prop
+            accepted += 1
+        if i >= burn_in:
+            values[i - burn_in] = observable(x)
     acc = accepted / total
     n_batches = 32
     usable = (n_samples // n_batches) * n_batches

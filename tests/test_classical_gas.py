@@ -2,6 +2,7 @@
 oracles, limit behavior, and the documented FLAGGED deviations."""
 
 import math
+import re
 
 import mpmath
 import pytest
@@ -301,11 +302,34 @@ class TestGFunction:
         assert res.converged and res.evaluations == 225
         assert res[0].value == pytest.approx(want, rel=1e-12)
 
-    def test_a_kinetic_pass_that_underflows_is_named(self):
-        # e^z int sinh^2 t cosh t e^{-z cosh t} dt ~ sqrt(pi/2) z^{-3/2} = 1.25e-450
+    @pytest.mark.parametrize("z, value", [(1e200, r"1\.19\d*e-300"), (1e300, r"0\.0")],
+                             ids=["1e200", "1e300"])
+    def test_a_kinetic_pass_that_underflows_is_named(self, z, value):
+        # e^z int sinh^2 t cosh t e^{-z cosh t} dt ~ sqrt(pi/2) z^{-3/2}: 1.25e-300
+        # at z = 1e200, where the engine's absolute floor 1e-300, not rel_tol,
+        # would end the pass as converged on 1.196e-300 (4.6% off), and 1.25e-450,
+        # which underflows to 0, at 1e300
+        tail = rf" falls to the quadrature's absolute floor at z={re.escape(repr(z))}$"
         with memo_scope():
-            with pytest.raises(ArithmeticError, match="underflows to 0 at z=1e[+]300$"):
-                cg.kinetic_radial_integral(1e300, 1.0)
+            with pytest.raises(ArithmeticError, match=f"dt = {value}{tail}"):
+                cg.kinetic_radial_integral(z, 1.0)
+
+    @pytest.mark.parametrize("z", [0.01, 1.0, 30.0])
+    @pytest.mark.parametrize("k", [-5.0, -3.0, -2.5, -1.0])
+    def test_the_kinetic_cut_holds_for_a_negative_power(self, z, k):
+        # below k = -2, (2 + k) t no longer bounds ln(sinh^2 t cosh^k t): the cut
+        # uses 2t there, and the pass agrees with the map over t to rounding
+        def weight(t):
+            if not 0.0 < t < 350.0:
+                return 0.0
+            e = cg._log_sinh2_cosh(t, k) - z * (math.cosh(t) - 1.0)
+            return math.exp(e) if e > -745.0 else 0.0
+
+        want = integrate_semi_infinite(weight, 0.0, rel_tol=1e-11)
+        with memo_scope():
+            res = cg._kinetic_scaled(z, k)[0]
+        assert res.converged and want.converged
+        assert res.value == pytest.approx(want.value, rel=1e-14)
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 10.0])
     def test_radial_integral_rescales_the_shared_quadrature(self, z):

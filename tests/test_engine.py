@@ -607,6 +607,12 @@ class TestClassicalHelpersMatchReference:
             want = 2.0 * cg._log_sinh(t) + cg._log_cosh(t)
             assert float.hex(cg._log_sinh2_cosh(t)) == float.hex(want), t
 
+    def test_log_sinh2_cosh_squared_is_bit_identical(self):
+        # the kinetic energy moment's weight, as it was written before fusing
+        for t in self.WEIGHT_GRID:
+            want = 2.0 * cg._log_sinh(t) + cg._log_cosh(t) * 2
+            assert float.hex(cg._log_sinh2_cosh(t, 2.0)) == float.hex(want), t
+
     @pytest.mark.parametrize("c", [1e-6, 0.02, 0.5, 1.0, 3.7, 1e4])
     def test_radial_gaussian_integral(self, c):
         assert bits(cg._radial_gaussian_integral(c)) == bits(_radial_gaussian_integral(c))
